@@ -122,7 +122,7 @@ CaseResult runCase(const std::string &Name, const CompiledRecurrence &Fn,
   gpu::CostModel Model;
   RunOptions VmOpts;
   RunOptions AstOpts;
-  AstOpts.UseAstEvaluator = true;
+  AstOpts.Evaluator = exec::EvalKind::Ast;
   RunOptions JitOpts;
   JitOpts.Evaluator = exec::EvalKind::Jit;
   JitOpts.JitCacheDir = "/tmp/parrec-jit-bench";

@@ -181,18 +181,30 @@ SaturationResult runSaturation(bool Continuous, uint64_t Stream) {
   }
 
   // A same-shape stream: the seed opens one queued batch; with
-  // continuous batching every later arrival joins it, without it each
-  // opens a batch of its own behind the serial device.
+  // continuous batching every later arrival joins it. Without it each
+  // straggler must open a batch of its own behind the serial device, so
+  // it is submitted only once the previous one's batch is counted:
+  // stragglers that reach the queue together would coalesce into one
+  // batch — correct engine behaviour, but not the saturation this phase
+  // measures.
   std::vector<serve::Future> Stragglers;
   Stragglers.push_back(Engine.submit(Factory.request(48, 100)));
-  waitFor([&] { return Engine.stats().Batches == 2; });
+  gate(waitFor([&] { return Engine.stats().Batches == 2; }),
+       "saturation: the seed request opened no batch");
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  for (uint64_t I = 1; I != Stream; ++I)
+  for (uint64_t I = 1; I != Stream; ++I) {
     Stragglers.push_back(Engine.submit(Factory.request(48, 100 + I)));
+    if (!Continuous &&
+        !waitFor([&] { return Engine.stats().Batches == 2 + I; })) {
+      gate(false, "saturation: a straggler opened no batch of its own");
+      break;
+    }
+  }
   if (Continuous)
-    waitFor([&] { return Engine.stats().ContinuousJoins == Stream - 1; });
-  else
-    waitFor([&] { return Engine.stats().Batches == Stream + 1; });
+    gate(waitFor([&] {
+           return Engine.stats().ContinuousJoins == Stream - 1;
+         }),
+         "saturation: stragglers did not all join the queued batch");
 
   {
     std::lock_guard<std::mutex> Lock(Mutex);
@@ -463,6 +475,8 @@ int main(int Argc, char **Argv) {
   // saturation — and does it the honest way, by collapsing batches.
   gate(On.Joins == Stream - 1, "continuous batching joined nothing");
   gate(Off.Joins == 0, "baseline joined batches with the feature off");
+  gate(Off.Batches == Stream + 1,
+       "baseline did not open one batch per straggler");
   gate(On.Batches < Off.Batches,
        "continuous batching did not reduce batch count");
   gate(On.MeanQueueWaitSeconds < Off.MeanQueueWaitSeconds,

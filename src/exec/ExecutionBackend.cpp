@@ -344,9 +344,9 @@ void scanParallel(const ExecutablePlan &Plan, uint64_t SyncCycles,
 }
 
 /// Resolves how many host workers this scan should use. 0 means the
-/// whole host budget (pre-divided by runGpuBatch when nested under a
-/// batch). A worker must own at least one simulated thread, and domains
-/// too small to amortise thread start-up stay serial.
+/// whole host budget (pre-divided by the batch executor when nested
+/// under a batch). A worker must own at least one simulated thread, and
+/// domains too small to amortise thread start-up stay serial.
 unsigned resolveScanWorkers(const ExecutablePlan &Plan,
                             const RunOptions &Options, unsigned Threads) {
   unsigned Workers =
@@ -392,8 +392,8 @@ RunResult scanPlan(const ExecutablePlan &Plan, codegen::Evaluator &Eval,
   Result.UsedSchedule = Plan.Sched;
   Result.TableMax = -std::numeric_limits<double>::infinity();
 
-  bool ForceAst = Options.UseAstEvaluator || envForcesAstEvaluator() ||
-                  Options.Evaluator == EvalKind::Ast;
+  bool ForceAst =
+      envForcesAstEvaluator() || Options.Evaluator == EvalKind::Ast;
   // Jit silently degrades to the VM when the plan carries no kernel:
   // the jit pass already warned and counted the fallback at plan time.
   bool UseJit = !ForceAst && Options.Evaluator == EvalKind::Jit &&

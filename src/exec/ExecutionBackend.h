@@ -53,10 +53,10 @@ struct RunOptions {
   /// ranges of simulated-thread IDs run on real threads (the wavefront
   /// is independent within a partition, Sections 4.2–4.3), with a
   /// deterministic per-partition merge. 0 means "share the host worker
-  /// budget" (runGpuBatch divides it by the resolved batch worker count
-  /// so batch x scan nesting never oversubscribes); 1 is the serial
-  /// path. Results, modelled cycles, metrics, and timelines are
-  /// bit-identical for every worker count.
+  /// budget" (a batch divides it by the resolved batch worker count so
+  /// batch x scan nesting never oversubscribes); 1 is the serial path.
+  /// Results, modelled cycles, metrics, and timelines are bit-identical
+  /// for every worker count.
   unsigned ScanWorkers = 0;
   /// Minimum merged cell count of the previous partition for the next
   /// one to be fanned out; smaller partitions (short diagonals) run on
@@ -71,15 +71,12 @@ struct RunOptions {
   /// recursions whose interesting value is not at the root corner, e.g.
   /// the backward algorithm's B(start, 0)).
   bool KeepTable = false;
-  /// Evaluate cells with the AST tree-walker even when the plan carries a
-  /// compiled bytecode program — the differential-testing oracle. The
-  /// ParRec_EVAL_AST environment variable forces this globally.
-  /// Equivalent to Evaluator = EvalKind::Ast; kept for callers predating
-  /// the three-way knob. Either one forces the AST walker.
-  bool UseAstEvaluator = false;
   /// The cell evaluator (`parrec run --evaluator=ast|vm|jit`). Jit makes
   /// planning run the native JIT pass and execution dispatch the
-  /// compiled kernel; Ast is the oracle; Vm is the default.
+  /// compiled kernel; Ast, the tree-walking differential-testing oracle,
+  /// runs even when the plan carries a compiled bytecode program (the
+  /// ParRec_EVAL_AST environment variable forces it globally); Vm is the
+  /// default.
   EvalKind Evaluator = EvalKind::Vm;
   /// JIT disk-cache directory override (`--jit-cache-dir=`); empty
   /// resolves to $ParRec_JIT_CACHE then ~/.cache/parrec-jit.
@@ -90,9 +87,12 @@ struct RunOptions {
   /// Never changes results, only the modelled timing. Off until proven.
   bool Autotune = false;
   /// Collect the per-partition timeline into RunResult::Timeline (and,
-  /// when the global tracer is on, emit device-lane trace slices).
-  /// Implied by an enabled obs::Tracer; never changes results, only
-  /// records how they were reached.
+  /// when the global tracer is on, emit device-lane trace slices). An
+  /// enabled obs::Tracer records the timeline too, for its device
+  /// slices, but a batch member — runGpuBatch or the serving engine,
+  /// either dispatch policy — keeps it in its result only when its own
+  /// Trace was set. Never changes results, only records how they were
+  /// reached.
   bool Trace = false;
   /// Trace flow id (the serving engine's RequestId): when non-zero and
   /// tracing is on, the exec.scan span finishes this flow so the

@@ -7,8 +7,6 @@
 
 #include "gpu/Device.h"
 
-#include "obs/Trace.h"
-
 #include <algorithm>
 #include <cstdio>
 #include <queue>
@@ -74,43 +72,6 @@ uint64_t BlockTimer::closePartition(uint64_t SyncCycles,
     Timeline.push_back(S);
   }
   return Advance;
-}
-
-void gpu::emitBlockTimeline(unsigned Block,
-                            const std::vector<PartitionSample> &Timeline) {
-  if (!obs::Tracer::enabled())
-    return;
-  obs::Tracer &T = obs::Tracer::instance();
-  uint64_t Cursor = 0;
-  for (const PartitionSample &S : Timeline) {
-    obs::DeviceSlice Slice;
-    Slice.Block = Block;
-    Slice.Name = "partition " + std::to_string(S.Partition);
-    Slice.StartCycles = Cursor;
-    Slice.DurCycles = S.MaxThreadCycles;
-    Slice.Args = {
-        {"partition", std::to_string(S.Partition)},
-        {"cells", std::to_string(S.Cells)},
-        {"max_thread_cycles", std::to_string(S.MaxThreadCycles)},
-        {"sum_thread_cycles", std::to_string(S.SumThreadCycles)},
-        {"active_threads", std::to_string(S.ActiveThreads)},
-        {"threads", std::to_string(S.Threads)},
-    };
-    char Buf[32];
-    std::snprintf(Buf, sizeof(Buf), "%.4f", S.occupancy());
-    Slice.Args.push_back({"occupancy", Buf});
-    T.recordDevice(std::move(Slice));
-    Cursor += S.MaxThreadCycles;
-    if (S.BarrierCycles) {
-      obs::DeviceSlice BarrierSlice;
-      BarrierSlice.Block = Block;
-      BarrierSlice.Name = "barrier";
-      BarrierSlice.StartCycles = Cursor;
-      BarrierSlice.DurCycles = S.BarrierCycles;
-      T.recordDevice(std::move(BarrierSlice));
-      Cursor += S.BarrierCycles;
-    }
-  }
 }
 
 uint64_t

@@ -147,11 +147,6 @@ private:
   std::vector<PartitionSample> Timeline;
 };
 
-/// Emits \p Timeline as per-partition slices on simulated-device lane
-/// \p Block of the global tracer (no-op when tracing is disabled).
-void emitBlockTimeline(unsigned Block,
-                       const std::vector<PartitionSample> &Timeline);
-
 /// The device: dispatch policies for laying work onto multiprocessors.
 class Device {
 public:

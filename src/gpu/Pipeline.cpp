@@ -202,14 +202,19 @@ void gpu::emitBlockTimeline(unsigned Block,
   if (!obs::Tracer::enabled())
     return;
   obs::Tracer &T = obs::Tracer::instance();
-  size_t Stages = std::min(Timeline.size(), StageStarts.size());
+  size_t Stages = StageStarts.empty()
+                      ? Timeline.size()
+                      : std::min(Timeline.size(), StageStarts.size());
+  uint64_t Start = 0;
   for (size_t I = 0; I != Stages; ++I) {
     const PartitionSample &S = Timeline[I];
+    if (!StageStarts.empty())
+      Start = StageStarts[I];
     obs::DeviceSlice Slice;
     Slice.Block = Block;
     Slice.Name = "p" + std::to_string(Problem) + " partition " +
                  std::to_string(S.Partition);
-    Slice.StartCycles = StageStarts[I];
+    Slice.StartCycles = Start;
     Slice.DurCycles = S.MaxThreadCycles;
     Slice.Args = {
         {"problem", std::to_string(Problem)},
@@ -229,10 +234,11 @@ void gpu::emitBlockTimeline(unsigned Block,
       obs::DeviceSlice BarrierSlice;
       BarrierSlice.Block = Block;
       BarrierSlice.Name = "barrier";
-      BarrierSlice.StartCycles = StageStarts[I] + S.MaxThreadCycles;
+      BarrierSlice.StartCycles = Start + S.MaxThreadCycles;
       BarrierSlice.DurCycles = S.BarrierCycles;
       BarrierSlice.Args = {{"problem", std::to_string(Problem)}};
       T.recordDevice(std::move(BarrierSlice));
     }
+    Start += S.MaxThreadCycles + S.BarrierCycles;
   }
 }

@@ -175,16 +175,16 @@ private:
   uint64_t NextGroup = 0;
 };
 
-/// Emits \p Timeline as overlapped per-partition slices on
-/// simulated-device lane \p Block, starting each partition at the
-/// pipeline-planned cycle in \p StageStarts rather than back-to-back
-/// from zero. \p LaneOffset and \p Problem label the slices so packed
-/// problems sharing a block stay distinguishable. No-op when tracing is
-/// disabled.
+/// Emits \p Timeline as per-partition slices on simulated-device lane
+/// \p Block of the global tracer. Each partition starts at its
+/// pipeline-planned cycle in \p StageStarts; empty \p StageStarts means
+/// back to back from cycle 0 (a problem alone on its multiprocessor).
+/// \p LaneOffset and \p Problem label the slices so packed problems
+/// sharing a block stay distinguishable. No-op when tracing is disabled.
 void emitBlockTimeline(unsigned Block,
                        const std::vector<PartitionSample> &Timeline,
-                       const std::vector<uint64_t> &StageStarts,
-                       unsigned LaneOffset, uint64_t Problem);
+                       const std::vector<uint64_t> &StageStarts = {},
+                       unsigned LaneOffset = 0, uint64_t Problem = 0);
 
 } // namespace gpu
 } // namespace parrec

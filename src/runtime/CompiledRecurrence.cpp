@@ -8,12 +8,10 @@
 #include "runtime/CompiledRecurrence.h"
 
 #include "compiler/Pipeline.h"
+#include "exec/BatchExecutor.h"
 #include "exec/ParallelFor.h"
 #include "gpu/Pipeline.h"
-#include "obs/Metrics.h"
 #include "obs/Trace.h"
-
-#include <algorithm>
 
 using namespace parrec;
 using namespace parrec::runtime;
@@ -270,7 +268,9 @@ std::optional<BatchResult> CompiledRecurrence::runGpuBatch(
   // computed exactly once per problem, diagnostics stay single-threaded,
   // and same-shaped problems share one cached plan.
   std::vector<std::shared_ptr<const exec::ExecutablePlan>> Plans;
+  std::vector<exec::BatchMember> Members;
   Plans.reserve(Problems.size());
+  Members.reserve(Problems.size());
   for (const std::vector<ArgValue> &Args : Problems) {
     std::optional<DomainBox> Box = domainFor(Args, Diags);
     if (!Box)
@@ -282,114 +282,27 @@ std::optional<BatchResult> CompiledRecurrence::runGpuBatch(
         planFor(*Box, Options, Preselected, Diags, &Device.costModel());
     if (!Plan)
       return std::nullopt;
+    Members.push_back({Plan.get(), &Args, &Options});
     Plans.push_back(std::move(Plan));
   }
 
-  // Execute: each problem is one simulated multiprocessor, independent
-  // by construction, so the simulations fan out across host workers.
-  // Index-addressed result slots keep ordering deterministic.
+  // Execute, dispatch and publish: each problem is one simulated
+  // multiprocessor. The batch and scan fan-outs share the host budget.
   BatchResult Batch;
   Batch.Problems.resize(Problems.size());
-  exec::SimulatedGpuBackend Backend(Device.costModel());
-  unsigned BatchWorkers =
-      exec::resolveWorkerCount(Options.BatchWorkers, Problems.size());
-  // The two fan-out axes share one host budget: an auto (0) scan-worker
-  // request resolves to the budget left after the batch stripe, so
-  // batch x scan nesting never oversubscribes. An explicit request is
-  // obeyed verbatim — results are identical either way.
-  RunOptions PerProblem = Options;
-  if (!PerProblem.ScanWorkers)
-    PerProblem.ScanWorkers =
-        std::max(1u, exec::hostWorkerBudget() / BatchWorkers);
-  // The pipeline planner re-times the batch from per-partition
-  // timelines, so pipelined runs always record them; the extra samples
-  // are dropped below unless the caller asked to keep them. A globally
-  // enabled tracer does not keep them either — device slices are
-  // emitted before the drop, and the barrier path leaves Timeline empty
-  // in that case, so keeping it would break bit-identity.
-  bool WantTimeline = Options.Trace;
-  if (Options.Pipeline)
-    PerProblem.Trace = true;
-  exec::parallelFor(
-      BatchWorkers, Problems.size(), [&](size_t I) {
-        Evaluator Eval(*Decl, Info);
-        Eval.bind(Problems[I]);
-        Batch.Problems[I] = Backend.execute(*Plans[I], Eval, PerProblem);
-        // One device lane per problem: each simulates its own block on
-        // its own multiprocessor. Pipelined batches emit after planning
-        // instead, with overlapped per-stage offsets.
-        if (!Options.Pipeline && obs::Tracer::enabled() &&
-            Batch.Problems[I].Timeline)
-          gpu::emitBlockTimeline(static_cast<unsigned>(I),
-                                 *Batch.Problems[I].Timeline);
-      });
-
-  {
-    obs::Span DispatchSpan("exec.dispatch", "exec");
-    if (Options.Pipeline) {
-      // Systolic dispatch: feed problems to the planner in submission
-      // order; it packs underfilled blocks (when asked), overlaps
-      // consecutive launches' partitions on each multiprocessor, and
-      // yields per-problem completion cycles.
-      gpu::PipelinePlanner Planner(Device.costModel(), Options.PackSmall,
-                                   /*RecordStageStarts=*/
-                                   obs::Tracer::enabled());
-      for (RunResult &R : Batch.Problems)
-        Planner.add(gpu::PipelineProfile::make(
-            R.Timeline, R.Cycles,
-            static_cast<unsigned>(R.Metrics.Threads)));
-      Planner.finish();
-      const gpu::PipelineStats &S = Planner.stats();
-      Batch.TotalCycles = S.MakespanCycles;
-      Batch.OverlapCycles = S.OverlapCycles;
-      Batch.IdleCycles = S.IdleCycles;
-      Batch.CompletionCycles.resize(Batch.Problems.size());
-      for (size_t I = 0; I != Batch.Problems.size(); ++I)
-        Batch.CompletionCycles[I] = Planner.placement(I).CompletionCycles;
-      obs::MetricsRegistry &M = obs::MetricsRegistry::global();
-      for (size_t Mp = 0; Mp != S.MultiprocessorFinish.size(); ++Mp) {
-        M.observe("exec.pipeline_overlap_cycles",
-                  static_cast<double>(S.MultiprocessorOverlap[Mp]));
-        M.observe("exec.device_idle_cycles",
-                  static_cast<double>(S.MultiprocessorIdle[Mp]));
-      }
-      if (obs::Tracer::enabled())
-        for (size_t I = 0; I != Batch.Problems.size(); ++I)
-          if (Batch.Problems[I].Timeline) {
-            const gpu::PipelinePlacement &P = Planner.placement(I);
-            gpu::emitBlockTimeline(P.Multiprocessor,
-                                   *Batch.Problems[I].Timeline,
-                                   P.StageStartCycles, P.LaneOffset, I);
-          }
-      if (!WantTimeline)
-        for (RunResult &R : Batch.Problems)
-          R.Timeline.reset();
-      if (DispatchSpan.active()) {
-        DispatchSpan.arg("problems",
-                         static_cast<uint64_t>(Batch.Problems.size()));
-        DispatchSpan.arg("makespan_cycles", Batch.TotalCycles);
-        DispatchSpan.arg("pipelined", uint64_t{1});
-        DispatchSpan.arg("groups", S.Groups);
-        DispatchSpan.arg("overlap_cycles", S.OverlapCycles);
-        DispatchSpan.arg("idle_cycles", S.IdleCycles);
-      }
-    } else {
-      std::vector<uint64_t> ProblemCycles;
-      ProblemCycles.reserve(Batch.Problems.size());
-      for (const RunResult &R : Batch.Problems)
-        ProblemCycles.push_back(R.Cycles);
-      Batch.TotalCycles = Device.dispatchProblems(ProblemCycles);
-      // Under the barrier dispatcher nothing resolves before the batch
-      // drains.
-      Batch.CompletionCycles.assign(Batch.Problems.size(),
-                                    Batch.TotalCycles);
-      if (DispatchSpan.active()) {
-        DispatchSpan.arg("problems",
-                         static_cast<uint64_t>(ProblemCycles.size()));
-        DispatchSpan.arg("makespan_cycles", Batch.TotalCycles);
-      }
-    }
-  }
+  Batch.CompletionCycles.resize(Problems.size());
+  exec::BatchDispatch D =
+      exec::BatchExecutor(Device, *Decl, Info, Options.Pipeline,
+                          Options.PackSmall)
+          .run(Members, exec::hostWorkerBudget(), Options.BatchWorkers,
+               Options.ScanWorkers,
+               [&](size_t I, RunResult &&R, uint64_t Completion) {
+                 Batch.Problems[I] = std::move(R);
+                 Batch.CompletionCycles[I] = Completion;
+               });
+  Batch.TotalCycles = D.MakespanCycles;
+  Batch.OverlapCycles = D.OverlapCycles;
+  Batch.IdleCycles = D.IdleCycles;
   Batch.Seconds = Device.costModel().gpuSeconds(Batch.TotalCycles);
   if (BatchSpan.active()) {
     BatchSpan.arg("total_cycles", Batch.TotalCycles);

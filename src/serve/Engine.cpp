@@ -7,9 +7,9 @@
 
 #include "serve/Engine.h"
 
+#include "exec/BatchExecutor.h"
 #include "exec/InputDigest.h"
 #include "exec/ParallelFor.h"
-#include "gpu/Pipeline.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "runtime/CompiledRecurrence.h"
@@ -338,9 +338,10 @@ void Engine::maybeMemoize(const Pending &P, const exec::RunResult &R,
     return;
   MemoCache::Entry E;
   E.Result = R;
-  // Run-scoped objects never enter the cache: the request did not ask
-  // for a table or a timeline (Memoize excludes those), but a globally
-  // enabled tracer can still have attached a timeline.
+  // Run-scoped objects never enter the cache: Memoize excludes requests
+  // that keep a table or a timeline, and the batch executor drops
+  // timelines nobody asked for; the resets hold that whatever changes
+  // upstream.
   E.Result.Timeline.reset();
   E.Result.Table.reset();
   E.CompletionCycle = CompletionCycle;
@@ -731,147 +732,26 @@ void Engine::executeBatch(DeviceLane &Lane, Batch &B) {
                   static_cast<uint16_t>(Lane.Index), P.TenantId, B.Id);
   Wall::time_point ExecStart = Wall::now();
 
-  // The engine's host budget is divided per device, mirroring
-  // runGpuBatch's batch x scan split so N devices never oversubscribe
-  // the machine. Worker counts never change results.
-  exec::SimulatedGpuBackend Backend(Lane.Device.costModel());
-  unsigned Budget =
-      std::max(1u, exec::hostWorkerBudget() / Opts.Devices);
-  unsigned BatchWorkers = exec::resolveWorkerCount(
-      Opts.BatchWorkersPerDevice ? Opts.BatchWorkersPerDevice : Budget,
-      Members.size());
-  unsigned ScanWorkers = Opts.ScanWorkersPerDevice
-                             ? Opts.ScanWorkersPerDevice
-                             : std::max(1u, Budget / BatchWorkers);
-
-  if (Opts.Pipeline) {
-    executeBatchPipelined(Lane, B, Members, Span, ExecStart, Backend,
-                          BatchWorkers, ScanWorkers);
-    return;
+  // The engine's host budget is divided per device, so N devices never
+  // oversubscribe the machine. Each response resolves as soon as the
+  // executor publishes its member: after the batch under the barrier
+  // policy, at its own launch's completion under the systolic one.
+  std::vector<exec::BatchMember> Inputs;
+  Inputs.reserve(Members.size());
+  for (Pending &P : Members) {
+    P.Req.Options.FlowId = P.Req.Id; // Trace flow id only; never a result.
+    Inputs.push_back({B.Plan.get(), &P.Req.Args, &P.Req.Options});
   }
-
-  std::vector<exec::RunResult> Results(Members.size());
-  exec::parallelFor(BatchWorkers, Members.size(), [&](size_t I) {
-    codegen::Evaluator Eval(B.Fn->decl(), B.Fn->info());
-    Eval.bind(Members[I].Req.Args);
-    exec::RunOptions Ro = Members[I].Req.Options;
-    Ro.ScanWorkers = ScanWorkers;
-    Ro.FlowId = Members[I].Req.Id; // Trace flow id only; never a result.
-    Results[I] = Backend.execute(*B.Plan, Eval, Ro);
-    if (obs::Tracer::enabled() && Results[I].Timeline)
-      gpu::emitBlockTimeline(static_cast<unsigned>(I),
-                             *Results[I].Timeline);
-  });
-
-  // The batch occupies the device's multiprocessors as one dispatch:
-  // one modelled kernel launch for the whole batch (the coalescing win)
-  // and an LPT makespan across the multiprocessors.
-  std::vector<uint64_t> ProblemCycles;
-  ProblemCycles.reserve(Results.size());
-  for (const exec::RunResult &R : Results)
-    ProblemCycles.push_back(R.Cycles);
-  uint64_t Makespan = Lane.Device.dispatchProblems(ProblemCycles);
-  Wall::time_point ExecEnd = Wall::now();
-  double ExecSeconds = secondsSince(ExecStart, ExecEnd);
-  if (Span.active()) {
-    Span.arg("makespan_cycles", Makespan);
-    Span.arg("batch_workers", BatchWorkers);
-    Span.arg("scan_workers", ScanWorkers);
-  }
-
-  {
-    std::lock_guard<std::mutex> Lock(StatsMutex);
-    ++Counters.DeviceBatches[Lane.Index];
-    Counters.DeviceRequests[Lane.Index] += Members.size();
-    Counters.DeviceCycles[Lane.Index] += Makespan;
-    Counters.Completed += Members.size();
-  }
-
   obs::MetricsRegistry &M = obs::MetricsRegistry::global();
-  uint64_t Now = now();
-  for (size_t I = 0; I != Members.size(); ++I) {
+  auto Publish = [&](size_t I, exec::RunResult &&R, uint64_t Completion) {
     Pending &P = Members[I];
-    maybeMemoize(P, Results[I], Makespan);
-    Response Resp;
-    Resp.Id = P.Req.Id;
-    Resp.St = Status::Ok;
-    Resp.Result = std::move(Results[I]);
-    Resp.SubmitTick = P.SubmitTick;
-    Resp.CompleteTick = Now;
-    Resp.QueueSeconds = secondsSince(P.SubmitWall, ExecStart);
-    Resp.ExecSeconds = ExecSeconds;
-    Resp.TotalSeconds = secondsSince(P.SubmitWall, ExecEnd);
-    Resp.Device = Lane.Index;
-    Resp.BatchId = B.Id;
-    Resp.BatchSize = Members.size();
-    // Everything in a barrier batch resolves when the batch drains.
-    Resp.CompletionCycle = Makespan;
-    Resp.CompletionSeq =
-        CompletionSeq.fetch_add(1, std::memory_order_relaxed);
-    obs::Labels TenantL{{"tenant", tenantLabel(P.Req.Tenant)}};
-    M.observe("serve.latency.queue_wait_seconds", TenantL,
-              Resp.QueueSeconds);
-    M.observe("serve.latency.execute_seconds", TenantL, Resp.ExecSeconds);
-    M.observe("serve.latency.total_seconds", TenantL, Resp.TotalSeconds);
-    M.add("serve.responses",
-          obs::Labels{{"status", statusName(Status::Ok)},
-                      {"tenant", tenantLabel(P.Req.Tenant)}});
-    Flight.record(FlightEventKind::Complete, P.Req.Id, Now,
-                  static_cast<uint8_t>(Status::Ok),
-                  static_cast<uint16_t>(Lane.Index), P.TenantId, B.Id);
-    resolve(*P.State, std::move(Resp));
-  }
-}
-
-void Engine::executeBatchPipelined(DeviceLane &Lane, Batch &B,
-                                   std::vector<Pending> &Members,
-                                   obs::Span &Span,
-                                   std::chrono::steady_clock::time_point
-                                       ExecStart,
-                                   const exec::SimulatedGpuBackend &Backend,
-                                   unsigned BatchWorkers,
-                                   unsigned ScanWorkers) {
-  // Systolic dispatch with early publication: completed problems feed a
-  // pipeline planner in submission order; the moment a problem's launch
-  // seals, its placement — completion cycle included — is final and its
-  // future resolves, while later batch members may still be executing.
-  // PublishMutex serialises planner feeding and publication, so futures
-  // resolve in submission order and the flight recorder's Complete
-  // events carry monotone request ids. Callbacks therefore run under
-  // this batch-local mutex (never an engine lock): they may re-enter the
-  // engine, but must not block on a *later* future of the same batch —
-  // the same constraint the barrier path's in-order resolution imposes.
-  gpu::PipelinePlanner Planner(Lane.Device.costModel(), Opts.PackSmall,
-                               /*RecordStageStarts=*/
-                               obs::Tracer::enabled());
-  std::vector<exec::RunResult> Results(Members.size());
-  std::vector<char> Done(Members.size(), 0);
-  size_t Cursor = 0;
-  std::mutex PublishMutex;
-  obs::MetricsRegistry &M = obs::MetricsRegistry::global();
-
-  // Publishes one finalised problem. PublishMutex held.
-  auto Publish = [&](size_t I) {
-    const gpu::PipelinePlacement &Pl = Planner.placement(I);
-    Pending &P = Members[I];
-    if (obs::Tracer::enabled() && Results[I].Timeline)
-      gpu::emitBlockTimeline(Pl.Multiprocessor, *Results[I].Timeline,
-                             Pl.StageStartCycles, Pl.LaneOffset,
-                             P.Req.Id);
-    // The planner needed the timeline; the caller may not have. The
-    // tracer already got its device slices above, and the barrier path
-    // never carries a timeline for requests that did not ask — so drop
-    // it unless the request itself set Trace, keeping response payloads
-    // identical across engines.
-    if (!P.Req.Options.Trace)
-      Results[I].Timeline.reset();
-    maybeMemoize(P, Results[I], Pl.CompletionCycles);
+    maybeMemoize(P, R, Completion);
     Wall::time_point NowWall = Wall::now();
     uint64_t Now = now();
     Response Resp;
     Resp.Id = P.Req.Id;
     Resp.St = Status::Ok;
-    Resp.Result = std::move(Results[I]);
+    Resp.Result = std::move(R);
     Resp.SubmitTick = P.SubmitTick;
     Resp.CompleteTick = Now;
     Resp.QueueSeconds = secondsSince(P.SubmitWall, ExecStart);
@@ -880,7 +760,7 @@ void Engine::executeBatchPipelined(DeviceLane &Lane, Batch &B,
     Resp.Device = Lane.Index;
     Resp.BatchId = B.Id;
     Resp.BatchSize = Members.size();
-    Resp.CompletionCycle = Pl.CompletionCycles;
+    Resp.CompletionCycle = Completion;
     Resp.CompletionSeq =
         CompletionSeq.fetch_add(1, std::memory_order_relaxed);
     obs::Labels TenantL{{"tenant", tenantLabel(P.Req.Tenant)}};
@@ -896,59 +776,17 @@ void Engine::executeBatchPipelined(DeviceLane &Lane, Batch &B,
                   static_cast<uint16_t>(Lane.Index), P.TenantId, B.Id);
     resolve(*P.State, std::move(Resp));
   };
+  exec::BatchExecutor Executor(Lane.Device, B.Fn->decl(), B.Fn->info(),
+                               Opts.Pipeline, Opts.PackSmall);
+  exec::BatchDispatch D = Executor.run(
+      Inputs, std::max(1u, exec::hostWorkerBudget() / Opts.Devices),
+      Opts.BatchWorkersPerDevice, Opts.ScanWorkersPerDevice, Publish);
 
-  exec::parallelFor(BatchWorkers, Members.size(), [&](size_t I) {
-    codegen::Evaluator Eval(B.Fn->decl(), B.Fn->info());
-    Eval.bind(Members[I].Req.Args);
-    exec::RunOptions Ro = Members[I].Req.Options;
-    Ro.ScanWorkers = ScanWorkers;
-    Ro.FlowId = Members[I].Req.Id; // Trace flow id only; never a result.
-    Ro.Trace = true; // The planner re-times the partition timeline.
-    Results[I] = Backend.execute(*B.Plan, Eval, Ro);
-    std::lock_guard<std::mutex> Lock(PublishMutex);
-    Done[I] = 1;
-    // Feed the prefix of completed problems to the planner in
-    // submission order; publish whatever it finalises.
-    while (Cursor < Members.size() && Done[Cursor]) {
-      for (size_t Final : Planner.add(gpu::PipelineProfile::make(
-               Results[Cursor].Timeline, Results[Cursor].Cycles,
-               static_cast<unsigned>(Results[Cursor].Metrics.Threads))))
-        Publish(Final);
-      ++Cursor;
-    }
-  });
-
-  uint64_t Makespan = 0;
-  {
-    std::lock_guard<std::mutex> Lock(PublishMutex);
-    for (size_t Final : Planner.finish())
-      Publish(Final);
-    const gpu::PipelineStats &S = Planner.stats();
-    Makespan = S.MakespanCycles;
-    for (size_t Mp = 0; Mp != S.MultiprocessorFinish.size(); ++Mp) {
-      M.observe("exec.pipeline_overlap_cycles",
-                static_cast<double>(S.MultiprocessorOverlap[Mp]));
-      M.observe("exec.device_idle_cycles",
-                static_cast<double>(S.MultiprocessorIdle[Mp]));
-    }
-    if (Span.active()) {
-      Span.arg("makespan_cycles", Makespan);
-      Span.arg("pipelined", uint64_t{1});
-      Span.arg("groups", S.Groups);
-      Span.arg("overlap_cycles", S.OverlapCycles);
-      Span.arg("idle_cycles", S.IdleCycles);
-      Span.arg("batch_workers", BatchWorkers);
-      Span.arg("scan_workers", ScanWorkers);
-    }
-  }
-
-  {
-    std::lock_guard<std::mutex> Lock(StatsMutex);
-    ++Counters.DeviceBatches[Lane.Index];
-    Counters.DeviceRequests[Lane.Index] += Members.size();
-    Counters.DeviceCycles[Lane.Index] += Makespan;
-    Counters.Completed += Members.size();
-  }
+  std::lock_guard<std::mutex> Lock(StatsMutex);
+  ++Counters.DeviceBatches[Lane.Index];
+  Counters.DeviceRequests[Lane.Index] += Members.size();
+  Counters.DeviceCycles[Lane.Index] += D.MakespanCycles;
+  Counters.Completed += Members.size();
 }
 
 void Engine::shutdown(ShutdownMode Mode) {

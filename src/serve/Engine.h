@@ -63,10 +63,6 @@
 #include <vector>
 
 namespace parrec {
-namespace obs {
-class Span;
-} // namespace obs
-
 namespace serve {
 
 /// The serving engine. Thread-safe: any thread may submit; completion
@@ -276,14 +272,10 @@ private:
   /// P.MemoKey, when P is memo-eligible.
   void maybeMemoize(const Pending &P, const exec::RunResult &R,
                     uint64_t CompletionCycle);
+  /// Sheds members whose deadline passed in the lane, runs the rest
+  /// through an exec::BatchExecutor and resolves each future as its
+  /// member is published.
   void executeBatch(DeviceLane &Lane, Batch &B);
-  /// The Options::Pipeline dispatch path: systolic overlap plus early,
-  /// in-submission-order future resolution.
-  void executeBatchPipelined(DeviceLane &Lane, Batch &B,
-                             std::vector<Pending> &Members, obs::Span &Span,
-                             std::chrono::steady_clock::time_point ExecStart,
-                             const exec::SimulatedGpuBackend &Backend,
-                             unsigned BatchWorkers, unsigned ScanWorkers);
 
   Options Opts;
   std::atomic<uint64_t> Clock{0};

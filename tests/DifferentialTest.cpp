@@ -146,7 +146,7 @@ void expectEvaluatorsAgree(const CompiledRecurrence &Fn,
       RunOptions VmOpts;
       VmOpts.UseSlidingWindow = Window;
       RunOptions AstOpts = VmOpts;
-      AstOpts.UseAstEvaluator = true;
+      AstOpts.Evaluator = EvalKind::Ast;
       RunOptions JitOpts = VmOpts;
       JitOpts.Evaluator = EvalKind::Jit;
       JitOpts.JitCacheDir = jitCacheDirForTest();

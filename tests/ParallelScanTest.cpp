@@ -202,11 +202,11 @@ TEST(ParallelScanTest, FullTableIdenticalAcrossWorkerCounts) {
 TEST(ParallelScanTest, AstEvaluatorIdenticalAcrossWorkerCounts) {
   CompiledRecurrence Fn = compileOrDie(SmithWatermanSource);
   RunOptions Base = scanOptions(1);
-  Base.UseAstEvaluator = true;
+  Base.Evaluator = EvalKind::Ast;
   RunResult Serial = runSw(Fn, Base, /*OnCpu=*/false);
   for (unsigned Workers : {2u, 8u}) {
     RunOptions Opt = scanOptions(Workers);
-    Opt.UseAstEvaluator = true;
+    Opt.Evaluator = EvalKind::Ast;
     expectBitIdentical(Serial, runSw(Fn, Opt, /*OnCpu=*/false));
   }
 }

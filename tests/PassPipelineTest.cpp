@@ -360,7 +360,7 @@ TEST(PassPipelineTest, AutotunedRunMatchesAstOracle) {
     exec::RunOptions Tuned;
     Tuned.Autotune = true;
     exec::RunOptions Oracle;
-    Oracle.UseAstEvaluator = true;
+    Oracle.Evaluator = exec::EvalKind::Ast;
     auto TunedRun = Fn.runGpu(C.Args, Dev, Diags, Tuned);
     auto OracleRun = Fn.runGpu(C.Args, Dev, Diags, Oracle);
     ASSERT_TRUE(TunedRun.has_value()) << C.Name << ": " << Diags.str();

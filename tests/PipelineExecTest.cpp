@@ -479,3 +479,47 @@ TEST(PipelineExecTest, PackedProblemsCarryLaneOffsets) {
       NonZeroLane |= *Lane != "0";
   EXPECT_TRUE(NonZeroLane);
 }
+
+//===----------------------------------------------------------------------===//
+// Timeline rule: a member keeps its timeline only if it asked for one
+//===----------------------------------------------------------------------===//
+
+TEST(PipelineExecTest, MembersKeepTimelinesOnlyWhenTheyAskUnderTracer) {
+  SwBatch B(/*QueryLen=*/16, {12, 16, 12});
+  gpu::Device Device = saturatedDevice();
+
+  // The enabled tracer records every member's timeline for its device
+  // slices, under either dispatch policy; only a member whose own
+  // options set Trace may carry the timeline back.
+  obs::Tracer::instance().disable();
+  obs::Tracer::instance().reset();
+  obs::Tracer::instance().enable();
+  std::vector<std::string> Failures;
+  for (bool Pipeline : {false, true}) {
+    for (bool Trace : {false, true}) {
+      std::string Config = "pipeline=" + std::to_string(Pipeline) +
+                           " trace=" + std::to_string(Trace);
+      size_t SlicesBefore = obs::Tracer::instance().deviceSlices().size();
+      RunOptions Opts;
+      Opts.Pipeline = Pipeline;
+      Opts.Trace = Trace;
+      DiagnosticEngine Diags;
+      auto R = B.Sw.runGpuBatch(B.Problems, Device, Diags, Opts);
+      if (!R) {
+        Failures.push_back(Config + ": " + Diags.str());
+        continue;
+      }
+      for (size_t I = 0; I != R->Problems.size(); ++I)
+        if ((R->Problems[I].Timeline != nullptr) != Trace)
+          Failures.push_back(Config + ": member " + std::to_string(I) +
+                             (Trace ? " lost" : " leaked") + " its timeline");
+      // The device slices are emitted before any timeline is dropped.
+      if (obs::Tracer::instance().deviceSlices().size() <= SlicesBefore)
+        Failures.push_back(Config + ": no device slices emitted");
+    }
+  }
+  obs::Tracer::instance().disable();
+  obs::Tracer::instance().reset();
+  for (const std::string &F : Failures)
+    ADD_FAILURE() << F;
+}

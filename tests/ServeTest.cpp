@@ -1343,3 +1343,50 @@ TEST(ServeWorkloadTest, ReplayReportsPerTenantLatencyPercentiles) {
     EXPECT_GT(Latency->numberOr("p99", 0.0), 0.0) << Name;
   }
 }
+
+TEST(ServeEngineTest, ResponsesKeepTimelinesOnlyWhenTheyAskUnderTracer) {
+  // One batch mixing requests with and without Trace, under both
+  // dispatch policies, with the global tracer on: the tracer's timelines
+  // feed device slices, but a response carries one only when its own
+  // request set Trace.
+  SameShapeProblems P(4);
+  obs::Tracer::instance().disable();
+  obs::Tracer::instance().reset();
+  obs::Tracer::instance().enable();
+  std::vector<std::string> Failures;
+  for (bool Pipeline : {false, true}) {
+    serve::Engine::Options Opts;
+    Opts.Devices = 1;
+    Opts.MaxBatch = 4;
+    Opts.StartPaused = true;
+    Opts.Pipeline = Pipeline;
+    serve::Engine Engine(Opts);
+    std::vector<serve::Future> Futures;
+    for (size_t I = 0; I != P.Args.size(); ++I) {
+      serve::Request Req;
+      Req.Fn = &P.Sw;
+      Req.Args = P.Args[I];
+      Req.Options.Trace = I % 2 == 1;
+      Futures.push_back(Engine.submit(std::move(Req)));
+    }
+    Engine.shutdown(serve::Engine::ShutdownMode::Drain);
+    std::string Config = "pipeline=" + std::to_string(Pipeline);
+    if (Engine.stats().Batches != 1)
+      Failures.push_back(Config + ": requests did not share one batch");
+    for (size_t I = 0; I != Futures.size(); ++I) {
+      const serve::Response Resp = Futures[I].wait();
+      bool Asked = I % 2 == 1;
+      if (Resp.St != serve::Status::Ok)
+        Failures.push_back(Config + ": " + Resp.Error);
+      else if ((Resp.Result.Timeline != nullptr) != Asked)
+        Failures.push_back(Config + ": request " + std::to_string(I) +
+                           (Asked ? " lost" : " leaked") + " its timeline");
+    }
+  }
+  bool Slices = !obs::Tracer::instance().deviceSlices().empty();
+  obs::Tracer::instance().disable();
+  obs::Tracer::instance().reset();
+  EXPECT_TRUE(Slices) << "no device slices emitted";
+  for (const std::string &F : Failures)
+    ADD_FAILURE() << F;
+}
