@@ -14,11 +14,11 @@
 ///
 /// Build and run:  ./build/examples/schedule_explorer
 ///
-/// To have the compiler *search* this space instead of exploring it by
-/// hand, run `parrec run --autotune <script>`: the schedule autotuner
-/// (DESIGN.md §9) scores candidate schedules, sliding-window choices
-/// and thread counts with the simulator's cost model and caches the
-/// winner on the plan.
+/// The compiler plans with exactly these schedules: the CSP-derived
+/// minimal schedule for a single problem, the conditional candidate
+/// with the fewest partitions for each problem of a `map` batch, plus
+/// the Section 4.8 sliding window where it is legal. `parrec run
+/// --dump-passes <script>` lists the planning passes (DESIGN.md §9).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -9,7 +9,6 @@
 
 #include "codegen/Evaluator.h"
 #include "codegen/NativeJit.h"
-#include "compiler/Autotuner.h"
 #include "exec/Table.h"
 #include "lang/Parser.h"
 #include "obs/Metrics.h"
@@ -198,26 +197,14 @@ bool passScheduleSynthesis(CompilationModule &M, obs::Span &S) {
   return true;
 }
 
-bool passAutotune(CompilationModule &M, obs::Span &S) {
-  if (!M.Box || !M.Plan)
-    return missing(M, "autotune", "a planning request");
-  if (M.Plan->Sched.Coefficients.size() != M.Box->numDims())
-    return missing(M, "autotune", "a resolved schedule");
-  autotunePlan(M, S);
-  return true;
-}
-
 bool passSlidingWindow(CompilationModule &M, obs::Span &S) {
   if (!M.Box || !M.Plan)
     return missing(M, "sliding_window", "a planning request");
   if (M.Plan->Sched.Coefficients.size() != M.Box->numDims())
     return missing(M, "sliding_window", "a resolved schedule");
   // Section 4.8: compress the table when enabled and legal. Keeping the
-  // full table for later reads forbids the window, and the autotuner may
-  // veto it when full tabulation scores better.
+  // full table for later reads forbids the window.
   bool Want = M.Request.UseSlidingWindow && !M.Request.KeepTable;
-  if (M.WindowOverride)
-    Want = Want && *M.WindowOverride;
   std::optional<int64_t> Window =
       solver::slidingWindowDepth(M.recurrence(), M.Plan->Sched);
   int DropDim =
@@ -293,16 +280,15 @@ PassPipeline makeFrontendPipeline() {
   return P;
 }
 
-PassPipeline makePlanningPipeline(bool Autotune, bool Jit) {
+PassPipeline makePlanningPipeline() {
   PassPipeline P;
   P.addPass("schedule_synthesis", passScheduleSynthesis);
-  if (Autotune)
-    P.addPass("autotune", passAutotune);
   P.addPass("sliding_window", passSlidingWindow);
   P.addPass("loopgen", passLoopGen);
   P.addPass("finalize", passFinalize);
-  if (Jit)
-    P.addPass("jit", passJit);
+  P.addPass(Pass{"jit",
+                 [](const CompilationModule &M) { return !M.Request.Jit; },
+                 passJit});
   return P;
 }
 
@@ -314,26 +300,7 @@ const PassPipeline &compiler::frontendPipeline() {
 }
 
 const PassPipeline &compiler::planningPipeline() {
-  static const PassPipeline P =
-      makePlanningPipeline(/*Autotune=*/false, /*Jit=*/false);
-  return P;
-}
-
-const PassPipeline &compiler::autotunePlanningPipeline() {
-  static const PassPipeline P =
-      makePlanningPipeline(/*Autotune=*/true, /*Jit=*/false);
-  return P;
-}
-
-const PassPipeline &compiler::jitPlanningPipeline() {
-  static const PassPipeline P =
-      makePlanningPipeline(/*Autotune=*/false, /*Jit=*/true);
-  return P;
-}
-
-const PassPipeline &compiler::autotuneJitPlanningPipeline() {
-  static const PassPipeline P =
-      makePlanningPipeline(/*Autotune=*/true, /*Jit=*/true);
+  static const PassPipeline P = makePlanningPipeline();
   return P;
 }
 
@@ -343,8 +310,7 @@ bool compiler::runFrontend(CompilationModule &M) {
 
 std::vector<std::string> compiler::allPassNames() {
   std::vector<std::string> Names = frontendPipeline().passNames();
-  // The autotune+jit variant registers the full planning superset.
-  for (std::string &N : autotuneJitPlanningPipeline().passNames())
+  for (std::string &N : planningPipeline().passNames())
     Names.push_back(std::move(N));
   return Names;
 }
@@ -369,7 +335,6 @@ exec::buildPlan(const solver::RecurrenceSpec &Rec,
   if (PlanSpan.active()) {
     PlanSpan.arg("function", Rec.Name);
     PlanSpan.arg("dims", static_cast<uint64_t>(Box.numDims()));
-    PlanSpan.arg("autotune", Req.Autotune);
   }
   CompilationModule M(Diags);
   M.Recurrence = &Rec;
@@ -379,13 +344,7 @@ exec::buildPlan(const solver::RecurrenceSpec &Rec,
   M.Plan.emplace();
   M.Plan->Box = Box;
   M.Plan->Program = Req.Program;
-  const PassPipeline &Pipeline =
-      Req.Autotune
-          ? (Req.Jit ? compiler::autotuneJitPlanningPipeline()
-                     : compiler::autotunePlanningPipeline())
-          : (Req.Jit ? compiler::jitPlanningPipeline()
-                     : compiler::planningPipeline());
-  if (!Pipeline.run(M))
+  if (!compiler::planningPipeline().run(M))
     return std::nullopt;
   return std::move(M.Plan);
 }

@@ -16,8 +16,8 @@
 ///
 /// Two default pipelines cover the legacy hardwired chains:
 ///   frontend: parse -> sema -> dependence -> validate -> bytecode
-///   planning: schedule_synthesis [-> autotune] -> sliding_window
-///             -> loopgen -> finalize
+///   planning: schedule_synthesis -> sliding_window -> loopgen
+///             -> finalize [-> jit]
 /// `CompiledRecurrence::compile`/`fromDecl` and `exec::buildPlan` are thin
 /// wrappers over them, so every existing caller goes through the pipeline
 /// unchanged. Individual passes can be disabled for debugging via
@@ -72,9 +72,6 @@ struct CompilationModule {
   std::vector<std::string> DimNames;
   std::optional<solver::DomainBox> Box;
   exec::PlanRequest Request;
-  /// The autotuner's sliding-window verdict; the sliding_window pass
-  /// honours it on top of the usual legality checks.
-  std::optional<bool> WindowOverride;
   /// Built up across the planning passes: schedule_synthesis resolves
   /// Sched, sliding_window the window fields, loopgen the nest, finalize
   /// the partition range.
@@ -95,7 +92,8 @@ struct Pass {
   /// metric "compile.pass.<Name>.ns".
   std::string Name;
   /// Optional: true skips the pass without span or metric (e.g. parse
-  /// when the module already carries an AST).
+  /// when the module already carries an AST, jit when the request does
+  /// not ask for it).
   std::function<bool(const CompilationModule &)> Skip;
   std::function<bool(CompilationModule &, obs::Span &)> Run;
 };
@@ -132,23 +130,12 @@ private:
 const PassPipeline &frontendPipeline();
 
 /// The default planning pipeline: schedule_synthesis, sliding_window,
-/// loopgen, finalize.
+/// loopgen, finalize, jit. The jit pass renders the finished plan as C,
+/// compiles it with the system compiler and attaches the resolved
+/// kernel; a JIT failure falls back to the bytecode VM and never fails
+/// the pipeline. It is skipped, with no span or metric, unless the
+/// request asks for it (RunOptions::Evaluator == Jit / --evaluator=jit).
 const PassPipeline &planningPipeline();
-
-/// The planning pipeline with the cost-model schedule autotuner inserted
-/// after schedule synthesis (RunOptions::Autotune / --autotune).
-const PassPipeline &autotunePlanningPipeline();
-
-/// The planning pipeline with the native JIT pass appended after
-/// finalize (RunOptions::Evaluator == Jit / --evaluator=jit): renders
-/// the finished plan as C, compiles it with the system compiler and
-/// attaches the resolved kernel. A JIT failure falls back to the
-/// bytecode VM; it never fails the pipeline.
-const PassPipeline &jitPlanningPipeline();
-
-/// Autotune and JIT combined: autotune after schedule synthesis, jit
-/// after finalize.
-const PassPipeline &autotuneJitPlanningPipeline();
 
 /// Runs the default frontend pipeline over \p M.
 bool runFrontend(CompilationModule &M);
@@ -164,7 +151,7 @@ bool isPassDisabled(std::string_view Name);
 bool isKnownPass(std::string_view Name);
 
 /// Every registered pass name in registration order: the frontend
-/// passes, then the planning passes (including autotune).
+/// passes, then the planning passes.
 std::vector<std::string> allPassNames();
 
 } // namespace compiler

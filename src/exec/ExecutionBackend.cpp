@@ -554,11 +554,8 @@ RunResult SerialCpuBackend::execute(const ExecutablePlan &Plan,
 RunResult SimulatedGpuBackend::execute(const ExecutablePlan &Plan,
                                        codegen::Evaluator &Eval,
                                        const RunOptions &Options) const {
-  // Precedence: an explicit request wins, then the autotuner's pick
-  // stored on the plan, then one thread per multiprocessor core.
-  unsigned Threads = Options.Threads
-                         ? Options.Threads
-                         : (Plan.TunedThreads ? Plan.TunedThreads
-                                              : Model.CoresPerMultiprocessor);
+  // An explicit request wins, else one thread per multiprocessor core.
+  unsigned Threads =
+      Options.Threads ? Options.Threads : Model.CoresPerMultiprocessor;
   return scanPlan(Plan, Eval, Model, /*IsGpu=*/true, Threads, Options);
 }

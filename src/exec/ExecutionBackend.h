@@ -81,11 +81,6 @@ struct RunOptions {
   /// JIT disk-cache directory override (`--jit-cache-dir=`); empty
   /// resolves to $ParRec_JIT_CACHE then ~/.cache/parrec-jit.
   std::string JitCacheDir;
-  /// Run the cost-model schedule autotuner when planning: candidate
-  /// schedules / window choices / thread counts are scored with the
-  /// simulator's modelled cycles and the winner is cached on the plan.
-  /// Never changes results, only the modelled timing. Off until proven.
-  bool Autotune = false;
   /// Collect the per-partition timeline into RunResult::Timeline (and,
   /// when the global tracer is on, emit device-lane trace slices). An
   /// enabled obs::Tracer records the timeline too, for its device

@@ -23,15 +23,16 @@ uint64_t PlanKey::hash() const {
   for (int64_t V : Upper)
     Hash = fnvMix(Hash, static_cast<uint64_t>(V));
   Hash = fnvMix(Hash, Schedule{RequestedSchedule}.fingerprint());
-  Hash = fnvMix(Hash, (Jit ? 8u : 0u) | (Autotune ? 4u : 0u) |
-                          (UseSlidingWindow ? 2u : 0u) |
+  // Bit 4u is unused. Jit stays at 8u so the hash values, and with them
+  // serve::Router's sticky shard placement, stay stable.
+  Hash = fnvMix(Hash, (Jit ? 8u : 0u) | (UseSlidingWindow ? 2u : 0u) |
                           (KeepTable ? 1u : 0u));
   return Hash;
 }
 
 PlanKey PlanKey::make(const solver::DomainBox &Box, bool UseSlidingWindow,
                       bool KeepTable, const Schedule *Requested,
-                      bool Autotune, bool Jit) {
+                      bool Jit) {
   PlanKey Key;
   Key.Lower = Box.Lower;
   Key.Upper = Box.Upper;
@@ -39,7 +40,6 @@ PlanKey PlanKey::make(const solver::DomainBox &Box, bool UseSlidingWindow,
     Key.RequestedSchedule = Requested->Coefficients;
   Key.UseSlidingWindow = UseSlidingWindow;
   Key.KeepTable = KeepTable;
-  Key.Autotune = Autotune;
   Key.Jit = Jit;
   return Key;
 }

@@ -34,18 +34,12 @@ namespace codegen {
 struct BytecodeProgram;
 class JitKernel;
 } // namespace codegen
-namespace gpu {
-struct CostModel;
-} // namespace gpu
 
 namespace exec {
 
 /// Identity of a plan: the domain box plus everything in the run request
 /// that influences planning. Thread counts and cost models deliberately do
-/// not appear — they only affect execution, never the plan. Autotune does:
-/// a tuned and an untuned plan for the same box may carry different
-/// schedules, and keying on the flag is what lets cache hits skip the
-/// candidate search entirely.
+/// not appear — they only affect execution, never the plan.
 struct PlanKey {
   std::vector<int64_t> Lower;
   std::vector<int64_t> Upper;
@@ -55,7 +49,6 @@ struct PlanKey {
   std::vector<int64_t> RequestedSchedule;
   bool UseSlidingWindow = true;
   bool KeepTable = false;
-  bool Autotune = false;
   /// Whether the plan carries a native jitted kernel. A jitted and an
   /// uninstalled plan for the same box must not share a cache slot:
   /// a VM-first run would otherwise pin a kernel-less plan that every
@@ -64,12 +57,13 @@ struct PlanKey {
 
   friend bool operator==(const PlanKey &A, const PlanKey &B) = default;
 
-  /// Stable FNV-1a style hash over all fields.
+  /// Stable FNV-1a style hash over all fields. serve::Router places
+  /// requests on shards by it, so its values must not drift.
   uint64_t hash() const;
 
   static PlanKey make(const solver::DomainBox &Box, bool UseSlidingWindow,
                       bool KeepTable, const solver::Schedule *Requested,
-                      bool Autotune = false, bool Jit = false);
+                      bool Jit = false);
 };
 
 struct PlanKeyHash {
@@ -91,12 +85,6 @@ struct PlanRequest {
   /// bytecode-compilable). Compiled once per function, handed to every
   /// plan — planning never re-runs the bytecode compiler.
   std::shared_ptr<const codegen::BytecodeProgram> Program;
-  /// Run the cost-model schedule autotuner after schedule synthesis
-  /// (RunOptions::Autotune / `parrec run --autotune`).
-  bool Autotune = false;
-  /// Cost model the autotuner scores candidates with; null means the
-  /// default-constructed model. Never part of the PlanKey.
-  const gpu::CostModel *CostModel = nullptr;
   /// Run the native JIT pass after finalize: render the plan as C,
   /// compile and attach the resolved kernel (RunOptions::Evaluator ==
   /// Jit / `parrec run --evaluator=jit`).
@@ -131,10 +119,6 @@ public:
   /// backend falls back to the AST evaluator. Shared across plans (and
   /// PlanCache hits), so cache hits skip compilation too.
   std::shared_ptr<const codegen::BytecodeProgram> Program;
-  /// Autotuner-selected block thread count; 0 means "not tuned" and the
-  /// simulated GPU backend falls back to the model's core count. An
-  /// explicit RunOptions::Threads still wins.
-  unsigned TunedThreads = 0;
   /// The natively jitted scan kernel (NativeJit.h); null when the jit
   /// pass did not run or fell back. Cached on the plan exactly like
   /// Program, so PlanCache hits skip C emission and compilation too.

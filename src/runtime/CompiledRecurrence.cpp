@@ -158,7 +158,7 @@ CompiledRecurrence::planFor(const DomainBox &Box,
                             const RunOptions &Options,
                             const Schedule *Preselected,
                             DiagnosticEngine &Diags,
-                            const gpu::CostModel *CostModel) const {
+                            const gpu::CostModel *) const {
   // A forced schedule takes precedence over a preselected one, matching
   // the batch path's selection logic.
   const Schedule *Requested =
@@ -166,14 +166,11 @@ CompiledRecurrence::planFor(const DomainBox &Box,
   obs::Span PlanSpan("exec.plan_lookup", "exec");
   if (PlanSpan.active())
     PlanSpan.arg("function", Decl->Name);
-  // Autotune is part of the key: tuned and untuned plans for the same
-  // box may differ, and a hit on a tuned plan skips the whole search.
-  // So is Jit: a VM-first run must not pin a kernel-less plan that a
-  // later --evaluator=jit run would then hit.
+  // Jit is part of the key: a VM-first run must not pin a kernel-less
+  // plan that a later --evaluator=jit run would then hit.
   bool WantJit = Options.Evaluator == exec::EvalKind::Jit;
-  exec::PlanKey Key =
-      exec::PlanKey::make(Box, Options.UseSlidingWindow, Options.KeepTable,
-                          Requested, Options.Autotune, WantJit);
+  exec::PlanKey Key = exec::PlanKey::make(
+      Box, Options.UseSlidingWindow, Options.KeepTable, Requested, WantJit);
   if (std::shared_ptr<const exec::ExecutablePlan> Cached =
           Plans->lookup(Key)) {
     if (PlanSpan.active())
@@ -193,10 +190,8 @@ CompiledRecurrence::planFor(const DomainBox &Box,
       Options.ForcedSchedule ? &*Options.ForcedSchedule : nullptr;
   Req.PreselectedSchedule = Preselected;
   Req.Program = Bytecode;
-  Req.Autotune = Options.Autotune;
   Req.Jit = WantJit;
   Req.JitCacheDir = Options.JitCacheDir;
-  Req.CostModel = CostModel;
   std::optional<exec::ExecutablePlan> Plan =
       exec::buildPlan(Info.Recurrence, DimNames, Box, Req, Diags);
   if (!Plan)
@@ -211,13 +206,12 @@ std::optional<RunResult>
 CompiledRecurrence::runSingle(const std::vector<ArgValue> &Args,
                               const exec::ExecutionBackend &Backend,
                               DiagnosticEngine &Diags,
-                              const RunOptions &Options,
-                              const gpu::CostModel *CostModel) const {
+                              const RunOptions &Options) const {
   std::optional<DomainBox> Box = domainFor(Args, Diags);
   if (!Box)
     return std::nullopt;
   std::shared_ptr<const exec::ExecutablePlan> Plan =
-      planFor(*Box, Options, /*Preselected=*/nullptr, Diags, CostModel);
+      planFor(*Box, Options, /*Preselected=*/nullptr, Diags);
   if (!Plan)
     return std::nullopt;
   Evaluator Eval(*Decl, Info);
@@ -234,8 +228,7 @@ CompiledRecurrence::runCpu(const std::vector<ArgValue> &Args,
                            const gpu::CostModel &Model,
                            DiagnosticEngine &Diags,
                            const RunOptions &Options) const {
-  return runSingle(Args, exec::SerialCpuBackend(Model), Diags, Options,
-                   &Model);
+  return runSingle(Args, exec::SerialCpuBackend(Model), Diags, Options);
 }
 
 std::optional<RunResult>
@@ -244,7 +237,7 @@ CompiledRecurrence::runGpu(const std::vector<ArgValue> &Args,
                            DiagnosticEngine &Diags,
                            const RunOptions &Options) const {
   return runSingle(Args, exec::SimulatedGpuBackend(Device.costModel()),
-                   Diags, Options, &Device.costModel());
+                   Diags, Options);
 }
 
 std::optional<BatchResult> CompiledRecurrence::runGpuBatch(
@@ -279,7 +272,7 @@ std::optional<BatchResult> CompiledRecurrence::runGpuBatch(
     if (!Options.ForcedSchedule && Candidates)
       Preselected = &solver::selectSchedule(*Candidates, *Box).S;
     std::shared_ptr<const exec::ExecutablePlan> Plan =
-        planFor(*Box, Options, Preselected, Diags, &Device.costModel());
+        planFor(*Box, Options, Preselected, Diags);
     if (!Plan)
       return std::nullopt;
     Members.push_back({Plan.get(), &Args, &Options});

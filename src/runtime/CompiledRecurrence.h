@@ -93,10 +93,11 @@ public:
   /// window decision, loop nest and partition range. Served from the
   /// function's plan cache when a same-shaped problem already ran;
   /// synthesised, generated and cached otherwise. \p Preselected (may be
-  /// null) is a schedule chosen by conditional parallelisation.
-  /// \p CostModel (may be null) is the model the autotuner scores
-  /// candidates with when RunOptions::Autotune is set. Returns null
-  /// after reporting diagnostics on failure.
+  /// null) is a schedule chosen by conditional parallelisation. The
+  /// trailing cost-model parameter is unused: planning never consults a
+  /// cost model, and it remains only for source compatibility with
+  /// existing callers. Returns null after reporting diagnostics on
+  /// failure.
   std::shared_ptr<const exec::ExecutablePlan>
   planFor(const solver::DomainBox &Box, const RunOptions &Options,
           const solver::Schedule *Preselected, DiagnosticEngine &Diags,
@@ -149,8 +150,7 @@ private:
   std::optional<RunResult>
   runSingle(const std::vector<codegen::ArgValue> &Args,
             const exec::ExecutionBackend &Backend, DiagnosticEngine &Diags,
-            const RunOptions &Options,
-            const gpu::CostModel *CostModel = nullptr) const;
+            const RunOptions &Options) const;
 
   std::unique_ptr<lang::FunctionDecl> Decl;
   lang::FunctionInfo Info;

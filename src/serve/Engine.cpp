@@ -391,7 +391,6 @@ Future Engine::submit(Request Req,
       P.Box, P.Req.Options.UseSlidingWindow, P.Req.Options.KeepTable,
       P.Req.Options.ForcedSchedule ? &*P.Req.Options.ForcedSchedule
                                    : nullptr,
-      P.Req.Options.Autotune,
       P.Req.Options.Evaluator == exec::EvalKind::Jit);
 
   // Result memoization (the serving-layer PlanCache): identical request

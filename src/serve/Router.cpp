@@ -77,7 +77,6 @@ Future Router::submit(Request Req,
           *Box, Req.Options.UseSlidingWindow, Req.Options.KeepTable,
           Req.Options.ForcedSchedule ? &*Req.Options.ForcedSchedule
                                      : nullptr,
-          Req.Options.Autotune,
           Req.Options.Evaluator == exec::EvalKind::Jit);
       KeyHash = Key.hash();
     }

@@ -310,56 +310,6 @@ const ConditionalSchedule &parrec::solver::selectSchedule(
   return *Best;
 }
 
-std::vector<Schedule>
-parrec::solver::enumerateCandidateSchedules(const RecurrenceSpec &Spec,
-                                            const DomainBox &Box,
-                                            size_t MaxCandidates) {
-  std::vector<Schedule> Candidates;
-  auto push = [&](Schedule S) {
-    if (Candidates.size() >= MaxCandidates)
-      return;
-    if (std::find(Candidates.begin(), Candidates.end(), S) ==
-        Candidates.end())
-      Candidates.push_back(std::move(S));
-  };
-
-  // This is a speculative enumeration: failures are expected (e.g. no
-  // conditional candidates for affine descents) and must not leak
-  // diagnostics to the caller's engine.
-  DiagnosticEngine Scratch;
-  std::optional<Schedule> Minimal = findMinimalSchedule(Spec, Box, Scratch);
-  if (!Minimal)
-    return Candidates;
-  push(std::move(*Minimal));
-  if (Spec.Calls.empty())
-    return Candidates; // One partition covers everything; done.
-
-  if (Spec.allUniform()) {
-    Scratch.clear();
-    if (auto Conditional = findConditionalSchedules(Spec, Scratch))
-      for (const ConditionalSchedule &C : *Conditional)
-        push(C.S);
-  }
-
-  // All {0,1}-coefficient schedules satisfying the criteria: cheap wavefront
-  // shapes the minimisation may have skipped over for partition count but
-  // which the cost model can rank differently (load balance, window size).
-  std::optional<ScheduleCriteria> Criteria =
-      buildCriteria(Spec, Box, Scratch);
-  if (Criteria) {
-    unsigned N = Spec.numDims();
-    for (uint64_t Mask = 1, End = uint64_t(1) << N; Mask != End; ++Mask) {
-      Schedule S;
-      S.Coefficients.reserve(N);
-      for (unsigned I = 0; I != N; ++I)
-        S.Coefficients.push_back((Mask >> I) & 1);
-      if (Criteria->isSatisfiedBy(S))
-        push(std::move(S));
-    }
-  }
-  return Candidates;
-}
-
 std::optional<int64_t>
 parrec::solver::slidingWindowDepth(const RecurrenceSpec &Spec,
                                    const Schedule &S) {

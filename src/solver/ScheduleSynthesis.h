@@ -96,16 +96,6 @@ const ConditionalSchedule &
 selectSchedule(const std::vector<ConditionalSchedule> &Candidates,
                const DomainBox &Box);
 
-/// Enumerates valid candidate schedules for the autotuner: the
-/// minimal-partition schedule for \p Box, the Section 4.7 conditional
-/// candidates (when all descents are uniform), and every {0,1}-coefficient
-/// schedule satisfying the dependency criteria. Deduplicated, minimal
-/// first, capped at \p MaxCandidates. Never reports diagnostics; an
-/// unschedulable recursion yields an empty set.
-std::vector<Schedule>
-enumerateCandidateSchedules(const RecurrenceSpec &Spec, const DomainBox &Box,
-                            size_t MaxCandidates = 16);
-
 /// Computes the sliding-window depth for \p S (Section 4.8): the number
 /// of preceding partitions any element may depend on. Only defined when
 /// all descents are uniform; affine descents force full tabulation

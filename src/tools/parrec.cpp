@@ -57,7 +57,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: parrec <command> [options] <file> [extents...]\n"
                "commands:\n"
-               "  run [--cpu] [--autotune] [--scan-workers=<n>]\n"
+               "  run [--cpu] [--scan-workers=<n>]\n"
                "      [--pipeline|--no-pipeline] [--pack-small]\n"
                "      [--evaluator=ast|vm|jit] [--jit-cache-dir=<dir>]\n"
                "      [--trace-out=<f>] [--trace-tree] [--stats[=json]]\n"
@@ -67,9 +67,6 @@ int usage() {
                "                         (--scan-workers: host threads per\n"
                "                         partition scan; 0 auto, 1 serial —\n"
                "                         results are identical either way;\n"
-               "                         --autotune: score candidate\n"
-               "                         schedules with the cost model —\n"
-               "                         results are identical too;\n"
                "                         --evaluator: cell evaluator — ast\n"
                "                         oracle, vm bytecode (default), jit\n"
                "                         native; all bit-identical;\n"
@@ -226,7 +223,7 @@ const char *optionValue(const char *Arg, const char *Name) {
 }
 
 int cmdRun(int Argc, char **Argv) {
-  bool UseCpu = false, Autotune = false, DumpPasses = false;
+  bool UseCpu = false, DumpPasses = false;
   bool StatsHuman = false, StatsJson = false, TraceTree = false;
   bool Pipeline = false, PackSmall = false;
   unsigned ScanWorkers = 0;
@@ -239,8 +236,6 @@ int cmdRun(int Argc, char **Argv) {
     const char *Value;
     if (std::strcmp(Arg, "--cpu") == 0)
       UseCpu = true;
-    else if (std::strcmp(Arg, "--autotune") == 0)
-      Autotune = true;
     else if (std::strcmp(Arg, "--pipeline") == 0)
       Pipeline = true;
     else if (std::strcmp(Arg, "--no-pipeline") == 0)
@@ -316,7 +311,6 @@ int cmdRun(int Argc, char **Argv) {
   Opts.BasePath = Dir;
   Opts.Run.Trace = obs::Tracer::enabled();
   Opts.Run.ScanWorkers = ScanWorkers;
-  Opts.Run.Autotune = Autotune;
   Opts.Run.Pipeline = Pipeline;
   Opts.Run.PackSmall = PackSmall;
   Opts.Run.Evaluator = Evaluator;

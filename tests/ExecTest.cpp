@@ -149,10 +149,22 @@ TEST(PlanCacheTest, KeyDistinguishesOptionsAndSchedule) {
   exec::PlanKey Forced = exec::PlanKey::make(Box, true, false, &S);
   exec::PlanKey NoWindow = exec::PlanKey::make(Box, false, false, nullptr);
   exec::PlanKey Kept = exec::PlanKey::make(Box, true, true, nullptr);
+  exec::PlanKey Jit =
+      exec::PlanKey::make(Box, true, false, nullptr, /*Jit=*/true);
   EXPECT_FALSE(Minimal == Forced);
   EXPECT_FALSE(Minimal == NoWindow);
   EXPECT_FALSE(Minimal == Kept);
+  EXPECT_FALSE(Minimal == Jit);
+  EXPECT_NE(Minimal.hash(), Jit.hash());
   EXPECT_TRUE(Minimal == exec::PlanKey::make(Box, true, false, nullptr));
+
+  // The hash values are pinned: serve::Router places requests on shards
+  // by them, so any drift would silently move every tenant's traffic.
+  EXPECT_EQ(Minimal.hash(), 0xf9f745bf28877918ull);
+  EXPECT_EQ(Forced.hash(), 0xccdaad3c6652d703ull);
+  EXPECT_EQ(NoWindow.hash(), 0xf9f747bf28877c7eull);
+  EXPECT_EQ(Kept.hash(), 0xf9f746bf28877acbull);
+  EXPECT_EQ(Jit.hash(), 0xf9f73dbf28876b80ull);
 }
 
 TEST(PlanCacheTest, ConcurrentHammerKeepsCountersConsistent) {

@@ -9,10 +9,8 @@
 /// Golden tests for the explicit pass pipeline: registration order of the
 /// default pipelines, bit-identical plans and results against a
 /// hand-rolled replica of the legacy hardwired chain, deterministic
-/// shipped-script output through the pipelined interpreter (with and
-/// without the autotuner), the autotuner against the AST-evaluator
-/// oracle, plan-cache hits skipping the candidate search entirely, and
-/// the --disable-pass debugging knob (clean diagnostics and working
+/// shipped-script output through the pipelined interpreter, and the
+/// --disable-pass debugging knob (clean diagnostics and working
 /// fallbacks, never crashes).
 ///
 //===----------------------------------------------------------------------===//
@@ -26,7 +24,6 @@
 #include "gpu/Device.h"
 #include "lang/Parser.h"
 #include "lang/Sema.h"
-#include "obs/Metrics.h"
 #include "poly/LoopGen.h"
 #include "runtime/CompiledRecurrence.h"
 #include "runtime/Interpreter.h"
@@ -203,7 +200,6 @@ void expectPipelineMatchesHandRolled(const char *Source,
   EXPECT_EQ(Plan->FirstPartition, Legacy->Plan.FirstPartition);
   EXPECT_EQ(Plan->LastPartition, Legacy->Plan.LastPartition);
   EXPECT_EQ(Plan->RootPartition, Legacy->Plan.RootPartition);
-  EXPECT_EQ(Plan->TunedThreads, 0u);
   EXPECT_EQ(Plan->Program != nullptr, Legacy->Bytecode != nullptr);
 
   // ...and so must every observable of the executed runs: values, cell
@@ -232,23 +228,17 @@ void expectPipelineMatchesHandRolled(const char *Source,
 TEST(PassPipelineTest, RegistrationOrder) {
   std::vector<std::string> Frontend = {"parse", "sema", "dependence",
                                        "validate", "bytecode"};
+  // One planning pipeline; its jit pass is skipped unless the request
+  // asks for the native JIT.
   std::vector<std::string> Planning = {"schedule_synthesis", "sliding_window",
-                                       "loopgen", "finalize"};
-  std::vector<std::string> Autotuned = {"schedule_synthesis", "autotune",
-                                        "sliding_window", "loopgen",
-                                        "finalize"};
-  std::vector<std::string> Jitted = {"schedule_synthesis", "sliding_window",
-                                     "loopgen", "finalize", "jit"};
+                                       "loopgen", "finalize", "jit"};
   EXPECT_EQ(compiler::frontendPipeline().passNames(), Frontend);
   EXPECT_EQ(compiler::planningPipeline().passNames(), Planning);
-  EXPECT_EQ(compiler::autotunePlanningPipeline().passNames(), Autotuned);
-  EXPECT_EQ(compiler::jitPlanningPipeline().passNames(), Jitted);
 
-  // allPassNames is the frontend followed by the autotuned + jitted
-  // planning passes — the order --dump-passes prints.
+  // allPassNames is the frontend followed by the planning passes — the
+  // order --dump-passes prints.
   std::vector<std::string> All = Frontend;
-  All.insert(All.end(), Autotuned.begin(), Autotuned.end());
-  All.push_back("jit");
+  All.insert(All.end(), Planning.begin(), Planning.end());
   EXPECT_EQ(compiler::allPassNames(), All);
 
   for (const std::string &Name : All)
@@ -295,118 +285,23 @@ TEST(PassPipelineTest, CasinoForwardMatchesHandRolledChain) {
 
 /// Every shipped script, run twice through the interpreter (which now
 /// compiles through the pass pipeline): output must be byte-identical
-/// run to run, and byte-identical with the autotuner on — the autotuner
-/// may only change modelled timing, never results.
-TEST(PassPipelineTest, ShippedScriptsDeterministicAndAutotuneInvariant) {
+/// run to run.
+TEST(PassPipelineTest, ShippedScriptsDeterministic) {
   for (const char *Script :
        {"smith_waterman.rdsl", "edit_distance.rdsl", "casino.rdsl"}) {
     std::string Source = readFileOrDie(scriptsPath(Script));
-    auto runOnce = [&](bool Autotune) {
+    auto runOnce = [&] {
       DiagnosticEngine Diags;
       Interpreter::Options Opts;
       Opts.UseGpu = false;
       Opts.BasePath = PARREC_SCRIPTS_DIR;
-      Opts.Run.Autotune = Autotune;
       Interpreter Interp(Diags, std::move(Opts));
       auto Output = Interp.run(Source);
       EXPECT_TRUE(Output.has_value()) << Script << ": " << Diags.str();
       return Output ? *Output : std::string();
     };
-    std::string First = runOnce(false);
-    EXPECT_EQ(First, runOnce(false)) << Script;
-    EXPECT_EQ(First, runOnce(true)) << Script << " (autotuned)";
+    EXPECT_EQ(runOnce(), runOnce()) << Script;
   }
-}
-
-//===----------------------------------------------------------------------===//
-// The autotuner against the AST-evaluator oracle
-//===----------------------------------------------------------------------===//
-
-/// An autotuned run must produce exactly the values of the differential
-/// oracle (AST tree-walker, untuned plan): the tuner is free to pick a
-/// different schedule, window or thread count, but never a different
-/// answer.
-TEST(PassPipelineTest, AutotunedRunMatchesAstOracle) {
-  bio::Hmm Casino = bio::makeCasinoModel();
-  bio::Sequence S("s", "kitten"), T("t", "sitting");
-  bio::Sequence Rolls("rolls", "315116246446644245311321631164");
-  DiagnosticEngine MatrixDiags;
-  auto Matrix = bio::SubstitutionMatrix::parse(
-      readFileOrDie(scriptsPath("data/dna_scores.txt")), MatrixDiags);
-  ASSERT_TRUE(Matrix.has_value()) << MatrixDiags.str();
-  bio::Sequence A("a", "ACGTACGTTGCA"), B("b", "ACGTTGCATGCA");
-
-  struct Case {
-    const char *Name;
-    const char *Source;
-    std::vector<std::string> Extra;
-    std::vector<ArgValue> Args;
-  };
-  std::vector<Case> Cases = {
-      {"edit_distance", ShippedEditDistanceSource, {},
-       editDistanceArgs(S, T)},
-      {"smith_waterman", ShippedSmithWatermanSource, {},
-       {ArgValue::ofMatrix(&*Matrix), ArgValue::ofSeq(&A), ArgValue(),
-        ArgValue::ofSeq(&B), ArgValue()}},
-      {"forward", ShippedCasinoForwardSource, {"dice"},
-       {ArgValue::ofHmm(&Casino), ArgValue(), ArgValue::ofSeq(&Rolls),
-        ArgValue()}},
-  };
-
-  gpu::Device Dev;
-  for (const Case &C : Cases) {
-    CompiledRecurrence Fn = compileOrDie(C.Source, C.Extra);
-    DiagnosticEngine Diags;
-    exec::RunOptions Tuned;
-    Tuned.Autotune = true;
-    exec::RunOptions Oracle;
-    Oracle.Evaluator = exec::EvalKind::Ast;
-    auto TunedRun = Fn.runGpu(C.Args, Dev, Diags, Tuned);
-    auto OracleRun = Fn.runGpu(C.Args, Dev, Diags, Oracle);
-    ASSERT_TRUE(TunedRun.has_value()) << C.Name << ": " << Diags.str();
-    ASSERT_TRUE(OracleRun.has_value()) << C.Name << ": " << Diags.str();
-    EXPECT_EQ(TunedRun->RootValue, OracleRun->RootValue) << C.Name;
-    EXPECT_EQ(TunedRun->TableMax, OracleRun->TableMax) << C.Name;
-    EXPECT_EQ(TunedRun->Cells, OracleRun->Cells) << C.Name;
-  }
-}
-
-/// The Autotune flag is part of the plan key: the first tuned run pays
-/// for the candidate search, a second same-shaped run hits the cache and
-/// evaluates zero candidates.
-TEST(PassPipelineTest, AutotunePlanCacheSkipsSearch) {
-  CompiledRecurrence Fn = compileOrDie(ShippedEditDistanceSource);
-  bio::Sequence S("s", "kitten"), T("t", "sitting");
-  gpu::Device Dev;
-  DiagnosticEngine Diags;
-  exec::RunOptions Tuned;
-  Tuned.Autotune = true;
-
-  obs::MetricsSnapshot S0 = obs::MetricsRegistry::global().snapshot();
-  auto First = Fn.runGpu(editDistanceArgs(S, T), Dev, Diags, Tuned);
-  ASSERT_TRUE(First.has_value()) << Diags.str();
-  obs::MetricsSnapshot S1 = obs::MetricsRegistry::global().snapshot();
-  uint64_t FirstCandidates = S1.counter("compile.autotune.candidates") -
-                             S0.counter("compile.autotune.candidates");
-  EXPECT_GT(FirstCandidates, 0u);
-  EXPECT_EQ(S1.counter("compile.autotune.runs") -
-                S0.counter("compile.autotune.runs"),
-            1u);
-
-  auto Second = Fn.runGpu(editDistanceArgs(S, T), Dev, Diags, Tuned);
-  ASSERT_TRUE(Second.has_value()) << Diags.str();
-  obs::MetricsSnapshot S2 = obs::MetricsRegistry::global().snapshot();
-  EXPECT_EQ(S2.counter("compile.autotune.candidates"),
-            S1.counter("compile.autotune.candidates"))
-      << "a plan-cache hit must not re-run the candidate search";
-  EXPECT_EQ(S2.counter("compile.autotune.runs"),
-            S1.counter("compile.autotune.runs"));
-  EXPECT_GE(Fn.planCacheStats().Hits, 1u);
-
-  // And the cached tuned plan reproduces the first run exactly.
-  EXPECT_EQ(First->RootValue, Second->RootValue);
-  EXPECT_EQ(First->Cells, Second->Cells);
-  EXPECT_EQ(First->Cycles, Second->Cycles);
 }
 
 //===----------------------------------------------------------------------===//

@@ -302,7 +302,7 @@ TEST(ServeEngineTest, InvalidRequestFailsWithDiagnostics) {
   serve::Request Bad = P.request();
   Bad.Args.pop_back();
   Bad.Args.pop_back(); // Wrong arity: the domain cannot be derived.
-  const serve::Response &Resp = Engine.submit(std::move(Bad)).wait();
+  serve::Response Resp = Engine.submit(std::move(Bad)).wait();
   EXPECT_EQ(Resp.St, serve::Status::Failed);
   EXPECT_FALSE(Resp.Error.empty());
   Engine.shutdown(serve::Engine::ShutdownMode::Drain);
