@@ -21,9 +21,9 @@
 ///   --smoke     small problem sizes + fewer repetitions (CI gate)
 ///   --out=PATH  JSON output path (default BENCH_evaluator.json)
 ///
-/// Exits non-zero if the VM is slower than the AST walker on any case
-/// study, or if the JIT is slower than the VM on Smith-Waterman or
-/// Viterbi (the loop-dominated cases where native code must win).
+/// Exits non-zero if any evaluator disagrees on results or costs, if
+/// the VM is slower than the AST walker, or if the JIT is slower than
+/// the VM, on any case study.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -306,12 +306,11 @@ int main(int Argc, char **Argv) {
                    C.Name.c_str(), C.Speedup);
       Ok = false;
     }
-    // The gate the JIT must hold: at least VM speed on the two
-    // loop-dominated case studies (the reduce-heavy profile forward is
-    // reported but not gated — its hot path is the CSR reduction the VM
-    // already runs tight).
-    if ((C.Name == "smith_waterman" || C.Name == "viterbi_genefinder") &&
-        C.JitSpeedup < 1.0) {
+    // The gate the JIT must hold: at least VM speed on every case
+    // study. Profile forward gains least: its time is the serial
+    // exp/log1p latency chain of each cell's log-space sum, which the
+    // kernel's lane groups overlap across cells but cannot shorten.
+    if (C.JitSpeedup < 1.0) {
       std::fprintf(stderr, "FAIL: JIT slower than VM on %s (%.2fx)\n",
                    C.Name.c_str(), C.JitSpeedup);
       Ok = false;

@@ -21,6 +21,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 
 #include <dlfcn.h>
@@ -178,6 +179,12 @@ void JitBinding::bind(const BytecodeProgram &Prog, const Evaluator &Eval) {
 
 namespace {
 
+/// Cells per lane group: enough independent pr_logaddexp chains to
+/// approach the host's exp/log1p throughput even when the sums in one
+/// group differ in length. Four lanes gained nothing measurable on a
+/// 63-state profile (EXPERIMENTS.md A7).
+constexpr unsigned LaneWidth = 8;
+
 std::string intLit(int64_t V) {
   if (V == std::numeric_limits<int64_t>::min())
     return "(-9223372036854775807LL - 1LL)";
@@ -200,7 +207,10 @@ public:
         Prog->NumDims != Plan.Box.numDims() ||
         Plan.Nest.Levels.size() != 1 + static_cast<size_t>(Plan.Box.numDims()))
       return std::string();
+    LanePc = laneReducePc();
     emitPrelude();
+    if (LanePc)
+      emitLaneGroup();
     emitKernel();
     return Failed ? std::string() : Out;
   }
@@ -212,18 +222,58 @@ private:
   int Indent = 0;
   int NextRange = 0;
   bool Failed = false;
+  /// The pc of the reduce that lane groups run in lockstep; unset for
+  /// bodies emitted one cell at a time.
+  std::optional<uint32_t> LanePc;
+
+  /// Lane groups apply to bodies whose only top-level reduce is a
+  /// log-space sum: that reduce is a serial chain of pr_logaddexp
+  /// calls, so running several independent cells' chains side by side
+  /// hides its latency. Other bodies (max/min reduces, no reduce) keep
+  /// the one-cell-at-a-time shape.
+  std::optional<uint32_t> laneReducePc() const {
+    std::optional<uint32_t> Found;
+    unsigned TopLevel = 0;
+    uint32_t End = static_cast<uint32_t>(Prog->Code.size());
+    for (uint32_t Q = 0; Q < End;) {
+      const Instr &In = Prog->Code[Q];
+      if (In.Op != Opcode::Reduce) {
+        ++Q;
+        continue;
+      }
+      const ReduceDesc &Rd = Prog->Reduces[static_cast<size_t>(In.A)];
+      if (Rd.BodyEnd <= Q || Rd.BodyEnd > End)
+        return std::nullopt; // emitRange rejects the body anyway.
+      ++TopLevel;
+      if (Rd.Kind == lang::ReductionKind::Sum &&
+          Rd.AccKind == ReduceDesc::Acc::Prob)
+        Found = Q;
+      Q = Rd.BodyEnd;
+    }
+    return TopLevel == 1 ? Found : std::nullopt;
+  }
 
   void fail() { Failed = true; }
 
+  /// Appends one indented, formatted line. The line is sized from
+  /// vsnprintf's own count, so no statement is ever cut short.
   void line(const char *Fmt, ...) {
-    char Buf[2048];
-    va_list Ap;
+    va_list Ap, Again;
     va_start(Ap, Fmt);
-    vsnprintf(Buf, sizeof(Buf), Fmt, Ap);
+    va_copy(Again, Ap);
+    int Len = vsnprintf(nullptr, 0, Fmt, Ap);
     va_end(Ap);
+    if (Len < 0) {
+      va_end(Again);
+      fail();
+      return;
+    }
     Out.append(static_cast<size_t>(Indent) * 2, ' ');
-    Out += Buf;
-    Out += '\n';
+    size_t At = Out.size();
+    Out.resize(At + static_cast<size_t>(Len) + 1);
+    vsnprintf(&Out[At], static_cast<size_t>(Len) + 1, Fmt, Again);
+    va_end(Again);
+    Out.back() = '\n'; // Overwrites vsnprintf's terminating NUL.
   }
 
   std::string realLit(double V) {
@@ -281,8 +331,25 @@ private:
     line(" * specialised. Bit-identical to the bytecode VM by");
     line(" * construction: one FP op per statement, -ffp-contract=off,");
     line(" * hexfloat immediates, LogSpace.h helpers copied op-for-op. */");
-    line("#include <math.h>");
-    line("#include <stdint.h>");
+    if (LanePc) {
+      line("/* Lane groups of %u cells: each cell runs up to its log-space",
+           LaneWidth);
+      line(" * sum, the group folds that sum's elements in lockstep, and");
+      line(" * each cell then finishes and is stored in serial order. */");
+    }
+    // The few libm entry points and fixed-width types the kernel uses,
+    // declared here rather than through <math.h> and <stdint.h>, whose
+    // preprocessing alone is a sizeable share of a kernel's compile.
+    line("typedef __INT32_TYPE__ int32_t;");
+    line("typedef __INT64_TYPE__ int64_t;");
+    line("typedef __UINT8_TYPE__ uint8_t;");
+    line("typedef __UINT32_TYPE__ uint32_t;");
+    line("typedef __UINT64_TYPE__ uint64_t;");
+    line("#define INFINITY (__builtin_inf())");
+    line("double exp(double);");
+    line("double log(double);");
+    line("double log1p(double);");
+    line("long long llround(double);");
     line("");
     line("typedef struct { const char *data; int64_t len; } pr_seq;");
     line("typedef struct { const int64_t *scores; const int64_t *char_idx;");
@@ -301,6 +368,7 @@ private:
     line("  model_reads, transcendentals, cells;");
     line("  double table_max, root_value; uint64_t has_root; } pr_slot_t;");
     line("typedef union { int64_t i; double d; } pr_reg;");
+    line("const uint64_t parrec_kernel_abi = %" PRIu64 "ULL;", JitKernelAbi);
     line("");
     line("static inline int64_t pr_ceil_div(int64_t n, int64_t d) {");
     line("  int64_t q = n / d;");
@@ -411,15 +479,26 @@ private:
     line("                 int32_t check_root, pr_slot_t *slot,");
     line("                 uint64_t *thread_cycles) {");
     ++Indent;
-    line("pr_reg r[%u];", Prog->NumRegs);
+    if (LanePc) {
+      // One thread's points can land in several groups, so its cycles
+      // accumulate across pr_run_lanes calls.
+      line("pr_lanes g;");
+      line("for (uint32_t t = t_begin; t != t_end; ++t)");
+      line("  thread_cycles[t] = 0;");
+    } else {
+      line("pr_reg r[%u];", Prog->NumRegs);
+    }
     line("(void)n_threads;");
     line("if (p < %s || p > %s)", intLit(Plan.FirstPartition).c_str(),
          intLit(Plan.LastPartition).c_str());
     line("  return;");
     line("const int64_t v0 = p;");
+    if (LanePc)
+      line("g.n = 0;");
     line("for (uint32_t t = t_begin; t != t_end; ++t) {");
     ++Indent;
-    line("uint64_t cyc = 0;");
+    if (!LanePc)
+      line("uint64_t cyc = 0;");
     bool Striped = Plan.Nest.threadedLevel().has_value();
     if (!Striped) {
       // No space loop to stripe: every point belongs to simulated
@@ -432,9 +511,14 @@ private:
       --Indent;
       line("}");
     }
-    line("thread_cycles[t] = cyc;");
+    if (!LanePc)
+      line("thread_cycles[t] = cyc;");
     --Indent;
     line("}");
+    if (LanePc) {
+      line("if (g.n != 0u)");
+      line("  pr_run_lanes(a, &g, check_root, slot, thread_cycles);");
+    }
     --Indent;
     line("}");
   }
@@ -443,7 +527,10 @@ private:
     if (Failed)
       return;
     if (L == Plan.Nest.Levels.size()) {
-      emitCell();
+      if (LanePc)
+        emitLaneEnqueue();
+      else
+        emitCell();
       return;
     }
     const poly::LoopLevel &Level = Plan.Nest.Levels[L];
@@ -528,6 +615,15 @@ private:
     ++Indent;
     line("uint64_t d_ops = 0, d_tr = 0, d_tw = 0, d_mr = 0, d_tc = 0;");
     emitRange(0, static_cast<uint32_t>(Prog->Code.size()));
+    emitCellEpilogue("cyc");
+    --Indent;
+    line("}");
+  }
+
+  /// The per-cell epilogue, run in serial point order: result
+  /// conversion, table store, cost flush into \p Cycles and the slot,
+  /// and the strict-`>` table maximum and root capture.
+  void emitCellEpilogue(const char *Cycles) {
     const char *Conv = nullptr;
     switch (Prog->Conv) {
     case ResultConv::RealSlot:
@@ -560,7 +656,7 @@ private:
     line("slot->table_writes += d_tw;");
     line("slot->model_reads += d_mr;");
     line("slot->transcendentals += d_tc;");
-    line("cyc += d_ops * a->cyc_op + d_tc * a->cyc_trans");
+    line("%s += d_ops * a->cyc_op + d_tc * a->cyc_trans", Cycles);
     line("    + (d_tr + d_tw) * a->cyc_table + d_mr * a->cyc_model;");
     line("slot->cells += 1ULL;");
     line("if (cv > slot->table_max)");
@@ -573,16 +669,307 @@ private:
     line("  slot->root_value = cv;");
     line("  slot->has_root = 1ULL;");
     line("}");
-    --Indent;
+  }
+
+  /// Appends the current point (and its simulated thread) to the lane
+  /// group, running the group once it is full.
+  void emitLaneEnqueue() {
+    line("g.t[g.n] = t;");
+    for (unsigned D = 0; D != Prog->NumDims; ++D)
+      line("g.v[g.n][%u] = v%u;", D, 1 + D);
+    line("if (++g.n == PR_LANES) {");
+    line("  pr_run_lanes(a, &g, check_root, slot, thread_cycles);");
+    line("  g.n = 0;");
     line("}");
   }
 
-  /// Emits the instruction range [Pc, End), the unit the VM's execRange
-  /// runs: its own packed cost accumulator (flushed into the wide lanes
-  /// on every exit path) and function-unique labels for the structured
-  /// forward jumps inside it.
-  void emitRange(uint32_t Pc, uint32_t End) {
-    int Rid = NextRange++;
+  /// Registers an instruction range reads and writes.
+  struct RegSets {
+    std::vector<bool> Reads, Writes;
+  };
+
+  /// Marks the registers instruction \p In itself reads and writes (a
+  /// reduce's body instructions are visited as pcs of their own).
+  void markOperands(const Instr &In, RegSets &Use) const {
+    auto Read = [&](int Reg) { Use.Reads[static_cast<size_t>(Reg)] = true; };
+    std::vector<bool> &Writes = Use.Writes;
+    switch (In.Op) {
+    case Opcode::ConstInt:
+    case Opcode::ConstReal:
+    case Opcode::LoadPoint:
+    case Opcode::LoadArgInt:
+    case Opcode::LoadArgReal:
+      break;
+    case Opcode::Move:
+    case Opcode::IntToReal:
+    case Opcode::LogOf:
+      Read(In.B);
+      break;
+    case Opcode::JumpIfFalse:
+      Read(In.A);
+      return;
+    case Opcode::Jump:
+      return;
+    case Opcode::TableReadReal:
+    case Opcode::TableReadBool:
+    case Opcode::TableReadInt: {
+      const CallDesc &Cd = Prog->Calls[static_cast<size_t>(In.B)];
+      for (unsigned A = 0; A != Cd.NumArgs; ++A)
+        if (int32_t Reg = Prog->CallArgsPool[Cd.FirstArg + A].Reg; Reg >= 0)
+          Read(Reg);
+      break;
+    }
+    case Opcode::SeqChar:
+    case Opcode::TransStart:
+    case Opcode::TransEnd:
+    case Opcode::TransLogProb:
+    case Opcode::StateIsStart:
+    case Opcode::StateIsEnd:
+      Read(In.C);
+      break;
+    case Opcode::MatrixScore:
+    case Opcode::Emission:
+      Read(In.C);
+      Read(In.D);
+      break;
+    case Opcode::Reduce: {
+      const ReduceDesc &Rd = Prog->Reduces[static_cast<size_t>(In.A)];
+      Read(Rd.StateReg);
+      Read(Rd.BodyReg);
+      Writes[static_cast<size_t>(Rd.VarReg)] = true;
+      Writes[static_cast<size_t>(Rd.DstReg)] = true;
+      return;
+    }
+    default: // Two-operand arithmetic, log-space ops and comparisons.
+      Read(In.B);
+      Read(In.C);
+      break;
+    }
+    Writes[static_cast<size_t>(In.A)] = true;
+  }
+
+  /// The registers read and written anywhere in [Pc, End).
+  RegSets regsOf(uint32_t Pc, uint32_t End) const {
+    RegSets Use{std::vector<bool>(Prog->NumRegs),
+                std::vector<bool>(Prog->NumRegs)};
+    for (uint32_t Q = Pc; Q < End; ++Q)
+      markOperands(Prog->Code[Q], Use);
+    return Use;
+  }
+
+  /// Opens a lane's view of one phase: a phase-local register file
+  /// (constant-indexed, so the host compiler keeps it in registers)
+  /// loaded with the \p LiveIn registers lane l carries in lr, and the
+  /// point coordinates under the names the per-cell emitters use.
+  void emitLaneLocals(const std::vector<bool> &LiveIn) {
+    line("pr_reg r[%u];", Prog->NumRegs);
+    for (size_t K = 0; K != LiveIn.size(); ++K)
+      if (LiveIn[K])
+        line("r[%zu] = lr[l][%zu];", K, K);
+    for (unsigned D = 0; D != Prog->NumDims; ++D)
+      line("const int64_t v%u = g->v[l][%u];", 1 + D, D);
+  }
+
+  /// Saves the \p LiveOut registers of lane l for a later phase.
+  void emitLaneSave(const std::vector<bool> &LiveOut) {
+    for (size_t K = 0; K != LiveOut.size(); ++K)
+      if (LiveOut[K])
+        line("lr[l][%zu] = r[%zu];", K, K);
+  }
+
+  /// pr_run_lanes: evaluates up to PR_LANES points of one partition in
+  /// three phases. (1) Each lane runs the top-level range up to the
+  /// lane reduce, or, when its path jumps past the reduce, records
+  /// where to resume. (2) The reduce's element loop advances in
+  /// lockstep: element j of every live lane before element j+1, so the
+  /// lanes' pr_logaddexp chains are in flight together. (3) Each lane,
+  /// in serial point order, finishes the range from its resume point
+  /// and runs the per-cell epilogue. Every lane executes exactly the
+  /// per-cell statement sequence; only the interleaving across lanes
+  /// changes, and cells of one partition never touch each other's
+  /// table slots.
+  void emitLaneGroup() {
+    uint32_t R = *LanePc;
+    uint32_t End = static_cast<uint32_t>(Prog->Code.size());
+    const Instr &RIn = Prog->Code[R];
+    const ReduceDesc &Rd = Prog->Reduces[static_cast<size_t>(RIn.A)];
+    std::set<uint32_t> Targets = rangeTargets(0, End);
+    // Jumps from before the reduce to past it: each gets a resume code.
+    std::vector<uint32_t> Skips;
+    for (uint32_t X : Targets) {
+      if (X > R && X < Rd.BodyEnd)
+        fail(); // A jump into the reduce body is not structured.
+      if (X >= Rd.BodyEnd)
+        Skips.push_back(X);
+    }
+    // Registers cross phases only through lr, and only those a later
+    // phase may read: the body's reads (and the element result) for
+    // phase 2, the tail's reads (and the cell result) for phase 3. A
+    // register the body writes may be read by the next element or the
+    // tail, so phase 2 saves all of them.
+    RegSets Body = regsOf(R + 1, Rd.BodyEnd);
+    RegSets Tail = regsOf(Rd.BodyEnd, End);
+    Body.Reads[static_cast<size_t>(Rd.BodyReg)] = true;
+    Tail.Reads[static_cast<size_t>(Prog->ResultReg)] = true;
+    std::vector<bool> PreOut(Prog->NumRegs);
+    for (size_t K = 0; K != PreOut.size(); ++K)
+      PreOut[K] = Body.Reads[K] || Tail.Reads[K];
+    // A body without jumps or nested reduces charges the same packed
+    // cost on every element, so a lane's reduce costs are rn times one
+    // constant vector, added in phase 3; other bodies accumulate theirs
+    // per element in ld_*.
+    bool FixedElemCost = true;
+    uint64_t BodyPacked = 0;
+    for (uint32_t Q = R + 1; Q < Rd.BodyEnd; ++Q) {
+      Opcode Op = Prog->Code[Q].Op;
+      FixedElemCost &= Op != Opcode::Jump && Op != Opcode::JumpIfFalse &&
+                       Op != Opcode::Reduce;
+      BodyPacked += Prog->Code[Q].Cost;
+    }
+
+    line("#define PR_LANES %u", LaneWidth);
+    line("typedef struct {");
+    line("  uint32_t n;");
+    line("  uint32_t t[PR_LANES];");
+    line("  int64_t v[PR_LANES][%u];", Prog->NumDims);
+    line("} pr_lanes;");
+    line("");
+    line("static void pr_run_lanes(const pr_args *a, const pr_lanes *g,");
+    line("                         int32_t check_root, pr_slot_t *slot,");
+    line("                         uint64_t *thread_cycles) {");
+    ++Indent;
+    line("pr_reg lr[PR_LANES][%u];", Prog->NumRegs);
+    line("uint64_t lpk[PR_LANES], lrn[PR_LANES];");
+    if (!FixedElemCost) {
+      line("uint64_t ld_ops[PR_LANES], ld_tr[PR_LANES], ld_tw[PR_LANES];");
+      line("uint64_t ld_mr[PR_LANES], ld_tc[PR_LANES];");
+    }
+    line("uint32_t lres[PR_LANES];");
+    line("const uint64_t *lset[PR_LANES];");
+    line("double lacc[PR_LANES];");
+    line("uint64_t rmax = 0;");
+
+    // Phase 1: up to the reduce. lres 0 means "in the reduce"; a jump
+    // past it stores its target instead (targets are never 0).
+    line("for (uint32_t l = 0; l != g->n; ++l) {");
+    ++Indent;
+    emitLaneLocals(std::vector<bool>(Prog->NumRegs));
+    int Pre = NextRange++;
+    line("uint64_t pk%d = 0;", Pre);
+    emitSpan(Pre, 0, R, Targets);
+    if (Targets.count(R))
+      line("L%d_%u: ;", Pre, R);
+    if (RIn.Cost)
+      line("pk%d += 0x%" PRIx64 "ULL;", Pre, RIn.Cost);
+    line("{");
+    ++Indent;
+    emitReduceSet(Rd);
+    line("lset[l] = rset;");
+    line("lrn[l] = rn;");
+    --Indent;
+    line("}");
+    line("lacc[l] = -INFINITY;");
+    line("lres[l] = 0u;");
+    if (!Skips.empty())
+      line("goto S%d;", Pre);
+    for (uint32_t X : Skips) {
+      line("L%d_%u:", Pre, X);
+      line("  lres[l] = %uu;", X);
+      line("  lrn[l] = 0;");
+      line("  goto S%d;", Pre);
+    }
+    if (!Skips.empty())
+      line("S%d:", Pre);
+    emitLaneSave(PreOut);
+    line("lpk[l] = pk%d;", Pre);
+    if (!FixedElemCost)
+      line("ld_ops[l] = ld_tr[l] = ld_tw[l] = ld_mr[l] = ld_tc[l] = 0;");
+    line("if (lrn[l] > rmax)");
+    line("  rmax = lrn[l];");
+    --Indent;
+    line("}");
+
+    // Phase 2: the reduce's elements in lockstep across the lanes.
+    line("for (uint64_t re = 0; re != rmax; ++re) {");
+    ++Indent;
+    line("for (uint32_t l = 0; l != g->n; ++l) {");
+    ++Indent;
+    line("if (re >= lrn[l])");
+    line("  continue;");
+    emitLaneLocals(Body.Reads);
+    line("uint64_t d_ops = 0, d_tr = 0, d_tw = 0, d_mr = 0, d_tc = 0;");
+    line("r[%d].i = (int64_t)lset[l][re];", Rd.VarReg);
+    line("{");
+    ++Indent;
+    emitRange(R + 1, Rd.BodyEnd);
+    --Indent;
+    line("}");
+    emitElemCost(Rd);
+    line("lacc[l] = pr_logaddexp(lacc[l], r[%d].d);", Rd.BodyReg);
+    emitLaneSave(Body.Writes);
+    if (!FixedElemCost) {
+      line("ld_ops[l] += d_ops;");
+      line("ld_tr[l] += d_tr;");
+      line("ld_tw[l] += d_tw;");
+      line("ld_mr[l] += d_mr;");
+      line("ld_tc[l] += d_tc;");
+    }
+    --Indent;
+    line("}");
+    --Indent;
+    line("}");
+
+    // Phase 3: finish each lane and run its epilogue, in point order.
+    line("for (uint32_t l = 0; l != g->n; ++l) {");
+    ++Indent;
+    emitLaneLocals(Tail.Reads);
+    if (FixedElemCost) {
+      // The per-element flush of BodyPacked plus Acc.add(ElemCost).
+      const InstrCost &E = Rd.ElemCost;
+      line("uint64_t d_ops = lrn[l] * %" PRIu64 "ULL;",
+           (BodyPacked & 0xFFFF) + E.Ops);
+      line("uint64_t d_tr = lrn[l] * %" PRIu64 "ULL;",
+           ((BodyPacked >> 16) & 0xFFFF) + E.TableReads);
+      line("uint64_t d_tw = lrn[l] * %uULL;", unsigned(E.TableWrites));
+      line("uint64_t d_mr = lrn[l] * %" PRIu64 "ULL;",
+           ((BodyPacked >> 32) & 0xFFFF) + E.ModelReads);
+      line("uint64_t d_tc = lrn[l] * %" PRIu64 "ULL;",
+           (BodyPacked >> 48) + E.Transcendentals);
+    } else {
+      line("uint64_t d_ops = ld_ops[l], d_tr = ld_tr[l], d_tw = ld_tw[l];");
+      line("uint64_t d_mr = ld_mr[l], d_tc = ld_tc[l];");
+    }
+    int Post = NextRange++;
+    line("uint64_t pk%d = lpk[l];", Post);
+    if (Skips.empty()) {
+      line("r[%d].d = lacc[l];", Rd.DstReg);
+    } else {
+      line("switch (lres[l]) {");
+      for (uint32_t X : Skips) {
+        line("case %uu:", X);
+        line("  goto L%d_%u;", Post, X);
+      }
+      line("default:");
+      line("  r[%d].d = lacc[l];", Rd.DstReg);
+      line("  break;");
+      line("}");
+    }
+    emitSpan(Post, Rd.BodyEnd, End, Targets);
+    if (Targets.count(End))
+      line("L%d_%u: ;", Post, End);
+    emitFlush(Post);
+    emitCellEpilogue("thread_cycles[g->t[l]]");
+    --Indent;
+    line("}");
+    --Indent;
+    line("}");
+    line("");
+  }
+
+  /// The jump targets of the range [Pc, End), checking that every jump
+  /// is a structured forward jump within the range and every reduce
+  /// body ends inside it.
+  std::set<uint32_t> rangeTargets(uint32_t Pc, uint32_t End) {
     std::set<uint32_t> Targets;
     for (uint32_t Q = Pc; Q < End && !Failed;) {
       const Instr &In = Prog->Code[Q];
@@ -597,14 +984,37 @@ private:
         uint32_t BodyEnd = Prog->Reduces[static_cast<size_t>(In.A)].BodyEnd;
         if (BodyEnd <= Q || BodyEnd > End) {
           fail();
-          return;
+          break;
         }
         Q = BodyEnd;
       } else {
         ++Q;
       }
     }
+    return Targets;
+  }
+
+  /// Emits the instruction range [Pc, End), the unit the VM's execRange
+  /// runs: its own packed cost accumulator (flushed into the wide lanes
+  /// on every exit path) and function-unique labels for the structured
+  /// forward jumps inside it.
+  void emitRange(uint32_t Pc, uint32_t End) {
+    int Rid = NextRange++;
+    std::set<uint32_t> Targets = rangeTargets(Pc, End);
+    if (Failed)
+      return;
     line("uint64_t pk%d = 0;", Rid);
+    emitSpan(Rid, Pc, End, Targets);
+    if (Targets.count(End))
+      line("L%d_%u: ;", Rid, End);
+    emitFlush(Rid);
+  }
+
+  /// The statements of [Pc, End) within range \p Rid: a label before
+  /// every jump target, each instruction's packed charge, then the
+  /// instruction itself (reduces with their whole body).
+  void emitSpan(int Rid, uint32_t Pc, uint32_t End,
+                const std::set<uint32_t> &Targets) {
     for (uint32_t Q = Pc; Q < End && !Failed;) {
       if (Targets.count(Q))
         line("L%d_%u: ;", Rid, Q);
@@ -622,25 +1032,47 @@ private:
       emitInstr(In, Rid);
       ++Q;
     }
-    if (Targets.count(End))
-      line("L%d_%u: ;", Rid, End);
+  }
+
+  /// Spreads range \p Rid's packed lanes into the wide counters.
+  void emitFlush(int Rid) {
     line("d_ops += pk%d & 0xFFFFULL;", Rid);
     line("d_tr += (pk%d >> 16) & 0xFFFFULL;", Rid);
     line("d_mr += (pk%d >> 32) & 0xFFFFULL;", Rid);
     line("d_tc += pk%d >> 48;", Rid);
   }
 
-  void emitReduce(const Instr &In, uint32_t Pc) {
-    const ReduceDesc &Rd = Prog->Reduces[static_cast<size_t>(In.A)];
+  /// Acc.add(ElemCost): the wide per-element accumulation charge.
+  void emitElemCost(const ReduceDesc &Rd) {
+    if (Rd.ElemCost.Ops)
+      line("d_ops += %uULL;", Rd.ElemCost.Ops);
+    if (Rd.ElemCost.TableReads)
+      line("d_tr += %uULL;", Rd.ElemCost.TableReads);
+    if (Rd.ElemCost.TableWrites)
+      line("d_tw += %uULL;", Rd.ElemCost.TableWrites);
+    if (Rd.ElemCost.ModelReads)
+      line("d_mr += %uULL;", Rd.ElemCost.ModelReads);
+    if (Rd.ElemCost.Transcendentals)
+      line("d_tc += %uULL;", Rd.ElemCost.Transcendentals);
+  }
+
+  /// The transition set a reduce iterates: rset[0..rn) in the model's
+  /// CSR order, the VM's iteration order.
+  void emitReduceSet(const ReduceDesc &Rd) {
     const char *Off = Rd.OverIncoming ? "adj_in_off" : "adj_out_off";
     const char *Arr = Rd.OverIncoming ? "adj_in" : "adj_out";
-    bool IntAcc = Rd.AccKind == ReduceDesc::Acc::Int;
-    line("{");
-    ++Indent;
     line("const pr_hmm *h = &a->hmms[%u];", Rd.HmmParam);
     line("uint64_t rs = (uint64_t)(uint32_t)r[%d].i;", Rd.StateReg);
     line("const uint64_t *rset = h->%s + h->%s[rs];", Arr, Off);
     line("uint64_t rn = h->%s[rs + 1] - h->%s[rs];", Off, Off);
+  }
+
+  void emitReduce(const Instr &In, uint32_t Pc) {
+    const ReduceDesc &Rd = Prog->Reduces[static_cast<size_t>(In.A)];
+    bool IntAcc = Rd.AccKind == ReduceDesc::Acc::Int;
+    line("{");
+    ++Indent;
+    emitReduceSet(Rd);
     // Accumulator identities, exactly as the VM initialises them.
     switch (Rd.Kind) {
     case lang::ReductionKind::Sum:
@@ -677,17 +1109,7 @@ private:
     emitRange(Pc + 1, Rd.BodyEnd);
     --Indent;
     line("}");
-    // Acc.add(ElemCost): the wide per-element accumulation charge.
-    if (Rd.ElemCost.Ops)
-      line("d_ops += %uULL;", Rd.ElemCost.Ops);
-    if (Rd.ElemCost.TableReads)
-      line("d_tr += %uULL;", Rd.ElemCost.TableReads);
-    if (Rd.ElemCost.TableWrites)
-      line("d_tw += %uULL;", Rd.ElemCost.TableWrites);
-    if (Rd.ElemCost.ModelReads)
-      line("d_mr += %uULL;", Rd.ElemCost.ModelReads);
-    if (Rd.ElemCost.Transcendentals)
-      line("d_tc += %uULL;", Rd.ElemCost.Transcendentals);
+    emitElemCost(Rd);
     const char *Slot = IntAcc ? "i" : "d";
     switch (Rd.Kind) {
     case lang::ReductionKind::Sum:
@@ -916,10 +1338,41 @@ private:
   }
 };
 
+uint64_t fnv1a(std::string_view S, uint64_t H = 0xcbf29ce484222325ULL) {
+  for (unsigned char C : S) {
+    H ^= C;
+    H *= 0x100000001b3ULL;
+  }
+  return H;
+}
+
+/// A rendered translation unit and the hash of its text without the
+/// trailing `parrec_kernel_source_hash` definition (which holds that
+/// same hash, so a loaded object can prove which source it came from).
+struct RenderedKernel {
+  std::string Source;
+  uint64_t SourceHash = 0;
+};
+
+RenderedKernel renderKernel(const exec::ExecutablePlan &Plan) {
+  RenderedKernel K;
+  K.Source = CEmitter(Plan).render();
+  if (K.Source.empty())
+    return K;
+  K.SourceHash = fnv1a(K.Source);
+  char Def[96];
+  snprintf(Def, sizeof(Def),
+           "const uint64_t parrec_kernel_source_hash = 0x%016" PRIx64
+           "ULL;\n",
+           K.SourceHash);
+  K.Source += Def;
+  return K;
+}
+
 } // namespace
 
 std::string codegen::renderKernelSource(const exec::ExecutablePlan &Plan) {
-  return CEmitter(Plan).render();
+  return renderKernel(Plan).Source;
 }
 
 //===----------------------------------------------------------------------===//
@@ -947,14 +1400,6 @@ std::shared_ptr<const JitKernel> fallBack(const char *Reason) {
   return nullptr;
 }
 
-uint64_t fnv1a(std::string_view S, uint64_t H = 0xcbf29ce484222325ULL) {
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 0x100000001b3ULL;
-  }
-  return H;
-}
-
 std::string resolveCacheDir(const std::string &Override) {
   if (!Override.empty())
     return Override;
@@ -966,12 +1411,22 @@ std::string resolveCacheDir(const std::string &Override) {
   return "/tmp/parrec-jit";
 }
 
-std::shared_ptr<const JitKernel> tryLoad(const std::string &SoPath) {
+/// Loads the kernel at \p SoPath, or returns null when the object
+/// cannot be loaded or was not built from the source hashing to
+/// \p SourceHash under this JitKernelAbi. A stale or foreign object at
+/// a cache path would otherwise run with another plan's baked bounds.
+std::shared_ptr<const JitKernel> tryLoad(const std::string &SoPath,
+                                         uint64_t SourceHash) {
   void *Handle = ::dlopen(SoPath.c_str(), RTLD_NOW | RTLD_LOCAL);
   if (!Handle)
     return nullptr;
   void *Sym = ::dlsym(Handle, "parrec_scan");
-  if (!Sym) {
+  const auto *Abi =
+      static_cast<const uint64_t *>(::dlsym(Handle, "parrec_kernel_abi"));
+  const auto *Hash = static_cast<const uint64_t *>(
+      ::dlsym(Handle, "parrec_kernel_source_hash"));
+  if (!Sym || !Abi || !Hash || *Abi != JitKernelAbi ||
+      *Hash != SourceHash) {
     ::dlclose(Handle);
     return nullptr;
   }
@@ -988,8 +1443,8 @@ codegen::compileKernel(const exec::ExecutablePlan &Plan,
                        const JitCompileOptions &Opts) {
   obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
 
-  std::string Source = renderKernelSource(Plan);
-  if (Source.empty())
+  RenderedKernel Rendered = renderKernel(Plan);
+  if (Rendered.Source.empty())
     return fallBack("unsupported plan or cell-body shape");
 
   std::string Dir = resolveCacheDir(Opts.CacheDir);
@@ -1001,25 +1456,26 @@ codegen::compileKernel(const exec::ExecutablePlan &Plan,
   // Cache key: schedule fingerprint mixed into a hash of the emitted
   // source (which already bakes the box, the window decision and the
   // program), so any plan-visible change misses.
-  uint64_t Key = fnv1a(Source) ^ (Plan.Sched.fingerprint() * 0x9e3779b97f4a7c15ULL);
+  uint64_t Key = Rendered.SourceHash ^
+                 (Plan.Sched.fingerprint() * 0x9e3779b97f4a7c15ULL);
   char Hex[24];
   snprintf(Hex, sizeof(Hex), "%016" PRIx64, Key);
   std::string SoPath = Dir + "/k" + Hex + ".so";
 
   if (std::filesystem::exists(SoPath, Ec) && !Ec) {
-    if (auto Kernel = tryLoad(SoPath)) {
+    if (auto Kernel = tryLoad(SoPath, Rendered.SourceHash)) {
       Metrics.add("jit.cache_hits");
       Metrics.add("jit.cache_events", obs::Labels{{"event", "hit"}});
       return Kernel;
     }
-    // Corrupt or stale entry: drop it and recompile below.
+    // Corrupt, stale or foreign entry: drop it and recompile below.
     std::filesystem::remove(SoPath, Ec);
   }
 
   std::string CPath = Dir + "/k" + Hex + ".c";
   {
     std::ofstream Os(CPath, std::ios::trunc);
-    Os << Source;
+    Os << Rendered.Source;
     if (!Os)
       return fallBack("cannot write the generated source");
   }
@@ -1052,7 +1508,7 @@ codegen::compileKernel(const exec::ExecutablePlan &Plan,
   Metrics.add("jit.cache_events", obs::Labels{{"event", "miss"}});
   Metrics.record("jit.compile_ns", static_cast<double>(Ns));
 
-  if (auto Kernel = tryLoad(SoPath))
+  if (auto Kernel = tryLoad(SoPath, Rendered.SourceHash))
     return Kernel;
   return fallBack("dlopen of the compiled kernel failed");
 }

@@ -30,12 +30,21 @@
 /// counters and modelled cycle totals are bit-identical to the VM and
 /// the AST oracle.
 ///
+/// Bodies whose only top-level reduce is a log-space sum are emitted in
+/// lane groups: eight cells of one partition run up to the reduce, fold
+/// its elements in lockstep (so their latency-bound exp/log1p chains
+/// overlap), then finish and are stored in serial point order. Each
+/// cell still executes the per-cell statement sequence, so the results
+/// stay bit-identical.
+///
 /// Compiled objects are cached on disk keyed by the schedule fingerprint
 /// plus a hash of the emitted source, so cold process starts reuse warm
-/// kernels without invoking the compiler. Any failure — unsupported
-/// body shape, missing or broken host compiler, dlopen error — degrades
-/// to the bytecode VM with a single warning line and a `jit.fallbacks`
-/// metric; it is never an error.
+/// kernels without invoking the compiler. Each object exports the hash
+/// of the source it was built from and the kernel ABI version; a cached
+/// object whose symbols do not match is removed and recompiled, never
+/// run. Any failure — unsupported body shape, missing or broken host
+/// compiler, dlopen error — degrades to the bytecode VM with a single
+/// warning line and a `jit.fallbacks` metric; it is never an error.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -86,6 +95,13 @@ struct JitHmm {
   const uint64_t *AdjOut;      // transitionsFrom lists, concatenated.
   uint64_t Stride;             // Emission row stride (alphabet + 1).
 };
+
+/// Version of the kernel calling convention: JitArgs, JitSlot and
+/// JitKernelFn below, mirrored by the emitted pr_args, pr_slot_t and
+/// parrec_scan. Every kernel exports it as `parrec_kernel_abi`, and a
+/// cached object with another value is recompiled. Bump it whenever
+/// any of the three changes.
+inline constexpr uint64_t JitKernelAbi = 1;
 
 /// Per-run kernel inputs: the binding plus the table base pointer and the
 /// cost model's cycle weights (so one kernel serves both backends and
@@ -197,9 +213,10 @@ std::shared_ptr<const JitKernel>
 compileKernel(const exec::ExecutablePlan &Plan,
               const JitCompileOptions &Opts);
 
-/// Renders the C translation unit for \p Plan without compiling it.
-/// Returns an empty string when the plan has a shape the emitter does
-/// not support (callers fall back to the VM). Exposed for tests.
+/// Renders the C translation unit for \p Plan without compiling it,
+/// ending with its `parrec_kernel_source_hash` definition. Returns an
+/// empty string when the plan has a shape the emitter does not support
+/// (callers fall back to the VM). Exposed for tests.
 std::string renderKernelSource(const exec::ExecutablePlan &Plan);
 
 /// Number of fallback warning lines printed so far (0 or 1: the warning

@@ -17,6 +17,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "bio/HmmZoo.h"
+#include "codegen/NativeJit.h"
 #include "obs/Metrics.h"
 #include "runtime/CompiledRecurrence.h"
 #include "runtime/Interpreter.h"
@@ -89,6 +90,14 @@ const char *DnaViterbiSource =
     "  else\n"
     "    (if s.isend then 1.0 else s.emission[x[i-1]]) *\n"
     "    max(t in s.transitionsto : t.prob * viterbi(t.start, i - 1))\n";
+
+const char *ProteinForwardSource =
+    "prob forward(hmm h, state[h] s, seq[protein] x, index[x] i) =\n"
+    "  if i == 0 then\n"
+    "    if s.isstart then 1.0 else 0.0\n"
+    "  else\n"
+    "    (if s.isend then 1.0 else s.emission[x[i-1]]) *\n"
+    "    sum(t in s.transitionsto : t.prob * forward(t.start, i - 1))\n";
 
 /// A per-process JIT disk cache so concurrent test shards never share
 /// (or pollute) the user's real cache.
@@ -257,6 +266,158 @@ TEST(DifferentialTest, ProfileHmmForward) {
   bio::Sequence X("x", Observed);
   expectEvaluatorsAgree(Fn, {ArgValue::ofHmm(&*Profile), ArgValue(),
                              ArgValue::ofSeq(&X), ArgValue()});
+}
+
+namespace {
+
+/// The benchmark's model shape: a 30-position protein profile with its
+/// silent states eliminated, 63 states whose in-degrees run from 0 to
+/// 32, so the lanes of one group fold sums of very different lengths.
+struct WideProfile {
+  bio::Hmm Model;
+  bio::Sequence Read;
+  std::vector<ArgValue> args() const {
+    return {ArgValue::ofHmm(&Model), ArgValue(), ArgValue::ofSeq(&Read),
+            ArgValue()};
+  }
+};
+
+std::unique_ptr<WideProfile> makeWideProfile() {
+  DiagnosticEngine Diags;
+  auto Profile = bio::eliminateSilentStates(
+      bio::makeProfileHmm(/*MatchPositions=*/30, bio::Alphabet::protein(),
+                          /*Seed=*/0xABCD),
+      Diags);
+  EXPECT_TRUE(Profile.has_value()) << Diags.str();
+  if (!Profile)
+    return nullptr;
+  return std::make_unique<WideProfile>(WideProfile{
+      std::move(*Profile),
+      bio::Sequence("x", randomString(bio::Alphabet::protein().letters(),
+                                      12, /*Seed=*/5))});
+}
+
+} // namespace
+
+TEST(DifferentialTest, WideProfileForward) {
+  CompiledRecurrence Fn = compileOrDie(ProteinForwardSource);
+  auto Wide = makeWideProfile();
+  ASSERT_NE(Wide, nullptr);
+  EXPECT_EQ(Wide->Model.numStates(), 63u);
+  expectEvaluatorsAgree(Fn, Wide->args());
+}
+
+TEST(DifferentialTest, LaneGroupsWithBranches) {
+  // The start state's cells jump past the sum on every row, so lanes
+  // that skip it and lanes that fold it share one group and resume at
+  // different points. The sum's body branches too, so its cost differs
+  // between elements and is accumulated per element.
+  CompiledRecurrence Fn = compileOrDie(
+      "prob forward(hmm h, state[h] s, seq[dna] x, index[x] i) =\n"
+      "  if i == 0 then\n"
+      "    if s.isstart then 1.0 else 0.0\n"
+      "  else if s.isstart then 0.5\n"
+      "  else\n"
+      "    (if s.isend then 1.0 else s.emission[x[i-1]]) *\n"
+      "    sum(t in s.transitionsto :\n"
+      "        if i == 1 then t.prob * forward(t.start, i - 1)\n"
+      "        else t.prob * t.prob * forward(t.start, i - 1))\n");
+  DiagnosticEngine Diags;
+  auto Profile = bio::eliminateSilentStates(
+      bio::makeProfileHmm(/*MatchPositions=*/5, bio::Alphabet::dna(),
+                          /*Seed=*/17),
+      Diags);
+  ASSERT_TRUE(Profile.has_value()) << Diags.str();
+  bio::Sequence X("x", "acgtaacgtt");
+  expectEvaluatorsAgree(Fn, {ArgValue::ofHmm(&*Profile), ArgValue(),
+                             ArgValue::ofSeq(&X), ArgValue()});
+}
+
+TEST(DifferentialTest, JitLaneGroupsUnderWorkerNesting) {
+  // The lane-group kernel under both host-parallel axes. Three scan
+  // workers at a grain of one cell split every partition's 32
+  // simulated threads into slices whose ends fall inside lane groups.
+  CompiledRecurrence Fn = compileOrDie(ProteinForwardSource);
+  auto Wide = makeWideProfile();
+  ASSERT_NE(Wide, nullptr);
+  std::vector<ArgValue> Args = Wide->args();
+  gpu::Device Dev;
+  DiagnosticEngine Diags;
+
+  RunOptions VmOpts;
+  VmOpts.ScanWorkers = 1;
+  auto Vm = Fn.runGpu(Args, Dev, Diags, VmOpts);
+  ASSERT_TRUE(Vm.has_value()) << Diags.str();
+
+  RunOptions JitOpts;
+  JitOpts.Evaluator = EvalKind::Jit;
+  JitOpts.JitCacheDir = jitCacheDirForTest();
+  JitOpts.ScanWorkers = 3;
+  JitOpts.ScanGrainCells = 1;
+  auto Jit = Fn.runGpu(Args, Dev, Diags, JitOpts);
+  ASSERT_TRUE(Jit.has_value()) << Diags.str();
+  expectRunsIdentical(*Vm, *Jit, "JIT", " (scan-workers=3)");
+  EXPECT_EQ(Vm->Metrics.CriticalCycles, Jit->Metrics.CriticalCycles);
+  EXPECT_EQ(Vm->Metrics.ThreadCycles, Jit->Metrics.ThreadCycles);
+
+  std::vector<std::vector<ArgValue>> Problems(4, Args);
+  RunOptions VmBatch;
+  VmBatch.BatchWorkers = 1;
+  RunOptions JitBatch = JitOpts;
+  JitBatch.BatchWorkers = 2;
+  auto VmB = Fn.runGpuBatch(Problems, Dev, Diags, VmBatch);
+  auto JitB = Fn.runGpuBatch(Problems, Dev, Diags, JitBatch);
+  ASSERT_TRUE(VmB.has_value()) << Diags.str();
+  ASSERT_TRUE(JitB.has_value()) << Diags.str();
+  ASSERT_EQ(VmB->Problems.size(), JitB->Problems.size());
+  for (size_t I = 0; I != VmB->Problems.size(); ++I)
+    expectRunsIdentical(VmB->Problems[I], JitB->Problems[I], "JIT",
+                        " (batch problem " + std::to_string(I) + ")");
+  EXPECT_EQ(VmB->TotalCycles, JitB->TotalCycles);
+}
+
+TEST(DifferentialTest, LaneGroupsOnlyForLogSpaceSums) {
+  // Forward's log-space sum renders in lane groups; max-plus bodies
+  // (Smith-Waterman) and Viterbi's max reduce keep one cell at a time.
+  // The kernel header names the lane width, so a silent fall back to
+  // the per-cell shape fails here rather than only slowing a benchmark.
+  const std::string Marker = "Lane groups of 8 cells";
+  auto Render = [](const CompiledRecurrence &Fn,
+                   const std::vector<ArgValue> &Args) {
+    DiagnosticEngine Diags;
+    auto Box = Fn.domainFor(Args, Diags);
+    EXPECT_TRUE(Box.has_value()) << Diags.str();
+    if (!Box)
+      return std::string();
+    auto Plan = Fn.planFor(*Box, RunOptions(), nullptr, Diags);
+    EXPECT_NE(Plan, nullptr) << Diags.str();
+    return Plan ? codegen::renderKernelSource(*Plan) : std::string();
+  };
+
+  auto Wide = makeWideProfile();
+  ASSERT_NE(Wide, nullptr);
+  std::string Forward =
+      Render(compileOrDie(ProteinForwardSource), Wide->args());
+  ASSERT_FALSE(Forward.empty());
+  EXPECT_NE(Forward.find(Marker), std::string::npos);
+  EXPECT_NE(Forward.find("parrec_kernel_source_hash"), std::string::npos);
+
+  bio::Hmm Genes = bio::makeGeneFinderModel();
+  bio::Sequence X("x", "acgtacgtac");
+  std::string Viterbi = Render(compileOrDie(DnaViterbiSource),
+                               {ArgValue::ofHmm(&Genes), ArgValue(),
+                                ArgValue::ofSeq(&X), ArgValue()});
+  ASSERT_FALSE(Viterbi.empty());
+  EXPECT_EQ(Viterbi.find(Marker), std::string::npos);
+
+  const bio::SubstitutionMatrix M =
+      bio::SubstitutionMatrix::matchMismatch(bio::Alphabet::dna(), 2, 1);
+  bio::Sequence A("a", "acgtacg"), B("b", "tacgta");
+  std::string Sw = Render(compileOrDie(SmithWatermanSource),
+                          {ArgValue::ofMatrix(&M), ArgValue::ofSeq(&A),
+                           ArgValue(), ArgValue::ofSeq(&B), ArgValue()});
+  ASSERT_FALSE(Sw.empty());
+  EXPECT_EQ(Sw.find(Marker), std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//

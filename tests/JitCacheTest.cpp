@@ -69,8 +69,9 @@ uint64_t distCount(const char *Name) {
 /// Runs edit distance on \p Fn with the given evaluator and cache dir,
 /// returning the root value (the edit distance itself).
 double runOnce(const CompiledRecurrence &Fn, exec::EvalKind Evaluator,
-               const std::string &CacheDir) {
-  bio::Sequence S("s", "kitten"), T("t", "sitting");
+               const std::string &CacheDir, const char *SText = "kitten",
+               const char *TText = "sitting") {
+  bio::Sequence S("s", SText), T("t", TText);
   std::vector<ArgValue> Args = {ArgValue::ofSeq(&S), ArgValue(),
                                 ArgValue::ofSeq(&T), ArgValue()};
   gpu::Device Dev;
@@ -81,6 +82,19 @@ double runOnce(const CompiledRecurrence &Fn, exec::EvalKind Evaluator,
   auto Result = Fn.runGpu(Args, Dev, Diags, Opts);
   EXPECT_TRUE(Result.has_value()) << Diags.str();
   return Result ? Result->RootValue : -1.0;
+}
+
+/// The one compiled kernel in \p Dir.
+std::filesystem::path onlyKernel(const std::string &Dir) {
+  std::filesystem::path Found;
+  unsigned Count = 0;
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir))
+    if (Entry.path().extension() == ".so") {
+      Found = Entry.path();
+      ++Count;
+    }
+  EXPECT_EQ(Count, 1u) << "expected one kernel in " << Dir;
+  return Found;
 }
 
 } // namespace
@@ -189,4 +203,33 @@ TEST(JitCacheTest, BogusCompilerFallsBackToVm) {
   runOnce(Again, exec::EvalKind::Jit, Dir2);
   ::unsetenv("CC");
   EXPECT_EQ(codegen::jitWarningsEmitted(), 1u);
+}
+
+TEST(JitCacheTest, ForeignEntryRecompiles) {
+  // A loadable kernel that was built for another box sits at this box's
+  // cache path (a key collision, or an object left by an older
+  // emitter). Its baked loop bounds belong to the other box, so it must
+  // be recompiled, never run.
+  std::string DirA = freshCacheDir("foreign-a");
+  std::string DirB = freshCacheDir("foreign-b");
+  {
+    CompiledRecurrence Cold = compileOrDie();
+    runOnce(Cold, exec::EvalKind::Jit, DirA);
+    runOnce(Cold, exec::EvalKind::Jit, DirB, "intention", "execution");
+  }
+  std::filesystem::path Foreign = onlyKernel(DirA);
+  std::filesystem::path Target = onlyKernel(DirB);
+  ASSERT_NE(Foreign.filename(), Target.filename());
+  std::filesystem::remove(Target);
+  std::filesystem::copy_file(Foreign, Target);
+
+  CompiledRecurrence Fresh = compileOrDie();
+  uint64_t CompilesBefore = distCount("jit.compile_ns");
+  double Vm = runOnce(Fresh, exec::EvalKind::Vm, "", "intention", "execution");
+  double Jit =
+      runOnce(Fresh, exec::EvalKind::Jit, DirB, "intention", "execution");
+  EXPECT_EQ(Vm, Jit);
+  EXPECT_EQ(Vm, 5.0);
+  EXPECT_GT(distCount("jit.compile_ns"), CompilesBefore)
+      << "the foreign kernel was loaded instead of recompiled";
 }
