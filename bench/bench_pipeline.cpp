@@ -11,17 +11,16 @@
 /// request shares an ExecutablePlan fingerprint and coalesces freely)
 /// is replayed against serve::Engine on a deliberately *saturated*
 /// cost model — two multiprocessors — at every point of
-/// MaxBatch {1, 4, 8} x {barrier, pipelined, pipelined+packed}.
+/// MaxBatch {1, 4, 8} x {barrier, pipelined}.
 ///
 /// The gates mirror the contract of RunOptions::Pipeline:
 ///   - every request finishes Ok in every configuration;
-///   - responses are bit-identical across the three modes at each
+///   - responses are bit-identical across the two modes at each
 ///     MaxBatch (RootValue, TableMax, Cells, Partitions, per-problem
 ///     Cycles — everything except modelled wall-clock);
 ///   - at MaxBatch >= 4 the pipelined busiest-device cycles are
-///     *strictly* below barrier, and packing is never worse than plain
-///     pipelining; equality across modes is allowed only for singleton
-///     batches (MaxBatch == 1), where it is required.
+///     *strictly* below barrier; equality across modes is allowed only
+///     for singleton batches (MaxBatch == 1), where it is required.
 ///
 /// The engine starts paused and the whole workload is admitted before
 /// the drain, so batch composition — and with it every modelled number
@@ -54,18 +53,10 @@ using namespace parrec;
 
 namespace {
 
-enum class Mode { Barrier, Pipelined, Packed };
+enum class Mode { Barrier, Pipelined };
 
 const char *modeName(Mode M) {
-  switch (M) {
-  case Mode::Barrier:
-    return "barrier";
-  case Mode::Pipelined:
-    return "pipelined";
-  case Mode::Packed:
-    return "packed";
-  }
-  return "?";
+  return M == Mode::Barrier ? "barrier" : "pipelined";
 }
 
 struct ConfigResult {
@@ -84,10 +75,8 @@ struct ConfigResult {
 };
 
 serve::WorkloadSpec makeSpec(bool Smoke, uint64_t Seed) {
-  // Short pinned-length problems: a length-12 query fills well under a
-  // 32-lane block, so small-problem packing has lanes to recover, and
-  // two modelled multiprocessors saturate at batch >= 3 so the tandem
-  // recurrence has something to overlap.
+  // Short pinned-length problems: two modelled multiprocessors saturate
+  // at batch >= 3, so the tandem recurrence has something to overlap.
   serve::TenantSpec T;
   T.Name = "short";
   T.Kind = "smith_waterman";
@@ -108,8 +97,7 @@ ConfigResult runConfig(const serve::Workload &W, size_t MaxBatch, Mode M) {
   Opts.QueueCapacity = W.events().size() + 8;
   Opts.MaxBatch = MaxBatch;
   Opts.Coalesce = true;
-  Opts.Pipeline = M != Mode::Barrier;
-  Opts.PackSmall = M == Mode::Packed;
+  Opts.Pipeline = M == Mode::Pipelined;
   // Admit everything before the drain: batch composition, and with it
   // every modelled number, is then deterministic.
   Opts.StartPaused = true;
@@ -261,7 +249,7 @@ int main(int Argc, char **Argv) {
   }
 
   const size_t Batches[] = {1, 4, 8};
-  const Mode Modes[] = {Mode::Barrier, Mode::Pipelined, Mode::Packed};
+  const Mode Modes[] = {Mode::Barrier, Mode::Pipelined};
   std::vector<ConfigResult> Results;
   for (size_t MaxBatch : Batches)
     for (Mode M : Modes)
@@ -314,54 +302,38 @@ int main(int Argc, char **Argv) {
   for (size_t MaxBatch : Batches) {
     const ConfigResult &Barrier = Find(MaxBatch, Mode::Barrier);
     const ConfigResult &Piped = Find(MaxBatch, Mode::Pipelined);
-    const ConfigResult &Packed = Find(MaxBatch, Mode::Packed);
 
-    // Gate 1: results are bit-identical across the three modes.
+    // Gate 1: results are bit-identical across the two modes.
     std::string Why;
-    for (const ConfigResult *R : {&Piped, &Packed})
-      if (!identicalResponses(Barrier, *R, Why)) {
-        std::fprintf(stderr,
-                     "FAIL: max_batch=%zu mode=%s responses differ from "
-                     "barrier (%s)\n",
-                     MaxBatch, modeName(R->M), Why.c_str());
-        Failed = true;
-      }
+    if (!identicalResponses(Barrier, Piped, Why)) {
+      std::fprintf(stderr,
+                   "FAIL: max_batch=%zu mode=pipelined responses differ "
+                   "from barrier (%s)\n",
+                   MaxBatch, Why.c_str());
+      Failed = true;
+    }
 
-    // Gate 2: the overlap win. Singleton batches have one group per
-    // launch, so all three modes must agree exactly; from MaxBatch 4 the
-    // tandem recurrence must strictly beat the barrier, and packing must
-    // never lose to plain pipelining.
+    // Gate 2: the overlap win. Singleton batches have one problem per
+    // launch, so both modes must agree exactly; from MaxBatch 4 the
+    // tandem recurrence must strictly beat the barrier.
     if (MaxBatch == 1) {
-      if (Piped.ModelledCycles != Barrier.ModelledCycles ||
-          Packed.ModelledCycles != Barrier.ModelledCycles) {
+      if (Piped.ModelledCycles != Barrier.ModelledCycles) {
         std::fprintf(stderr,
                      "FAIL: max_batch=1 modes disagree on modelled cycles "
-                     "(%llu barrier, %llu pipelined, %llu packed)\n",
+                     "(%llu barrier, %llu pipelined)\n",
                      static_cast<unsigned long long>(Barrier.ModelledCycles),
-                     static_cast<unsigned long long>(Piped.ModelledCycles),
-                     static_cast<unsigned long long>(Packed.ModelledCycles));
-        Failed = true;
-      }
-    } else {
-      if (Piped.ModelledCycles >= Barrier.ModelledCycles) {
-        std::fprintf(stderr,
-                     "FAIL: max_batch=%zu pipelining did not strictly "
-                     "reduce busiest-device cycles (%llu vs %llu "
-                     "barrier)\n",
-                     MaxBatch,
-                     static_cast<unsigned long long>(Piped.ModelledCycles),
-                     static_cast<unsigned long long>(Barrier.ModelledCycles));
-        Failed = true;
-      }
-      if (Packed.ModelledCycles > Piped.ModelledCycles) {
-        std::fprintf(stderr,
-                     "FAIL: max_batch=%zu packing lost to plain "
-                     "pipelining (%llu vs %llu)\n",
-                     MaxBatch,
-                     static_cast<unsigned long long>(Packed.ModelledCycles),
                      static_cast<unsigned long long>(Piped.ModelledCycles));
         Failed = true;
       }
+    } else if (Piped.ModelledCycles >= Barrier.ModelledCycles) {
+      std::fprintf(stderr,
+                   "FAIL: max_batch=%zu pipelining did not strictly "
+                   "reduce busiest-device cycles (%llu vs %llu "
+                   "barrier)\n",
+                   MaxBatch,
+                   static_cast<unsigned long long>(Piped.ModelledCycles),
+                   static_cast<unsigned long long>(Barrier.ModelledCycles));
+      Failed = true;
     }
   }
   return Failed ? 1 : 0;

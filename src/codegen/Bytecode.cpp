@@ -19,7 +19,6 @@
 #include "codegen/Bytecode.h"
 
 #include "codegen/LogSpace.h"
-#include "obs/Metrics.h"
 
 #include <cstring>
 #include <limits>
@@ -962,12 +961,8 @@ parrec::codegen::compileToBytecode(const FunctionDecl &F,
                                    const FunctionInfo &Info) {
   // Instrumented by the "bytecode" pass wrapper (compiler/).
   try {
-    std::shared_ptr<const BytecodeProgram> Program =
-        Compiler(F, Info).run();
-    obs::MetricsRegistry::global().add("bytecode.programs_compiled");
-    return Program;
+    return Compiler(F, Info).run();
   } catch (const Unsupported &) {
-    obs::MetricsRegistry::global().add("bytecode.ast_fallbacks");
     return nullptr;
   }
 }

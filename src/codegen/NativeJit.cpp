@@ -1395,8 +1395,6 @@ void warnOnce(const char *Reason) {
 std::shared_ptr<const JitKernel> fallBack(const char *Reason) {
   warnOnce(Reason);
   obs::MetricsRegistry::global().add("jit.fallbacks");
-  obs::MetricsRegistry::global().add("jit.cache_events",
-                                     obs::Labels{{"event", "fallback"}});
   return nullptr;
 }
 
@@ -1465,7 +1463,6 @@ codegen::compileKernel(const exec::ExecutablePlan &Plan,
   if (std::filesystem::exists(SoPath, Ec) && !Ec) {
     if (auto Kernel = tryLoad(SoPath, Rendered.SourceHash)) {
       Metrics.add("jit.cache_hits");
-      Metrics.add("jit.cache_events", obs::Labels{{"event", "hit"}});
       return Kernel;
     }
     // Corrupt, stale or foreign entry: drop it and recompile below.
@@ -1505,7 +1502,6 @@ codegen::compileKernel(const exec::ExecutablePlan &Plan,
     return fallBack("cannot publish the compiled kernel");
   }
   Metrics.add("jit.cache_misses");
-  Metrics.add("jit.cache_events", obs::Labels{{"event", "miss"}});
   Metrics.record("jit.compile_ns", static_cast<double>(Ns));
 
   if (auto Kernel = tryLoad(SoPath, Rendered.SourceHash))

@@ -75,8 +75,6 @@ bool PassPipeline::run(CompilationModule &M) const {
                   .count();
     obs::MetricsRegistry::global().record("compile.pass." + P.Name + ".ns",
                                           static_cast<double>(Ns));
-    obs::MetricsRegistry::global().add("compile.pass_runs",
-                                       obs::Labels{{"pass", P.Name}});
     if (!Ok)
       return false;
   }

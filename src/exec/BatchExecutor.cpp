@@ -36,11 +36,11 @@ BatchDispatch BatchExecutor::run(const std::vector<BatchMember> &Members,
   // own options asked for one.
   auto Finalize = [&](size_t I, unsigned Block,
                       const std::vector<uint64_t> &StageStarts,
-                      unsigned LaneOffset, uint64_t Completion) {
+                      uint64_t Completion) {
     RunResult &R = Results[I];
     if (R.Timeline) {
       const RunOptions &Opts = *Members[I].Options;
-      gpu::emitBlockTimeline(Block, *R.Timeline, StageStarts, LaneOffset,
+      gpu::emitBlockTimeline(Block, *R.Timeline, StageStarts,
                              Opts.FlowId ? Opts.FlowId : I);
       if (!Opts.Trace)
         R.Timeline.reset();
@@ -49,19 +49,12 @@ BatchDispatch BatchExecutor::run(const std::vector<BatchMember> &Members,
   };
 
   // Systolic policy: finished members feed the planner in submission
-  // order under FeedMutex, and whatever a feed seals is published at
-  // once.
+  // order under FeedMutex, and each is published as soon as it is
+  // placed.
   std::optional<gpu::PipelinePlanner> Planner;
   if (Pipeline)
-    Planner.emplace(Device.costModel(), PackSmall,
+    Planner.emplace(Device.costModel(),
                     /*RecordStageStarts=*/obs::Tracer::enabled());
-  auto PublishSealed = [&](const std::vector<size_t> &Sealed) {
-    for (size_t I : Sealed) {
-      const gpu::PipelinePlacement &P = Planner->placement(I);
-      Finalize(I, P.Multiprocessor, P.StageStartCycles, P.LaneOffset,
-               P.CompletionCycles);
-    }
-  };
   std::mutex FeedMutex;
   std::vector<char> Done(N, 0); // Guarded by FeedMutex.
   size_t Cursor = 0;            // Guarded by FeedMutex.
@@ -84,16 +77,18 @@ BatchDispatch BatchExecutor::run(const std::vector<BatchMember> &Members,
     Done[I] = 1;
     for (; Cursor != N && Done[Cursor]; ++Cursor) {
       const RunResult &R = Results[Cursor];
-      PublishSealed(Planner->add(gpu::PipelineProfile::make(
-          R.Timeline, R.Cycles, static_cast<unsigned>(R.Metrics.Threads))));
+      const gpu::PipelinePlacement &P =
+          Planner->add(gpu::PipelineProfile::make(R.Timeline, R.Cycles));
+      Finalize(Cursor, P.Multiprocessor, P.StageStartCycles,
+               P.CompletionCycles);
     }
   });
 
   BatchDispatch D;
   obs::Span Span("exec.dispatch", "exec");
   if (Pipeline) {
-    // Every worker has joined: the last launch seals on this thread.
-    PublishSealed(Planner->finish());
+    // Every worker has joined and every member is published.
+    Planner->finish();
     const gpu::PipelineStats &S = Planner->stats();
     D.MakespanCycles = S.MakespanCycles;
     D.OverlapCycles = S.OverlapCycles;
@@ -107,7 +102,6 @@ BatchDispatch BatchExecutor::run(const std::vector<BatchMember> &Members,
     }
     if (Span.active()) {
       Span.arg("pipelined", uint64_t{1});
-      Span.arg("groups", S.Groups);
       Span.arg("overlap_cycles", S.OverlapCycles);
       Span.arg("idle_cycles", S.IdleCycles);
     }
@@ -121,7 +115,7 @@ BatchDispatch BatchExecutor::run(const std::vector<BatchMember> &Members,
     // back to back on its own multiprocessor's lane.
     for (size_t I = 0; I != N; ++I)
       Finalize(I, static_cast<unsigned>(I), /*StageStarts=*/{},
-               /*LaneOffset=*/0, D.MakespanCycles);
+               D.MakespanCycles);
   }
   if (Span.active()) {
     Span.arg("problems", static_cast<uint64_t>(N));

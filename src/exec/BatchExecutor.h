@@ -21,8 +21,8 @@
 ///    gpu::PipelinePlanner overlaps consecutive members' partitions on a
 ///    multiprocessor. Members are fed to the planner in submission order
 ///    under one batch-local lock as they finish executing, and each is
-///    published the moment its launch seals, while later members may
-///    still be executing.
+///    published the moment it is placed, while later members may still
+///    be executing.
 ///
 /// CompiledRecurrence::runGpuBatch and serve::Engine both run their
 /// batches through here. The policy changes modelled timing only, never a
@@ -77,20 +77,16 @@ public:
   /// (moved out of the executor) and its modelled completion cycle.
   /// Called in submission order, at most one call at a time: on the
   /// calling thread after dispatch under the barrier policy, under the
-  /// batch-local lock on whichever thread sealed the member's launch
-  /// under the systolic one. A callback that resolves futures must not
-  /// block on a later member of the same batch.
+  /// batch-local lock on whichever thread placed the member under the
+  /// systolic one. A callback that resolves futures must not block on a
+  /// later member of the same batch.
   using PublishFn = std::function<void(size_t Member, RunResult &&Result,
                                        uint64_t CompletionCycle)>;
 
-  /// \p Pipeline selects the systolic policy and \p PackSmall lets it
-  /// pack underfilled blocks into one launch (no effect without
-  /// Pipeline).
+  /// \p Pipeline selects the systolic policy.
   BatchExecutor(const gpu::Device &Device, const lang::FunctionDecl &Decl,
-                const lang::FunctionInfo &Info, bool Pipeline,
-                bool PackSmall)
-      : Device(Device), Decl(Decl), Info(Info), Pipeline(Pipeline),
-        PackSmall(PackSmall) {}
+                const lang::FunctionInfo &Info, bool Pipeline)
+      : Device(Device), Decl(Decl), Info(Info), Pipeline(Pipeline) {}
 
   /// Runs \p Members on at most \p HostBudget host workers. A non-zero
   /// \p BatchWorkers or \p ScanWorkers request is obeyed verbatim (batch
@@ -110,7 +106,6 @@ private:
   const lang::FunctionDecl &Decl;
   const lang::FunctionInfo &Info;
   bool Pipeline;
-  bool PackSmall;
 };
 
 } // namespace exec

@@ -520,22 +520,12 @@ RunResult scanPlan(const ExecutablePlan &Plan, codegen::Evaluator &Eval,
 
   // Per-run (never per-cell) registry updates.
   obs::MetricsRegistry &M = obs::MetricsRegistry::global();
-  M.add("exec.runs");
   M.add("exec.runs_by_evaluator",
         obs::Labels{{"evaluator", UseJit ? "jit" : (UseVm ? "vm" : "ast")}});
-  M.add("exec.cells_computed", Result.Cells);
-  M.add("exec.cycles", Result.Cycles);
-  M.add("exec.partitions", static_cast<uint64_t>(Result.Partitions));
   M.record("exec.scan_workers", Stats.Workers);
   if (Stats.Workers > 1) {
     M.add("exec.scan_fork_joins", Stats.ForkJoins);
     M.add("exec.scan_serial_partitions", Stats.SerialPartitions);
-  }
-  if (IsGpu) {
-    M.add("exec.shared_accesses", Result.Metrics.SharedAccesses);
-    M.add("exec.global_accesses", Result.Metrics.GlobalAccesses);
-    M.add("exec.barrier_cycles", Result.Metrics.BarrierCycles);
-    M.record("exec.occupancy", Result.Metrics.occupancy());
   }
   return Result;
 }

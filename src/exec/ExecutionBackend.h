@@ -102,11 +102,6 @@ struct RunOptions {
   /// bit-identical; only BatchResult::TotalCycles (modelled wall clock)
   /// may drop. Never part of a plan key.
   bool Pipeline = false;
-  /// With Pipeline, pack consecutive problems whose partitions underfill
-  /// a block into one simulated launch (per-problem lane offsets). Same
-  /// bit-identity guarantee; no effect without Pipeline. Never part of a
-  /// plan key.
-  bool PackSmall = false;
 };
 
 /// The outcome of running one problem.

@@ -19,22 +19,11 @@ using namespace parrec::gpu;
 
 PipelineProfile PipelineProfile::make(
     std::shared_ptr<const std::vector<PartitionSample>> Timeline,
-    uint64_t TotalCycles, unsigned Threads) {
+    uint64_t TotalCycles) {
   PipelineProfile P;
   P.TotalCycles = TotalCycles;
-  P.Threads = Threads;
-  if (Timeline && !Timeline->empty()) {
+  if (Timeline && !Timeline->empty())
     P.Timeline = std::move(Timeline);
-    unsigned Demand = 0;
-    for (const PartitionSample &S : *P.Timeline)
-      Demand = std::max(Demand, S.ActiveThreads);
-    // A problem always holds at least one lane while resident.
-    P.DemandLanes = std::max(Demand, 1u);
-  } else {
-    // No timeline: model the problem as one opaque stage that fills the
-    // block, which makes it unpackable and pins its whole duration.
-    P.DemandLanes = Threads;
-  }
   return P;
 }
 
@@ -53,58 +42,18 @@ uint64_t stageCost(const PipelineProfile &P, size_t Stage) {
 
 } // namespace
 
-PipelinePlanner::PipelinePlanner(const CostModel &Model, bool PackSmall,
+PipelinePlanner::PipelinePlanner(const CostModel &Model,
                                  bool RecordStageStarts)
-    : Model(Model), PackSmall(PackSmall),
-      RecordStageStarts(RecordStageStarts),
+    : Model(Model), RecordStageStarts(RecordStageStarts),
       Mps(std::max(1u, Model.NumMultiprocessors)) {}
 
-bool PipelinePlanner::joinsOpenGroup(const PipelineProfile &Profile) const {
-  if (!PackSmall || OpenMembers.empty())
-    return false;
-  const PipelineProfile &First = OpenProfiles.front();
-  // Packed problems share one launch's lockstep stages, so they must
-  // agree on block width and stage count, and their lane demands must
-  // fit the block side by side.
-  if (!Profile.Timeline || !First.Timeline)
-    return false;
-  if (Profile.Threads != First.Threads)
-    return false;
-  if (stageCount(Profile) != stageCount(First))
-    return false;
-  return OpenDemand + Profile.DemandLanes <= Profile.Threads;
-}
-
-std::vector<size_t> PipelinePlanner::add(PipelineProfile Profile) {
+const PipelinePlacement &
+PipelinePlanner::add(const PipelineProfile &Profile) {
   assert(!Finished && "add() after finish()");
-  size_t Index = Placements.size();
-  Placements.emplace_back();
-  std::vector<size_t> Sealed;
-  if (!joinsOpenGroup(Profile))
-    Sealed = sealOpenGroup();
-  Placements[Index].LaneOffset = OpenDemand;
-  OpenDemand += Profile.DemandLanes;
-  OpenMembers.push_back(Index);
-  OpenProfiles.push_back(std::move(Profile));
-  return Sealed;
-}
-
-std::vector<size_t> PipelinePlanner::sealOpenGroup() {
-  std::vector<size_t> Sealed = std::move(OpenMembers);
-  OpenMembers.clear();
-  OpenDemand = 0;
-  std::vector<PipelineProfile> Profiles = std::move(OpenProfiles);
-  OpenProfiles.clear();
-  if (Sealed.empty())
-    return Sealed;
-
-  // The packed launch advances in lockstep, so each stage costs the
-  // slowest member's slice of it.
-  size_t Stages = stageCount(Profiles.front());
-  std::vector<uint64_t> Cost(Stages, 0);
-  for (const PipelineProfile &P : Profiles)
-    for (size_t S = 0; S != Stages; ++S)
-      Cost[S] = std::max(Cost[S], stageCost(P, S));
+  size_t Stages = stageCount(Profile);
+  std::vector<uint64_t> Cost(Stages);
+  for (size_t S = 0; S != Stages; ++S)
+    Cost[S] = stageCost(Profile, S);
   uint64_t Serial =
       std::accumulate(Cost.begin(), Cost.end(), uint64_t{0});
 
@@ -136,12 +85,13 @@ std::vector<size_t> PipelinePlanner::sealOpenGroup() {
     }
   }
 
-  uint64_t Completion = BestFinish + Model.KernelLaunchCycles;
-  std::vector<uint64_t> Starts;
+  PipelinePlacement &P = Placements.emplace_back();
+  P.Multiprocessor = Best;
+  P.CompletionCycles = BestFinish + Model.KernelLaunchCycles;
   if (RecordStageStarts) {
-    Starts.resize(Stages);
+    P.StageStartCycles.resize(Stages);
     for (size_t S = 0; S != Stages; ++S)
-      Starts[S] =
+      P.StageStartCycles[S] =
           BestStageFinish[S] - Cost[S] + Model.KernelLaunchCycles;
   }
 
@@ -156,23 +106,13 @@ std::vector<size_t> PipelinePlanner::sealOpenGroup() {
   Mp.FinalFinish = std::max(Mp.FinalFinish, BestFinish);
   Mp.SerialCycles += Serial;
   Mp.Used = true;
-  for (size_t Member : Sealed) {
-    PipelinePlacement &P = Placements[Member];
-    P.Multiprocessor = Best;
-    P.Group = NextGroup;
-    P.CompletionCycles = Completion;
-    P.StageStartCycles = Starts;
-  }
-  ++NextGroup;
-  return Sealed;
+  return P;
 }
 
-std::vector<size_t> PipelinePlanner::finish() {
+void PipelinePlanner::finish() {
   assert(!Finished && "finish() called twice");
-  std::vector<size_t> Sealed = sealOpenGroup();
   Finished = true;
 
-  Stats.Groups = NextGroup;
   uint64_t MaxFinish = 0;
   for (const Multiprocessor &Mp : Mps)
     if (Mp.Used)
@@ -192,13 +132,12 @@ std::vector<size_t> PipelinePlanner::finish() {
     Stats.OverlapCycles += Overlap;
     Stats.IdleCycles += Idle;
   }
-  return Sealed;
 }
 
 void gpu::emitBlockTimeline(unsigned Block,
                             const std::vector<PartitionSample> &Timeline,
                             const std::vector<uint64_t> &StageStarts,
-                            unsigned LaneOffset, uint64_t Problem) {
+                            uint64_t Problem) {
   if (!obs::Tracer::enabled())
     return;
   obs::Tracer &T = obs::Tracer::instance();
@@ -218,7 +157,6 @@ void gpu::emitBlockTimeline(unsigned Block,
     Slice.DurCycles = S.MaxThreadCycles;
     Slice.Args = {
         {"problem", std::to_string(Problem)},
-        {"lane_offset", std::to_string(LaneOffset)},
         {"partition", std::to_string(S.Partition)},
         {"cells", std::to_string(S.Cells)},
         {"max_thread_cycles", std::to_string(S.MaxThreadCycles)},

@@ -12,9 +12,8 @@
 /// partition k+1 of problem i+1 start as soon as partition k of problem i
 /// has released the multiprocessor's stage resource, so a problem's root
 /// cell resolves — and its result can be published — long before the
-/// batch drains. Small problems whose partitions underfill a block can
-/// additionally be packed into one simulated launch with per-problem
-/// lane offsets.
+/// batch drains. Each problem keeps its own launch on one
+/// multiprocessor, as in the paper's map primitive.
 ///
 /// The planner only re-times work that has already been executed: it
 /// consumes per-partition timelines and never touches values, costs or
@@ -29,6 +28,7 @@
 #include "gpu/Device.h"
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -45,29 +45,19 @@ struct PipelineProfile {
   /// max-thread + barrier cycles). Kept for cross-checking; the planner
   /// never alters it.
   uint64_t TotalCycles = 0;
-  /// Block width the problem ran under.
-  unsigned Threads = 0;
-  /// Lanes the problem actually needs: max ActiveThreads over its
-  /// partitions. Packing sums demands, never widths.
-  unsigned DemandLanes = 0;
 
-  /// Builds a profile from a recorded timeline. DemandLanes is derived
-  /// from the samples; an empty timeline degrades to an unpackable
-  /// single stage of \p TotalCycles.
+  /// Builds a profile from a recorded timeline; an empty timeline
+  /// degrades to a single opaque stage of \p TotalCycles.
   static PipelineProfile
   make(std::shared_ptr<const std::vector<PartitionSample>> Timeline,
-       uint64_t TotalCycles, unsigned Threads);
+       uint64_t TotalCycles);
 };
 
 /// Where one problem landed and when its result resolves. Cycles are
 /// measured from batch start and include the kernel launch.
 struct PipelinePlacement {
-  /// Multiprocessor the problem's (packed) launch occupies.
+  /// Multiprocessor the problem's launch occupies.
   unsigned Multiprocessor = 0;
-  /// First lane of the problem within its block (0 unless packed).
-  unsigned LaneOffset = 0;
-  /// Packed-launch id, sequential in submission order.
-  uint64_t Group = 0;
   /// Cycle at which the problem's root cell resolves.
   uint64_t CompletionCycles = 0;
   /// Per-partition start cycles, recorded only when the planner was
@@ -85,8 +75,6 @@ struct PipelineStats {
   uint64_t OverlapCycles = 0;
   /// Cycles multiprocessors idle waiting for the busiest one, summed.
   uint64_t IdleCycles = 0;
-  /// Launches after packing (== problems when packing is off).
-  uint64_t Groups = 0;
   /// Per used multiprocessor: pipelined finish cycle (launch excluded).
   std::vector<uint64_t> MultiprocessorFinish;
   /// Per used multiprocessor: serial minus pipelined cycles.
@@ -96,9 +84,8 @@ struct PipelineStats {
 };
 
 /// Plans the systolic execution of one batch. Problems are fed in
-/// submission order via add(); the planner packs compatible consecutive
-/// small problems into one launch (when enabled), assigns each sealed
-/// launch to the multiprocessor that finishes it earliest, and times its
+/// submission order via add(); the planner assigns each problem's launch
+/// to the multiprocessor that finishes it earliest and times its
 /// partitions with the tandem recurrence
 ///
 ///   finish(g, p) = max(finish(g, p-1), finish(prev, p)) + cost(g, p)
@@ -111,29 +98,23 @@ struct PipelineStats {
 /// stage costs at least the barrier's SyncCycles, so two multi-partition
 /// launches sharing a multiprocessor strictly overlap.
 ///
-/// add() and finish() return the indices of problems whose placement
-/// became final (their launch was sealed), in submission order — the
-/// hook serve uses to resolve futures before the batch drains. All
-/// decisions are deterministic in submission order.
+/// A placement is final the moment add() returns it — the hook serve
+/// uses to resolve futures before the batch drains. All decisions are
+/// deterministic in submission order.
 class PipelinePlanner {
 public:
-  PipelinePlanner(const CostModel &Model, bool PackSmall,
-                  bool RecordStageStarts);
+  PipelinePlanner(const CostModel &Model, bool RecordStageStarts);
 
-  /// Feeds the next problem (submission order). Returns the problems
-  /// finalised by this step: when \p Profile does not join the open
-  /// packed launch, that launch seals and its members' placements —
-  /// completion cycle included — are final.
-  std::vector<size_t> add(PipelineProfile Profile);
+  /// Places the next problem (submission order) and returns its final
+  /// placement, completion cycle included. The reference stays valid
+  /// for the planner's lifetime.
+  const PipelinePlacement &add(const PipelineProfile &Profile);
 
-  /// Seals the open launch and computes batch stats. Returns the last
-  /// problems to become final.
-  std::vector<size_t> finish();
+  /// Computes batch stats over every problem added so far.
+  void finish();
 
   size_t numProblems() const { return Placements.size(); }
 
-  /// Valid once the problem has been finalised (returned by add() or
-  /// finish()).
   const PipelinePlacement &placement(size_t Problem) const {
     return Placements[Problem];
   }
@@ -156,35 +137,25 @@ private:
     bool Used = false;
   };
 
-  bool joinsOpenGroup(const PipelineProfile &Profile) const;
-  std::vector<size_t> sealOpenGroup();
-
   CostModel Model;
-  bool PackSmall = false;
   bool RecordStageStarts = false;
 
-  std::vector<PipelinePlacement> Placements;
+  std::deque<PipelinePlacement> Placements;
   std::vector<Multiprocessor> Mps;
   PipelineStats Stats;
   bool Finished = false;
-
-  // The open (not yet sealed) packed launch.
-  std::vector<size_t> OpenMembers;
-  std::vector<PipelineProfile> OpenProfiles;
-  unsigned OpenDemand = 0;
-  uint64_t NextGroup = 0;
 };
 
 /// Emits \p Timeline as per-partition slices on simulated-device lane
 /// \p Block of the global tracer. Each partition starts at its
 /// pipeline-planned cycle in \p StageStarts; empty \p StageStarts means
 /// back to back from cycle 0 (a problem alone on its multiprocessor).
-/// \p LaneOffset and \p Problem label the slices so packed problems
-/// sharing a block stay distinguishable. No-op when tracing is disabled.
+/// \p Problem labels the slices so problems pipelined on one block stay
+/// distinguishable. No-op when tracing is disabled.
 void emitBlockTimeline(unsigned Block,
                        const std::vector<PartitionSample> &Timeline,
                        const std::vector<uint64_t> &StageStarts = {},
-                       unsigned LaneOffset = 0, uint64_t Problem = 0);
+                       uint64_t Problem = 0);
 
 } // namespace gpu
 } // namespace parrec

@@ -13,6 +13,8 @@
 #include "gpu/Pipeline.h"
 #include "obs/Trace.h"
 
+#include <atomic>
+
 using namespace parrec;
 using namespace parrec::runtime;
 using codegen::ArgValue;
@@ -39,7 +41,9 @@ CompiledRecurrence::fromModule(compiler::CompilationModule &M) {
     return std::nullopt;
   if (CompileSpan.active())
     CompileSpan.arg("function", M.Decl->Name);
+  static std::atomic<uint64_t> NextId{1};
   CompiledRecurrence C;
+  C.Id = NextId.fetch_add(1, std::memory_order_relaxed);
   C.Decl = std::move(M.Decl);
   C.Info = std::move(*M.Info);
   C.Info.Decl = C.Decl.get();
@@ -285,8 +289,7 @@ std::optional<BatchResult> CompiledRecurrence::runGpuBatch(
   Batch.Problems.resize(Problems.size());
   Batch.CompletionCycles.resize(Problems.size());
   exec::BatchDispatch D =
-      exec::BatchExecutor(Device, *Decl, Info, Options.Pipeline,
-                          Options.PackSmall)
+      exec::BatchExecutor(Device, *Decl, Info, Options.Pipeline)
           .run(Members, exec::hostWorkerBudget(), Options.BatchWorkers,
                Options.ScanWorkers,
                [&](size_t I, RunResult &&R, uint64_t Completion) {

@@ -67,6 +67,12 @@ public:
   const lang::FunctionDecl &decl() const { return *Decl; }
   const lang::FunctionInfo &info() const { return Info; }
 
+  /// A process-unique identity, drawn when the function is compiled and
+  /// carried along by moves. Unlike the object's address it is never
+  /// reused, so caches that outlive one function (serve::MemoCache) key
+  /// on it.
+  uint64_t id() const { return Id; }
+
   /// The cell body compiled to bytecode (built once at compile time and
   /// attached to every plan), or null when the body falls back to the
   /// AST evaluator.
@@ -127,9 +133,8 @@ public:
   /// multiprocessor with per-problem conditional schedules (Section 4.7).
   /// With RunOptions::Pipeline the batch is dispatched systolically —
   /// consecutive problems' partitions overlap on each multiprocessor and
-  /// BatchResult::CompletionCycles records when each problem resolves;
-  /// RunOptions::PackSmall additionally packs underfilled blocks. Either
-  /// knob changes only the modelled wall clock, never per-problem
+  /// BatchResult::CompletionCycles records when each problem resolves.
+  /// It changes only the modelled wall clock, never per-problem
   /// results. Problems are simulated concurrently across host worker threads
   /// (RunOptions::BatchWorkers); results are bit-identical for any
   /// worker count.
@@ -152,6 +157,7 @@ private:
             const exec::ExecutionBackend &Backend, DiagnosticEngine &Diags,
             const RunOptions &Options) const;
 
+  uint64_t Id = 0;
   std::unique_ptr<lang::FunctionDecl> Decl;
   lang::FunctionInfo Info;
   std::shared_ptr<const codegen::BytecodeProgram> Bytecode;

@@ -259,22 +259,10 @@ void Engine::complete(Pending &P, Status St, std::string Error) {
       break; // Ok responses are built in executeBatch.
     }
   }
-  switch (St) {
-  case Status::QueueFull:
+  if (St == Status::QueueFull)
     M.add("serve.rejected");
-    break;
-  case Status::Deadline:
+  else if (St == Status::Deadline)
     M.add("serve.deadline_shed");
-    break;
-  case Status::Aborted:
-    M.add("serve.aborted");
-    break;
-  case Status::Failed:
-    M.add("serve.failed");
-    break;
-  case Status::Ok:
-    break;
-  }
   M.add("serve.responses",
         obs::Labels{{"status", statusName(St)},
                     {"tenant", tenantLabel(P.Req.Tenant)}});
@@ -398,7 +386,7 @@ Future Engine::submit(Request Req,
   // queueing. Requests that keep run-scoped payloads are exempt.
   if (Memo && !P.Req.Options.KeepTable && !P.Req.Options.Trace) {
     P.Memoize = true;
-    P.MemoKey.Fn = reinterpret_cast<uintptr_t>(P.Req.Fn);
+    P.MemoKey.Fn = P.Req.Fn->id();
     P.MemoKey.Plan = P.Key;
     P.MemoKey.Digest = exec::inputDigest(P.Req.Args);
     P.MemoKey.Threads = P.Req.Options.Threads;
@@ -417,17 +405,14 @@ Future Engine::submit(Request Req,
   const uint64_t SubmitTick = P.SubmitTick;
   const std::string TenantLbl = tenantLabel(P.Req.Tenant);
   size_t Depth = 0;
-  size_t TenantDepth = 0;
   bool Admitted = false;
   {
     std::lock_guard<std::mutex> Lock(QueueMutex);
     if (!Stopping && Queue.size() < Opts.QueueCapacity) {
       P.Seq = NextRequestSeq++;
-      const std::string &TenantName = P.Req.Tenant;
       Admitted = true;
       Queue.push(std::move(P));
       Depth = Queue.size();
-      TenantDepth = Queue.tenantDepth(TenantName);
     }
   }
   obs::MetricsRegistry &M = obs::MetricsRegistry::global();
@@ -446,11 +431,7 @@ Future Engine::submit(Request Req,
   Span.flowStart(Id);
   M.add("serve.requests");
   M.add("serve.requests_by_tenant", obs::Labels{{"tenant", TenantLbl}});
-  M.add("serve.tenant.enqueued", obs::Labels{{"tenant", TenantLbl}});
   M.observe("serve.queue_depth", static_cast<double>(Depth));
-  M.observe("serve.tenant.queue_depth",
-            obs::Labels{{"tenant", TenantLbl}},
-            static_cast<double>(TenantDepth));
   {
     std::lock_guard<std::mutex> Lock(StatsMutex);
     ++Counters.Submitted;
@@ -474,7 +455,6 @@ bool Engine::tryContinuousJoin(Pending &P) {
     bool Joined = false;
     uint64_t RequestId = 0;
     uint32_t Tenant = 0;
-    std::string TenantName;
     {
       std::lock_guard<std::mutex> LaneLock(Lane.Mutex);
       // Only batches still sitting in the lane deque are candidates: a
@@ -486,7 +466,6 @@ bool Engine::tryContinuousJoin(Pending &P) {
         BatchId = B.Id;
         RequestId = P.Req.Id;
         Tenant = P.TenantId;
-        TenantName = P.Req.Tenant;
         B.Members.push_back(std::move(P));
         Joined = true;
         break;
@@ -497,10 +476,7 @@ bool Engine::tryContinuousJoin(Pending &P) {
     Flight.record(FlightEventKind::Coalesce, RequestId, now(),
                   static_cast<uint8_t>(Status::Ok),
                   static_cast<uint16_t>(Lane.Index), Tenant, BatchId);
-    obs::MetricsRegistry &M = obs::MetricsRegistry::global();
-    M.add("serve.continuous_joins");
-    M.add("serve.tenant.absorbed",
-          obs::Labels{{"tenant", tenantLabel(TenantName)}});
+    obs::MetricsRegistry::global().add("serve.continuous_joins");
     {
       std::lock_guard<std::mutex> Lock(StatsMutex);
       ++Counters.ContinuousJoins;
@@ -562,8 +538,6 @@ void Engine::coalescerMain() {
       for (Pending &P : Shed)
         complete(P, Status::Deadline);
       Shed.clear();
-      M.add("serve.tenant.dequeued",
-            obs::Labels{{"tenant", tenantLabel(Head.Req.Tenant)}});
       bool Joined = tryContinuousJoin(Head);
       Lock.lock();
       if (Joined)
@@ -610,14 +584,6 @@ void Engine::coalescerMain() {
     Lock.unlock();
     for (Pending &P : Shed)
       complete(P, Status::Deadline);
-    if (!Opts.ContinuousBatch)
-      M.add("serve.tenant.dequeued",
-            obs::Labels{{"tenant",
-                         tenantLabel(B.Members[0].Req.Tenant)}});
-    for (size_t I = 1; I < B.Members.size(); ++I)
-      M.add("serve.tenant.absorbed",
-            obs::Labels{{"tenant",
-                         tenantLabel(B.Members[I].Req.Tenant)}});
 
     {
       obs::Span Span("serve.coalesce", "serve");
@@ -776,7 +742,7 @@ void Engine::executeBatch(DeviceLane &Lane, Batch &B) {
     resolve(*P.State, std::move(Resp));
   };
   exec::BatchExecutor Executor(Lane.Device, B.Fn->decl(), B.Fn->info(),
-                               Opts.Pipeline, Opts.PackSmall);
+                               Opts.Pipeline);
   exec::BatchDispatch D = Executor.run(
       Inputs, std::max(1u, exec::hostWorkerBudget() / Opts.Devices),
       Opts.BatchWorkersPerDevice, Opts.ScanWorkersPerDevice, Publish);

@@ -110,15 +110,11 @@ public:
     unsigned ScanWorkersPerDevice = 0;
     /// Dispatch each batch systolically (gpu::PipelinePlanner):
     /// consecutive problems' partitions overlap on a multiprocessor and
-    /// every future resolves the moment its problem's launch seals —
-    /// before the batch drains. Response::CompletionCycle records the
-    /// modelled resolution point. Results are bit-identical to the
-    /// barrier path; only modelled device cycles change.
+    /// every future resolves the moment its problem is placed — before
+    /// the batch drains. Response::CompletionCycle records the modelled
+    /// resolution point. Results are bit-identical to the barrier path;
+    /// only modelled device cycles change.
     bool Pipeline = false;
-    /// With Pipeline, pack consecutive small problems of a batch into
-    /// one simulated launch (per-problem lane offsets). No effect
-    /// without Pipeline.
-    bool PackSmall = false;
     /// Start with the coalescer paused (deterministic tests: fill the
     /// queue, then resume()).
     bool StartPaused = false;

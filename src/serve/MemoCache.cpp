@@ -7,8 +7,6 @@
 
 #include "serve/MemoCache.h"
 
-#include "obs/Metrics.h"
-
 using namespace parrec;
 using namespace parrec::serve;
 
@@ -21,23 +19,18 @@ uint64_t MemoCache::entryBytes(const Entry &E) {
 }
 
 std::optional<MemoCache::Entry> MemoCache::lookup(const Key &K) {
-  obs::MetricsRegistry &M = obs::MetricsRegistry::global();
   std::lock_guard<std::mutex> Lock(Mutex);
   auto It = Index.find(K);
   if (It == Index.end()) {
     ++Counters.Misses;
-    M.add("serve.memo.misses");
     return std::nullopt;
   }
   Lru.splice(Lru.begin(), Lru, It->second);
   ++Counters.Hits;
-  M.add("serve.memo.hits");
-  M.add("serve.memo.hit_bytes", entryBytes(It->second->second));
   return It->second->second;
 }
 
 void MemoCache::insert(const Key &K, Entry E) {
-  obs::MetricsRegistry &M = obs::MetricsRegistry::global();
   std::lock_guard<std::mutex> Lock(Mutex);
   if (Index.count(K))
     return; // A concurrent duplicate execution already inserted it.
@@ -46,13 +39,11 @@ void MemoCache::insert(const Key &K, Entry E) {
   Index.emplace(K, Lru.begin());
   ++Counters.Insertions;
   Counters.Bytes += Bytes;
-  M.add("serve.memo.inserted_bytes", Bytes);
   while (Lru.size() > Capacity) {
     Counters.Bytes -= entryBytes(Lru.back().second);
     Index.erase(Lru.back().first);
     Lru.pop_back();
     ++Counters.Evictions;
-    M.add("serve.memo.evictions");
   }
 }
 

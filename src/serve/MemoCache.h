@@ -43,10 +43,11 @@ namespace serve {
 class MemoCache {
 public:
   struct Key {
-    /// The compiled function the request targets. Pointer identity: the
-    /// engine already requires the function to outlive its requests, and
-    /// batches coalesce on the same pointer.
-    uintptr_t Fn = 0;
+    /// The compiled function the request targets:
+    /// runtime::CompiledRecurrence::id(). Never its address — a
+    /// function compiled into a reused slot sits at its predecessor's
+    /// address while the cache still holds the predecessor's results.
+    uint64_t Fn = 0;
     exec::PlanKey Plan;
     exec::InputDigest Digest;
     /// RunOptions::Threads: not plan-relevant, but it changes the
@@ -64,8 +65,7 @@ public:
       uint64_t H = K.Plan.hash();
       H ^= K.Digest.Lo + 0x9E3779B97F4A7C15ull + (H << 6) + (H >> 2);
       H ^= K.Digest.Hi + 0x9E3779B97F4A7C15ull + (H << 6) + (H >> 2);
-      H ^= (static_cast<uint64_t>(K.Fn) * 0xC2B2AE3D27D4EB4Full) ^
-           K.Threads;
+      H ^= (K.Fn * 0xC2B2AE3D27D4EB4Full) ^ K.Threads;
       return static_cast<size_t>(H);
     }
   };
@@ -91,8 +91,8 @@ public:
       : Capacity(CapacityEntries ? CapacityEntries : 1) {}
 
   /// Returns a copy of the cached entry for \p K and marks it most
-  /// recently used, or nullopt on a miss. Counts the hit or miss, both
-  /// locally and in the serve.memo.* metric families.
+  /// recently used, or nullopt on a miss. Counts the hit or miss in
+  /// stats().
   std::optional<Entry> lookup(const Key &K);
 
   /// Inserts \p E under \p K (first write wins; a concurrent duplicate

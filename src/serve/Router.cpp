@@ -7,7 +7,6 @@
 
 #include "serve/Router.h"
 
-#include "obs/Metrics.h"
 #include "runtime/CompiledRecurrence.h"
 
 #include <algorithm>
@@ -84,12 +83,10 @@ Future Router::submit(Request Req,
   }
 
   std::shared_ptr<Engine> Target;
-  unsigned Chosen = 0;
-  const char *Outcome = "routed";
   {
     std::lock_guard<std::mutex> Lock(Mutex);
     unsigned Home = homeShard(Req.Tenant, KeyHash);
-    Chosen = Home;
+    unsigned Chosen = Home;
     if (!Shards_[Chosen].Live) {
       // Deterministic probe to the next live shard; with every shard
       // draining, fall through to the (stopped) home shard, whose
@@ -98,7 +95,6 @@ Future Router::submit(Request Req,
         unsigned C = (Home + Off) % NumShards;
         if (Shards_[C].Live) {
           Chosen = C;
-          Outcome = "rerouted";
           ++ReroutedCount;
           break;
         }
@@ -119,7 +115,6 @@ Future Router::submit(Request Req,
       }
       if (Best != Chosen) {
         Chosen = Best;
-        Outcome = "spilled";
         ++SpilledCount;
       }
     }
@@ -127,10 +122,6 @@ Future Router::submit(Request Req,
       ++RoutedCount;
     Target = Shards_[Chosen].Eng;
   }
-  obs::MetricsRegistry &M = obs::MetricsRegistry::global();
-  M.add("serve.router.requests",
-        obs::Labels{{"shard", std::to_string(Chosen)},
-                    {"outcome", Outcome}});
   // Submit outside the router lock: a rejection or memo hit runs the
   // caller's callback inline, and that callback may re-enter the router.
   return Target->submit(std::move(Req), std::move(Callback));
@@ -173,7 +164,6 @@ bool Router::drainShard(unsigned Shard) {
     // survive the restart.
     accumulate(Retired[Shard], E->stats());
   }
-  obs::MetricsRegistry::global().add("serve.router.drains");
   return true;
 }
 
@@ -197,7 +187,6 @@ bool Router::readmitShard(unsigned Shard) {
     Tick = LastTick;
   }
   Fresh->advanceTo(Tick);
-  obs::MetricsRegistry::global().add("serve.router.readmits");
   return true;
 }
 

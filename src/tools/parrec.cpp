@@ -58,7 +58,7 @@ int usage() {
                "usage: parrec <command> [options] <file> [extents...]\n"
                "commands:\n"
                "  run [--cpu] [--scan-workers=<n>]\n"
-               "      [--pipeline|--no-pipeline] [--pack-small]\n"
+               "      [--pipeline|--no-pipeline]\n"
                "      [--evaluator=ast|vm|jit] [--jit-cache-dir=<dir>]\n"
                "      [--trace-out=<f>] [--trace-tree] [--stats[=json]]\n"
                "      [--stats-out=<f>] [--dump-passes]\n"
@@ -71,10 +71,8 @@ int usage() {
                "                         oracle, vm bytecode (default), jit\n"
                "                         native; all bit-identical;\n"
                "                         --pipeline: overlap batch members'\n"
-               "                         partitions across multiprocessors,\n"
-               "                         --pack-small: pack underfilled\n"
-               "                         blocks (needs --pipeline) — both\n"
-               "                         change modelled wall-clock only)\n"
+               "                         partitions across multiprocessors;\n"
+               "                         changes modelled wall-clock only)\n"
                "  check <function>       analyse a single function\n"
                "  schedule <fn> <n...>   derive the minimal schedule\n"
                "  emit <fn>              print synthesized CUDA source\n"
@@ -85,7 +83,7 @@ int usage() {
                "      [--router-shards=<n>] [--spill-depth=<n>]\n"
                "      [--tenant-weight=<name>=<w>] [--continuous-batch]\n"
                "      [--memo-cap=<entries>]\n"
-               "      [--pipeline|--no-pipeline] [--pack-small]\n"
+               "      [--pipeline|--no-pipeline]\n"
                "      [--batch-workers=<n>] [--scan-workers=<n>]\n"
                "      [--strict] [--stats-out=<f>] [--trace-out=<f>]\n"
                "      [--prom-out=<f>] [--export-jsonl=<f>]\n"
@@ -225,7 +223,7 @@ const char *optionValue(const char *Arg, const char *Name) {
 int cmdRun(int Argc, char **Argv) {
   bool UseCpu = false, DumpPasses = false;
   bool StatsHuman = false, StatsJson = false, TraceTree = false;
-  bool Pipeline = false, PackSmall = false;
+  bool Pipeline = false;
   unsigned ScanWorkers = 0;
   exec::EvalKind Evaluator = exec::EvalKind::Vm;
   std::string TraceOut, StatsOut, JitCacheDir;
@@ -240,8 +238,6 @@ int cmdRun(int Argc, char **Argv) {
       Pipeline = true;
     else if (std::strcmp(Arg, "--no-pipeline") == 0)
       Pipeline = false;
-    else if (std::strcmp(Arg, "--pack-small") == 0)
-      PackSmall = true;
     else if (std::strcmp(Arg, "--dump-passes") == 0)
       DumpPasses = true;
     else if ((Value = optionValue(Arg, "--disable-pass"))) {
@@ -286,10 +282,6 @@ int cmdRun(int Argc, char **Argv) {
   }
   if (FileIndex >= Argc)
     return usage();
-  if (PackSmall && !Pipeline) {
-    std::fprintf(stderr, "error: --pack-small requires --pipeline\n");
-    return 2;
-  }
   if (!DisabledPasses.empty())
     compiler::setDisabledPasses(std::move(DisabledPasses));
   if (!TraceOut.empty() || TraceTree)
@@ -312,7 +304,6 @@ int cmdRun(int Argc, char **Argv) {
   Opts.Run.Trace = obs::Tracer::enabled();
   Opts.Run.ScanWorkers = ScanWorkers;
   Opts.Run.Pipeline = Pipeline;
-  Opts.Run.PackSmall = PackSmall;
   Opts.Run.Evaluator = Evaluator;
   Opts.Run.JitCacheDir = JitCacheDir;
   runtime::Interpreter Interp(Diags, std::move(Opts));
@@ -604,8 +595,6 @@ int cmdServe(int Argc, char **Argv) {
       Opts.Pipeline = true;
     } else if (std::strcmp(Arg, "--no-pipeline") == 0) {
       Opts.Pipeline = false;
-    } else if (std::strcmp(Arg, "--pack-small") == 0) {
-      Opts.PackSmall = true;
     } else if ((Value = optionValue(Arg, "--batch-workers"))) {
       if (!parseCount("--batch-workers", Value,
                       &Opts.BatchWorkersPerDevice))
@@ -633,10 +622,6 @@ int cmdServe(int Argc, char **Argv) {
       std::fprintf(stderr, "error: unknown serve option '%s'\n", Arg);
       return 2;
     }
-  }
-  if (Opts.PackSmall && !Opts.Pipeline) {
-    std::fprintf(stderr, "error: --pack-small requires --pipeline\n");
-    return 2;
   }
   if (ExportIntervalMs != 0 && PromOut.empty() && ExportJsonl.empty()) {
     std::fprintf(stderr, "error: --export-interval needs --prom-out "

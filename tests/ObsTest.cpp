@@ -34,8 +34,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -723,6 +726,63 @@ TEST(MetricsTest, JitPassFollowsTheNamingLaw) {
                 After.counter("jit.cache_misses") +
                 After.counter("jit.fallbacks"),
             1u);
+}
+
+/// exec.runs_by_evaluator counts each run under the evaluator that
+/// executed it, not the one requested: the JIT falls back to the VM
+/// without a host compiler, and the VM to the AST walker without a
+/// bytecode program.
+TEST(MetricsTest, RunsByEvaluatorCountsTheEvaluatorThatRan) {
+  bio::Sequence S("s", "kitten"), T("t", "sitting");
+  gpu::Device Dev;
+  DiagnosticEngine Diags;
+  auto runCounts = [] {
+    MetricsSnapshot Snap = MetricsRegistry::global().snapshot();
+    std::map<std::string, uint64_t> Counts;
+    for (const char *Evaluator : {"ast", "vm", "jit"})
+      Counts[Evaluator] =
+          Snap.labelled("exec.runs_by_evaluator",
+                        Labels{{"evaluator", Evaluator}}.render());
+    return Counts;
+  };
+  auto expectOneRunUnder = [&](const char *Ran,
+                               std::map<std::string, uint64_t> Before) {
+    ++Before[Ran];
+    EXPECT_EQ(runCounts(), Before) << "expected one run under " << Ran;
+  };
+
+  // VM requested, but the bytecode pass is disabled: the AST walks.
+  compiler::setDisabledPasses({"bytecode"});
+  CompiledRecurrence NoBytecode = compileOrDie(EditDistanceSource);
+  compiler::setDisabledPasses({});
+  ASSERT_EQ(NoBytecode.bytecode(), nullptr);
+  std::map<std::string, uint64_t> Before = runCounts();
+  exec::RunOptions Vm;
+  Vm.Evaluator = exec::EvalKind::Vm;
+  ASSERT_TRUE(
+      NoBytecode.runGpu(editDistanceArgs(S, T), Dev, Diags, Vm).has_value())
+      << Diags.str();
+  expectOneRunUnder("ast", Before);
+
+  // JIT requested, but CC names a missing compiler and the cache is
+  // cold: the VM runs.
+  const char *OldCc = std::getenv("CC");
+  const std::string SavedCc = OldCc ? OldCc : "";
+  ASSERT_EQ(::setenv("CC", "/nonexistent/bin/not-a-compiler", 1), 0);
+  CompiledRecurrence Fn = compileOrDie(EditDistanceSource);
+  exec::RunOptions Jit;
+  Jit.Evaluator = exec::EvalKind::Jit;
+  Jit.JitCacheDir =
+      "/tmp/parrec-jit-obstest-nocc-" + std::to_string(::getpid());
+  std::filesystem::remove_all(Jit.JitCacheDir);
+  Before = runCounts();
+  bool Ran = Fn.runGpu(editDistanceArgs(S, T), Dev, Diags, Jit).has_value();
+  if (OldCc)
+    ::setenv("CC", SavedCc.c_str(), 1);
+  else
+    ::unsetenv("CC");
+  ASSERT_TRUE(Ran) << Diags.str();
+  expectOneRunUnder("vm", Before);
 }
 
 //===----------------------------------------------------------------------===//

@@ -6,12 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The pipelined batch dispatcher's contract: RunOptions::Pipeline and
-/// PackSmall change only the modelled wall clock. Per-problem results,
-/// costs, cycle totals, metrics and schedules are bit-identical to the
-/// barrier path across every evaluator, window choice, scan-worker count
-/// and packing mode; on a saturated device the pipelined makespan drops
-/// strictly and the overlap/idle accounting and trace slices expose why.
+/// The pipelined batch dispatcher's contract: RunOptions::Pipeline
+/// changes only the modelled wall clock. Per-problem results, costs,
+/// cycle totals, metrics and schedules are bit-identical to the barrier
+/// path across every evaluator, window choice and scan-worker count; on
+/// a saturated device the pipelined makespan drops strictly and the
+/// overlap/idle accounting and trace slices expose why.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -116,7 +116,7 @@ gpu::PipelineProfile makeProfile(const std::vector<uint64_t> &StageCycles,
   return gpu::PipelineProfile::make(
       std::make_shared<const std::vector<gpu::PartitionSample>>(
           std::move(T)),
-      Total, Threads);
+      Total);
 }
 
 } // namespace
@@ -134,8 +134,7 @@ TEST(PipelineExecTest, ShortLaunchNeverRegressesMultiprocessorFinish) {
   Model.NumMultiprocessors = 1;
   uint64_t Launch = Model.KernelLaunchCycles;
 
-  gpu::PipelinePlanner Planner(Model, /*PackSmall=*/false,
-                               /*RecordStageStarts=*/false);
+  gpu::PipelinePlanner Planner(Model, /*RecordStageStarts=*/false);
   Planner.add(makeProfile({100, 100, 100, 100}, 32));
   Planner.add(makeProfile({10}, 32));
   Planner.finish();
@@ -158,8 +157,7 @@ TEST(PipelineExecTest, DeepLaunchWaitsOnCarriedPredecessorStages) {
   Model.NumMultiprocessors = 1;
   uint64_t Launch = Model.KernelLaunchCycles;
 
-  gpu::PipelinePlanner Planner(Model, /*PackSmall=*/false,
-                               /*RecordStageStarts=*/false);
+  gpu::PipelinePlanner Planner(Model, /*RecordStageStarts=*/false);
   Planner.add(makeProfile({100, 100, 100, 100}, 32));
   Planner.add(makeProfile({10}, 32));
   Planner.add(makeProfile({100, 100, 100, 100}, 32));
@@ -175,7 +173,7 @@ TEST(PipelineExecTest, DeepLaunchWaitsOnCarriedPredecessorStages) {
 }
 
 //===----------------------------------------------------------------------===//
-// Bit-identity sweep: evaluators x window x scan workers x packing
+// Bit-identity sweep: evaluators x window x scan workers
 //===----------------------------------------------------------------------===//
 
 TEST(PipelineExecTest, PipelinedBatchBitIdenticalAcrossSweep) {
@@ -197,58 +195,51 @@ TEST(PipelineExecTest, PipelinedBatchBitIdenticalAcrossSweep) {
        {exec::EvalKind::Ast, exec::EvalKind::Vm, exec::EvalKind::Jit}) {
     for (bool Window : {true, false}) {
       for (unsigned ScanWorkers : {1u, 3u}) {
-        for (bool Pack : {false, true}) {
-          RunOptions Base;
-          Base.Evaluator = Eval;
-          Base.UseSlidingWindow = Window;
-          Base.ScanWorkers = ScanWorkers;
-          Base.JitCacheDir = JitCache;
+        RunOptions Base;
+        Base.Evaluator = Eval;
+        Base.UseSlidingWindow = Window;
+        Base.ScanWorkers = ScanWorkers;
+        Base.JitCacheDir = JitCache;
 
-          DiagnosticEngine Diags;
-          auto Barrier =
-              B.Sw.runGpuBatch(B.Problems, Device, Diags, Base);
-          ASSERT_TRUE(Barrier.has_value()) << Diags.str();
+        DiagnosticEngine Diags;
+        auto Barrier = B.Sw.runGpuBatch(B.Problems, Device, Diags, Base);
+        ASSERT_TRUE(Barrier.has_value()) << Diags.str();
 
-          RunOptions Piped = Base;
-          Piped.Pipeline = true;
-          Piped.PackSmall = Pack;
-          auto Pipelined =
-              B.Sw.runGpuBatch(B.Problems, Device, Diags, Piped);
-          ASSERT_TRUE(Pipelined.has_value()) << Diags.str();
+        RunOptions Piped = Base;
+        Piped.Pipeline = true;
+        auto Pipelined = B.Sw.runGpuBatch(B.Problems, Device, Diags, Piped);
+        ASSERT_TRUE(Pipelined.has_value()) << Diags.str();
 
-          SCOPED_TRACE("eval=" + std::to_string(int(Eval)) +
-                       " window=" + std::to_string(Window) +
-                       " scan=" + std::to_string(ScanWorkers) +
-                       " pack=" + std::to_string(Pack));
-          ASSERT_EQ(Barrier->Problems.size(), B.Problems.size());
-          ASSERT_EQ(Pipelined->Problems.size(), B.Problems.size());
-          for (size_t I = 0; I != B.Problems.size(); ++I) {
-            expectIdentical(Barrier->Problems[I], Pipelined->Problems[I]);
-            EXPECT_EQ(Barrier->Problems[I].RootValue, OracleRoot[I]);
-            EXPECT_EQ(Barrier->Problems[I].TableMax, OracleMax[I]);
-            // No tracing was requested: the pipeline planner's internal
-            // timelines must not leak into the result shape.
-            EXPECT_EQ(Barrier->Problems[I].Timeline, nullptr);
-            EXPECT_EQ(Pipelined->Problems[I].Timeline, nullptr);
-          }
-
-          // Barrier semantics: everything completes at batch end.
-          ASSERT_EQ(Barrier->CompletionCycles.size(), B.Problems.size());
-          for (uint64_t C : Barrier->CompletionCycles)
-            EXPECT_EQ(C, Barrier->TotalCycles);
-          EXPECT_EQ(Barrier->OverlapCycles, 0u);
-
-          // Pipelined semantics: the last completion is the makespan and
-          // nothing takes longer than back-to-back dispatch (each
-          // problem has its own multiprocessor here, so the makespans
-          // are in fact equal).
-          ASSERT_EQ(Pipelined->CompletionCycles.size(),
-                    B.Problems.size());
-          EXPECT_EQ(*std::max_element(Pipelined->CompletionCycles.begin(),
-                                      Pipelined->CompletionCycles.end()),
-                    Pipelined->TotalCycles);
-          EXPECT_LE(Pipelined->TotalCycles, Barrier->TotalCycles);
+        SCOPED_TRACE("eval=" + std::to_string(int(Eval)) +
+                     " window=" + std::to_string(Window) +
+                     " scan=" + std::to_string(ScanWorkers));
+        ASSERT_EQ(Barrier->Problems.size(), B.Problems.size());
+        ASSERT_EQ(Pipelined->Problems.size(), B.Problems.size());
+        for (size_t I = 0; I != B.Problems.size(); ++I) {
+          expectIdentical(Barrier->Problems[I], Pipelined->Problems[I]);
+          EXPECT_EQ(Barrier->Problems[I].RootValue, OracleRoot[I]);
+          EXPECT_EQ(Barrier->Problems[I].TableMax, OracleMax[I]);
+          // No tracing was requested: the pipeline planner's internal
+          // timelines must not leak into the result shape.
+          EXPECT_EQ(Barrier->Problems[I].Timeline, nullptr);
+          EXPECT_EQ(Pipelined->Problems[I].Timeline, nullptr);
         }
+
+        // Barrier semantics: everything completes at batch end.
+        ASSERT_EQ(Barrier->CompletionCycles.size(), B.Problems.size());
+        for (uint64_t C : Barrier->CompletionCycles)
+          EXPECT_EQ(C, Barrier->TotalCycles);
+        EXPECT_EQ(Barrier->OverlapCycles, 0u);
+
+        // Pipelined semantics: the last completion is the makespan and
+        // nothing takes longer than back-to-back dispatch (each
+        // problem has its own multiprocessor here, so the makespans
+        // are in fact equal).
+        ASSERT_EQ(Pipelined->CompletionCycles.size(), B.Problems.size());
+        EXPECT_EQ(*std::max_element(Pipelined->CompletionCycles.begin(),
+                                    Pipelined->CompletionCycles.end()),
+                  Pipelined->TotalCycles);
+        EXPECT_LE(Pipelined->TotalCycles, Barrier->TotalCycles);
       }
     }
   }
@@ -303,38 +294,33 @@ TEST(PipelineExecTest, MixedDepthBatchKeepsCompletionsWithinMakespan) {
   ASSERT_TRUE(Barrier.has_value()) << Diags.str();
 
   uint64_t Launch = Device.costModel().KernelLaunchCycles;
-  for (bool Pack : {false, true}) {
-    SCOPED_TRACE("pack=" + std::to_string(Pack));
-    RunOptions Piped;
-    Piped.Pipeline = true;
-    Piped.PackSmall = Pack;
-    auto Pipelined = B.Sw.runGpuBatch(B.Problems, Device, Diags, Piped);
-    ASSERT_TRUE(Pipelined.has_value()) << Diags.str();
+  RunOptions Piped;
+  Piped.Pipeline = true;
+  auto Pipelined = B.Sw.runGpuBatch(B.Problems, Device, Diags, Piped);
+  ASSERT_TRUE(Pipelined.has_value()) << Diags.str();
 
-    uint64_t Longest = 0;
-    for (size_t I = 0; I != B.Problems.size(); ++I) {
-      expectIdentical(Barrier->Problems[I], Pipelined->Problems[I]);
-      Longest = std::max(Longest, Pipelined->Problems[I].Cycles);
-    }
-
-    // The makespan covers every member: no completion may exceed it,
-    // the last completion is the makespan, and the busiest device runs
-    // at least the longest single problem.
-    ASSERT_EQ(Pipelined->CompletionCycles.size(), B.Problems.size());
-    for (uint64_t C : Pipelined->CompletionCycles)
-      EXPECT_LE(C, Pipelined->TotalCycles);
-    EXPECT_EQ(*std::max_element(Pipelined->CompletionCycles.begin(),
-                                Pipelined->CompletionCycles.end()),
-              Pipelined->TotalCycles);
-    EXPECT_GE(Pipelined->TotalCycles, Longest + Launch);
-    EXPECT_LE(Pipelined->TotalCycles, Barrier->TotalCycles);
+  uint64_t Longest = 0;
+  for (size_t I = 0; I != B.Problems.size(); ++I) {
+    expectIdentical(Barrier->Problems[I], Pipelined->Problems[I]);
+    Longest = std::max(Longest, Pipelined->Problems[I].Cycles);
   }
+
+  // The makespan covers every member: no completion may exceed it,
+  // the last completion is the makespan, and the busiest device runs
+  // at least the longest single problem.
+  ASSERT_EQ(Pipelined->CompletionCycles.size(), B.Problems.size());
+  for (uint64_t C : Pipelined->CompletionCycles)
+    EXPECT_LE(C, Pipelined->TotalCycles);
+  EXPECT_EQ(*std::max_element(Pipelined->CompletionCycles.begin(),
+                              Pipelined->CompletionCycles.end()),
+            Pipelined->TotalCycles);
+  EXPECT_GE(Pipelined->TotalCycles, Longest + Launch);
+  EXPECT_LE(Pipelined->TotalCycles, Barrier->TotalCycles);
 }
 
-TEST(PipelineExecTest, PackingRecoversUnderfilledBlocks) {
+TEST(PipelineExecTest, PipeliningBeatsBarrierOnUnderfilledBlocks) {
   // Short sequences against a short query: each problem's widest
-  // partition holds ~9 active threads of a 32-wide block, so three pack
-  // into one launch.
+  // partition holds ~9 active threads of a 32-wide block.
   SwBatch B(/*QueryLen=*/12, {8, 8, 8, 8});
   gpu::Device Device = saturatedDevice();
 
@@ -344,21 +330,14 @@ TEST(PipelineExecTest, PackingRecoversUnderfilledBlocks) {
 
   RunOptions Piped;
   Piped.Pipeline = true;
-  auto NoPack = B.Sw.runGpuBatch(B.Problems, Device, Diags, Piped);
-  ASSERT_TRUE(NoPack.has_value()) << Diags.str();
+  auto Pipelined = B.Sw.runGpuBatch(B.Problems, Device, Diags, Piped);
+  ASSERT_TRUE(Pipelined.has_value()) << Diags.str();
 
-  Piped.PackSmall = true;
-  auto Packed = B.Sw.runGpuBatch(B.Problems, Device, Diags, Piped);
-  ASSERT_TRUE(Packed.has_value()) << Diags.str();
-
-  for (size_t I = 0; I != B.Problems.size(); ++I) {
-    expectIdentical(Barrier->Problems[I], NoPack->Problems[I]);
-    expectIdentical(Barrier->Problems[I], Packed->Problems[I]);
-  }
-  // Packing turns four underfilled launches into two full ones: the
-  // makespan drops below both the barrier and the unpacked pipeline.
-  EXPECT_LT(NoPack->TotalCycles, Barrier->TotalCycles);
-  EXPECT_LT(Packed->TotalCycles, NoPack->TotalCycles);
+  for (size_t I = 0; I != B.Problems.size(); ++I)
+    expectIdentical(Barrier->Problems[I], Pipelined->Problems[I]);
+  // Two underfilled launches share each multiprocessor: the pipelined
+  // makespan drops below the barrier one.
+  EXPECT_LT(Pipelined->TotalCycles, Barrier->TotalCycles);
 }
 
 TEST(PipelineExecTest, OverlapAndIdleHistogramsPopulated) {
@@ -449,35 +428,6 @@ TEST(PipelineExecTest, TraceShowsOverlappedPartitionSlices) {
       Overlapped |= Lo < Hi;
     }
   EXPECT_TRUE(Overlapped);
-}
-
-TEST(PipelineExecTest, PackedProblemsCarryLaneOffsets) {
-  SwBatch B(/*QueryLen=*/12, {8, 8, 8});
-  gpu::Device Device = saturatedDevice();
-
-  obs::Tracer::instance().disable();
-  obs::Tracer::instance().reset();
-  obs::Tracer::instance().enable();
-  RunOptions Piped;
-  Piped.Pipeline = true;
-  Piped.PackSmall = true;
-  DiagnosticEngine Diags;
-  auto R = B.Sw.runGpuBatch(B.Problems, Device, Diags, Piped);
-  obs::Tracer::instance().disable();
-  std::vector<obs::DeviceSlice> Slices =
-      obs::Tracer::instance().deviceSlices();
-  obs::Tracer::instance().reset();
-  ASSERT_TRUE(R.has_value()) << Diags.str();
-
-  // All three problems packed into one launch: completions coincide and
-  // at least one traced problem sits at a non-zero lane offset.
-  EXPECT_EQ(R->CompletionCycles[0], R->CompletionCycles[1]);
-  EXPECT_EQ(R->CompletionCycles[0], R->CompletionCycles[2]);
-  bool NonZeroLane = false;
-  for (const obs::DeviceSlice &S : Slices)
-    if (const std::string *Lane = argValue(S, "lane_offset"))
-      NonZeroLane |= *Lane != "0";
-  EXPECT_TRUE(NonZeroLane);
 }
 
 //===----------------------------------------------------------------------===//

@@ -27,6 +27,8 @@
 
 #include <deque>
 #include <map>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -537,4 +539,54 @@ TEST(RouterTest, MemoCacheIsSharedAcrossShards) {
   EXPECT_EQ(DeviceRequests, 1u);
   ASSERT_TRUE(Router.memoCache() != nullptr);
   EXPECT_EQ(Router.memoCache()->stats().Hits, 3u);
+}
+
+TEST(RouterTest, MemoCacheKeysOnFunctionIdentityNotAddress) {
+  // A slot reused for another function keeps its address, while the
+  // shared memo cache outlives both routers. The repeat against the new
+  // occupant must miss and return the new function's result.
+  RoutedProblems P;
+  auto Cache = std::make_shared<serve::MemoCache>(/*CapacityEntries=*/32);
+  serve::Router::Options RO;
+  RO.Shards = 2;
+  RO.Shard.Memo = Cache;
+  std::optional<CompiledRecurrence> Slot = compileOrDie(SwSource);
+  const CompiledRecurrence *Address = &*Slot;
+  auto submitAndDrain = [&] {
+    serve::Router Router(RO);
+    serve::Request Req;
+    Req.Fn = &*Slot;
+    Req.Args = P.Args[0];
+    serve::Response R = Router.submit(std::move(Req)).wait();
+    Router.shutdown(serve::Engine::ShutdownMode::Drain);
+    return R;
+  };
+
+  const serve::Response First = submitAndDrain();
+  ASSERT_EQ(First.St, serve::Status::Ok) << First.Error;
+  EXPECT_FALSE(First.Memoized);
+
+  const char *SwGap7Source =
+      "int sw(matrix[protein] m, seq[protein] a, index[a] i,\n"
+      "       seq[protein] b, index[b] j) =\n"
+      "  if i == 0 then 0\n"
+      "  else if j == 0 then 0\n"
+      "  else 0 max (sw(i-1, j-1) + m[a[i-1], b[j-1]])\n"
+      "       max (sw(i-1, j) - 7) max (sw(i, j-1) - 7)\n";
+  Slot = compileOrDie(SwGap7Source);
+  ASSERT_EQ(&*Slot, Address);
+  gpu::Device Device;
+  DiagnosticEngine Diags;
+  std::optional<RunResult> Direct = Slot->runGpu(P.Args[0], Device, Diags);
+  ASSERT_TRUE(Direct.has_value()) << Diags.str();
+  ASSERT_NE(Direct->RootValue, First.Result.RootValue)
+      << "the variant must score the problem differently";
+
+  const serve::Response Second = submitAndDrain();
+  ASSERT_EQ(Second.St, serve::Status::Ok) << Second.Error;
+  EXPECT_FALSE(Second.Memoized) << "served the replaced function's result";
+  expectIdentical(*Direct, Second.Result);
+  serve::MemoCache::Stats S = Cache->stats();
+  EXPECT_EQ(S.Hits, 0u);
+  EXPECT_EQ(S.Misses, 2u);
 }

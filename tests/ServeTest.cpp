@@ -909,13 +909,12 @@ TEST(ServeEngineTest, PipelinedFuturesResolveBeforeBatchEnd) {
 TEST(ServeEngineTest, PipelinedEngineMatchesBarrierEngineBitForBit) {
   SameShapeProblems P(8);
 
-  auto RunEngine = [&](bool Pipeline, bool PackSmall) {
+  auto RunEngine = [&](bool Pipeline) {
     serve::Engine::Options Opts;
     Opts.Devices = 1;
     Opts.MaxBatch = 4;
     Opts.StartPaused = true;
     Opts.Pipeline = Pipeline;
-    Opts.PackSmall = PackSmall;
     serve::Engine Engine(Opts);
     std::vector<serve::Future> Futures;
     for (const auto &Args : P.Args) {
@@ -934,15 +933,12 @@ TEST(ServeEngineTest, PipelinedEngineMatchesBarrierEngineBitForBit) {
     return Out;
   };
 
-  auto [Barrier, BarrierDump] = RunEngine(false, false);
-  auto [Piped, PipedDump] = RunEngine(true, false);
-  auto [Packed, PackedDump] = RunEngine(true, true);
+  auto [Barrier, BarrierDump] = RunEngine(false);
+  auto [Piped, PipedDump] = RunEngine(true);
   (void)BarrierDump;
   ASSERT_EQ(Barrier.size(), Piped.size());
-  ASSERT_EQ(Barrier.size(), Packed.size());
   for (size_t I = 0; I != Barrier.size(); ++I) {
     expectIdentical(Barrier[I].Result, Piped[I].Result);
-    expectIdentical(Barrier[I].Result, Packed[I].Result);
     // Barrier batches resolve everything at batch end; pipelined
     // completions never pass it.
     EXPECT_LE(Piped[I].CompletionCycle, Barrier[I].CompletionCycle);
@@ -952,24 +948,22 @@ TEST(ServeEngineTest, PipelinedEngineMatchesBarrierEngineBitForBit) {
   // The pipelined engine's early publication must keep the flight
   // recorder's complete events monotone in request id (one device,
   // batches in submission order, members published in order).
-  for (const std::string &Dump : {PipedDump, PackedDump}) {
-    std::string Error;
-    std::optional<obs::JsonValue> Doc = obs::parseJson(Dump, &Error);
-    ASSERT_TRUE(Doc.has_value()) << Error;
-    const obs::JsonValue *Events = Doc->member("events");
-    ASSERT_TRUE(Events && Events->isArray());
-    int64_t PrevId = 0;
-    size_t Completes = 0;
-    for (const obs::JsonValue &E : Events->array()) {
-      if (E.stringOr("event", "") != "complete")
-        continue;
-      ++Completes;
-      const int64_t Id = E.integerOr("request", -1);
-      EXPECT_GT(Id, PrevId) << "complete events out of request order";
-      PrevId = Id;
-    }
-    EXPECT_EQ(Completes, P.Args.size());
+  std::string Error;
+  std::optional<obs::JsonValue> Doc = obs::parseJson(PipedDump, &Error);
+  ASSERT_TRUE(Doc.has_value()) << Error;
+  const obs::JsonValue *Events = Doc->member("events");
+  ASSERT_TRUE(Events && Events->isArray());
+  int64_t PrevId = 0;
+  size_t Completes = 0;
+  for (const obs::JsonValue &E : Events->array()) {
+    if (E.stringOr("event", "") != "complete")
+      continue;
+    ++Completes;
+    const int64_t Id = E.integerOr("request", -1);
+    EXPECT_GT(Id, PrevId) << "complete events out of request order";
+    PrevId = Id;
   }
+  EXPECT_EQ(Completes, P.Args.size());
 }
 
 //===----------------------------------------------------------------------===//
