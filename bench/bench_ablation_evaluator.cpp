@@ -307,9 +307,9 @@ int main(int Argc, char **Argv) {
       Ok = false;
     }
     // The gate the JIT must hold: at least VM speed on every case
-    // study. Profile forward gains least: its time is the serial
-    // exp/log1p latency chain of each cell's log-space sum, which the
-    // kernel's lane groups overlap across cells but cannot shorten.
+    // study. Profile forward gains least: its time is one libm `exp` per
+    // element of each cell's log-space sum, which the JIT calls exactly
+    // as the VM does; only the interpretation around it goes away.
     if (C.JitSpeedup < 1.0) {
       std::fprintf(stderr, "FAIL: JIT slower than VM on %s (%.2fx)\n",
                    C.Name.c_str(), C.JitSpeedup);

@@ -373,12 +373,11 @@ private:
                           : BH.H->transitionsFrom(State);
       // Identities for empty sets, exactly as the tree-walker
       // initialises its accumulators.
+      LogSumExp ProbSum;
       double AccumReal = 0.0;
       int64_t AccumInt = 0;
       switch (Rd.Kind) {
       case lang::ReductionKind::Sum:
-        if (Rd.AccKind == ReduceDesc::Acc::Prob)
-          AccumReal = NegInfinity;
         break;
       case lang::ReductionKind::Max:
         AccumReal = NegInfinity;
@@ -398,7 +397,7 @@ private:
         switch (Rd.Kind) {
         case lang::ReductionKind::Sum:
           if (Rd.AccKind == ReduceDesc::Acc::Prob)
-            AccumReal = logAddExp(AccumReal, Body.D);
+            ProbSum.add(Body.D);
           else if (Rd.AccKind == ReduceDesc::Acc::Int)
             AccumInt += Body.I;
           else
@@ -421,6 +420,9 @@ private:
       }
       if (Rd.AccKind == ReduceDesc::Acc::Int)
         R[Rd.DstReg].I = AccumInt;
+      else if (Rd.Kind == lang::ReductionKind::Sum &&
+               Rd.AccKind == ReduceDesc::Acc::Prob)
+        R[Rd.DstReg].D = ProbSum.result();
       else
         R[Rd.DstReg].D = AccumReal;
       Pc = Rd.BodyEnd;

@@ -368,16 +368,27 @@ private:
       std::string Tr = H + (Incoming ? "_in_tr" : "_out_tr");
 
       bool Prob = R->ExprType.Kind == TypeKind::Prob;
+      // A log-space sum folds online into a running maximum and a
+      // scaled sum; other reduces fold into Acc.
+      bool ProbSum = Prob && R->Reduction == ReductionKind::Sum;
       std::string Acc = freshTemp();
-      std::string Init;
-      if (R->Reduction == ReductionKind::Sum)
-        Init = Prob ? "-INFINITY" : "0";
-      else if (R->Reduction == ReductionKind::Min)
-        Init = Prob ? "INFINITY" : "INT_MAX";
-      else
-        Init = Prob ? "-INFINITY" : "INT_MIN";
-      line(std::string(cTypeOf(R->ExprType)) + " " + Acc + " = " + Init +
-           ";");
+      std::string Max, Scaled;
+      if (ProbSum) {
+        Max = freshTemp();
+        Scaled = freshTemp();
+        line("float " + Max + " = -INFINITY;");
+        line("float " + Scaled + " = 0.0f;");
+      } else {
+        std::string Init;
+        if (R->Reduction == ReductionKind::Sum)
+          Init = "0";
+        else if (R->Reduction == ReductionKind::Min)
+          Init = Prob ? "INFINITY" : "INT_MAX";
+        else
+          Init = Prob ? "-INFINITY" : "INT_MIN";
+        line(std::string(cTypeOf(R->ExprType)) + " " + Acc + " = " + Init +
+             ";");
+      }
       std::string Iter = freshTemp();
       line("for (int " + Iter + " = " + Off + "[" + State + "]; " + Iter +
            " < " + Off + "[(" + State + ") + 1]; ++" + Iter + ") {");
@@ -388,9 +399,11 @@ private:
         BodyValue = toLogIfNeeded(BodyValue, R->Body.get());
       switch (R->Reduction) {
       case ReductionKind::Sum:
-        line(Acc + " = " + (Prob ? "parrec_logaddexpf(" + Acc + ", " +
-                                       BodyValue + ");"
-                                 : Acc + " + (" + BodyValue + ");"));
+        if (ProbSum)
+          line("parrec_lse_addf(&" + Max + ", &" + Scaled + ", " +
+               BodyValue + ");");
+        else
+          line(Acc + " = " + Acc + " + (" + BodyValue + ");");
         break;
       case ReductionKind::Min:
         line(Acc + " = " + (Prob ? "fminf" : "min") + "(" + Acc + ", " +
@@ -403,6 +416,9 @@ private:
       }
       --IndentDepth;
       line("}");
+      if (ProbSum)
+        line("const float " + Acc + " = parrec_lse_resultf(" + Max + ", " +
+             Scaled + ");");
       return Acc;
     }
     }
@@ -525,6 +541,21 @@ std::string parrec::codegen::emitCudaKernel(const FunctionDecl &F,
   Out += "  if (b == -INFINITY) return a;\n";
   Out += "  float hi = fmaxf(a, b), lo = fminf(a, b);\n";
   Out += "  return hi + log1pf(expf(lo - hi));\n";
+  Out += "}\n";
+  // LogSpace.h's LogSumExp, in float.
+  Out += "__device__ static inline void parrec_lse_addf(float *m, float *s, "
+         "float x) {\n";
+  Out += "  if (x == -INFINITY) return;\n";
+  Out += "  if (x <= *m) {\n";
+  Out += "    *s = *s + expf(x - *m);\n";
+  Out += "  } else {\n";
+  Out += "    *s = *s * expf(*m - x) + 1.0f;\n";
+  Out += "    *m = x;\n";
+  Out += "  }\n";
+  Out += "}\n";
+  Out += "__device__ static inline float parrec_lse_resultf(float m, "
+         "float s) {\n";
+  Out += "  return m == -INFINITY ? -INFINITY : m + logf(s);\n";
   Out += "}\n\n";
   Out += Cell.emit();
   Out += "\n";

@@ -470,14 +470,13 @@ Evaluator::RuntimeValue Evaluator::evalExpr(const Expr *E,
 
     bool IsProb = R->ExprType.Kind == TypeKind::Prob;
     bool First = true;
-    // Identities for empty sets: sum -> 0 (log 0 = -inf for probs),
-    // max -> -inf / INT64_MIN, min -> +inf / INT64_MAX.
+    // Identities for empty sets: sum -> 0 (log 0 = -inf for probs, which
+    // ProbSum yields), max -> -inf / INT64_MIN, min -> +inf / INT64_MAX.
+    LogSumExp ProbSum;
     double AccumReal = 0.0;
     int64_t AccumInt = 0;
     switch (R->Reduction) {
     case ReductionKind::Sum:
-      if (IsProb)
-        AccumReal = NegInfinity;
       break;
     case ReductionKind::Max:
       AccumReal = NegInfinity;
@@ -501,9 +500,11 @@ Evaluator::RuntimeValue Evaluator::evalExpr(const Expr *E,
       switch (R->Reduction) {
       case ReductionKind::Sum:
         if (IsProb) {
+          // Charged as the paper's pairwise log-add (DESIGN.md §4,
+          // decision 3).
           Ctx.Cost->Ops += 2;
           Ctx.Cost->Transcendentals += 1;
-          AccumReal = logAddExp(AccumReal, BodyLog);
+          ProbSum.add(BodyLog);
         } else if (Body.K == RV::Kind::Int) {
           Ctx.Cost->Ops += 1;
           AccumInt += Body.I;
@@ -539,6 +540,8 @@ Evaluator::RuntimeValue Evaluator::evalExpr(const Expr *E,
     }
     Ctx.Reductions.pop_back();
 
+    if (IsProb && R->Reduction == ReductionKind::Sum)
+      return RV::ofReal(ProbSum.result());
     if (IsProb || R->ExprType.Kind == TypeKind::Float)
       return RV::ofReal(AccumReal);
     return RV::ofInt(AccumInt);

@@ -7,9 +7,11 @@
 ///
 /// \file
 /// The log-space primitives shared by every cell evaluator (the AST
-/// tree-walker and the bytecode VM). Keeping a single definition is what
-/// guarantees the two backends produce bit-identical probabilities: both
-/// compile to the very same floating-point operation sequence.
+/// tree-walker and the bytecode VM; the native JIT emits the same
+/// operations). Keeping a single definition is what guarantees the
+/// backends produce bit-identical probabilities: all compile to the very
+/// same floating-point operation sequence, one operation per statement,
+/// built with -ffp-contract=off so no pair is fused into an FMA.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,7 +32,7 @@ inline double toLog(double Linear) {
   return Linear <= 0.0 ? NegInfinity : std::log(Linear);
 }
 
-/// log(exp(A) + exp(B)) without overflow; the log-space '+'.
+/// log(exp(A) + exp(B)) without overflow; the log-space binary '+'.
 inline double logAddExp(double A, double B) {
   if (A == NegInfinity)
     return B;
@@ -40,6 +42,38 @@ inline double logAddExp(double A, double B) {
   double Lo = A > B ? B : A;
   return Hi + std::log1p(std::exp(Lo - Hi));
 }
+
+/// The log-space n-ary `sum`: an online log-sum-exp (Milakov &
+/// Gimelshein, "Online normalizer calculation for softmax"). It keeps
+/// the running maximum M and the sum S of exp(x - M) over the elements
+/// added so far, so each element costs one `exp` that does not wait on
+/// the previous element's, and the whole sum one `log`. -inf elements
+/// are skipped, as logAddExp skips them; the empty sum is -inf.
+struct LogSumExp {
+  double M = NegInfinity;
+  double S = 0.0;
+
+  void add(double X) {
+    if (X == NegInfinity)
+      return;
+    if (X <= M) {
+      double E = std::exp(X - M);
+      S = S + E;
+    } else {
+      double E = std::exp(M - X);
+      double Scaled = S * E;
+      S = Scaled + 1.0;
+      M = X;
+    }
+  }
+
+  double result() const {
+    if (M == NegInfinity)
+      return NegInfinity;
+    double L = std::log(S);
+    return M + L;
+  }
+};
 
 } // namespace codegen
 } // namespace parrec

@@ -21,7 +21,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <set>
 
 #include <dlfcn.h>
@@ -179,12 +178,6 @@ void JitBinding::bind(const BytecodeProgram &Prog, const Evaluator &Eval) {
 
 namespace {
 
-/// Cells per lane group: enough independent pr_logaddexp chains to
-/// approach the host's exp/log1p throughput even when the sums in one
-/// group differ in length. Four lanes gained nothing measurable on a
-/// 63-state profile (EXPERIMENTS.md A7).
-constexpr unsigned LaneWidth = 8;
-
 std::string intLit(int64_t V) {
   if (V == std::numeric_limits<int64_t>::min())
     return "(-9223372036854775807LL - 1LL)";
@@ -207,10 +200,7 @@ public:
         Prog->NumDims != Plan.Box.numDims() ||
         Plan.Nest.Levels.size() != 1 + static_cast<size_t>(Plan.Box.numDims()))
       return std::string();
-    LanePc = laneReducePc();
     emitPrelude();
-    if (LanePc)
-      emitLaneGroup();
     emitKernel();
     return Failed ? std::string() : Out;
   }
@@ -222,36 +212,6 @@ private:
   int Indent = 0;
   int NextRange = 0;
   bool Failed = false;
-  /// The pc of the reduce that lane groups run in lockstep; unset for
-  /// bodies emitted one cell at a time.
-  std::optional<uint32_t> LanePc;
-
-  /// Lane groups apply to bodies whose only top-level reduce is a
-  /// log-space sum: that reduce is a serial chain of pr_logaddexp
-  /// calls, so running several independent cells' chains side by side
-  /// hides its latency. Other bodies (max/min reduces, no reduce) keep
-  /// the one-cell-at-a-time shape.
-  std::optional<uint32_t> laneReducePc() const {
-    std::optional<uint32_t> Found;
-    unsigned TopLevel = 0;
-    uint32_t End = static_cast<uint32_t>(Prog->Code.size());
-    for (uint32_t Q = 0; Q < End;) {
-      const Instr &In = Prog->Code[Q];
-      if (In.Op != Opcode::Reduce) {
-        ++Q;
-        continue;
-      }
-      const ReduceDesc &Rd = Prog->Reduces[static_cast<size_t>(In.A)];
-      if (Rd.BodyEnd <= Q || Rd.BodyEnd > End)
-        return std::nullopt; // emitRange rejects the body anyway.
-      ++TopLevel;
-      if (Rd.Kind == lang::ReductionKind::Sum &&
-          Rd.AccKind == ReduceDesc::Acc::Prob)
-        Found = Q;
-      Q = Rd.BodyEnd;
-    }
-    return TopLevel == 1 ? Found : std::nullopt;
-  }
 
   void fail() { Failed = true; }
 
@@ -331,12 +291,6 @@ private:
     line(" * specialised. Bit-identical to the bytecode VM by");
     line(" * construction: one FP op per statement, -ffp-contract=off,");
     line(" * hexfloat immediates, LogSpace.h helpers copied op-for-op. */");
-    if (LanePc) {
-      line("/* Lane groups of %u cells: each cell runs up to its log-space",
-           LaneWidth);
-      line(" * sum, the group folds that sum's elements in lockstep, and");
-      line(" * each cell then finishes and is stored in serial order. */");
-    }
     // The few libm entry points and fixed-width types the kernel uses,
     // declared here rather than through <math.h> and <stdint.h>, whose
     // preprocessing alone is a sizeable share of a kernel's compile.
@@ -394,6 +348,28 @@ private:
     line("    double hi = la > lb ? la : lb;");
     line("    double lo = la > lb ? lb : la;");
     line("    return hi + log1p(exp(lo - hi));");
+    line("  }");
+    line("}");
+    // LogSumExp::add and LogSumExp::result: the online log-space sum.
+    line("static inline void pr_lse_add(double *m, double *s, double x) {");
+    line("  if (x == -INFINITY)");
+    line("    return;");
+    line("  if (x <= *m) {");
+    line("    double e = exp(x - *m);");
+    line("    *s = *s + e;");
+    line("  } else {");
+    line("    double e = exp(*m - x);");
+    line("    double scaled = *s * e;");
+    line("    *s = scaled + 1.0;");
+    line("    *m = x;");
+    line("  }");
+    line("}");
+    line("static inline double pr_lse_result(double m, double s) {");
+    line("  if (m == -INFINITY)");
+    line("    return -INFINITY;");
+    line("  {");
+    line("    double l = log(s);");
+    line("    return m + l;");
     line("  }");
     line("}");
     emitAddr();
@@ -479,26 +455,15 @@ private:
     line("                 int32_t check_root, pr_slot_t *slot,");
     line("                 uint64_t *thread_cycles) {");
     ++Indent;
-    if (LanePc) {
-      // One thread's points can land in several groups, so its cycles
-      // accumulate across pr_run_lanes calls.
-      line("pr_lanes g;");
-      line("for (uint32_t t = t_begin; t != t_end; ++t)");
-      line("  thread_cycles[t] = 0;");
-    } else {
-      line("pr_reg r[%u];", Prog->NumRegs);
-    }
+    line("pr_reg r[%u];", Prog->NumRegs);
     line("(void)n_threads;");
     line("if (p < %s || p > %s)", intLit(Plan.FirstPartition).c_str(),
          intLit(Plan.LastPartition).c_str());
     line("  return;");
     line("const int64_t v0 = p;");
-    if (LanePc)
-      line("g.n = 0;");
     line("for (uint32_t t = t_begin; t != t_end; ++t) {");
     ++Indent;
-    if (!LanePc)
-      line("uint64_t cyc = 0;");
+    line("uint64_t cyc = 0;");
     bool Striped = Plan.Nest.threadedLevel().has_value();
     if (!Striped) {
       // No space loop to stripe: every point belongs to simulated
@@ -511,14 +476,9 @@ private:
       --Indent;
       line("}");
     }
-    if (!LanePc)
-      line("thread_cycles[t] = cyc;");
+    line("thread_cycles[t] = cyc;");
     --Indent;
     line("}");
-    if (LanePc) {
-      line("if (g.n != 0u)");
-      line("  pr_run_lanes(a, &g, check_root, slot, thread_cycles);");
-    }
     --Indent;
     line("}");
   }
@@ -527,10 +487,7 @@ private:
     if (Failed)
       return;
     if (L == Plan.Nest.Levels.size()) {
-      if (LanePc)
-        emitLaneEnqueue();
-      else
-        emitCell();
+      emitCell();
       return;
     }
     const poly::LoopLevel &Level = Plan.Nest.Levels[L];
@@ -615,15 +572,6 @@ private:
     ++Indent;
     line("uint64_t d_ops = 0, d_tr = 0, d_tw = 0, d_mr = 0, d_tc = 0;");
     emitRange(0, static_cast<uint32_t>(Prog->Code.size()));
-    emitCellEpilogue("cyc");
-    --Indent;
-    line("}");
-  }
-
-  /// The per-cell epilogue, run in serial point order: result
-  /// conversion, table store, cost flush into \p Cycles and the slot,
-  /// and the strict-`>` table maximum and root capture.
-  void emitCellEpilogue(const char *Cycles) {
     const char *Conv = nullptr;
     switch (Prog->Conv) {
     case ResultConv::RealSlot:
@@ -656,7 +604,7 @@ private:
     line("slot->table_writes += d_tw;");
     line("slot->model_reads += d_mr;");
     line("slot->transcendentals += d_tc;");
-    line("%s += d_ops * a->cyc_op + d_tc * a->cyc_trans", Cycles);
+    line("cyc += d_ops * a->cyc_op + d_tc * a->cyc_trans");
     line("    + (d_tr + d_tw) * a->cyc_table + d_mr * a->cyc_model;");
     line("slot->cells += 1ULL;");
     line("if (cv > slot->table_max)");
@@ -669,307 +617,18 @@ private:
     line("  slot->root_value = cv;");
     line("  slot->has_root = 1ULL;");
     line("}");
-  }
-
-  /// Appends the current point (and its simulated thread) to the lane
-  /// group, running the group once it is full.
-  void emitLaneEnqueue() {
-    line("g.t[g.n] = t;");
-    for (unsigned D = 0; D != Prog->NumDims; ++D)
-      line("g.v[g.n][%u] = v%u;", D, 1 + D);
-    line("if (++g.n == PR_LANES) {");
-    line("  pr_run_lanes(a, &g, check_root, slot, thread_cycles);");
-    line("  g.n = 0;");
+    --Indent;
     line("}");
   }
 
-  /// Registers an instruction range reads and writes.
-  struct RegSets {
-    std::vector<bool> Reads, Writes;
-  };
-
-  /// Marks the registers instruction \p In itself reads and writes (a
-  /// reduce's body instructions are visited as pcs of their own).
-  void markOperands(const Instr &In, RegSets &Use) const {
-    auto Read = [&](int Reg) { Use.Reads[static_cast<size_t>(Reg)] = true; };
-    std::vector<bool> &Writes = Use.Writes;
-    switch (In.Op) {
-    case Opcode::ConstInt:
-    case Opcode::ConstReal:
-    case Opcode::LoadPoint:
-    case Opcode::LoadArgInt:
-    case Opcode::LoadArgReal:
-      break;
-    case Opcode::Move:
-    case Opcode::IntToReal:
-    case Opcode::LogOf:
-      Read(In.B);
-      break;
-    case Opcode::JumpIfFalse:
-      Read(In.A);
-      return;
-    case Opcode::Jump:
-      return;
-    case Opcode::TableReadReal:
-    case Opcode::TableReadBool:
-    case Opcode::TableReadInt: {
-      const CallDesc &Cd = Prog->Calls[static_cast<size_t>(In.B)];
-      for (unsigned A = 0; A != Cd.NumArgs; ++A)
-        if (int32_t Reg = Prog->CallArgsPool[Cd.FirstArg + A].Reg; Reg >= 0)
-          Read(Reg);
-      break;
-    }
-    case Opcode::SeqChar:
-    case Opcode::TransStart:
-    case Opcode::TransEnd:
-    case Opcode::TransLogProb:
-    case Opcode::StateIsStart:
-    case Opcode::StateIsEnd:
-      Read(In.C);
-      break;
-    case Opcode::MatrixScore:
-    case Opcode::Emission:
-      Read(In.C);
-      Read(In.D);
-      break;
-    case Opcode::Reduce: {
-      const ReduceDesc &Rd = Prog->Reduces[static_cast<size_t>(In.A)];
-      Read(Rd.StateReg);
-      Read(Rd.BodyReg);
-      Writes[static_cast<size_t>(Rd.VarReg)] = true;
-      Writes[static_cast<size_t>(Rd.DstReg)] = true;
-      return;
-    }
-    default: // Two-operand arithmetic, log-space ops and comparisons.
-      Read(In.B);
-      Read(In.C);
-      break;
-    }
-    Writes[static_cast<size_t>(In.A)] = true;
-  }
-
-  /// The registers read and written anywhere in [Pc, End).
-  RegSets regsOf(uint32_t Pc, uint32_t End) const {
-    RegSets Use{std::vector<bool>(Prog->NumRegs),
-                std::vector<bool>(Prog->NumRegs)};
-    for (uint32_t Q = Pc; Q < End; ++Q)
-      markOperands(Prog->Code[Q], Use);
-    return Use;
-  }
-
-  /// Opens a lane's view of one phase: a phase-local register file
-  /// (constant-indexed, so the host compiler keeps it in registers)
-  /// loaded with the \p LiveIn registers lane l carries in lr, and the
-  /// point coordinates under the names the per-cell emitters use.
-  void emitLaneLocals(const std::vector<bool> &LiveIn) {
-    line("pr_reg r[%u];", Prog->NumRegs);
-    for (size_t K = 0; K != LiveIn.size(); ++K)
-      if (LiveIn[K])
-        line("r[%zu] = lr[l][%zu];", K, K);
-    for (unsigned D = 0; D != Prog->NumDims; ++D)
-      line("const int64_t v%u = g->v[l][%u];", 1 + D, D);
-  }
-
-  /// Saves the \p LiveOut registers of lane l for a later phase.
-  void emitLaneSave(const std::vector<bool> &LiveOut) {
-    for (size_t K = 0; K != LiveOut.size(); ++K)
-      if (LiveOut[K])
-        line("lr[l][%zu] = r[%zu];", K, K);
-  }
-
-  /// pr_run_lanes: evaluates up to PR_LANES points of one partition in
-  /// three phases. (1) Each lane runs the top-level range up to the
-  /// lane reduce, or, when its path jumps past the reduce, records
-  /// where to resume. (2) The reduce's element loop advances in
-  /// lockstep: element j of every live lane before element j+1, so the
-  /// lanes' pr_logaddexp chains are in flight together. (3) Each lane,
-  /// in serial point order, finishes the range from its resume point
-  /// and runs the per-cell epilogue. Every lane executes exactly the
-  /// per-cell statement sequence; only the interleaving across lanes
-  /// changes, and cells of one partition never touch each other's
-  /// table slots.
-  void emitLaneGroup() {
-    uint32_t R = *LanePc;
-    uint32_t End = static_cast<uint32_t>(Prog->Code.size());
-    const Instr &RIn = Prog->Code[R];
-    const ReduceDesc &Rd = Prog->Reduces[static_cast<size_t>(RIn.A)];
-    std::set<uint32_t> Targets = rangeTargets(0, End);
-    // Jumps from before the reduce to past it: each gets a resume code.
-    std::vector<uint32_t> Skips;
-    for (uint32_t X : Targets) {
-      if (X > R && X < Rd.BodyEnd)
-        fail(); // A jump into the reduce body is not structured.
-      if (X >= Rd.BodyEnd)
-        Skips.push_back(X);
-    }
-    // Registers cross phases only through lr, and only those a later
-    // phase may read: the body's reads (and the element result) for
-    // phase 2, the tail's reads (and the cell result) for phase 3. A
-    // register the body writes may be read by the next element or the
-    // tail, so phase 2 saves all of them.
-    RegSets Body = regsOf(R + 1, Rd.BodyEnd);
-    RegSets Tail = regsOf(Rd.BodyEnd, End);
-    Body.Reads[static_cast<size_t>(Rd.BodyReg)] = true;
-    Tail.Reads[static_cast<size_t>(Prog->ResultReg)] = true;
-    std::vector<bool> PreOut(Prog->NumRegs);
-    for (size_t K = 0; K != PreOut.size(); ++K)
-      PreOut[K] = Body.Reads[K] || Tail.Reads[K];
-    // A body without jumps or nested reduces charges the same packed
-    // cost on every element, so a lane's reduce costs are rn times one
-    // constant vector, added in phase 3; other bodies accumulate theirs
-    // per element in ld_*.
-    bool FixedElemCost = true;
-    uint64_t BodyPacked = 0;
-    for (uint32_t Q = R + 1; Q < Rd.BodyEnd; ++Q) {
-      Opcode Op = Prog->Code[Q].Op;
-      FixedElemCost &= Op != Opcode::Jump && Op != Opcode::JumpIfFalse &&
-                       Op != Opcode::Reduce;
-      BodyPacked += Prog->Code[Q].Cost;
-    }
-
-    line("#define PR_LANES %u", LaneWidth);
-    line("typedef struct {");
-    line("  uint32_t n;");
-    line("  uint32_t t[PR_LANES];");
-    line("  int64_t v[PR_LANES][%u];", Prog->NumDims);
-    line("} pr_lanes;");
-    line("");
-    line("static void pr_run_lanes(const pr_args *a, const pr_lanes *g,");
-    line("                         int32_t check_root, pr_slot_t *slot,");
-    line("                         uint64_t *thread_cycles) {");
-    ++Indent;
-    line("pr_reg lr[PR_LANES][%u];", Prog->NumRegs);
-    line("uint64_t lpk[PR_LANES], lrn[PR_LANES];");
-    if (!FixedElemCost) {
-      line("uint64_t ld_ops[PR_LANES], ld_tr[PR_LANES], ld_tw[PR_LANES];");
-      line("uint64_t ld_mr[PR_LANES], ld_tc[PR_LANES];");
-    }
-    line("uint32_t lres[PR_LANES];");
-    line("const uint64_t *lset[PR_LANES];");
-    line("double lacc[PR_LANES];");
-    line("uint64_t rmax = 0;");
-
-    // Phase 1: up to the reduce. lres 0 means "in the reduce"; a jump
-    // past it stores its target instead (targets are never 0).
-    line("for (uint32_t l = 0; l != g->n; ++l) {");
-    ++Indent;
-    emitLaneLocals(std::vector<bool>(Prog->NumRegs));
-    int Pre = NextRange++;
-    line("uint64_t pk%d = 0;", Pre);
-    emitSpan(Pre, 0, R, Targets);
-    if (Targets.count(R))
-      line("L%d_%u: ;", Pre, R);
-    if (RIn.Cost)
-      line("pk%d += 0x%" PRIx64 "ULL;", Pre, RIn.Cost);
-    line("{");
-    ++Indent;
-    emitReduceSet(Rd);
-    line("lset[l] = rset;");
-    line("lrn[l] = rn;");
-    --Indent;
-    line("}");
-    line("lacc[l] = -INFINITY;");
-    line("lres[l] = 0u;");
-    if (!Skips.empty())
-      line("goto S%d;", Pre);
-    for (uint32_t X : Skips) {
-      line("L%d_%u:", Pre, X);
-      line("  lres[l] = %uu;", X);
-      line("  lrn[l] = 0;");
-      line("  goto S%d;", Pre);
-    }
-    if (!Skips.empty())
-      line("S%d:", Pre);
-    emitLaneSave(PreOut);
-    line("lpk[l] = pk%d;", Pre);
-    if (!FixedElemCost)
-      line("ld_ops[l] = ld_tr[l] = ld_tw[l] = ld_mr[l] = ld_tc[l] = 0;");
-    line("if (lrn[l] > rmax)");
-    line("  rmax = lrn[l];");
-    --Indent;
-    line("}");
-
-    // Phase 2: the reduce's elements in lockstep across the lanes.
-    line("for (uint64_t re = 0; re != rmax; ++re) {");
-    ++Indent;
-    line("for (uint32_t l = 0; l != g->n; ++l) {");
-    ++Indent;
-    line("if (re >= lrn[l])");
-    line("  continue;");
-    emitLaneLocals(Body.Reads);
-    line("uint64_t d_ops = 0, d_tr = 0, d_tw = 0, d_mr = 0, d_tc = 0;");
-    line("r[%d].i = (int64_t)lset[l][re];", Rd.VarReg);
-    line("{");
-    ++Indent;
-    emitRange(R + 1, Rd.BodyEnd);
-    --Indent;
-    line("}");
-    emitElemCost(Rd);
-    line("lacc[l] = pr_logaddexp(lacc[l], r[%d].d);", Rd.BodyReg);
-    emitLaneSave(Body.Writes);
-    if (!FixedElemCost) {
-      line("ld_ops[l] += d_ops;");
-      line("ld_tr[l] += d_tr;");
-      line("ld_tw[l] += d_tw;");
-      line("ld_mr[l] += d_mr;");
-      line("ld_tc[l] += d_tc;");
-    }
-    --Indent;
-    line("}");
-    --Indent;
-    line("}");
-
-    // Phase 3: finish each lane and run its epilogue, in point order.
-    line("for (uint32_t l = 0; l != g->n; ++l) {");
-    ++Indent;
-    emitLaneLocals(Tail.Reads);
-    if (FixedElemCost) {
-      // The per-element flush of BodyPacked plus Acc.add(ElemCost).
-      const InstrCost &E = Rd.ElemCost;
-      line("uint64_t d_ops = lrn[l] * %" PRIu64 "ULL;",
-           (BodyPacked & 0xFFFF) + E.Ops);
-      line("uint64_t d_tr = lrn[l] * %" PRIu64 "ULL;",
-           ((BodyPacked >> 16) & 0xFFFF) + E.TableReads);
-      line("uint64_t d_tw = lrn[l] * %uULL;", unsigned(E.TableWrites));
-      line("uint64_t d_mr = lrn[l] * %" PRIu64 "ULL;",
-           ((BodyPacked >> 32) & 0xFFFF) + E.ModelReads);
-      line("uint64_t d_tc = lrn[l] * %" PRIu64 "ULL;",
-           (BodyPacked >> 48) + E.Transcendentals);
-    } else {
-      line("uint64_t d_ops = ld_ops[l], d_tr = ld_tr[l], d_tw = ld_tw[l];");
-      line("uint64_t d_mr = ld_mr[l], d_tc = ld_tc[l];");
-    }
-    int Post = NextRange++;
-    line("uint64_t pk%d = lpk[l];", Post);
-    if (Skips.empty()) {
-      line("r[%d].d = lacc[l];", Rd.DstReg);
-    } else {
-      line("switch (lres[l]) {");
-      for (uint32_t X : Skips) {
-        line("case %uu:", X);
-        line("  goto L%d_%u;", Post, X);
-      }
-      line("default:");
-      line("  r[%d].d = lacc[l];", Rd.DstReg);
-      line("  break;");
-      line("}");
-    }
-    emitSpan(Post, Rd.BodyEnd, End, Targets);
-    if (Targets.count(End))
-      line("L%d_%u: ;", Post, End);
-    emitFlush(Post);
-    emitCellEpilogue("thread_cycles[g->t[l]]");
-    --Indent;
-    line("}");
-    --Indent;
-    line("}");
-    line("");
-  }
-
-  /// The jump targets of the range [Pc, End), checking that every jump
-  /// is a structured forward jump within the range and every reduce
-  /// body ends inside it.
-  std::set<uint32_t> rangeTargets(uint32_t Pc, uint32_t End) {
+  /// Emits the instruction range [Pc, End), the unit the VM's execRange
+  /// runs: its own packed cost accumulator (flushed into the wide lanes
+  /// on every exit path) and function-unique labels for the structured
+  /// forward jumps inside it.
+  void emitRange(uint32_t Pc, uint32_t End) {
+    int Rid = NextRange++;
+    // Jump targets; every jump must be a structured forward jump within
+    // the range and every reduce body must end inside it.
     std::set<uint32_t> Targets;
     for (uint32_t Q = Pc; Q < End && !Failed;) {
       const Instr &In = Prog->Code[Q];
@@ -984,37 +643,14 @@ private:
         uint32_t BodyEnd = Prog->Reduces[static_cast<size_t>(In.A)].BodyEnd;
         if (BodyEnd <= Q || BodyEnd > End) {
           fail();
-          break;
+          return;
         }
         Q = BodyEnd;
       } else {
         ++Q;
       }
     }
-    return Targets;
-  }
-
-  /// Emits the instruction range [Pc, End), the unit the VM's execRange
-  /// runs: its own packed cost accumulator (flushed into the wide lanes
-  /// on every exit path) and function-unique labels for the structured
-  /// forward jumps inside it.
-  void emitRange(uint32_t Pc, uint32_t End) {
-    int Rid = NextRange++;
-    std::set<uint32_t> Targets = rangeTargets(Pc, End);
-    if (Failed)
-      return;
     line("uint64_t pk%d = 0;", Rid);
-    emitSpan(Rid, Pc, End, Targets);
-    if (Targets.count(End))
-      line("L%d_%u: ;", Rid, End);
-    emitFlush(Rid);
-  }
-
-  /// The statements of [Pc, End) within range \p Rid: a label before
-  /// every jump target, each instruction's packed charge, then the
-  /// instruction itself (reduces with their whole body).
-  void emitSpan(int Rid, uint32_t Pc, uint32_t End,
-                const std::set<uint32_t> &Targets) {
     for (uint32_t Q = Pc; Q < End && !Failed;) {
       if (Targets.count(Q))
         line("L%d_%u: ;", Rid, Q);
@@ -1032,54 +668,36 @@ private:
       emitInstr(In, Rid);
       ++Q;
     }
-  }
-
-  /// Spreads range \p Rid's packed lanes into the wide counters.
-  void emitFlush(int Rid) {
+    if (Targets.count(End))
+      line("L%d_%u: ;", Rid, End);
     line("d_ops += pk%d & 0xFFFFULL;", Rid);
     line("d_tr += (pk%d >> 16) & 0xFFFFULL;", Rid);
     line("d_mr += (pk%d >> 32) & 0xFFFFULL;", Rid);
     line("d_tc += pk%d >> 48;", Rid);
   }
 
-  /// Acc.add(ElemCost): the wide per-element accumulation charge.
-  void emitElemCost(const ReduceDesc &Rd) {
-    if (Rd.ElemCost.Ops)
-      line("d_ops += %uULL;", Rd.ElemCost.Ops);
-    if (Rd.ElemCost.TableReads)
-      line("d_tr += %uULL;", Rd.ElemCost.TableReads);
-    if (Rd.ElemCost.TableWrites)
-      line("d_tw += %uULL;", Rd.ElemCost.TableWrites);
-    if (Rd.ElemCost.ModelReads)
-      line("d_mr += %uULL;", Rd.ElemCost.ModelReads);
-    if (Rd.ElemCost.Transcendentals)
-      line("d_tc += %uULL;", Rd.ElemCost.Transcendentals);
-  }
-
-  /// The transition set a reduce iterates: rset[0..rn) in the model's
-  /// CSR order, the VM's iteration order.
-  void emitReduceSet(const ReduceDesc &Rd) {
+  void emitReduce(const Instr &In, uint32_t Pc) {
+    const ReduceDesc &Rd = Prog->Reduces[static_cast<size_t>(In.A)];
     const char *Off = Rd.OverIncoming ? "adj_in_off" : "adj_out_off";
     const char *Arr = Rd.OverIncoming ? "adj_in" : "adj_out";
+    bool IntAcc = Rd.AccKind == ReduceDesc::Acc::Int;
+    bool ProbSum = Rd.Kind == lang::ReductionKind::Sum &&
+                   Rd.AccKind == ReduceDesc::Acc::Prob;
+    line("{");
+    ++Indent;
+    // The transition set in the model's CSR order, the VM's iteration
+    // order.
     line("const pr_hmm *h = &a->hmms[%u];", Rd.HmmParam);
     line("uint64_t rs = (uint64_t)(uint32_t)r[%d].i;", Rd.StateReg);
     line("const uint64_t *rset = h->%s + h->%s[rs];", Arr, Off);
     line("uint64_t rn = h->%s[rs + 1] - h->%s[rs];", Off, Off);
-  }
-
-  void emitReduce(const Instr &In, uint32_t Pc) {
-    const ReduceDesc &Rd = Prog->Reduces[static_cast<size_t>(In.A)];
-    bool IntAcc = Rd.AccKind == ReduceDesc::Acc::Int;
-    line("{");
-    ++Indent;
-    emitReduceSet(Rd);
     // Accumulator identities, exactly as the VM initialises them.
     switch (Rd.Kind) {
     case lang::ReductionKind::Sum:
       if (IntAcc)
         line("int64_t acc = 0;");
-      else if (Rd.AccKind == ReduceDesc::Acc::Prob)
-        line("double acc = -INFINITY;");
+      else if (ProbSum)
+        line("double lm = -INFINITY, ls = 0.0;");
       else
         line("double acc = 0.0;");
       break;
@@ -1109,12 +727,22 @@ private:
     emitRange(Pc + 1, Rd.BodyEnd);
     --Indent;
     line("}");
-    emitElemCost(Rd);
+    // Acc.add(ElemCost): the wide per-element accumulation charge.
+    if (Rd.ElemCost.Ops)
+      line("d_ops += %uULL;", Rd.ElemCost.Ops);
+    if (Rd.ElemCost.TableReads)
+      line("d_tr += %uULL;", Rd.ElemCost.TableReads);
+    if (Rd.ElemCost.TableWrites)
+      line("d_tw += %uULL;", Rd.ElemCost.TableWrites);
+    if (Rd.ElemCost.ModelReads)
+      line("d_mr += %uULL;", Rd.ElemCost.ModelReads);
+    if (Rd.ElemCost.Transcendentals)
+      line("d_tc += %uULL;", Rd.ElemCost.Transcendentals);
     const char *Slot = IntAcc ? "i" : "d";
     switch (Rd.Kind) {
     case lang::ReductionKind::Sum:
-      if (Rd.AccKind == ReduceDesc::Acc::Prob)
-        line("acc = pr_logaddexp(acc, r[%d].d);", Rd.BodyReg);
+      if (ProbSum)
+        line("pr_lse_add(&lm, &ls, r[%d].d);", Rd.BodyReg);
       else
         line("acc += r[%d].%s;", Rd.BodyReg, Slot);
       break;
@@ -1133,7 +761,10 @@ private:
       line("rfirst = 0;");
     --Indent;
     line("}");
-    line("r[%d].%s = acc;", Rd.DstReg, Slot);
+    if (ProbSum)
+      line("r[%d].d = pr_lse_result(lm, ls);", Rd.DstReg);
+    else
+      line("r[%d].%s = acc;", Rd.DstReg, Slot);
     --Indent;
     line("}");
   }

@@ -30,12 +30,10 @@
 /// counters and modelled cycle totals are bit-identical to the VM and
 /// the AST oracle.
 ///
-/// Bodies whose only top-level reduce is a log-space sum are emitted in
-/// lane groups: eight cells of one partition run up to the reduce, fold
-/// its elements in lockstep (so their latency-bound exp/log1p chains
-/// overlap), then finish and are stored in serial point order. Each
-/// cell still executes the per-cell statement sequence, so the results
-/// stay bit-identical.
+/// A log-space `sum` reduce folds with LogSpace.h's online log-sum-exp
+/// (pr_lse_add / pr_lse_result): one `exp` per element that does not
+/// wait on the previous element's, and one `log` per cell. Every cell
+/// is evaluated on its own, in serial point order.
 ///
 /// Compiled objects are cached on disk keyed by the schedule fingerprint
 /// plus a hash of the emitted source, so cold process starts reuse warm

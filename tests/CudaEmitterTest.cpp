@@ -94,8 +94,9 @@ TEST(CudaEmitterTest, ForwardKernelLogSpace) {
 
   EXPECT_NE(Src.find("__device__ float forward_cell("),
             std::string::npos);
-  // Probability multiplication lowers to log-space addition, and the sum
-  // reduction to a CSR loop with log-add-exp accumulation.
+  // Probability multiplication lowers to log-space addition, the
+  // pairwise helper is emitted for binary `+`, and the sum reduction
+  // lowers to a CSR loop (ForwardSumFoldsOnline checks its fold).
   EXPECT_NE(Src.find("parrec_logaddexpf("), std::string::npos);
   EXPECT_NE(Src.find("h_in_off["), std::string::npos);
   EXPECT_NE(Src.find("h_tr_logprob["), std::string::npos);
@@ -107,6 +108,19 @@ TEST(CudaEmitterTest, ForwardKernelLogSpace) {
   EXPECT_NE(Src.find("= -INFINITY;"), std::string::npos);
   // The schedule S = i makes the state loop the striped one.
   EXPECT_NE(Src.find("s += parrec_tn"), std::string::npos) << Src;
+}
+
+TEST(CudaEmitterTest, ForwardSumFoldsOnline) {
+  // The sum folds into a running maximum and a scaled sum (LogSpace.h's
+  // LogSumExp, in float) and never calls the pairwise helper.
+  Emitted E = emit(ForwardSource, solver::Schedule{{0, 1}});
+  const std::string &Src = E.Source;
+  size_t Cell = Src.find("__device__ float forward_cell(");
+  ASSERT_NE(Cell, std::string::npos) << Src;
+  std::string Body = Src.substr(Cell);
+  EXPECT_NE(Body.find("parrec_lse_addf(&"), std::string::npos) << Body;
+  EXPECT_NE(Body.find("parrec_lse_resultf("), std::string::npos) << Body;
+  EXPECT_EQ(Body.find("parrec_logaddexpf("), std::string::npos) << Body;
 }
 
 TEST(CudaEmitterTest, MatrixLoweringAndGuards) {

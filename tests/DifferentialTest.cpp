@@ -16,15 +16,20 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "baselines/HmmBaselines.h"
 #include "bio/HmmZoo.h"
-#include "codegen/NativeJit.h"
+#include "codegen/LogSpace.h"
 #include "obs/Metrics.h"
 #include "runtime/CompiledRecurrence.h"
 #include "runtime/Interpreter.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include <unistd.h>
@@ -272,7 +277,8 @@ namespace {
 
 /// The benchmark's model shape: a 30-position protein profile with its
 /// silent states eliminated, 63 states whose in-degrees run from 0 to
-/// 32, so the lanes of one group fold sums of very different lengths.
+/// 32, so the cells of one partition fold sums of very different
+/// lengths.
 struct WideProfile {
   bio::Hmm Model;
   bio::Sequence Read;
@@ -308,10 +314,9 @@ TEST(DifferentialTest, WideProfileForward) {
 }
 
 TEST(DifferentialTest, LaneGroupsWithBranches) {
-  // The start state's cells jump past the sum on every row, so lanes
-  // that skip it and lanes that fold it share one group and resume at
-  // different points. The sum's body branches too, so its cost differs
-  // between elements and is accumulated per element.
+  // The start state's cells jump past the sum on every row, so cells
+  // that skip it and cells that fold it share each partition. The sum's
+  // body branches too, so its cost differs between elements.
   CompiledRecurrence Fn = compileOrDie(
       "prob forward(hmm h, state[h] s, seq[dna] x, index[x] i) =\n"
       "  if i == 0 then\n"
@@ -334,9 +339,9 @@ TEST(DifferentialTest, LaneGroupsWithBranches) {
 }
 
 TEST(DifferentialTest, JitLaneGroupsUnderWorkerNesting) {
-  // The lane-group kernel under both host-parallel axes. Three scan
+  // The forward kernel under both host-parallel axes. Three scan
   // workers at a grain of one cell split every partition's 32
-  // simulated threads into slices whose ends fall inside lane groups.
+  // simulated threads into slices of uneven work.
   CompiledRecurrence Fn = compileOrDie(ProteinForwardSource);
   auto Wide = makeWideProfile();
   ASSERT_NE(Wide, nullptr);
@@ -376,48 +381,210 @@ TEST(DifferentialTest, JitLaneGroupsUnderWorkerNesting) {
   EXPECT_EQ(VmB->TotalCycles, JitB->TotalCycles);
 }
 
-TEST(DifferentialTest, LaneGroupsOnlyForLogSpaceSums) {
-  // Forward's log-space sum renders in lane groups; max-plus bodies
-  // (Smith-Waterman) and Viterbi's max reduce keep one cell at a time.
-  // The kernel header names the lane width, so a silent fall back to
-  // the per-cell shape fails here rather than only slowing a benchmark.
-  const std::string Marker = "Lane groups of 8 cells";
-  auto Render = [](const CompiledRecurrence &Fn,
-                   const std::vector<ArgValue> &Args) {
+namespace {
+
+/// A model whose cells stay near log 1, where a sum's or a binary `+`'s
+/// last rounding reaches the result bits. It is unnormalised on
+/// purpose. From row 2 on, every sum folds three finite elements in
+/// ascending order: the transition probabilities into each state rise
+/// along the transition list by more than the previous row's cells
+/// spread, and differ from state to state.
+bio::Hmm makeNearLogOneModel() {
+  bio::Hmm Model("near-log-one", bio::Alphabet::dna());
+  unsigned Begin = Model.addState("begin", {}, /*IsStart=*/true);
+  unsigned A = Model.addState("a", {0.97, 0.91, 0.88, 0.83});
+  unsigned B = Model.addState("b", {0.86, 0.99, 0.81, 0.93});
+  unsigned C = Model.addState("c", {0.90, 0.84, 0.98, 0.87});
+  const double Into[3][4] = {{0.50, 0.11, 0.27, 0.62},
+                             {0.30, 0.14, 0.31, 0.55},
+                             {0.20, 0.09, 0.33, 0.58}};
+  const unsigned To[3] = {A, B, C};
+  for (unsigned K = 0; K != 3; ++K) {
+    Model.addTransition(Begin, To[K], Into[K][0]);
+    Model.addTransition(A, To[K], Into[K][1]);
+    Model.addTransition(B, To[K], Into[K][2]);
+    Model.addTransition(C, To[K], Into[K][3]);
+  }
+  Model.finalize();
+  return Model;
+}
+
+} // namespace
+
+TEST(DifferentialTest, AscendingSumsNearLogOne) {
+  // Each ascending sum runs the online fold's rescale
+  // `s * exp(m - x) + 1` on an inexact s. A build that contracts it into
+  // an FMA in the C++ evaluators, but not in the JIT kernel, changes 44
+  // of the 57 cells and the root here, and fails.
+  bio::Hmm Model = makeNearLogOneModel();
+  CompiledRecurrence Fn = compileOrDie(DnaForwardSource);
+  bio::Sequence X("x", "gattacagattacacgtac");
+  expectEvaluatorsAgree(Fn, {ArgValue::ofHmm(&Model), ArgValue(),
+                             ArgValue::ofSeq(&X), ArgValue()});
+}
+
+TEST(DifferentialTest, BinaryPlusBesideSumStaysLogAddExp) {
+  // Only the n-ary sum folds online; a binary `+` on probs stays the
+  // pairwise logAddExp. The same recursion is recomputed here with
+  // LogSpace.h's own primitives and must match the root bit for bit.
+  // Folding the `+` online instead (log(1 + e) for log1p(e)) changes
+  // the root of this near-log-1 model.
+  CompiledRecurrence Fn = compileOrDie(
+      "prob g(hmm h, state[h] s, seq[dna] x, index[x] i) =\n"
+      "  if i == 0 then\n"
+      "    if s.isstart then 1.0 else 0.0\n"
+      "  else\n"
+      "    s.emission[x[i-1]] *\n"
+      "      sum(t in s.transitionsto : t.prob * g(t.start, i - 1))\n"
+      "    + 0.1 * g(s, i - 1)\n");
+  bio::Hmm Model = makeNearLogOneModel();
+  bio::Sequence X("x", "gattacagattacacgtac");
+  std::vector<ArgValue> Args = {ArgValue::ofHmm(&Model), ArgValue(),
+                                ArgValue::ofSeq(&X), ArgValue()};
+  expectEvaluatorsAgree(Fn, Args);
+
+  unsigned N = Model.numStates();
+  std::vector<double> Prev(N), Cur(N);
+  for (unsigned S = 0; S != N; ++S)
+    Prev[S] = Model.state(S).IsStart ? 0.0 : codegen::NegInfinity;
+  for (int64_t I = 1; I <= X.length(); ++I) {
+    for (unsigned S = 0; S != N; ++S) {
+      codegen::LogSumExp Sum;
+      for (unsigned T : Model.transitionsTo(S))
+        Sum.add(codegen::toLog(Model.transition(T).Prob) +
+                Prev[Model.transition(T).From]);
+      double Emit = codegen::toLog(Model.emission(S, X.at(I - 1)));
+      Cur[S] = codegen::logAddExp(Emit + Sum.result(),
+                                  codegen::toLog(0.1) + Prev[S]);
+    }
+    std::swap(Prev, Cur);
+  }
+  gpu::CostModel CostModel;
+  DiagnosticEngine Diags;
+  auto Run = Fn.runCpu(Args, CostModel, Diags, RunOptions());
+  ASSERT_TRUE(Run.has_value()) << Diags.str();
+  EXPECT_EQ(Run->RootValue, Prev[N - 1]);
+}
+
+namespace {
+
+/// The accuracy oracle: forward in scaled linear space, in long double,
+/// from the model's own probabilities. It shares nothing with either
+/// log-space fold. It walks the model's transition list rather than the
+/// per-state adjacency, multiplies and adds linear probabilities, and
+/// rescales each row by its largest cell, keeping the log of the
+/// scales. Returns the log-likelihood at the recursion's root: the last
+/// state after the last row.
+long double forwardOracle(const bio::Hmm &Model, const bio::Sequence &X) {
+  unsigned N = Model.numStates();
+  std::vector<long double> Prev(N), Cur(N);
+  for (unsigned S = 0; S != N; ++S)
+    Prev[S] = Model.state(S).IsStart ? 1.0L : 0.0L;
+  long double LogScale = 0.0L;
+  for (int64_t I = 1; I <= X.length(); ++I) {
+    std::fill(Cur.begin(), Cur.end(), 0.0L);
+    for (unsigned T = 0; T != Model.numTransitions(); ++T) {
+      const bio::HmmTransition &Tr = Model.transition(T);
+      Cur[Tr.To] += static_cast<long double>(Tr.Prob) * Prev[Tr.From];
+    }
+    long double Max = 0.0L;
+    for (unsigned S = 0; S != N; ++S) {
+      if (!Model.state(S).IsEnd)
+        Cur[S] *= static_cast<long double>(Model.emission(S, X.at(I - 1)));
+      Max = std::max(Max, Cur[S]);
+    }
+    if (Max == 0.0L)
+      return -std::numeric_limits<long double>::infinity();
+    for (long double &V : Cur)
+      V /= Max;
+    LogScale += std::log(Max);
+    std::swap(Prev, Cur);
+  }
+  return LogScale + std::log(Prev[N - 1]);
+}
+
+/// The relative error on the root log-likelihood that every forward
+/// fold must stay within, against forwardOracle. Both folds measure up
+/// to about 9e-14 at 2,000 rows (EXPERIMENTS.md A7): at the root the
+/// error is dominated by adding log terms of a large running total in
+/// double, which both folds share.
+constexpr double ForwardRelErrBound = 1e-12;
+
+} // namespace
+
+TEST(DifferentialTest, ForwardWithinLongDoubleOracle) {
+  // The evaluators' online sum (AST, VM and JIT, which agree bit for
+  // bit) and the baselines' pairwise logAddExp fold, each against the
+  // long-double oracle, on casino, the 63-state profile and seeded
+  // random profiles at read lengths up to 2,000.
+  double WorstOnline = 0.0, WorstPairwise = 0.0;
+  auto Check = [&](const CompiledRecurrence &Fn, const bio::Hmm &Model,
+                   const bio::Sequence &Read, const std::string &Name) {
+    long double Exact = forwardOracle(Model, Read);
+    ASSERT_TRUE(std::isfinite(Exact)) << Name;
+    auto RelErr = [&](double Got) {
+      return static_cast<double>(std::fabs(Got - Exact) / std::fabs(Exact));
+    };
+    std::vector<ArgValue> Args = {ArgValue::ofHmm(&Model), ArgValue(),
+                                  ArgValue::ofSeq(&Read), ArgValue()};
+    gpu::CostModel CostModel;
     DiagnosticEngine Diags;
-    auto Box = Fn.domainFor(Args, Diags);
-    EXPECT_TRUE(Box.has_value()) << Diags.str();
-    if (!Box)
-      return std::string();
-    auto Plan = Fn.planFor(*Box, RunOptions(), nullptr, Diags);
-    EXPECT_NE(Plan, nullptr) << Diags.str();
-    return Plan ? codegen::renderKernelSource(*Plan) : std::string();
+    std::vector<double> Roots;
+    for (EvalKind Evaluator : {EvalKind::Ast, EvalKind::Vm, EvalKind::Jit}) {
+      RunOptions Opts;
+      Opts.Evaluator = Evaluator;
+      Opts.JitCacheDir = jitCacheDirForTest();
+      auto Run = Fn.runCpu(Args, CostModel, Diags, Opts);
+      ASSERT_TRUE(Run.has_value()) << Name << Diags.str();
+      Roots.push_back(Run->RootValue);
+    }
+    EXPECT_EQ(Roots[0], Roots[1]) << Name << " (AST vs VM)";
+    EXPECT_EQ(Roots[0], Roots[2]) << Name << " (AST vs JIT)";
+    gpu::CostCounter Cost;
+    double Online = RelErr(Roots[0]);
+    double Pairwise =
+        RelErr(baselines::forwardLogLikelihood(Model, Read, Cost));
+    EXPECT_LE(Online, ForwardRelErrBound) << Name << " (online fold)";
+    EXPECT_LE(Pairwise, ForwardRelErrBound) << Name << " (pairwise fold)";
+    WorstOnline = std::max(WorstOnline, Online);
+    WorstPairwise = std::max(WorstPairwise, Pairwise);
   };
 
+  CompiledRecurrence Dice = compileOrDie(CasinoForwardSource, {"dice"});
+  bio::Hmm Casino = bio::makeCasinoModel();
+  Check(Dice, Casino, bio::Sequence("x", Casino.sample(/*Seed=*/7)),
+        "casino sample");
+  Check(Dice, Casino, bio::Sequence("x", randomString("abcdef", 2000, 3)),
+        "casino 2000 rolls");
+
+  CompiledRecurrence Protein = compileOrDie(ProteinForwardSource);
   auto Wide = makeWideProfile();
   ASSERT_NE(Wide, nullptr);
-  std::string Forward =
-      Render(compileOrDie(ProteinForwardSource), Wide->args());
-  ASSERT_FALSE(Forward.empty());
-  EXPECT_NE(Forward.find(Marker), std::string::npos);
-  EXPECT_NE(Forward.find("parrec_kernel_source_hash"), std::string::npos);
+  Check(Protein, Wide->Model, Wide->Read, "wide profile");
+  Check(Protein, Wide->Model,
+        bio::Sequence("x", randomString(bio::Alphabet::protein().letters(),
+                                        2000, /*Seed=*/8)),
+        "wide profile 2000");
 
-  bio::Hmm Genes = bio::makeGeneFinderModel();
-  bio::Sequence X("x", "acgtacgtac");
-  std::string Viterbi = Render(compileOrDie(DnaViterbiSource),
-                               {ArgValue::ofHmm(&Genes), ArgValue(),
-                                ArgValue::ofSeq(&X), ArgValue()});
-  ASSERT_FALSE(Viterbi.empty());
-  EXPECT_EQ(Viterbi.find(Marker), std::string::npos);
-
-  const bio::SubstitutionMatrix M =
-      bio::SubstitutionMatrix::matchMismatch(bio::Alphabet::dna(), 2, 1);
-  bio::Sequence A("a", "acgtacg"), B("b", "tacgta");
-  std::string Sw = Render(compileOrDie(SmithWatermanSource),
-                          {ArgValue::ofMatrix(&M), ArgValue::ofSeq(&A),
-                           ArgValue(), ArgValue::ofSeq(&B), ArgValue()});
-  ASSERT_FALSE(Sw.empty());
-  EXPECT_EQ(Sw.find(Marker), std::string::npos);
+  CompiledRecurrence Dna = compileOrDie(DnaForwardSource);
+  for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
+    DiagnosticEngine Diags;
+    auto Profile = bio::eliminateSilentStates(
+        bio::makeProfileHmm(/*MatchPositions=*/static_cast<unsigned>(
+                                4 * Seed),
+                            bio::Alphabet::dna(), Seed * 101),
+        Diags);
+    ASSERT_TRUE(Profile.has_value()) << Diags.str();
+    for (size_t Length : {300, 2000})
+      Check(Dna, *Profile,
+            bio::Sequence("x", randomString(bio::Alphabet::dna().letters(),
+                                            Length, Seed * 7 + Length)),
+            "profile seed " + std::to_string(Seed) + " length " +
+                std::to_string(Length));
+  }
+  std::printf("forward vs long-double oracle, max relative error: "
+              "online %.3g, pairwise %.3g (bound %.0e)\n",
+              WorstOnline, WorstPairwise, ForwardRelErrBound);
 }
 
 //===----------------------------------------------------------------------===//

@@ -8,11 +8,15 @@
 #include "codegen/Evaluator.h"
 
 #include "bio/HmmZoo.h"
+#include "codegen/LogSpace.h"
 #include "lang/Parser.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <limits>
 
 using namespace parrec;
 using namespace parrec::codegen;
@@ -246,4 +250,109 @@ TEST(HmmLogCacheTest, MatchesModelParameters) {
   unsigned Loaded = static_cast<unsigned>(Model.findState("loaded"));
   EXPECT_NEAR(Cache.LogEmissions[Loaded][5], std::log(0.5), 1e-12);
   EXPECT_TRUE(Cache.LogEmissions[Model.startState()].empty());
+}
+
+//===----------------------------------------------------------------------===//
+// LogSumExp: the online log-space sum
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+double onlineSum(const std::vector<double> &Xs) {
+  LogSumExp Sum;
+  for (double X : Xs)
+    Sum.add(X);
+  return Sum.result();
+}
+
+double pairwiseSum(const std::vector<double> &Xs) {
+  double Acc = NegInfinity;
+  for (double X : Xs)
+    Acc = logAddExp(Acc, X);
+  return Acc;
+}
+
+/// The relative bound of the long-double forward oracle
+/// (DifferentialTest.ForwardWithinLongDoubleOracle).
+constexpr double OracleRelErrBound = 1e-12;
+
+} // namespace
+
+TEST(LogSumExpTest, EmptyAndAllNegInfinityGiveNegInfinity) {
+  EXPECT_EQ(onlineSum({}), NegInfinity);
+  EXPECT_EQ(onlineSum({NegInfinity}), NegInfinity);
+  EXPECT_EQ(onlineSum({NegInfinity, NegInfinity, NegInfinity}), NegInfinity);
+}
+
+TEST(LogSumExpTest, SingleElementIsReturnedExactly) {
+  for (double X : {0.0, -1.5, 3.25, -745.1, 700.0, -1e300, 1e-310,
+                   std::numeric_limits<double>::infinity()})
+    EXPECT_EQ(onlineSum({X}), X) << X;
+  // -inf elements around it are skipped.
+  EXPECT_EQ(onlineSum({NegInfinity, -2.5, NegInfinity}), -2.5);
+}
+
+TEST(LogSumExpTest, TwoEqualElementsAddLogTwo) {
+  for (double X : {0.0, -3.0, -46.7345, 12.5})
+    EXPECT_EQ(onlineSum({X, X}), X + std::log(2.0)) << X;
+}
+
+TEST(LogSumExpTest, OrderAgreesWithinTheOracleBound) {
+  // Seeded multisets of 1-32 elements spread over 60 nats, folded
+  // ascending and descending, each against the sum in long double.
+  uint64_t State = 0x9E3779B97F4A7C15ULL;
+  auto Uniform = [&] {
+    State = State * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<double>(State >> 11) * 0x1.0p-53;
+  };
+  double WorstOnline = 0.0, WorstPairwise = 0.0;
+  for (unsigned Trial = 0; Trial != 2000; ++Trial) {
+    std::vector<double> Xs(1 + Trial % 32);
+    double Offset = -100.0 * Uniform();
+    for (double &X : Xs)
+      X = Offset - 60.0 * Uniform();
+    std::sort(Xs.begin(), Xs.end());
+    long double Scaled = 0.0L;
+    for (double X : Xs)
+      Scaled += std::exp(static_cast<long double>(X) - Xs.back());
+    long double Exact = Xs.back() + std::log(Scaled);
+    double Tolerance =
+        OracleRelErrBound * std::max(1.0L, std::fabs(Exact));
+    auto Err = [&](double Got) {
+      return static_cast<double>(std::fabs(Got - Exact) /
+                                 std::max(1.0L, std::fabs(Exact)));
+    };
+    double Ascending = onlineSum(Xs);
+    double AscendingPairwise = pairwiseSum(Xs);
+    std::reverse(Xs.begin(), Xs.end());
+    double Descending = onlineSum(Xs);
+    EXPECT_LE(std::fabs(Ascending - Descending), Tolerance) << Trial;
+    EXPECT_LE(Err(Ascending), OracleRelErrBound) << Trial;
+    EXPECT_LE(Err(Descending), OracleRelErrBound) << Trial;
+    WorstOnline =
+        std::max({WorstOnline, Err(Ascending), Err(Descending)});
+    WorstPairwise = std::max(
+        {WorstPairwise, Err(AscendingPairwise), Err(pairwiseSum(Xs))});
+  }
+  std::printf("single sums vs long double, max relative error: "
+              "online %.3g, pairwise %.3g\n",
+              WorstOnline, WorstPairwise);
+}
+
+TEST(LogSumExpTest, InfinityAndNanFollowLogAddExp) {
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<double>> Cases = {
+      {Inf},        {1.0, Inf},          {Inf, 1.0}, {NegInfinity, Inf},
+      {Inf, Inf},   {NaN},               {1.0, NaN}, {NaN, 1.0},
+      {Inf, NaN},   {NaN, Inf},          {NegInfinity, NaN},
+      {NaN, NegInfinity, 2.0}};
+  for (size_t I = 0; I != Cases.size(); ++I) {
+    double Pairwise = pairwiseSum(Cases[I]);
+    double Online = onlineSum(Cases[I]);
+    if (std::isnan(Pairwise))
+      EXPECT_TRUE(std::isnan(Online)) << "case " << I;
+    else
+      EXPECT_EQ(Online, Pairwise) << "case " << I;
+  }
 }

@@ -24,6 +24,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include <unistd.h>
 
@@ -220,6 +221,13 @@ TEST(JitCacheTest, ForeignEntryRecompiles) {
   std::filesystem::path Foreign = onlyKernel(DirA);
   std::filesystem::path Target = onlyKernel(DirB);
   ASSERT_NE(Foreign.filename(), Target.filename());
+  // Every rendered kernel ends by defining the hash of its own source,
+  // which is what tells the load below that the object is foreign.
+  std::ifstream Source(std::filesystem::path(Target).replace_extension(".c"));
+  std::string Text((std::istreambuf_iterator<char>(Source)),
+                   std::istreambuf_iterator<char>());
+  EXPECT_NE(Text.find("const uint64_t parrec_kernel_source_hash = 0x"),
+            std::string::npos);
   std::filesystem::remove(Target);
   std::filesystem::copy_file(Foreign, Target);
 
