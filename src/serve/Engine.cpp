@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 
 using namespace parrec;
 using namespace parrec::serve;
@@ -93,14 +94,26 @@ uint64_t estimateBatchCost(const exec::PlanKey &Key, size_t Members) {
 
 } // namespace
 
-/// A closed batch: one plan, many compatible requests, one device.
+/// A batch: one plan, many compatible requests, one device. It lingers
+/// in the coalescer until CloseTick, then waits in a device lane.
 struct Engine::Batch {
   uint64_t Id = 0;
   const runtime::CompiledRecurrence *Fn = nullptr;
   exec::PlanKey Key;
-  uint64_t OpenTick = 0;
+  /// Last virtual tick of the linger window: its opening tick plus
+  /// Options::LingerTicks.
+  uint64_t CloseTick = 0;
   std::shared_ptr<const exec::ExecutablePlan> Plan;
   std::vector<Pending> Members;
+
+  /// The highest member priority; devices run waiting batches in this
+  /// order.
+  int priority() const {
+    int Max = std::numeric_limits<int>::min();
+    for (const Pending &P : Members)
+      Max = std::max(Max, P.Req.Priority);
+    return Max;
+  }
 };
 
 /// One simulated device plus its dispatch queue.
@@ -158,6 +171,10 @@ void Engine::advanceTo(uint64_t Tick) {
                                       std::memory_order_release,
                                       std::memory_order_relaxed)) {
   }
+  // The coalescer reads the clock under the queue lock: passing through
+  // it orders this store before the coalescer's next check, so a window
+  // cannot close between that check and its wait and be missed.
+  { std::lock_guard<std::mutex> Lock(QueueMutex); }
   QueueCv.notify_all();
 }
 
@@ -500,143 +517,116 @@ unsigned Engine::pickLane(const Batch &B) {
 }
 
 void Engine::coalescerMain() {
-  obs::MetricsRegistry &M = obs::MetricsRegistry::global();
+  // Open linger windows, oldest first. Each one batches a single
+  // (Fn, PlanKey) and closes on its own tick, so a window only ever
+  // delays requests of its own key.
+  std::vector<Batch> Open;
+  const bool Coalescing = Opts.Coalesce && Opts.MaxBatch > 1;
+
+  // Absorb every compatible queued request, in submission order. The
+  // SubmitTick bound makes the linger window a property of virtual
+  // time alone: a request virtually submitted after the window closed
+  // never joins, however slowly this thread is scheduled. Absorption
+  // consumes no fair-queue deficit — riders share a batch the head's
+  // tenant already paid for.
+  auto absorb = [&](Batch &B, std::vector<Pending> &Shed) {
+    if (!Coalescing || B.Members.size() >= Opts.MaxBatch)
+      return;
+    Queue.absorb(
+        [&](const Pending &P) {
+          return P.SubmitTick <= B.CloseTick && P.Req.Fn == B.Fn &&
+                 P.Key == B.Key;
+        },
+        Opts.MaxBatch - B.Members.size(), now(), B.Members, Shed);
+  };
+  // Size-or-max-linger trigger: a window closes once it is full or the
+  // virtual clock has passed its close tick (strictly, so boundary-tick
+  // arrivals always make it in). Without lingering, and once the engine
+  // stops, it closes in the round that opened it.
+  auto due = [&](const Batch &B, uint64_t Now) {
+    return !Coalescing || Opts.LingerTicks == 0 ||
+           B.Members.size() >= Opts.MaxBatch || Stopping ||
+           Now > B.CloseTick;
+  };
+
   std::unique_lock<std::mutex> Lock(QueueMutex);
   while (true) {
+    // advanceTo notifies QueueCv, so a close tick needs no timer.
     QueueCv.wait(Lock, [&] {
-      return Stopping || (!Paused && !Queue.empty());
+      const uint64_t Now = now();
+      return Stopping || (!Paused && !Queue.empty()) ||
+             std::any_of(Open.begin(), Open.end(),
+                         [&](const Batch &B) { return due(B, Now); });
     });
-    if (Queue.empty()) {
-      if (Stopping)
-        break;
-      continue;
-    }
-    if (Paused && !Stopping)
-      continue;
 
     // Requests shed while assembling; completed after the lock drops.
     std::vector<Pending> Shed;
+    for (Batch &B : Open)
+      absorb(B, Shed);
 
-    // Head selection: strict priority across classes, deficit round
-    // robin across tenants within a class, FIFO within a tenant.
-    std::optional<Pending> HeadOpt = Queue.pop(now(), &Shed);
-    if (!HeadOpt) {
-      Lock.unlock();
-      for (Pending &P : Shed)
-        complete(P, Status::Deadline);
-      Lock.lock();
-      continue;
-    }
-    Pending Head = std::move(*HeadOpt);
+    // Head selection, skipped while paused: strict priority across
+    // classes, deficit round robin across tenants within a class, FIFO
+    // within a tenant.
+    std::optional<Pending> Head;
+    if (!Paused || Stopping)
+      Head = Queue.pop(now(), &Shed);
 
     // Continuous batching: a head whose PlanKey matches a batch still
-    // waiting in a lane joins that batch instead of opening a new one
-    // (and a new linger window). Lane locks nest outside the queue
-    // lock, so drop it first.
-    if (Opts.ContinuousBatch) {
+    // waiting in a lane joins that batch instead of a linger window.
+    // Lane locks nest outside the queue lock, so drop it first.
+    if (Head && Opts.ContinuousBatch) {
       Lock.unlock();
       for (Pending &P : Shed)
         complete(P, Status::Deadline);
       Shed.clear();
-      bool Joined = tryContinuousJoin(Head);
+      bool Joined = tryContinuousJoin(*Head);
       Lock.lock();
       if (Joined)
-        continue;
+        Head.reset();
     }
 
-    Batch B;
-    B.Id = NextBatchId++;
-    B.Fn = Head.Req.Fn;
-    B.Key = Head.Key;
-    B.OpenTick = now();
-    B.Members.push_back(std::move(Head));
-    const uint64_t CloseTick = B.OpenTick + Opts.LingerTicks;
-
-    // Absorb every compatible queued request, in submission order. The
-    // SubmitTick bound makes the linger window a property of virtual
-    // time alone: a request virtually submitted after the window closed
-    // never joins, however slowly this thread is scheduled. Absorption
-    // consumes no fair-queue deficit — riders share a batch the head's
-    // tenant already paid for.
-    auto absorb = [&] {
-      if (B.Members.size() >= Opts.MaxBatch)
-        return;
-      Queue.absorb(
-          [&](const Pending &P) {
-            return P.SubmitTick <= CloseTick && P.Req.Fn == B.Fn &&
-                   P.Key == B.Key;
-          },
-          Opts.MaxBatch - B.Members.size(), now(), B.Members, Shed);
-    };
-
-    if (Opts.Coalesce && Opts.MaxBatch > 1) {
-      absorb();
-      // Size-or-max-linger trigger: hold the batch open for compatible
-      // arrivals until the virtual clock passes the window (strictly,
-      // so boundary-tick arrivals always make it in) or it fills up.
-      while (B.Members.size() < Opts.MaxBatch && !Stopping &&
-             Opts.LingerTicks != 0 && now() <= CloseTick) {
-        QueueCv.wait(Lock);
-        absorb();
-      }
+    // The open windows have already absorbed every queued request they
+    // could take, so the head opens a window of its own. Any window of
+    // its key is full or past its close tick, and closes below.
+    if (Head) {
+      Batch &B = Open.emplace_back();
+      B.Id = NextBatchId++;
+      B.Fn = Head->Req.Fn;
+      B.Key = Head->Key;
+      B.CloseTick = now() + Opts.LingerTicks;
+      B.Members.push_back(std::move(*Head));
+      absorb(B, Shed);
     }
+
+    // Close every due window, oldest first. shutdown(Abort) resolves
+    // every open window as Aborted instead: none of them dispatches.
+    std::vector<Batch> Closed;
+    std::vector<Pending> Aborted;
+    if (Stopping && !Draining) {
+      for (Batch &B : Open)
+        for (Pending &P : B.Members)
+          Aborted.push_back(std::move(P));
+      Open.clear();
+    } else {
+      const uint64_t Now = now();
+      std::vector<Batch> StillOpen;
+      for (Batch &B : Open)
+        (due(B, Now) ? Closed : StillOpen).push_back(std::move(B));
+      Open = std::move(StillOpen);
+    }
+    const bool Done = Stopping && Queue.empty() && Open.empty();
 
     Lock.unlock();
     for (Pending &P : Shed)
       complete(P, Status::Deadline);
-
-    {
-      obs::Span Span("serve.coalesce", "serve");
-      if (Span.active()) {
-        Span.arg("batch", B.Id);
-        Span.arg("requests", static_cast<uint64_t>(B.Members.size()));
-        Span.arg("function", B.Fn->decl().Name);
-        Span.arg("fingerprint", B.Key.hash());
-      }
-      M.add("serve.batches");
-      {
-        std::lock_guard<std::mutex> SLock(StatsMutex);
-        ++Counters.Batches;
-      }
-
-      // One plan serves the whole batch: a PlanCache hit after the
-      // first same-shaped batch, so schedule synthesis and loop
-      // generation are paid once per shape, not once per request.
-      DiagnosticEngine Diags;
-      B.Plan = B.Fn->planFor(B.Members[0].Box, B.Members[0].Req.Options,
-                             /*Preselected=*/nullptr, Diags);
-      if (Span.active())
-        Span.arg("planned", B.Plan != nullptr);
-      if (!B.Plan) {
-        std::string Error = Diags.str();
-        for (Pending &P : B.Members)
-          complete(P, Status::Failed, Error);
-        Lock.lock();
-        continue;
-      }
-
-      DeviceLane &Lane = *Lanes[pickLane(B)];
-      if (Span.active()) {
-        Span.arg("device", Lane.Index);
-        for (const Pending &P : B.Members)
-          Span.flowStep(P.Req.Id);
-      }
-      M.observe("serve.coalesced_per_batch",
-                obs::Labels{{"device", std::to_string(Lane.Index)}},
-                static_cast<double>(B.Members.size()));
-      for (const Pending &P : B.Members)
-        Flight.record(FlightEventKind::Coalesce, P.Req.Id, now(),
-                      static_cast<uint8_t>(Status::Ok),
-                      static_cast<uint16_t>(Lane.Index), P.TenantId, B.Id);
-      {
-        std::lock_guard<std::mutex> LaneLock(Lane.Mutex);
-        Lane.Batches.push_back(std::move(B));
-      }
-      Lane.Cv.notify_all();
-    }
+    for (Pending &P : Aborted)
+      complete(P, Status::Aborted);
+    for (Batch &B : Closed)
+      dispatchBatch(B);
+    if (Done)
+      break;
     Lock.lock();
   }
-  Lock.unlock();
   // No more batches can arrive: release the device threads.
   for (std::unique_ptr<DeviceLane> &Lane : Lanes) {
     {
@@ -645,10 +635,56 @@ void Engine::coalescerMain() {
     }
     Lane->Cv.notify_all();
   }
-  {
-    std::lock_guard<std::mutex> QLock(QueueMutex);
-    CoalescerDone = true;
+}
+
+void Engine::dispatchBatch(Batch &B) {
+  obs::MetricsRegistry &M = obs::MetricsRegistry::global();
+  obs::Span Span("serve.coalesce", "serve");
+  if (Span.active()) {
+    Span.arg("batch", B.Id);
+    Span.arg("requests", static_cast<uint64_t>(B.Members.size()));
+    Span.arg("function", B.Fn->decl().Name);
+    Span.arg("fingerprint", B.Key.hash());
   }
+  M.add("serve.batches");
+  {
+    std::lock_guard<std::mutex> SLock(StatsMutex);
+    ++Counters.Batches;
+  }
+
+  // One plan serves the whole batch: a PlanCache hit after the first
+  // same-shaped batch, so schedule synthesis and loop generation are
+  // paid once per shape, not once per request.
+  DiagnosticEngine Diags;
+  B.Plan = B.Fn->planFor(B.Members[0].Box, B.Members[0].Req.Options,
+                         /*Preselected=*/nullptr, Diags);
+  if (Span.active())
+    Span.arg("planned", B.Plan != nullptr);
+  if (!B.Plan) {
+    std::string Error = Diags.str();
+    for (Pending &P : B.Members)
+      complete(P, Status::Failed, Error);
+    return;
+  }
+
+  DeviceLane &Lane = *Lanes[pickLane(B)];
+  if (Span.active()) {
+    Span.arg("device", Lane.Index);
+    for (const Pending &P : B.Members)
+      Span.flowStep(P.Req.Id);
+  }
+  M.observe("serve.coalesced_per_batch",
+            obs::Labels{{"device", std::to_string(Lane.Index)}},
+            static_cast<double>(B.Members.size()));
+  for (const Pending &P : B.Members)
+    Flight.record(FlightEventKind::Coalesce, P.Req.Id, now(),
+                  static_cast<uint8_t>(Status::Ok),
+                  static_cast<uint16_t>(Lane.Index), P.TenantId, B.Id);
+  {
+    std::lock_guard<std::mutex> LaneLock(Lane.Mutex);
+    Lane.Batches.push_back(std::move(B));
+  }
+  Lane.Cv.notify_all();
 }
 
 void Engine::deviceMain(unsigned DeviceIndex) {
@@ -661,8 +697,16 @@ void Engine::deviceMain(unsigned DeviceIndex) {
                    [&] { return Lane.Closed || !Lane.Batches.empty(); });
       if (Lane.Batches.empty())
         return;
-      B = std::move(Lane.Batches.front());
-      Lane.Batches.pop_front();
+      // Highest member priority first, oldest first within a priority:
+      // a batch that closed behind lower-priority backlog still runs
+      // next.
+      auto Next = std::max_element(
+          Lane.Batches.begin(), Lane.Batches.end(),
+          [](const Batch &A, const Batch &C) {
+            return A.priority() < C.priority();
+          });
+      B = std::move(*Next);
+      Lane.Batches.erase(Next);
     }
     executeBatch(Lane, B);
   }
@@ -769,8 +813,9 @@ void Engine::shutdown(ShutdownMode Mode) {
   }
   QueueCv.notify_all();
   if (Mode == ShutdownMode::Abort) {
-    // Flush undispatched batches too; a batch already executing on a
-    // device cannot be interrupted and completes normally.
+    // Flush undispatched batches too (the coalescer aborts its open
+    // linger windows itself); a batch already executing on a device
+    // cannot be interrupted and completes normally.
     for (std::unique_ptr<DeviceLane> &Lane : Lanes) {
       std::deque<Batch> Flushed;
       {

@@ -16,15 +16,19 @@
 /// places closed batches on the least-loaded of N simulated gpu::Device
 /// instances (by accumulated estimated modelled cycles, lowest index on
 /// ties — deterministic in the batch sequence), each with its own slice
-/// of the host worker budget. One plan (and one compiled bytecode
-/// program, via the function's PlanCache) serves a whole batch; one
-/// modelled kernel launch covers the batch instead of one per request.
+/// of the host worker budget. The coalescer keeps one linger window open
+/// per plan key, each closing on its own tick, so a window only ever
+/// delays requests of its own key. A device with a backlog runs its
+/// waiting batch of highest member priority first. One plan (and one
+/// compiled bytecode program, via the function's PlanCache) serves a
+/// whole batch; one modelled kernel launch covers the batch instead of
+/// one per request.
 ///
 /// Two serving-layer caches/short-circuits ride on top:
 ///  - Options::ContinuousBatch admits a request whose PlanKey exactly
 ///    matches a batch still waiting in a device lane into that batch
-///    (respecting MaxBatch) instead of opening a new linger window; a
-///    batch a device has dequeued is never reopened.
+///    (respecting MaxBatch) instead of a linger window; a batch a
+///    device has dequeued is never reopened.
 ///  - Options::MemoCapacity / Options::Memo memoize finished results
 ///    keyed on (function, PlanKey, input digest, thread override):
 ///    identical requests skip execution and resolve immediately with a
@@ -36,7 +40,8 @@
 /// replay and tests are independent of wall time. Expired requests are
 /// shed at dequeue with Status::Deadline rather than wasting device
 /// time. shutdown(Drain) finishes everything queued; shutdown(Abort)
-/// resolves queued work as Status::Aborted.
+/// resolves queued work, open linger windows included, as
+/// Status::Aborted.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -80,8 +85,9 @@ public:
     /// Coalescer closes a batch at this many requests.
     size_t MaxBatch = 16;
     /// Virtual ticks a batch stays open waiting for compatible arrivals
-    /// after its first request; 0 closes as soon as the queue holds no
-    /// compatible request.
+    /// after its first request leaves the queue; 0 closes as soon as the
+    /// queue holds no compatible request. Each plan key has its own
+    /// window, so a window never delays another key's requests.
     uint64_t LingerTicks = 0;
     /// When false every request dispatches as its own batch (the
     /// ablation baseline).
@@ -92,7 +98,7 @@ public:
     std::map<std::string, uint64_t> TenantWeights;
     /// Admit a late-arriving request with an exactly-matching PlanKey
     /// into a compatible batch still queued in a device lane instead of
-    /// opening a new batch and linger window. Never exceeds MaxBatch,
+    /// opening a linger window of its own. Never exceeds MaxBatch,
     /// never touches a batch the device has already dequeued. Changes
     /// when work dispatches, never what it computes.
     bool ContinuousBatch = false;
@@ -129,7 +135,8 @@ public:
   enum class ShutdownMode {
     /// Finish everything already admitted, then stop.
     Drain,
-    /// Resolve all queued (not yet executing) requests as Aborted.
+    /// Resolve all queued (not yet executing) requests as Aborted,
+    /// including those in open linger windows.
     Abort,
   };
 
@@ -186,7 +193,9 @@ public:
   /// coalescer so linger windows and deadlines are re-evaluated.
   void advanceTo(uint64_t Tick);
 
-  /// Pauses/resumes the coalescer (submissions stay open).
+  /// Pauses/resumes the coalescer (submissions stay open). A paused
+  /// coalescer takes no new request off the queue, but its open linger
+  /// windows still close and dispatch on time.
   void pause();
   void resume();
 
@@ -252,6 +261,10 @@ private:
   /// Deadline/Failed response.
   void maybeAutoDump(Status St);
   void coalescerMain();
+  /// Plans a closed batch and pushes it onto the least-loaded lane;
+  /// fails its members when planning fails. Coalescer thread, no locks
+  /// held.
+  void dispatchBatch(Batch &B);
   void deviceMain(unsigned DeviceIndex);
   /// Continuous batching: tries to admit \p P into a compatible batch
   /// still waiting in a device lane. Coalescer thread; takes lane locks,
@@ -281,13 +294,12 @@ private:
   FairQueue<Pending, PendingTraits> Queue; // Guarded by QueueMutex.
   bool Paused = false;             // Guarded by QueueMutex.
   bool Stopping = false;           // Guarded by QueueMutex.
-  bool Draining = false;           // Guarded by QueueMutex.
+  bool Draining = false;           // Guarded by QueueMutex; Drain vs Abort.
   uint64_t NextRequestSeq = 0;     // Guarded by QueueMutex.
   uint64_t NextBatchId = 0;        // Coalescer thread only.
   std::vector<uint64_t> LaneAssignedCost; // Coalescer thread only.
 
   std::vector<std::unique_ptr<DeviceLane>> Lanes;
-  bool CoalescerDone = false; // Guarded by QueueMutex.
 
   std::shared_ptr<MemoCache> Memo; // Null when memoization is off.
 

@@ -76,7 +76,9 @@ struct Request {
   /// expired request is shed at dequeue with Status::Deadline instead of
   /// occupying a device.
   uint64_t DeadlineTick = 0;
-  /// Higher-priority requests are coalesced and dispatched first.
+  /// Higher-priority requests leave the queue first, and a busy device
+  /// runs its waiting batch with the highest member priority first
+  /// (the oldest first within one priority).
   int Priority = 0;
   /// Optional tenant label, for traces and diagnostics only.
   std::string Tenant;

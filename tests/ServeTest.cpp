@@ -1384,3 +1384,128 @@ TEST(ServeEngineTest, ResponsesKeepTimelinesOnlyWhenTheyAskUnderTracer) {
   for (const std::string &F : Failures)
     ADD_FAILURE() << F;
 }
+
+//===----------------------------------------------------------------------===//
+// Per-key linger windows, lane priority and Abort
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Polls \p Done for up to two seconds: a broken engine fails the test
+/// instead of hanging it.
+template <typename Pred> bool waitUntil(Pred Done) {
+  for (int Spin = 0; Spin != 2000 && !Done(); ++Spin)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  return Done();
+}
+
+serve::Request requestFor(const MixedProblems &P, size_t I) {
+  serve::Request Req;
+  Req.Fn = P.Fns[I];
+  Req.Args = P.Args[I];
+  return Req;
+}
+
+} // namespace
+
+TEST(ServeEngineTest, LingerWindowsArePerPlanKey) {
+  // Key A's window covers ticks 0-10. Key B arrives at tick 5 and must
+  // open its own window (ticks 5-15) at once, not wait in the queue
+  // until A's closes.
+  MixedProblems P;
+  serve::Engine::Options Opts;
+  Opts.LingerTicks = 10;
+  serve::Engine Engine(Opts);
+
+  serve::Future A = Engine.submit(requestFor(P, 0));
+  ASSERT_TRUE(waitUntil([&] { return Engine.queueDepth() == 0; }));
+  Engine.advanceTo(5);
+  serve::Future B = Engine.submit(requestFor(P, P.size() - 1));
+  ASSERT_TRUE(waitUntil([&] { return Engine.queueDepth() == 0; }))
+      << "key B waited in the queue behind key A's window";
+
+  Engine.advanceTo(11);
+  ASSERT_TRUE(waitUntil([&] { return A.ready(); }));
+  EXPECT_FALSE(B.ready()) << "key B's window closed with key A's";
+  Engine.advanceTo(16);
+  ASSERT_TRUE(waitUntil([&] { return B.ready(); }));
+  Engine.shutdown(serve::Engine::ShutdownMode::Drain);
+
+  ASSERT_EQ(A.wait().St, serve::Status::Ok) << A.wait().Error;
+  ASSERT_EQ(B.wait().St, serve::Status::Ok) << B.wait().Error;
+  EXPECT_EQ(B.wait().BatchSize, 1u);
+  EXPECT_NE(A.wait().BatchId, B.wait().BatchId);
+  EXPECT_EQ(Engine.stats().Batches, 2u);
+}
+
+TEST(ServeEngineTest, DeviceRunsHigherPriorityBatchFirst) {
+  // A plug wedges the only device inside its completion callback. A
+  // priority-0 batch queues behind it, then a priority-1 batch of
+  // another key: once the plug is released, the later, higher-priority
+  // batch runs first.
+  MixedProblems P;
+  serve::Engine::Options Opts;
+  Opts.Devices = 1;
+  Opts.LingerTicks = 0;
+  serve::Engine Engine(Opts);
+
+  std::mutex Mutex;
+  std::condition_variable Cv;
+  bool PlugDone = false, Released = false;
+  serve::Future PlugF =
+      Engine.submit(requestFor(P, 0), [&](const serve::Response &) {
+        std::unique_lock<std::mutex> Lock(Mutex);
+        PlugDone = true;
+        Cv.notify_all();
+        Cv.wait(Lock, [&] { return Released; });
+      });
+  {
+    std::unique_lock<std::mutex> Lock(Mutex);
+    Cv.wait(Lock, [&] { return PlugDone; });
+  }
+
+  serve::Request LowReq = requestFor(P, 1);
+  LowReq.Priority = 0;
+  serve::Future Low = Engine.submit(std::move(LowReq));
+  ASSERT_TRUE(waitUntil([&] { return Engine.stats().Batches == 2; }));
+  serve::Request HighReq = requestFor(P, P.size() - 1);
+  HighReq.Priority = 1;
+  serve::Future High = Engine.submit(std::move(HighReq));
+  ASSERT_TRUE(waitUntil([&] { return Engine.stats().Batches == 3; }));
+  // A batch is counted just before it is planned and pushed to its lane.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    Released = true;
+  }
+  Cv.notify_all();
+  Engine.shutdown(serve::Engine::ShutdownMode::Drain);
+
+  EXPECT_EQ(PlugF.wait().St, serve::Status::Ok);
+  ASSERT_EQ(Low.wait().St, serve::Status::Ok) << Low.wait().Error;
+  ASSERT_EQ(High.wait().St, serve::Status::Ok) << High.wait().Error;
+  EXPECT_LT(High.wait().CompletionSeq, Low.wait().CompletionSeq);
+}
+
+TEST(ServeEngineTest, AbortResolvesOpenLingerWindowsAsAborted) {
+  // Two keys, two open windows far from closing: Abort resolves both as
+  // Aborted and dispatches neither.
+  MixedProblems P;
+  serve::Engine::Options Opts;
+  Opts.LingerTicks = 1000;
+  serve::Engine Engine(Opts);
+
+  serve::Future A = Engine.submit(requestFor(P, 0));
+  serve::Future B = Engine.submit(requestFor(P, P.size() - 1));
+  ASSERT_TRUE(waitUntil([&] { return Engine.queueDepth() == 0; }))
+      << "the requests never left the queue for their windows";
+  Engine.shutdown(serve::Engine::ShutdownMode::Abort);
+
+  EXPECT_EQ(A.wait().St, serve::Status::Aborted);
+  EXPECT_EQ(B.wait().St, serve::Status::Aborted);
+  serve::Engine::Stats Stats = Engine.stats();
+  EXPECT_EQ(Stats.Batches, 0u);
+  EXPECT_EQ(Stats.Completed, 0u);
+  EXPECT_EQ(Stats.Aborted, 2u);
+}
