@@ -96,7 +96,6 @@ ConfigResult runConfig(const serve::Workload &W, size_t MaxBatch, Mode M) {
   Opts.Devices = 1;
   Opts.QueueCapacity = W.events().size() + 8;
   Opts.MaxBatch = MaxBatch;
-  Opts.Coalesce = true;
   Opts.Pipeline = M == Mode::Pipelined;
   // Admit everything before the drain: batch composition, and with it
   // every modelled number, is then deterministic.

@@ -92,8 +92,8 @@ ConfigResult runConfig(const serve::Workload &W, unsigned Devices,
   serve::Engine::Options Opts;
   Opts.Devices = Devices;
   Opts.QueueCapacity = W.events().size() + 8;
-  Opts.MaxBatch = 8;
-  Opts.Coalesce = Coalesce;
+  // Coalescing off is MaxBatch = 1: every request is its own batch.
+  Opts.MaxBatch = Coalesce ? 8 : 1;
   // Admit everything before the drain: batch composition, and with it
   // every modelled number, is then deterministic.
   Opts.StartPaused = true;

@@ -249,7 +249,7 @@ FairnessResult runFairness(uint64_t PerTenant) {
   SwFactory Factory;
   serve::Engine::Options Opts;
   Opts.Devices = 1;
-  Opts.Coalesce = false; // Dispatch order == schedule order, exactly.
+  Opts.MaxBatch = 1; // Dispatch order == schedule order, exactly.
   Opts.StartPaused = true;
   Opts.QueueCapacity = 2 * PerTenant + 16;
   Opts.TenantWeights = {{"heavy", 10}, {"light", 1}};
@@ -319,7 +319,7 @@ MemoResult runMemo(uint64_t Unique, uint64_t RepeatsPerUnique) {
   SwFactory Factory;
   serve::Engine::Options Opts;
   Opts.Devices = 1;
-  Opts.MemoCapacity = Unique + 8;
+  Opts.Memo = std::make_shared<serve::MemoCache>(Unique + 8);
   Opts.QueueCapacity = Unique * (RepeatsPerUnique + 1) + 16;
   serve::Engine Engine(Opts);
 

@@ -532,6 +532,14 @@ RunResult scanPlan(const ExecutablePlan &Plan, codegen::Evaluator &Eval,
 
 } // namespace
 
+PlanKey exec::planKey(const solver::DomainBox &Box, const RunOptions &Options,
+                      const solver::Schedule *Preselected) {
+  return PlanKey::make(
+      Box, Options.UseSlidingWindow, Options.KeepTable,
+      Options.ForcedSchedule ? &*Options.ForcedSchedule : Preselected,
+      Options.Evaluator == EvalKind::Jit);
+}
+
 RunResult SerialCpuBackend::execute(const ExecutablePlan &Plan,
                                     codegen::Evaluator &Eval,
                                     const RunOptions &Options) const {

@@ -104,6 +104,14 @@ struct RunOptions {
   bool Pipeline = false;
 };
 
+/// The plan key of running \p Box under \p Options: the one derivation
+/// shared by CompiledRecurrence::planFor, the serving engine's batching
+/// and the router's sharding, so all three agree on which requests share
+/// a plan. A forced schedule takes precedence over \p Preselected (the
+/// Section 4.7 conditional choice).
+PlanKey planKey(const solver::DomainBox &Box, const RunOptions &Options,
+                const solver::Schedule *Preselected = nullptr);
+
 /// The outcome of running one problem.
 struct RunResult {
   /// Value at the root point (every recursion dimension at its maximum) —

@@ -163,18 +163,10 @@ CompiledRecurrence::planFor(const DomainBox &Box,
                             const Schedule *Preselected,
                             DiagnosticEngine &Diags,
                             const gpu::CostModel *) const {
-  // A forced schedule takes precedence over a preselected one, matching
-  // the batch path's selection logic.
-  const Schedule *Requested =
-      Options.ForcedSchedule ? &*Options.ForcedSchedule : Preselected;
   obs::Span PlanSpan("exec.plan_lookup", "exec");
   if (PlanSpan.active())
     PlanSpan.arg("function", Decl->Name);
-  // Jit is part of the key: a VM-first run must not pin a kernel-less
-  // plan that a later --evaluator=jit run would then hit.
-  bool WantJit = Options.Evaluator == exec::EvalKind::Jit;
-  exec::PlanKey Key = exec::PlanKey::make(
-      Box, Options.UseSlidingWindow, Options.KeepTable, Requested, WantJit);
+  exec::PlanKey Key = exec::planKey(Box, Options, Preselected);
   if (std::shared_ptr<const exec::ExecutablePlan> Cached =
           Plans->lookup(Key)) {
     if (PlanSpan.active())
@@ -194,7 +186,7 @@ CompiledRecurrence::planFor(const DomainBox &Box,
       Options.ForcedSchedule ? &*Options.ForcedSchedule : nullptr;
   Req.PreselectedSchedule = Preselected;
   Req.Program = Bytecode;
-  Req.Jit = WantJit;
+  Req.Jit = Key.Jit;
   Req.JitCacheDir = Options.JitCacheDir;
   std::optional<exec::ExecutablePlan> Plan =
       exec::buildPlan(Info.Recurrence, DimNames, Box, Req, Diags);

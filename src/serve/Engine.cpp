@@ -47,12 +47,6 @@ double secondsSince(Wall::time_point From, Wall::time_point To) {
   return std::chrono::duration<double>(To - From).count();
 }
 
-/// serve::Status values indexed by their underlying integer, for the
-/// flight recorder's packed status byte.
-std::vector<std::string> statusNameTable() {
-  return {"ok", "queue_full", "deadline", "aborted", "failed"};
-}
-
 /// The tenant label value for metrics: bounded-cardinality label sets
 /// make a hostile tenant stream safe, but an empty name still needs a
 /// stable, greppable value.
@@ -138,10 +132,6 @@ Engine::Engine(Options Options)
   Paused = Opts.StartPaused;
   for (const auto &[Tenant, Weight] : Opts.TenantWeights)
     Queue.setWeight(Tenant, Weight);
-  if (Opts.Memo)
-    Memo = Opts.Memo;
-  else if (Opts.MemoCapacity)
-    Memo = std::make_shared<MemoCache>(Opts.MemoCapacity);
   {
     std::lock_guard<std::mutex> Lock(StatsMutex);
     Counters.DeviceBatches.assign(Opts.Devices, 0);
@@ -232,7 +222,12 @@ std::string Engine::dumpFlightRecorder() const {
     std::lock_guard<std::mutex> Lock(TenantMutex);
     Tenants = TenantNames;
   }
-  return Flight.json(statusNameTable(), Tenants);
+  // The flight recorder packs a Status as its underlying integer, and
+  // Failed is the last one.
+  std::vector<std::string> Statuses;
+  for (int S = 0; S <= static_cast<int>(Status::Failed); ++S)
+    Statuses.emplace_back(statusName(static_cast<Status>(S)));
+  return Flight.json(Statuses, Tenants);
 }
 
 bool Engine::dumpFlightRecorder(const std::string &Path) const {
@@ -253,13 +248,26 @@ void Engine::maybeAutoDump(Status St) {
   dumpFlightRecorder(Opts.FlightDumpPath);
 }
 
-void Engine::complete(Pending &P, Status St, std::string Error) {
-  uint64_t Now = now();
+void Engine::complete(Pending &P, Status St, Response Resp,
+                      std::optional<Wall::time_point> ExecStart) {
   Wall::time_point NowWall = Wall::now();
-  obs::MetricsRegistry &M = obs::MetricsRegistry::global();
+  Resp.Id = P.Req.Id;
+  Resp.St = St;
+  Resp.SubmitTick = P.SubmitTick;
+  Resp.CompleteTick = now();
+  Resp.TotalSeconds = secondsSince(P.SubmitWall, NowWall);
+  if (ExecStart) {
+    Resp.QueueSeconds = secondsSince(P.SubmitWall, *ExecStart);
+    Resp.ExecSeconds = secondsSince(*ExecStart, NowWall);
+  }
+  Resp.CompletionSeq = CompletionSeq.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> Lock(StatsMutex);
     switch (St) {
+    case Status::Ok:
+      ++Counters.Completed;
+      Counters.MemoHits += Resp.Memoized;
+      break;
     case Status::QueueFull:
       ++Counters.Rejected;
       break;
@@ -272,74 +280,30 @@ void Engine::complete(Pending &P, Status St, std::string Error) {
     case Status::Failed:
       ++Counters.Failed;
       break;
-    case Status::Ok:
-      break; // Ok responses are built in executeBatch.
     }
   }
-  if (St == Status::QueueFull)
-    M.add("serve.rejected");
-  else if (St == Status::Deadline)
-    M.add("serve.deadline_shed");
-  M.add("serve.responses",
-        obs::Labels{{"status", statusName(St)},
-                    {"tenant", tenantLabel(P.Req.Tenant)}});
-  Flight.record(FlightEventKind::Complete, P.Req.Id, Now,
-                static_cast<uint8_t>(St), /*Device=*/0, P.TenantId,
-                /*Batch=*/0);
-  maybeAutoDump(St);
-  Response Resp;
-  Resp.Id = P.Req.Id;
-  Resp.St = St;
-  Resp.SubmitTick = P.SubmitTick;
-  Resp.CompleteTick = Now;
-  Resp.TotalSeconds = secondsSince(P.SubmitWall, NowWall);
-  Resp.CompletionSeq = CompletionSeq.fetch_add(1, std::memory_order_relaxed);
-  Resp.Error = std::move(Error);
-  resolve(*P.State, std::move(Resp));
-}
-
-void Engine::completeMemoHit(Pending &P, MemoCache::Entry Hit) {
-  // A hit is a completed Ok request that never touched the queue or a
-  // device: full submit + complete bookkeeping, zero device counters.
-  uint64_t Now = now();
-  Wall::time_point NowWall = Wall::now();
   obs::MetricsRegistry &M = obs::MetricsRegistry::global();
-  const std::string TenantLbl = tenantLabel(P.Req.Tenant);
-  {
-    std::lock_guard<std::mutex> Lock(StatsMutex);
-    ++Counters.Submitted;
-    ++Counters.Completed;
-    ++Counters.MemoHits;
+  const std::string Tenant = tenantLabel(P.Req.Tenant);
+  M.add("serve.responses",
+        obs::Labels{{"status", statusName(St)}, {"tenant", Tenant}});
+  if (St == Status::Ok) {
+    // A memo hit never queued or executed: its split is 0 + 0 + total.
+    obs::Labels TenantL{{"tenant", Tenant}};
+    M.observe("serve.latency.queue_wait_seconds", TenantL,
+              Resp.QueueSeconds);
+    M.observe("serve.latency.execute_seconds", TenantL, Resp.ExecSeconds);
+    M.observe("serve.latency.total_seconds", TenantL, Resp.TotalSeconds);
   }
-  M.add("serve.requests");
-  M.add("serve.requests_by_tenant", obs::Labels{{"tenant", TenantLbl}});
-  M.add("serve.responses", obs::Labels{{"status", statusName(Status::Ok)},
-                                       {"tenant", TenantLbl}});
-  obs::Labels TenantL{{"tenant", TenantLbl}};
-  double Total = secondsSince(P.SubmitWall, NowWall);
-  M.observe("serve.latency.queue_wait_seconds", TenantL, 0.0);
-  M.observe("serve.latency.execute_seconds", TenantL, 0.0);
-  M.observe("serve.latency.total_seconds", TenantL, Total);
-  Flight.record(FlightEventKind::Submit, P.Req.Id, P.SubmitTick,
-                static_cast<uint8_t>(Status::Ok), 0, P.TenantId, 0);
-  Flight.record(FlightEventKind::Complete, P.Req.Id, Now,
-                static_cast<uint8_t>(Status::Ok), 0, P.TenantId, 0);
-  Response Resp;
-  Resp.Id = P.Req.Id;
-  Resp.St = Status::Ok;
-  Resp.Result = std::move(Hit.Result);
-  Resp.SubmitTick = P.SubmitTick;
-  Resp.CompleteTick = Now;
-  Resp.TotalSeconds = Total;
-  Resp.CompletionSeq = CompletionSeq.fetch_add(1, std::memory_order_relaxed);
-  Resp.CompletionCycle = Hit.CompletionCycle;
-  Resp.Memoized = true;
+  Flight.record(FlightEventKind::Complete, Resp.Id, Resp.CompleteTick,
+                static_cast<uint8_t>(St), static_cast<uint16_t>(Resp.Device),
+                P.TenantId, Resp.BatchId);
+  maybeAutoDump(St);
   resolve(*P.State, std::move(Resp));
 }
 
 void Engine::maybeMemoize(const Pending &P, const exec::RunResult &R,
                           uint64_t CompletionCycle) {
-  if (!P.Memoize || !Memo)
+  if (!P.Memoize)
     return;
   MemoCache::Entry E;
   E.Result = R;
@@ -350,7 +314,7 @@ void Engine::maybeMemoize(const Pending &P, const exec::RunResult &R,
   E.Result.Timeline.reset();
   E.Result.Table.reset();
   E.CompletionCycle = CompletionCycle;
-  Memo->insert(P.MemoKey, std::move(E));
+  Opts.Memo->insert(P.MemoKey, std::move(E));
 }
 
 Future Engine::submit(Request Req,
@@ -383,35 +347,21 @@ Future Engine::submit(Request Req,
     Box = P.Req.Fn->domainFor(P.Req.Args, Diags);
   else
     Diags.error({}, "request has no compiled function");
-  if (!Box) {
-    if (Span.active())
-      Span.arg("status", statusName(Status::Failed));
-    Flight.record(FlightEventKind::Submit, P.Req.Id, P.SubmitTick,
-                  static_cast<uint8_t>(Status::Failed), 0, P.TenantId, 0);
-    complete(P, Status::Failed, Diags.str());
-    return F;
-  }
-  P.Box = std::move(*Box);
-  P.Key = exec::PlanKey::make(
-      P.Box, P.Req.Options.UseSlidingWindow, P.Req.Options.KeepTable,
-      P.Req.Options.ForcedSchedule ? &*P.Req.Options.ForcedSchedule
-                                   : nullptr,
-      P.Req.Options.Evaluator == exec::EvalKind::Jit);
-
-  // Result memoization (the serving-layer PlanCache): identical request
-  // contents under an identical plan key resolve from the cache without
-  // queueing. Requests that keep run-scoped payloads are exempt.
-  if (Memo && !P.Req.Options.KeepTable && !P.Req.Options.Trace) {
-    P.Memoize = true;
-    P.MemoKey.Fn = P.Req.Fn->id();
-    P.MemoKey.Plan = P.Key;
-    P.MemoKey.Digest = exec::inputDigest(P.Req.Args);
-    P.MemoKey.Threads = P.Req.Options.Threads;
-    if (std::optional<MemoCache::Entry> Hit = Memo->lookup(P.MemoKey)) {
-      if (Span.active())
-        Span.arg("status", "memo_hit");
-      completeMemoHit(P, std::move(*Hit));
-      return F;
+  std::optional<MemoCache::Entry> Hit;
+  if (Box) {
+    P.Box = std::move(*Box);
+    P.Key = exec::planKey(P.Box, P.Req.Options);
+    // Result memoization (the serving-layer PlanCache): identical
+    // request contents under an identical plan key resolve from the
+    // cache without queueing. Requests that keep run-scoped payloads are
+    // exempt.
+    if (Opts.Memo && !P.Req.Options.KeepTable && !P.Req.Options.Trace) {
+      P.Memoize = true;
+      P.MemoKey.Fn = P.Req.Fn->id();
+      P.MemoKey.Plan = P.Key;
+      P.MemoKey.Digest = exec::inputDigest(P.Req.Args);
+      P.MemoKey.Threads = P.Req.Options.Threads;
+      Hit = Opts.Memo->lookup(P.MemoKey);
     }
   }
 
@@ -421,51 +371,60 @@ Future Engine::submit(Request Req,
   const uint32_t Tenant = P.TenantId;
   const uint64_t SubmitTick = P.SubmitTick;
   const std::string TenantLbl = tenantLabel(P.Req.Tenant);
+  Status St = Box ? Status::Ok : Status::Failed;
   size_t Depth = 0;
-  bool Admitted = false;
-  {
+  if (Box && !Hit) {
     std::lock_guard<std::mutex> Lock(QueueMutex);
     if (!Stopping && Queue.size() < Opts.QueueCapacity) {
       P.Seq = NextRequestSeq++;
-      Admitted = true;
       Queue.push(std::move(P));
       Depth = Queue.size();
+    } else {
+      // Backpressure: resolve immediately instead of growing without
+      // bound. The producer decides whether to retry, slow down or drop.
+      St = Status::QueueFull;
     }
   }
-  obs::MetricsRegistry &M = obs::MetricsRegistry::global();
-  if (!Admitted) {
-    // Backpressure: resolve immediately instead of growing without
-    // bound. The producer decides whether to retry, slow down or drop.
-    if (Span.active())
-      Span.arg("status", statusName(Status::QueueFull));
-    Flight.record(FlightEventKind::Submit, P.Req.Id, P.SubmitTick,
-                  static_cast<uint8_t>(Status::QueueFull), 0, P.TenantId, 0);
-    complete(P, Status::QueueFull);
+  Flight.record(FlightEventKind::Submit, Id, SubmitTick,
+                static_cast<uint8_t>(St), 0, Tenant, 0);
+  if (Span.active())
+    Span.arg("status", Hit ? "memo_hit"
+                           : St == Status::Ok ? "queued" : statusName(St));
+  if (St != Status::Ok) {
+    Response Resp;
+    if (St == Status::Failed)
+      Resp.Error = Diags.str();
+    complete(P, St, std::move(Resp));
     return F;
   }
-  Flight.record(FlightEventKind::Submit, Id, SubmitTick,
-                static_cast<uint8_t>(Status::Ok), 0, Tenant, 0);
-  Span.flowStart(Id);
+
+  obs::MetricsRegistry &M = obs::MetricsRegistry::global();
   M.add("serve.requests");
   M.add("serve.requests_by_tenant", obs::Labels{{"tenant", TenantLbl}});
-  M.observe("serve.queue_depth", static_cast<double>(Depth));
   {
     std::lock_guard<std::mutex> Lock(StatsMutex);
     ++Counters.Submitted;
     Counters.MaxQueueDepth =
         std::max(Counters.MaxQueueDepth, static_cast<uint64_t>(Depth));
   }
-  if (Span.active()) {
-    Span.arg("status", "queued");
-    Span.arg("queue_depth", static_cast<uint64_t>(Depth));
+  if (Hit) {
+    // A hit never touches the queue or a device.
+    Response Resp;
+    Resp.Result = std::move(Hit->Result);
+    Resp.CompletionCycle = Hit->CompletionCycle;
+    Resp.Memoized = true;
+    complete(P, Status::Ok, std::move(Resp));
+    return F;
   }
+  Span.flowStart(Id);
+  M.observe("serve.queue_depth", static_cast<double>(Depth));
+  if (Span.active())
+    Span.arg("queue_depth", static_cast<uint64_t>(Depth));
   QueueCv.notify_all();
   return F;
 }
 
 bool Engine::tryContinuousJoin(Pending &P) {
-  if (!Opts.Coalesce || Opts.MaxBatch <= 1)
-    return false;
   for (std::unique_ptr<DeviceLane> &LanePtr : Lanes) {
     DeviceLane &Lane = *LanePtr;
     uint64_t BatchId = 0;
@@ -521,7 +480,6 @@ void Engine::coalescerMain() {
   // (Fn, PlanKey) and closes on its own tick, so a window only ever
   // delays requests of its own key.
   std::vector<Batch> Open;
-  const bool Coalescing = Opts.Coalesce && Opts.MaxBatch > 1;
 
   // Absorb every compatible queued request, in submission order. The
   // SubmitTick bound makes the linger window a property of virtual
@@ -530,7 +488,7 @@ void Engine::coalescerMain() {
   // consumes no fair-queue deficit — riders share a batch the head's
   // tenant already paid for.
   auto absorb = [&](Batch &B, std::vector<Pending> &Shed) {
-    if (!Coalescing || B.Members.size() >= Opts.MaxBatch)
+    if (B.Members.size() >= Opts.MaxBatch)
       return;
     Queue.absorb(
         [&](const Pending &P) {
@@ -544,9 +502,8 @@ void Engine::coalescerMain() {
   // arrivals always make it in). Without lingering, and once the engine
   // stops, it closes in the round that opened it.
   auto due = [&](const Batch &B, uint64_t Now) {
-    return !Coalescing || Opts.LingerTicks == 0 ||
-           B.Members.size() >= Opts.MaxBatch || Stopping ||
-           Now > B.CloseTick;
+    return Opts.LingerTicks == 0 || B.Members.size() >= Opts.MaxBatch ||
+           Stopping || Now > B.CloseTick;
   };
 
   std::unique_lock<std::mutex> Lock(QueueMutex);
@@ -661,9 +618,10 @@ void Engine::dispatchBatch(Batch &B) {
   if (Span.active())
     Span.arg("planned", B.Plan != nullptr);
   if (!B.Plan) {
-    std::string Error = Diags.str();
+    Response Resp;
+    Resp.Error = Diags.str();
     for (Pending &P : B.Members)
-      complete(P, Status::Failed, Error);
+      complete(P, Status::Failed, Resp);
     return;
   }
 
@@ -751,39 +709,16 @@ void Engine::executeBatch(DeviceLane &Lane, Batch &B) {
     P.Req.Options.FlowId = P.Req.Id; // Trace flow id only; never a result.
     Inputs.push_back({B.Plan.get(), &P.Req.Args, &P.Req.Options});
   }
-  obs::MetricsRegistry &M = obs::MetricsRegistry::global();
   auto Publish = [&](size_t I, exec::RunResult &&R, uint64_t Completion) {
     Pending &P = Members[I];
     maybeMemoize(P, R, Completion);
-    Wall::time_point NowWall = Wall::now();
-    uint64_t Now = now();
     Response Resp;
-    Resp.Id = P.Req.Id;
-    Resp.St = Status::Ok;
     Resp.Result = std::move(R);
-    Resp.SubmitTick = P.SubmitTick;
-    Resp.CompleteTick = Now;
-    Resp.QueueSeconds = secondsSince(P.SubmitWall, ExecStart);
-    Resp.ExecSeconds = secondsSince(ExecStart, NowWall);
-    Resp.TotalSeconds = secondsSince(P.SubmitWall, NowWall);
     Resp.Device = Lane.Index;
     Resp.BatchId = B.Id;
     Resp.BatchSize = Members.size();
     Resp.CompletionCycle = Completion;
-    Resp.CompletionSeq =
-        CompletionSeq.fetch_add(1, std::memory_order_relaxed);
-    obs::Labels TenantL{{"tenant", tenantLabel(P.Req.Tenant)}};
-    M.observe("serve.latency.queue_wait_seconds", TenantL,
-              Resp.QueueSeconds);
-    M.observe("serve.latency.execute_seconds", TenantL, Resp.ExecSeconds);
-    M.observe("serve.latency.total_seconds", TenantL, Resp.TotalSeconds);
-    M.add("serve.responses",
-          obs::Labels{{"status", statusName(Status::Ok)},
-                      {"tenant", tenantLabel(P.Req.Tenant)}});
-    Flight.record(FlightEventKind::Complete, P.Req.Id, Now,
-                  static_cast<uint8_t>(Status::Ok),
-                  static_cast<uint16_t>(Lane.Index), P.TenantId, B.Id);
-    resolve(*P.State, std::move(Resp));
+    complete(P, Status::Ok, std::move(Resp), ExecStart);
   };
   exec::BatchExecutor Executor(Lane.Device, B.Fn->decl(), B.Fn->info(),
                                Opts.Pipeline);
@@ -795,7 +730,6 @@ void Engine::executeBatch(DeviceLane &Lane, Batch &B) {
   ++Counters.DeviceBatches[Lane.Index];
   Counters.DeviceRequests[Lane.Index] += Members.size();
   Counters.DeviceCycles[Lane.Index] += D.MakespanCycles;
-  Counters.Completed += Members.size();
 }
 
 void Engine::shutdown(ShutdownMode Mode) {

@@ -29,8 +29,8 @@
 ///    matches a batch still waiting in a device lane into that batch
 ///    (respecting MaxBatch) instead of a linger window; a batch a
 ///    device has dequeued is never reopened.
-///  - Options::MemoCapacity / Options::Memo memoize finished results
-///    keyed on (function, PlanKey, input digest, thread override):
+///  - Options::Memo memoizes finished results keyed on (function,
+///    PlanKey, input digest, thread override):
 ///    identical requests skip execution and resolve immediately with a
 ///    bit-identical payload (Response::Memoized). Requests that keep
 ///    tables or timelines are never memoized.
@@ -63,6 +63,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -82,16 +83,14 @@ public:
     /// Submission-queue bound; submissions beyond it resolve to
     /// Status::QueueFull immediately.
     size_t QueueCapacity = 256;
-    /// Coalescer closes a batch at this many requests.
+    /// Coalescer closes a batch at this many requests; 1 dispatches
+    /// every request as its own batch (the ablation baseline).
     size_t MaxBatch = 16;
     /// Virtual ticks a batch stays open waiting for compatible arrivals
     /// after its first request leaves the queue; 0 closes as soon as the
     /// queue holds no compatible request. Each plan key has its own
     /// window, so a window never delays another key's requests.
     uint64_t LingerTicks = 0;
-    /// When false every request dispatches as its own batch (the
-    /// ablation baseline).
-    bool Coalesce = true;
     /// Fair-queue weights per tenant name (missing tenants weigh 1,
     /// values clamp to >= 1): under backlog, tenants of one priority
     /// class are served proportionally to their weights.
@@ -102,11 +101,9 @@ public:
     /// never touches a batch the device has already dequeued. Changes
     /// when work dispatches, never what it computes.
     bool ContinuousBatch = false;
-    /// Result-memoization capacity in entries; 0 disables memoization
-    /// (unless Memo is set). See MemoCache.h for the key derivation.
-    size_t MemoCapacity = 0;
-    /// Shared memo cache; overrides MemoCapacity. A Router passes one
-    /// cache to all shards so re-routed repeats still hit.
+    /// Result memo cache; null disables memoization. See MemoCache.h for
+    /// the key derivation. A Router passes one cache to all shards so
+    /// re-routed repeats still hit.
     std::shared_ptr<MemoCache> Memo;
     /// Host worker threads per device for the problems of one batch;
     /// 0 divides exec::hostWorkerBudget() across the devices.
@@ -206,9 +203,8 @@ public:
 
   Stats stats() const;
   size_t queueDepth() const;
-  /// The shared or engine-local memo cache; null when memoization is
-  /// off.
-  const std::shared_ptr<MemoCache> &memoCache() const { return Memo; }
+  /// The memo cache; null when memoization is off.
+  const std::shared_ptr<MemoCache> &memoCache() const { return Opts.Memo; }
 
   /// The flight recorder's current contents as one JSON document
   /// (capacity, total recorded, dropped count, live events oldest
@@ -252,7 +248,14 @@ private:
     }
   };
 
-  void complete(Pending &P, Status St, std::string Error = {});
+  /// The one completion path. Stamps the fields every response shares
+  /// onto \p Resp (the caller fills the status-specific ones), counts it
+  /// in Stats and the registry, records the flight recorder's Complete
+  /// event and resolves the future, in that order: a callback sees its
+  /// own response counted. \p ExecStart, set for executed requests,
+  /// splits TotalSeconds into queue wait and execution.
+  void complete(Pending &P, Status St, Response Resp = {},
+                std::optional<Wall::time_point> ExecStart = std::nullopt);
   /// Interns \p Tenant into a bounded id table for flight-recorder
   /// entries (id 0 = unnamed; over-cardinality names collapse to one
   /// "other" id).
@@ -275,8 +278,6 @@ private:
   /// on ties. Coalescer thread only, so placement is deterministic in
   /// the batch sequence.
   unsigned pickLane(const Batch &B);
-  /// Resolves a memo hit: full Ok bookkeeping, no queue, no device.
-  void completeMemoHit(Pending &P, MemoCache::Entry Hit);
   /// Copies \p R (table/timeline stripped) into the memo cache under
   /// P.MemoKey, when P is memo-eligible.
   void maybeMemoize(const Pending &P, const exec::RunResult &R,
@@ -300,8 +301,6 @@ private:
   std::vector<uint64_t> LaneAssignedCost; // Coalescer thread only.
 
   std::vector<std::unique_ptr<DeviceLane>> Lanes;
-
-  std::shared_ptr<MemoCache> Memo; // Null when memoization is off.
 
   mutable std::mutex StatsMutex;
   Stats Counters; // Guarded by StatsMutex.

@@ -79,12 +79,19 @@ public:
     return It == TenantDepths.end() ? 0 : It->second;
   }
 
+  /// Queues \p Item behind every queued item of its subqueue with a
+  /// lower or equal Seq. New submissions carry the highest Seq and land
+  /// at the tail; absorb() returns a full batch's overflow here too, and
+  /// it must land ahead of its tenant's later requests.
   void push(T Item) {
     // Copy, not reference: the item is moved into its subqueue below.
     const std::string Tenant = Traits::tenant(Item);
-    int Priority = Traits::priority(Item);
-    ClassState &Class = Classes[Priority];
-    Class.Tenants[Tenant].push_back(std::move(Item));
+    std::deque<T> &Q = Classes[Traits::priority(Item)].Tenants[Tenant];
+    auto Pos = std::upper_bound(Q.begin(), Q.end(), Traits::seq(Item),
+                                [](uint64_t Seq, const T &Queued) {
+                                  return Seq < Traits::seq(Queued);
+                                });
+    Q.insert(Pos, std::move(Item));
     ++TenantDepths[Tenant];
     ++Total;
   }
@@ -136,8 +143,9 @@ public:
 
   /// Extracts every item satisfying \p Match, in global submission (Seq)
   /// order, until \p Out has grown by \p MaxTake items; expired matches
-  /// go to \p Shed (not counted against MaxTake). Neither path consumes
-  /// deficit — absorbed requests ride an already-charged batch.
+  /// go to \p Shed (not counted against MaxTake), and the rest stay
+  /// queued in their place. Neither path consumes deficit — absorbed
+  /// requests ride an already-charged batch.
   template <typename Pred>
   void absorb(Pred Match, size_t MaxTake, uint64_t Now, std::vector<T> &Out,
               std::vector<T> &Shed) {

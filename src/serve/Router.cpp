@@ -32,12 +32,8 @@ Router::Router(Options Options) : Opts(std::move(Options)) {
   NumShards = std::max(1u, Opts.Shards);
   // One memo cache for the whole router: a repeat that spills or
   // re-routes around a draining shard must still hit.
-  if (Opts.MemoCapacity)
-    Memo = std::make_shared<MemoCache>(Opts.MemoCapacity);
-  else if (Opts.Shard.Memo)
-    Memo = Opts.Shard.Memo;
-  else if (Opts.Shard.MemoCapacity)
-    Memo = std::make_shared<MemoCache>(Opts.Shard.MemoCapacity);
+  Memo = Opts.MemoCapacity ? std::make_shared<MemoCache>(Opts.MemoCapacity)
+                           : Opts.Shard.Memo;
   Opts.Shard.Memo = Memo;
   Shards_.reserve(NumShards);
   Retired.assign(NumShards, Engine::Stats{});
@@ -72,12 +68,7 @@ Future Router::submit(Request Req,
     DiagnosticEngine Diags;
     if (std::optional<solver::DomainBox> Box =
             Req.Fn->domainFor(Req.Args, Diags)) {
-      exec::PlanKey Key = exec::PlanKey::make(
-          *Box, Req.Options.UseSlidingWindow, Req.Options.KeepTable,
-          Req.Options.ForcedSchedule ? &*Req.Options.ForcedSchedule
-                                     : nullptr,
-          Req.Options.Evaluator == exec::EvalKind::Jit);
-      KeyHash = Key.hash();
+      KeyHash = exec::planKey(*Box, Req.Options).hash();
     }
     // An invalid request routes by tenant alone; the shard fails it.
   }
@@ -202,7 +193,8 @@ void Router::shutdown(Engine::ShutdownMode Mode) {
     E->shutdown(Mode);
 }
 
-void Router::accumulate(Engine::Stats &Into, const Engine::Stats &From) {
+void Router::accumulate(Engine::Stats &Into, const Engine::Stats &From,
+                        bool AppendDevices) {
   Into.Submitted += From.Submitted;
   Into.Completed += From.Completed;
   Into.Rejected += From.Rejected;
@@ -213,8 +205,12 @@ void Router::accumulate(Engine::Stats &Into, const Engine::Stats &From) {
   Into.MaxQueueDepth = std::max(Into.MaxQueueDepth, From.MaxQueueDepth);
   Into.MemoHits += From.MemoHits;
   Into.ContinuousJoins += From.ContinuousJoins;
-  auto AddVec = [](std::vector<uint64_t> &A,
-                   const std::vector<uint64_t> &B) {
+  auto AddVec = [AppendDevices](std::vector<uint64_t> &A,
+                                const std::vector<uint64_t> &B) {
+    if (AppendDevices) {
+      A.insert(A.end(), B.begin(), B.end());
+      return;
+    }
     if (A.size() < B.size())
       A.resize(B.size(), 0);
     for (size_t I = 0; I != B.size(); ++I)
@@ -235,31 +231,9 @@ Router::Stats Router::stats() const {
     // generation's are read from the engine.
     if (Shards_[I].Live)
       accumulate(R.PerShard[I], Shards_[I].Eng->stats());
-  }
-  for (unsigned I = 0; I != NumShards; ++I) {
-    const Engine::Stats &S = R.PerShard[I];
-    R.Total.Submitted += S.Submitted;
-    R.Total.Completed += S.Completed;
-    R.Total.Rejected += S.Rejected;
-    R.Total.DeadlineShed += S.DeadlineShed;
-    R.Total.Aborted += S.Aborted;
-    R.Total.Failed += S.Failed;
-    R.Total.Batches += S.Batches;
-    R.Total.MaxQueueDepth =
-        std::max(R.Total.MaxQueueDepth, S.MaxQueueDepth);
-    R.Total.MemoHits += S.MemoHits;
-    R.Total.ContinuousJoins += S.ContinuousJoins;
-    // Devices are per shard: concatenate, so the router-level modelled
-    // makespan stays max-of-device-cycles.
-    R.Total.DeviceBatches.insert(R.Total.DeviceBatches.end(),
-                                 S.DeviceBatches.begin(),
-                                 S.DeviceBatches.end());
-    R.Total.DeviceRequests.insert(R.Total.DeviceRequests.end(),
-                                  S.DeviceRequests.begin(),
-                                  S.DeviceRequests.end());
-    R.Total.DeviceCycles.insert(R.Total.DeviceCycles.end(),
-                                S.DeviceCycles.begin(),
-                                S.DeviceCycles.end());
+    // Devices are per shard: appending them keeps the router-level
+    // modelled makespan max-of-device-cycles.
+    accumulate(R.Total, R.PerShard[I], /*AppendDevices=*/true);
   }
   R.Routed = RoutedCount;
   R.Spilled = SpilledCount;

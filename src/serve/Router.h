@@ -56,7 +56,7 @@ public:
     /// with the shallowest queue instead. 0 disables spilling.
     size_t SpillQueueDepth = 0;
     /// Shared memo-cache capacity in entries across all shards; 0 falls
-    /// back to Shard.Memo / Shard.MemoCapacity (also shared when set).
+    /// back to Shard.Memo (also shared across shards when set).
     size_t MemoCapacity = 0;
   };
 
@@ -123,9 +123,10 @@ private:
 
   /// Sticky shard for (tenant, plan key hash), ignoring liveness.
   unsigned homeShard(const std::string &Tenant, uint64_t KeyHash) const;
-  /// Folds \p From into \p Into (scalars summed, device vectors summed
-  /// element-wise).
-  static void accumulate(Engine::Stats &Into, const Engine::Stats &From);
+  /// Folds \p From into \p Into: scalars summed, device vectors summed
+  /// element-wise, or appended when \p AppendDevices.
+  static void accumulate(Engine::Stats &Into, const Engine::Stats &From,
+                         bool AppendDevices = false);
 
   Options Opts;
   unsigned NumShards = 1;

@@ -79,7 +79,7 @@ int usage() {
                "  loops <fn> <n...>      print generated loop nests\n"
                "  serve --replay=<w.json> [--devices=<n>]\n"
                "      [--queue-cap=<n>] [--max-batch=<n>]\n"
-               "      [--linger=<ticks>] [--no-coalesce]\n"
+               "      [--linger=<ticks>]\n"
                "      [--router-shards=<n>] [--spill-depth=<n>]\n"
                "      [--tenant-weight=<name>=<w>] [--continuous-batch]\n"
                "      [--memo-cap=<entries>]\n"
@@ -107,7 +107,8 @@ int usage() {
                "                         --flight-dump: dump the flight\n"
                "                         recorder here after the replay,\n"
                "                         and on the first deadline/failed\n"
-               "                         response)\n");
+               "                         response; not with\n"
+               "                         --router-shards)\n");
   return 2;
 }
 
@@ -554,8 +555,6 @@ int cmdServe(int Argc, char **Argv) {
     } else if ((Value = optionValue(Arg, "--linger"))) {
       if (!parseCount("--linger", Value, &Opts.LingerTicks))
         return 2;
-    } else if (std::strcmp(Arg, "--no-coalesce") == 0) {
-      Opts.Coalesce = false;
     } else if ((Value = optionValue(Arg, "--router-shards"))) {
       if (!parseCount("--router-shards", Value, &RouterShards))
         return 2;
@@ -590,7 +589,7 @@ int cmdServe(int Argc, char **Argv) {
       uint64_t Cap = 0;
       if (!parseCount("--memo-cap", Value, &Cap))
         return 2;
-      Opts.MemoCapacity = static_cast<size_t>(Cap);
+      Opts.Memo = Cap ? std::make_shared<serve::MemoCache>(Cap) : nullptr;
     } else if (std::strcmp(Arg, "--pipeline") == 0) {
       Opts.Pipeline = true;
     } else if (std::strcmp(Arg, "--no-pipeline") == 0) {
@@ -631,6 +630,11 @@ int cmdServe(int Argc, char **Argv) {
   if (Replay.empty()) {
     std::fprintf(stderr,
                  "error: serve needs a workload (--replay=<file>)\n");
+    return 2;
+  }
+  if (!FlightDump.empty() && RouterShards != 0) {
+    std::fprintf(stderr, "error: --flight-dump needs a single engine, not "
+                         "--router-shards\n");
     return 2;
   }
   if (!TraceOut.empty())
@@ -693,8 +697,7 @@ int cmdServe(int Argc, char **Argv) {
                                    : serve::replay(*Engine, *Workload);
   if (Exporter)
     Exporter->stop();
-  if (!FlightDump.empty() && Engine &&
-      !Engine->dumpFlightRecorder(FlightDump))
+  if (!FlightDump.empty() && !Engine->dumpFlightRecorder(FlightDump))
     std::fprintf(stderr, "error: cannot write flight dump to '%s'\n",
                  FlightDump.c_str());
 

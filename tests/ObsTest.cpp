@@ -570,10 +570,6 @@ TEST(MetricsTest, ServingEngineFeedsGlobalRegistry) {
 
   EXPECT_EQ(After.counter("serve.requests"),
             Before.counter("serve.requests") + 2);
-  EXPECT_EQ(After.counter("serve.rejected"),
-            Before.counter("serve.rejected") + 1);
-  EXPECT_EQ(After.counter("serve.deadline_shed"),
-            Before.counter("serve.deadline_shed") + 1);
   EXPECT_GT(After.counter("serve.batches"),
             Before.counter("serve.batches"));
 

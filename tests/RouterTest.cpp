@@ -254,6 +254,28 @@ TEST(FairQueueTest, AbsorbExtractsMatchesInSubmissionOrder) {
   EXPECT_TRUE(Q.empty());
 }
 
+TEST(FairQueueTest, AbsorbOverflowKeepsTenantFifoOrder) {
+  serve::FairQueue<QItem> Q = makeQueue();
+  uint64_t Seq = 0;
+  // One tenant: two requests of one key, then one of another key.
+  Q.push({"a", 0, Seq++, 0, /*Tag=*/1});
+  Q.push({"a", 0, Seq++, 0, 1});
+  Q.push({"a", 0, Seq++, 0, 0});
+
+  // A batch with room for one takes seq 0; seq 1 overflows and must
+  // stay ahead of the tenant's later seq 2.
+  std::vector<QItem> Out, Shed;
+  Q.absorb([](const QItem &I) { return I.Tag == 1; }, /*MaxTake=*/1,
+           /*Now=*/0, Out, Shed);
+  ASSERT_EQ(Out.size(), 1u);
+  EXPECT_EQ(Out[0].Seq, 0u);
+  std::vector<uint64_t> Order;
+  while (auto Item = Q.pop(/*Now=*/0, &Shed))
+    Order.push_back(Item->Seq);
+  EXPECT_EQ(Order, (std::vector<uint64_t>{1, 2}));
+  EXPECT_TRUE(Shed.empty());
+}
+
 //===----------------------------------------------------------------------===//
 // MemoCache: LRU bound, stats, first-write-wins
 //===----------------------------------------------------------------------===//

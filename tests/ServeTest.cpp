@@ -36,6 +36,7 @@
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -166,8 +167,7 @@ TEST(ServeEngineTest, ResultsBitIdenticalToDirectRuns) {
     for (bool Coalesce : {true, false}) {
       serve::Engine::Options Opts;
       Opts.Devices = Devices;
-      Opts.Coalesce = Coalesce;
-      Opts.MaxBatch = 4;
+      Opts.MaxBatch = Coalesce ? 4 : 1;
       Opts.StartPaused = true;
       serve::Engine Engine(Opts);
       std::vector<serve::Future> Futures;
@@ -342,7 +342,7 @@ TEST(ServeEngineTest, CoalescesSameShapeUpToMaxBatch) {
 TEST(ServeEngineTest, CoalescingOffDispatchesSingletons) {
   TinyProblem P;
   serve::Engine::Options Opts;
-  Opts.Coalesce = false;
+  Opts.MaxBatch = 1; // Coalescing off.
   Opts.StartPaused = true;
   serve::Engine Engine(Opts);
   std::vector<serve::Future> Futures;
@@ -358,7 +358,7 @@ TEST(ServeEngineTest, RoundRobinsBatchesAcrossDevices) {
   TinyProblem P;
   serve::Engine::Options Opts;
   Opts.Devices = 3;
-  Opts.Coalesce = false;
+  Opts.MaxBatch = 1;
   Opts.StartPaused = true;
   serve::Engine Engine(Opts);
   std::vector<serve::Future> Futures;
@@ -434,6 +434,25 @@ TEST(ServeEngineTest, CallbackRunsOnCompletion) {
   F.wait();
   EXPECT_EQ(Calls.load(), 1);
   EXPECT_EQ(Seen, serve::Status::Ok);
+}
+
+TEST(ServeEngineTest, ResponsesAreCountedBeforeTheyResolve) {
+  TinyProblem P;
+  serve::Engine::Options Opts;
+  Opts.StartPaused = true;
+  serve::Engine Engine(Opts);
+  // One device publishes its responses one after another, and each
+  // callback must already see its own response in stats().
+  std::mutex Mutex;
+  std::vector<uint64_t> Completed;
+  for (int I = 0; I != 3; ++I)
+    Engine.submit(P.request(), [&](const serve::Response &) {
+      uint64_t Seen = Engine.stats().Completed;
+      std::lock_guard<std::mutex> Lock(Mutex);
+      Completed.push_back(Seen);
+    });
+  Engine.shutdown(serve::Engine::ShutdownMode::Drain);
+  EXPECT_EQ(Completed, (std::vector<uint64_t>{1, 2, 3}));
 }
 
 //===----------------------------------------------------------------------===//
@@ -994,7 +1013,7 @@ TEST(ServeEngineTest, PicksLeastLoadedDeviceByModelledCycles) {
 
   serve::Engine::Options Opts;
   Opts.Devices = 2;
-  Opts.Coalesce = false;
+  Opts.MaxBatch = 1;
   Opts.StartPaused = true;
   serve::Engine Engine(Opts);
 
@@ -1022,7 +1041,7 @@ TEST(ServeEngineTest, WeightedTenantsDispatchInDeficitRoundRobinOrder) {
   TinyProblem P;
   serve::Engine::Options Opts;
   Opts.Devices = 1;
-  Opts.Coalesce = false; // Singleton batches: dispatch order == pop order.
+  Opts.MaxBatch = 1; // Singleton batches: dispatch order == pop order.
   Opts.StartPaused = true;
   Opts.TenantWeights = {{"heavy", 10}, {"light", 1}};
   serve::Engine Engine(Opts);
@@ -1147,7 +1166,7 @@ TEST(ServeEngineTest, ContinuousBatchAdmitsLateArrivalsIntoQueuedBatch) {
 TEST(ServeEngineTest, MemoizedRepeatsAreBitIdenticalAndSkipExecution) {
   TinyProblem P;
   serve::Engine::Options Opts;
-  Opts.MemoCapacity = 8;
+  Opts.Memo = std::make_shared<serve::MemoCache>(8);
   serve::Engine Engine(Opts);
 
   const serve::Response First = Engine.submit(P.request()).wait();
