@@ -8,8 +8,9 @@
 /// \file
 /// Shared between the bench binaries: the case-study DSL sources, seeded
 /// synthetic workload builders matching the paper's evaluation shapes,
-/// run helpers, and a collector that prints each figure's series as a
-/// paper-style table after the google-benchmark run.
+/// run helpers, a collector that prints each figure's series as a
+/// paper-style table after the google-benchmark run, and the host block
+/// a BENCH file records beside its wall-clock numbers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +21,7 @@
 #include "baselines/SmithWaterman.h"
 #include "bio/Fasta.h"
 #include "bio/HmmZoo.h"
+#include "obs/Json.h"
 #include "obs/Metrics.h"
 #include "runtime/CompiledRecurrence.h"
 
@@ -32,6 +34,9 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <thread>
+
+#include <sched.h>
 
 namespace parrecbench {
 
@@ -133,6 +138,42 @@ inline uint64_t benchMixSeed(uint64_t Base) {
   if (!Override)
     return Base;
   return Base ^ (Override * 0x9E3779B97F4A7C15ull);
+}
+
+/// The host a bench ran on, as one JSON object: the CPUs this process
+/// may run on (what `nproc` prints), std::thread::hardware_concurrency,
+/// the CPU model from /proc/cpuinfo, the compiler and its version, and
+/// the CMake build type (PARREC_BUILD_TYPE, set by bench/CMakeLists.txt).
+inline std::string hostJson() {
+  cpu_set_t Set;
+  CPU_ZERO(&Set);
+  int Nproc = sched_getaffinity(0, sizeof(Set), &Set) == 0 ? CPU_COUNT(&Set)
+                                                            : 0;
+  std::string Model = "unknown";
+  std::ifstream CpuInfo("/proc/cpuinfo");
+  for (std::string Line; std::getline(CpuInfo, Line);)
+    if (Line.rfind("model name", 0) == 0) {
+      size_t Colon = Line.find(':');
+      if (Colon != std::string::npos && Colon + 2 <= Line.size())
+        Model = Line.substr(Colon + 2);
+      break;
+    }
+#if defined(__clang__)
+  const char *Compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const char *Compiler = "gcc " __VERSION__;
+#else
+  const char *Compiler = "unknown";
+#endif
+  parrec::obs::JsonWriter W;
+  W.beginObject();
+  W.key("nproc").value(Nproc);
+  W.key("hardware_concurrency").value(std::thread::hardware_concurrency());
+  W.key("cpu_model").value(Model);
+  W.key("compiler").value(Compiler);
+  W.key("build_type").value(PARREC_BUILD_TYPE);
+  W.endObject();
+  return W.str();
 }
 
 /// Runs registered benchmarks, then prints the figure tables. Every bench

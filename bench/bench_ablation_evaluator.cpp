@@ -10,7 +10,8 @@
 /// bytecode VM and native JIT kernel — on the per-cell hot path, across
 /// the three case-study recursions (Smith-Waterman, gene-finder Viterbi,
 /// profile-HMM forward). Reports host wall-clock and cells/second for
-/// all three and writes the results to BENCH_evaluator.json.
+/// all three and writes the results, with the host they ran on, to
+/// BENCH_evaluator.json.
 ///
 /// Unlike the figure benches this measures *host* time, not modelled GPU
 /// time — the two evaluators produce identical cost-model cycles by
@@ -26,6 +27,8 @@
 /// the VM, on any case study.
 ///
 //===----------------------------------------------------------------------===//
+
+#include "BenchCommon.h"
 
 #include "bio/Fasta.h"
 #include "bio/HmmZoo.h"
@@ -186,6 +189,7 @@ void writeJson(const std::string &Path,
   }
   std::fprintf(F, "{\n  \"benchmark\": \"evaluator_ablation\",\n");
   std::fprintf(F, "  \"mode\": \"%s\",\n", Smoke ? "smoke" : "full");
+  std::fprintf(F, "  \"host\": %s,\n", parrecbench::hostJson().c_str());
   std::fprintf(F, "  \"cases\": [\n");
   for (size_t I = 0; I != Cases.size(); ++I) {
     const CaseResult &C = Cases[I];
@@ -307,9 +311,9 @@ int main(int Argc, char **Argv) {
       Ok = false;
     }
     // The gate the JIT must hold: at least VM speed on every case
-    // study. Profile forward gains least: its time is one libm `exp` per
-    // element of each cell's log-space sum, which the JIT calls exactly
-    // as the VM does; only the interpretation around it goes away.
+    // study. Profile forward gains least: its time is one `exp` per
+    // element of each cell's log-space sum, the same LogSpace.h
+    // arithmetic in both; only the interpretation around it goes away.
     if (C.JitSpeedup < 1.0) {
       std::fprintf(stderr, "FAIL: JIT slower than VM on %s (%.2fx)\n",
                    C.Name.c_str(), C.JitSpeedup);

@@ -193,7 +193,8 @@ struct ReduceDesc {
   Acc AccKind = Acc::Prob;
   uint32_t BodyEnd = 0; // Body = [reduce pc + 1, BodyEnd).
   int32_t StateReg = 0; // Input: the state whose set is iterated.
-  int32_t VarReg = 0;   // Receives each transition index.
+  int32_t VarReg = 0;   // Receives each transition index; the body
+                        // only reads it (NativeJit relies on this).
   int32_t BodyReg = 0;  // Body result (for Prob: already log-space).
   int32_t DstReg = 0;
   InstrCost ElemCost;   // Accumulation cost charged per element.

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cinttypes>
 #include <cmath>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -22,8 +23,12 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <sstream>
 
 #include <dlfcn.h>
+#include <fcntl.h>
+#include <spawn.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 using namespace parrec;
@@ -124,16 +129,23 @@ void JitBinding::bind(const BytecodeProgram &Prog, const Evaluator &Eval) {
         HD.IsEnd[S] = H->state(S).IsEnd ? 1 : 0;
       }
       // CSR adjacency in the model's own list order, so reductions walk
-      // transitions in the VM's exact iteration order.
+      // transitions in the VM's exact iteration order, each entry packed
+      // with the operands a reduce body reads of its transition.
+      auto Packed = [&](unsigned T) {
+        return JitTrans{T, HD.From[T], HD.To[T],
+                        Cache.LogTransitionProbs[T]};
+      };
       HD.AdjInOff.resize(NumStates + 1);
       HD.AdjOutOff.resize(NumStates + 1);
+      HD.AdjIn.reserve(NumTrans);
+      HD.AdjOut.reserve(NumTrans);
       for (unsigned S = 0; S != NumStates; ++S) {
         HD.AdjInOff[S] = HD.AdjIn.size();
         for (unsigned T : H->transitionsTo(S))
-          HD.AdjIn.push_back(T);
+          HD.AdjIn.push_back(Packed(T));
         HD.AdjOutOff[S] = HD.AdjOut.size();
         for (unsigned T : H->transitionsFrom(S))
-          HD.AdjOut.push_back(T);
+          HD.AdjOut.push_back(Packed(T));
       }
       HD.AdjInOff[NumStates] = HD.AdjIn.size();
       HD.AdjOutOff[NumStates] = HD.AdjOut.size();
@@ -212,6 +224,9 @@ private:
   int Indent = 0;
   int NextRange = 0;
   bool Failed = false;
+  /// The loop variable of the innermost reduce, whose body reads its own
+  /// transition through `rt`, the packed entry; -1 outside any body.
+  int PackedVar = -1;
 
   void fail() { Failed = true; }
 
@@ -291,9 +306,12 @@ private:
     line(" * specialised. Bit-identical to the bytecode VM by");
     line(" * construction: one FP op per statement, -ffp-contract=off,");
     line(" * hexfloat immediates, LogSpace.h helpers copied op-for-op. */");
-    // The few libm entry points and fixed-width types the kernel uses,
+    // The libm entry points and fixed-width types the kernel uses,
     // declared here rather than through <math.h> and <stdint.h>, whose
     // preprocessing alone is a sizeable share of a kernel's compile.
+    // exp and log1p serve only binary `+` (pr_logaddexp), log serves
+    // toLog and the sum's result, and llround int-typed table reads; the
+    // sum's per-element exp is pr_lse_exp below.
     line("typedef __INT32_TYPE__ int32_t;");
     line("typedef __INT64_TYPE__ int64_t;");
     line("typedef __UINT8_TYPE__ uint8_t;");
@@ -308,12 +326,14 @@ private:
     line("typedef struct { const char *data; int64_t len; } pr_seq;");
     line("typedef struct { const int64_t *scores; const int64_t *char_idx;");
     line("  int64_t size; int64_t default_score; } pr_matrix;");
+    line("typedef struct { uint64_t index, from, to; double log_prob; } "
+         "pr_trans;");
     line("typedef struct { const double *log_trans; const double *emissions;");
     line("  const uint64_t *char_col; const uint64_t *trans_from;");
     line("  const uint64_t *trans_to; const uint64_t *state_is_start;");
     line("  const uint64_t *state_is_end; const uint64_t *adj_in_off;");
-    line("  const uint64_t *adj_in; const uint64_t *adj_out_off;");
-    line("  const uint64_t *adj_out; uint64_t stride; } pr_hmm;");
+    line("  const pr_trans *adj_in; const uint64_t *adj_out_off;");
+    line("  const pr_trans *adj_out; uint64_t stride; } pr_hmm;");
     line("typedef struct { const pr_seq *seqs; const pr_matrix *matrices;");
     line("  const pr_hmm *hmms; const int64_t *int_args;");
     line("  const double *real_args; double *table;");
@@ -350,15 +370,16 @@ private:
     line("    return hi + log1p(exp(lo - hi));");
     line("  }");
     line("}");
+    emitLseExp();
     // LogSumExp::add and LogSumExp::result: the online log-space sum.
     line("static inline void pr_lse_add(double *m, double *s, double x) {");
     line("  if (x == -INFINITY)");
     line("    return;");
     line("  if (x <= *m) {");
-    line("    double e = exp(x - *m);");
+    line("    double e = pr_lse_exp(x - *m);");
     line("    *s = *s + e;");
     line("  } else {");
-    line("    double e = exp(*m - x);");
+    line("    double e = pr_lse_exp(*m - x);");
     line("    double scaled = *s * e;");
     line("    *s = scaled + 1.0;");
     line("    *m = x;");
@@ -374,6 +395,52 @@ private:
     line("}");
     emitAddr();
     line("");
+  }
+
+  /// pr_lse_exp: LogSpace.h's lseExp statement for statement, with its
+  /// table and constants printed from the same C++ values.
+  void emitLseExp() {
+    line("static const uint64_t pr_lse_exp_table[%" PRIu64 "] = {",
+         2 * lseexp::TableSize);
+    for (uint64_t J = 0; J != 2 * lseexp::TableSize; J += 4)
+      line("  0x%016" PRIx64 "ULL, 0x%016" PRIx64 "ULL, 0x%016" PRIx64
+           "ULL, 0x%016" PRIx64 "ULL,",
+           lseexp::Table[J], lseexp::Table[J + 1], lseexp::Table[J + 2],
+           lseexp::Table[J + 3]);
+    line("};");
+    line("static inline double pr_lse_exp(double x) {");
+    line("  union { double d; uint64_t u; } kb, sb;");
+    line("  if (!(x >= %s))", realLit(lseexp::MinArg).c_str());
+    line("    return x != x ? x : 0.0;");
+    line("  double z = %s * x;", realLit(lseexp::InvLn2N).c_str());
+    line("  double kd = z + %s;", realLit(lseexp::Shift).c_str());
+    line("  kb.d = kd;");
+    line("  uint64_t ki = kb.u;");
+    line("  kd = kd - %s;", realLit(lseexp::Shift).c_str());
+    line("  double r_hi = kd * %s;", realLit(lseexp::NegLn2HiN).c_str());
+    line("  double r = x + r_hi;");
+    line("  double r_lo = kd * %s;", realLit(lseexp::NegLn2LoN).c_str());
+    line("  r = r + r_lo;");
+    line("  uint64_t idx = 2ULL * (ki %% %" PRIu64 "ULL);", lseexp::TableSize);
+    line("  uint64_t top = ki << %u;", 52 - lseexp::TableBits);
+    line("  kb.u = pr_lse_exp_table[idx];");
+    line("  double tail = kb.d;");
+    line("  sb.u = pr_lse_exp_table[idx + 1] + top;");
+    line("  double scale = sb.d;");
+    line("  double r2 = r * r;");
+    line("  double p3 = r * %s;", realLit(lseexp::C3).c_str());
+    line("  double p23 = %s + p3;", realLit(lseexp::C2).c_str());
+    line("  double lo = r2 * p23;");
+    line("  double p5 = r * %s;", realLit(lseexp::C5).c_str());
+    line("  double p45 = %s + p5;", realLit(lseexp::C4).c_str());
+    line("  double r4 = r2 * r2;");
+    line("  double hi = r4 * p45;");
+    line("  double tmp = tail + r;");
+    line("  tmp = tmp + lo;");
+    line("  tmp = tmp + hi;");
+    line("  double scaled = scale * tmp;");
+    line("  return scale + scaled;");
+    line("}");
   }
 
   /// pr_addr: the table slot of a recursion point, baked from the plan.
@@ -461,6 +528,13 @@ private:
          intLit(Plan.LastPartition).c_str());
     line("  return;");
     line("const int64_t v0 = p;");
+    // The slot's counters live in locals and are stored once per call,
+    // so no table store has to be assumed to alias them. JitScanner
+    // passes every call its own JitSlot.
+    line("uint64_t s_ops = slot->ops, s_tr = slot->table_reads;");
+    line("uint64_t s_tw = slot->table_writes, s_mr = slot->model_reads;");
+    line("uint64_t s_tc = slot->transcendentals, s_cells = slot->cells;");
+    line("double s_max = slot->table_max;");
     line("for (uint32_t t = t_begin; t != t_end; ++t) {");
     ++Indent;
     line("uint64_t cyc = 0;");
@@ -479,6 +553,13 @@ private:
     line("thread_cycles[t] = cyc;");
     --Indent;
     line("}");
+    line("slot->ops = s_ops;");
+    line("slot->table_reads = s_tr;");
+    line("slot->table_writes = s_tw;");
+    line("slot->model_reads = s_mr;");
+    line("slot->transcendentals = s_tc;");
+    line("slot->cells = s_cells;");
+    line("slot->table_max = s_max;");
     --Indent;
     line("}");
   }
@@ -599,16 +680,16 @@ private:
     line("double cv = %s;", ConvExpr.c_str());
     line("a->table[pr_addr(%s)] = cv;", pointVarList().c_str());
     line("d_tw += 1ULL;"); // The cell's own store, as evalCell charges it.
-    line("slot->ops += d_ops;");
-    line("slot->table_reads += d_tr;");
-    line("slot->table_writes += d_tw;");
-    line("slot->model_reads += d_mr;");
-    line("slot->transcendentals += d_tc;");
+    line("s_ops += d_ops;");
+    line("s_tr += d_tr;");
+    line("s_tw += d_tw;");
+    line("s_mr += d_mr;");
+    line("s_tc += d_tc;");
     line("cyc += d_ops * a->cyc_op + d_tc * a->cyc_trans");
     line("    + (d_tr + d_tw) * a->cyc_table + d_mr * a->cyc_model;");
-    line("slot->cells += 1ULL;");
-    line("if (cv > slot->table_max)");
-    line("  slot->table_max = cv;");
+    line("s_cells += 1ULL;");
+    line("if (cv > s_max)");
+    line("  s_max = cv;");
     std::string RootCond = "check_root";
     for (unsigned D = 0; D != Prog->NumDims; ++D)
       RootCond += " && v" + std::to_string(1 + D) + " == " +
@@ -689,7 +770,7 @@ private:
     // order.
     line("const pr_hmm *h = &a->hmms[%u];", Rd.HmmParam);
     line("uint64_t rs = (uint64_t)(uint32_t)r[%d].i;", Rd.StateReg);
-    line("const uint64_t *rset = h->%s + h->%s[rs];", Arr, Off);
+    line("const pr_trans *rset = h->%s + h->%s[rs];", Arr, Off);
     line("uint64_t rn = h->%s[rs + 1] - h->%s[rs];", Off, Off);
     // Accumulator identities, exactly as the VM initialises them.
     switch (Rd.Kind) {
@@ -721,10 +802,17 @@ private:
       line("int rfirst = 1;");
     line("for (uint64_t re = 0; re != rn; ++re) {");
     ++Indent;
-    line("r[%d].i = (int64_t)rset[re];", Rd.VarReg);
+    line("const pr_trans *rt = &rset[re];");
+    line("r[%d].i = (int64_t)rt->index;", Rd.VarReg);
     line("{");
     ++Indent;
+    // The body reads its own transition's operands from `rt` (the body
+    // never writes the loop variable); any other transition goes
+    // through the generic per-transition arrays.
+    int SavedVar = PackedVar;
+    PackedVar = Rd.VarReg;
     emitRange(Pc + 1, Rd.BodyEnd);
+    PackedVar = SavedVar;
     --Indent;
     line("}");
     // Acc.add(ElemCost): the wide per-element accumulation charge.
@@ -933,15 +1021,24 @@ private:
       line("}");
       break;
     case Opcode::TransStart:
-      line("r[%d].i = (int64_t)a->hmms[%d].trans_from[(uint32_t)r[%d].i];",
-           A, B, C);
+      if (C == PackedVar)
+        line("r[%d].i = (int64_t)rt->from;", A);
+      else
+        line("r[%d].i = (int64_t)a->hmms[%d].trans_from[(uint32_t)r[%d].i];",
+             A, B, C);
       break;
     case Opcode::TransEnd:
-      line("r[%d].i = (int64_t)a->hmms[%d].trans_to[(uint32_t)r[%d].i];", A,
-           B, C);
+      if (C == PackedVar)
+        line("r[%d].i = (int64_t)rt->to;", A);
+      else
+        line("r[%d].i = (int64_t)a->hmms[%d].trans_to[(uint32_t)r[%d].i];",
+             A, B, C);
       break;
     case Opcode::TransLogProb:
-      line("r[%d].d = a->hmms[%d].log_trans[(uint64_t)r[%d].i];", A, B, C);
+      if (C == PackedVar)
+        line("r[%d].d = rt->log_prob;", A);
+      else
+        line("r[%d].d = a->hmms[%d].log_trans[(uint64_t)r[%d].i];", A, B, C);
       break;
     case Opcode::StateIsStart:
       line("r[%d].i = "
@@ -1063,6 +1160,50 @@ std::shared_ptr<const JitKernel> tryLoad(const std::string &SoPath,
       Handle, reinterpret_cast<JitKernelFn>(Sym));
 }
 
+/// Compiles \p CPath into the shared object \p OutPath with the host C
+/// compiler, started directly rather than through a shell, so a path is
+/// never parsed as shell text. $CC (default `cc`) is split on
+/// whitespace, so a launcher such as `ccache cc` works. The compiler's
+/// diagnostics go to /dev/null. Returns null on success, else the
+/// fallback reason.
+const char *runCompiler(const std::string &CPath, const std::string &OutPath) {
+  std::vector<std::string> Argv;
+  const char *Cc = std::getenv("CC");
+  std::istringstream Words(Cc ? Cc : "");
+  for (std::string Word; Words >> Word;)
+    Argv.push_back(Word);
+  if (Argv.empty())
+    Argv.push_back("cc");
+  for (const char *Flag :
+       {"-O2", "-pipe", "-shared", "-fPIC", "-ffp-contract=off", "-o"})
+    Argv.push_back(Flag);
+  Argv.push_back(OutPath);
+  Argv.push_back(CPath);
+  Argv.push_back("-lm");
+  std::vector<char *> Ptrs;
+  for (std::string &Arg : Argv)
+    Ptrs.push_back(Arg.data());
+  Ptrs.push_back(nullptr);
+
+  posix_spawn_file_actions_t Actions;
+  posix_spawn_file_actions_init(&Actions);
+  posix_spawn_file_actions_addopen(&Actions, STDERR_FILENO, "/dev/null",
+                                   O_WRONLY, 0);
+  pid_t Pid = 0;
+  int Err = ::posix_spawnp(&Pid, Ptrs[0], &Actions, nullptr, Ptrs.data(),
+                           environ);
+  posix_spawn_file_actions_destroy(&Actions);
+  if (Err != 0)
+    return "host C compiler could not be started";
+  int Status = 0;
+  while (::waitpid(Pid, &Status, 0) < 0)
+    if (errno != EINTR)
+      return "host C compiler could not be waited for";
+  if (!WIFEXITED(Status) || WEXITSTATUS(Status) != 0)
+    return "host C compiler exited non-zero";
+  return nullptr;
+}
+
 } // namespace
 
 uint64_t codegen::jitWarningsEmitted() { return WarningsPrinted.load(); }
@@ -1111,21 +1252,14 @@ codegen::compileKernel(const exec::ExecutablePlan &Plan,
   static std::atomic<uint64_t> TmpCounter{0};
   std::string Tmp = SoPath + "." + std::to_string(::getpid()) + "." +
                     std::to_string(TmpCounter.fetch_add(1)) + ".tmp";
-  const char *Cc = std::getenv("CC");
-  if (!Cc || !*Cc)
-    Cc = "cc";
-  std::string Cmd = std::string(Cc) +
-                    " -O2 -shared -fPIC -ffp-contract=off -o '" + Tmp +
-                    "' '" + CPath + "' -lm 2>/dev/null";
-
   auto T0 = std::chrono::steady_clock::now();
-  int Status = std::system(Cmd.c_str());
+  const char *Failure = runCompiler(CPath, Tmp);
   auto Ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - T0)
                 .count();
-  if (Status != 0) {
+  if (Failure) {
     std::filesystem::remove(Tmp, Ec);
-    return fallBack("host C compiler failed or missing");
+    return fallBack(Failure);
   }
   // Atomic publish so concurrent compiles of one plan race benignly.
   if (std::rename(Tmp.c_str(), SoPath.c_str()) != 0) {

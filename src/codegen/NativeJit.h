@@ -32,8 +32,12 @@
 ///
 /// A log-space `sum` reduce folds with LogSpace.h's online log-sum-exp
 /// (pr_lse_add / pr_lse_result): one `exp` per element that does not
-/// wait on the previous element's, and one `log` per cell. Every cell
-/// is evaluated on its own, in serial point order.
+/// wait on the previous element's, and one `log` per cell. That `exp`
+/// is LogSpace.h's lseExp, printed into the kernel with its table as
+/// pr_lse_exp, so the fold calls no libm function. A reduce body reads
+/// its own transition's start, end and log-prob from a packed array in
+/// the set's CSR order, and the scan keeps the slot's counters in
+/// locals. Every cell is evaluated on its own, in serial point order.
 ///
 /// Compiled objects are cached on disk keyed by the schedule fingerprint
 /// plus a hash of the emitted source, so cold process starts reuse warm
@@ -79,6 +83,16 @@ struct JitMatrix {
   int64_t DefaultScore;
 };
 
+/// One entry of a CSR transition list: the transition and the operands
+/// a reduce body reads of it, so reading them takes one load, not an
+/// index load followed by a dependent one.
+struct JitTrans {
+  uint64_t Index;
+  uint64_t From;
+  uint64_t To;
+  double LogProb; // The log cache's value for Index, bit for bit.
+};
+
 struct JitHmm {
   const double *LogTrans;      // One per transition (borrowed log cache).
   const double *Emissions;     // NumStates x Stride dense log emissions.
@@ -88,18 +102,18 @@ struct JitHmm {
   const uint64_t *StateIsStart; // Per state: 0/1.
   const uint64_t *StateIsEnd;
   const uint64_t *AdjInOff;    // CSR offsets (NumStates+1) into AdjIn.
-  const uint64_t *AdjIn;       // transitionsTo lists, concatenated.
+  const JitTrans *AdjIn;       // transitionsTo lists, concatenated.
   const uint64_t *AdjOutOff;
-  const uint64_t *AdjOut;      // transitionsFrom lists, concatenated.
+  const JitTrans *AdjOut;      // transitionsFrom lists, concatenated.
   uint64_t Stride;             // Emission row stride (alphabet + 1).
 };
 
-/// Version of the kernel calling convention: JitArgs, JitSlot and
-/// JitKernelFn below, mirrored by the emitted pr_args, pr_slot_t and
-/// parrec_scan. Every kernel exports it as `parrec_kernel_abi`, and a
-/// cached object with another value is recompiled. Bump it whenever
-/// any of the three changes.
-inline constexpr uint64_t JitKernelAbi = 1;
+/// Version of the kernel calling convention: JitArgs (with the JitHmm
+/// and JitTrans it points to), JitSlot and JitKernelFn below, mirrored
+/// by the emitted pr_args, pr_slot_t and parrec_scan. Every kernel
+/// exports it as `parrec_kernel_abi`, and a cached object with another
+/// value is recompiled. Bump it whenever any of them changes.
+inline constexpr uint64_t JitKernelAbi = 2;
 
 /// Per-run kernel inputs: the binding plus the table base pointer and the
 /// cost model's cycle weights (so one kernel serves both backends and
@@ -190,7 +204,8 @@ private:
     std::vector<double> Emissions;
     std::vector<uint64_t> CharCol;
     std::vector<uint64_t> From, To, IsStart, IsEnd;
-    std::vector<uint64_t> AdjInOff, AdjIn, AdjOutOff, AdjOut;
+    std::vector<uint64_t> AdjInOff, AdjOutOff;
+    std::vector<JitTrans> AdjIn, AdjOut;
   };
   std::vector<MatrixData> MatrixStore;
   std::vector<HmmData> HmmStore;

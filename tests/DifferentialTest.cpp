@@ -19,6 +19,7 @@
 #include "baselines/HmmBaselines.h"
 #include "bio/HmmZoo.h"
 #include "codegen/LogSpace.h"
+#include "codegen/NativeJit.h"
 #include "obs/Metrics.h"
 #include "runtime/CompiledRecurrence.h"
 #include "runtime/Interpreter.h"
@@ -313,6 +314,28 @@ TEST(DifferentialTest, WideProfileForward) {
   expectEvaluatorsAgree(Fn, Wide->args());
 }
 
+TEST(LogSumExpTest, WideProfileRootIsPinned) {
+  // The forward root of the 63-state profile, pinned bit for bit. Every
+  // element of its sums goes through LogSpace.h's own exp, so the value
+  // does not depend on the host libm's exp, and a libm call that crept
+  // back into the sum of any evaluator would move it.
+  CompiledRecurrence Fn = compileOrDie(ProteinForwardSource);
+  auto Wide = makeWideProfile();
+  ASSERT_NE(Wide, nullptr);
+  gpu::CostModel CostModel;
+  DiagnosticEngine Diags;
+  for (EvalKind Evaluator : {EvalKind::Ast, EvalKind::Vm, EvalKind::Jit}) {
+    RunOptions Opts;
+    Opts.Evaluator = Evaluator;
+    Opts.JitCacheDir = jitCacheDirForTest();
+    auto Run = Fn.runCpu(Wide->args(), CostModel, Diags, Opts);
+    ASSERT_TRUE(Run.has_value()) << Diags.str();
+    EXPECT_EQ(Run->RootValue, -0x1.b603cef09bbbep+5)
+        << std::hexfloat << Run->RootValue << " from evaluator "
+        << static_cast<int>(Evaluator);
+  }
+}
+
 TEST(DifferentialTest, LaneGroupsWithBranches) {
   // The start state's cells jump past the sum on every row, so cells
   // that skip it and cells that fold it share each partition. The sum's
@@ -464,6 +487,59 @@ TEST(DifferentialTest, BinaryPlusBesideSumStaysLogAddExp) {
   auto Run = Fn.runCpu(Args, CostModel, Diags, RunOptions());
   ASSERT_TRUE(Run.has_value()) << Diags.str();
   EXPECT_EQ(Run->RootValue, Prev[N - 1]);
+}
+
+TEST(DifferentialTest, ReduceReadingAnotherTransitionStaysGeneric) {
+  // The JIT reads a reduce's own transition from the packed CSR entry.
+  // Here the outer body copies its transition through an `if` before
+  // reading its prob, and the inner body reads the outer transition's
+  // end: neither is the reading reduce's own loop variable, so both
+  // must take the generic per-transition arrays, and the three
+  // evaluators must still agree bit for bit.
+  CompiledRecurrence Fn = compileOrDie(
+      "prob g(hmm h, state[h] s, seq[dna] x, index[x] i) =\n"
+      "  if i == 0 then\n"
+      "    if s.isstart then 1.0 else 0.0\n"
+      "  else\n"
+      "    (if s.isend then 1.0 else s.emission[x[i-1]]) *\n"
+      "    sum(t in s.transitionsto :\n"
+      "        (if i == 1 then t else t).prob *\n"
+      "        max(u in t.start.transitionsfrom :\n"
+      "            if u.end == t.end then u.prob * g(t.start, i - 1)\n"
+      "            else 0.5 * g(u.start, i - 1)))\n");
+  DiagnosticEngine Diags;
+  auto Profile = bio::eliminateSilentStates(
+      bio::makeProfileHmm(/*MatchPositions=*/4, bio::Alphabet::dna(),
+                          /*Seed=*/23),
+      Diags);
+  ASSERT_TRUE(Profile.has_value()) << Diags.str();
+  bio::Sequence X("x", "acgtaacgttgca");
+  std::vector<ArgValue> Args = {ArgValue::ofHmm(&*Profile), ArgValue(),
+                                ArgValue::ofSeq(&X), ArgValue()};
+  expectEvaluatorsAgree(Fn, Args);
+
+  auto Box = Fn.domainFor(Args, Diags);
+  ASSERT_TRUE(Box.has_value()) << Diags.str();
+  auto Plan = Fn.planFor(*Box, RunOptions(), nullptr, Diags);
+  ASSERT_NE(Plan, nullptr) << Diags.str();
+  std::string Kernel = codegen::renderKernelSource(*Plan);
+  ASSERT_FALSE(Kernel.empty());
+  auto Count = [&](const std::string &Needle) {
+    size_t N = 0;
+    for (size_t At = Kernel.find(Needle); At != std::string::npos;
+         At = Kernel.find(Needle, At + 1))
+      ++N;
+    return N;
+  };
+  // The copied t's prob, and the outer t's end and start read in the
+  // inner body, go generic; u's prob, end and start, and the outer
+  // body's own t.start, stay packed.
+  EXPECT_EQ(Count("].log_trans["), 1u) << Kernel;
+  EXPECT_EQ(Count("].trans_to["), 1u) << Kernel;
+  EXPECT_EQ(Count("].trans_from["), 1u) << Kernel;
+  EXPECT_EQ(Count("rt->log_prob"), 1u) << Kernel;
+  EXPECT_EQ(Count("rt->to"), 1u) << Kernel;
+  EXPECT_EQ(Count("rt->from"), 2u) << Kernel;
 }
 
 namespace {

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -354,5 +355,63 @@ TEST(LogSumExpTest, InfinityAndNanFollowLogAddExp) {
       EXPECT_TRUE(std::isnan(Online)) << "case " << I;
     else
       EXPECT_EQ(Online, Pairwise) << "case " << I;
+  }
+}
+
+TEST(LogSumExpTest, ExpWithinOneUlpOfExpl) {
+  // Seeded arguments in (-708, 0]: a quarter in (-40, 0], where a sum's
+  // terms mostly fall, the rest over the whole range. Each result must
+  // be within 1 ulp of expl rounded to double.
+  uint64_t State = 0x2545F4914F6CDD1DULL;
+  auto Uniform = [&] {
+    State = State * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<double>(State >> 11) * 0x1.0p-53;
+  };
+  const unsigned N = 1000000;
+  unsigned Exact = 0, Worse = 0;
+  for (unsigned I = 0; I != N; ++I) {
+    double X = (I % 4 == 0 ? -40.0 : lseexp::MinArg) * Uniform();
+    double Got = lseExp(X);
+    double Want = static_cast<double>(std::exp(static_cast<long double>(X)));
+    int64_t Ulps = static_cast<int64_t>(std::bit_cast<uint64_t>(Got) -
+                                        std::bit_cast<uint64_t>(Want));
+    if (Ulps == 0)
+      ++Exact;
+    if (Ulps > 1 || Ulps < -1) {
+      if (++Worse <= 5)
+        ADD_FAILURE() << std::hexfloat << "exp(" << X << ") = " << Got
+                      << ", expl gives " << Want;
+    }
+  }
+  EXPECT_EQ(Worse, 0u);
+  std::printf("lseExp equal to expl rounded to double on %.4f%% of %u "
+              "arguments\n",
+              100.0 * Exact / N, N);
+}
+
+TEST(LogSumExpTest, ExpSpecialValues) {
+  const double Inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(lseExp(0.0), 1.0);
+  EXPECT_EQ(lseExp(-0.0), 1.0);
+  EXPECT_EQ(lseExp(-Inf), 0.0);
+  EXPECT_TRUE(std::isnan(lseExp(std::numeric_limits<double>::quiet_NaN())));
+  for (double X : {std::nextafter(lseexp::MinArg, -Inf), -708.5, -745.2,
+                   -1e300})
+    EXPECT_EQ(lseExp(X), 0.0) << X;
+  // MinArg itself still gives a normal number.
+  EXPECT_GE(lseExp(lseexp::MinArg), std::numeric_limits<double>::min());
+}
+
+TEST(LogSumExpTest, ExpTableHoldsPowersOfTwo) {
+  // Entry j: 2^(j/128) rounded to double (stored less j << 45) and the
+  // relative tail of the rounding, checked against exp2l.
+  for (uint64_t J = 0; J != lseexp::TableSize; ++J) {
+    long double Exact = std::exp2(static_cast<long double>(J) / 128.0L);
+    double Scale = std::bit_cast<double>(lseexp::Table[2 * J + 1] +
+                                         (J << (52 - lseexp::TableBits)));
+    EXPECT_EQ(Scale, static_cast<double>(Exact)) << J;
+    double Tail = std::bit_cast<double>(lseexp::Table[2 * J]);
+    long double Want = (Exact - Scale) / Scale;
+    EXPECT_LE(std::fabs(Tail - Want), 0x1.0p-62L) << J;
   }
 }

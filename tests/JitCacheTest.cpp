@@ -8,13 +8,15 @@
 /// \file
 /// The native JIT's caching and degradation contract: a warm disk cache
 /// means zero compiler invocations, a PlanCache hit means zero JIT work
-/// of any kind, a corrupt cache entry is silently recompiled, the
-/// ParRec_JIT_CACHE override is honoured, and a broken host compiler
-/// degrades to the bytecode VM with identical results and exactly one
-/// warning line for the whole process.
+/// of any kind, a corrupt, foreign or older-ABI cache entry is silently
+/// recompiled, the ParRec_JIT_CACHE override is honoured, any cache path
+/// works, and a broken host compiler degrades to the bytecode VM with
+/// identical results and exactly one warning line for the whole
+/// process. Also the shape of the forward kernel's log-space sum.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "bio/HmmZoo.h"
 #include "codegen/NativeJit.h"
 #include "obs/Metrics.h"
 #include "runtime/CompiledRecurrence.h"
@@ -240,4 +242,115 @@ TEST(JitCacheTest, ForeignEntryRecompiles) {
   EXPECT_EQ(Vm, 5.0);
   EXPECT_GT(distCount("jit.compile_ns"), CompilesBefore)
       << "the foreign kernel was loaded instead of recompiled";
+}
+
+TEST(JitCacheTest, CacheDirWithSpaceAndQuoteCompiles) {
+  // The compiler is started without a shell, so no character of the
+  // cache path is special.
+  std::string Dir = freshCacheDir("q dir/it's");
+  CompiledRecurrence Fn = compileOrDie();
+  uint64_t FallbacksBefore = counter("jit.fallbacks");
+  uint64_t MissesBefore = counter("jit.cache_misses");
+  double Vm = runOnce(Fn, exec::EvalKind::Vm, "");
+  double Jit = runOnce(Fn, exec::EvalKind::Jit, Dir);
+  EXPECT_EQ(Vm, Jit);
+  EXPECT_EQ(counter("jit.fallbacks"), FallbacksBefore);
+  EXPECT_EQ(counter("jit.cache_misses"), MissesBefore + 1);
+  EXPECT_TRUE(std::filesystem::exists(onlyKernel(Dir)));
+}
+
+TEST(JitCacheTest, OlderAbiEntryRecompiles) {
+  // A kernel built from this very source but exporting the previous
+  // calling-convention version, as an older ParRec would have left it.
+  std::string Dir = freshCacheDir("abi");
+  {
+    CompiledRecurrence Cold = compileOrDie();
+    runOnce(Cold, exec::EvalKind::Jit, Dir);
+  }
+  std::filesystem::path Kernel = onlyKernel(Dir);
+  std::filesystem::path Source =
+      std::filesystem::path(Kernel).replace_extension(".c");
+  std::string Text;
+  {
+    std::ifstream In(Source);
+    Text.assign(std::istreambuf_iterator<char>(In),
+                std::istreambuf_iterator<char>());
+  }
+  std::string Current = "parrec_kernel_abi = " +
+                        std::to_string(codegen::JitKernelAbi) + "ULL;";
+  size_t At = Text.find(Current);
+  ASSERT_NE(At, std::string::npos);
+  Text.replace(At, Current.size(),
+               "parrec_kernel_abi = " +
+                   std::to_string(codegen::JitKernelAbi - 1) + "ULL;");
+  std::filesystem::path Old = Dir + "/older-abi.c";
+  std::ofstream(Old) << Text;
+  std::filesystem::remove(Kernel);
+  std::string Cmd = "cc -O2 -shared -fPIC -o " + Kernel.string() + " " +
+                    Old.string();
+  ASSERT_EQ(std::system(Cmd.c_str()), 0) << Cmd;
+
+  CompiledRecurrence Fresh = compileOrDie();
+  uint64_t CompilesBefore = distCount("jit.compile_ns");
+  uint64_t HitsBefore = counter("jit.cache_hits");
+  double Vm = runOnce(Fresh, exec::EvalKind::Vm, "");
+  double Jit = runOnce(Fresh, exec::EvalKind::Jit, Dir);
+  EXPECT_EQ(Vm, Jit);
+  EXPECT_EQ(counter("jit.cache_hits"), HitsBefore);
+  EXPECT_GT(distCount("jit.compile_ns"), CompilesBefore)
+      << "the older-ABI kernel was loaded instead of recompiled";
+}
+
+TEST(JitCacheTest, ForwardKernelSumCallsNoLibm) {
+  // The forward plan's kernel: its online sum calls the emitted
+  // pr_lse_exp, which calls nothing, and the kernel exports ABI 2.
+  DiagnosticEngine Diags;
+  auto Fn = CompiledRecurrence::compile(
+      "prob forward(hmm h, state[h] s, seq[dna] x, index[x] i) =\n"
+      "  if i == 0 then\n"
+      "    if s.isstart then 1.0 else 0.0\n"
+      "  else\n"
+      "    (if s.isend then 1.0 else s.emission[x[i-1]]) *\n"
+      "    sum(t in s.transitionsto : t.prob * forward(t.start, i - 1))\n",
+      Diags);
+  ASSERT_TRUE(Fn.has_value()) << Diags.str();
+  auto Profile = bio::eliminateSilentStates(
+      bio::makeProfileHmm(/*MatchPositions=*/5, bio::Alphabet::dna(),
+                          /*Seed=*/11),
+      Diags);
+  ASSERT_TRUE(Profile.has_value()) << Diags.str();
+  bio::Sequence X("x", "acgtacgt");
+  std::vector<ArgValue> Args = {ArgValue::ofHmm(&*Profile), ArgValue(),
+                                ArgValue::ofSeq(&X), ArgValue()};
+  auto Box = Fn->domainFor(Args, Diags);
+  ASSERT_TRUE(Box.has_value()) << Diags.str();
+  auto Plan = Fn->planFor(*Box, RunOptions(), nullptr, Diags);
+  ASSERT_NE(Plan, nullptr) << Diags.str();
+  std::string Kernel = codegen::renderKernelSource(*Plan);
+  ASSERT_FALSE(Kernel.empty());
+
+  EXPECT_EQ(codegen::JitKernelAbi, 2u);
+  EXPECT_NE(Kernel.find("const uint64_t parrec_kernel_abi = 2ULL;\n"),
+            std::string::npos);
+  // From pr_lse_exp's definition to the end of pr_lse_add.
+  size_t Begin = Kernel.find("static inline double pr_lse_exp(double x)");
+  size_t Add = Kernel.find("static inline void pr_lse_add(");
+  ASSERT_NE(Begin, std::string::npos);
+  ASSERT_NE(Add, std::string::npos);
+  size_t End = Kernel.find("\n}\n", Add);
+  ASSERT_NE(End, std::string::npos);
+  std::string Sum = Kernel.substr(Begin, End - Begin);
+  for (const char *Libm : {" exp(", "(exp(", "log(", "log1p(", "exp2(",
+                           "llround(", "ldexp("})
+    EXPECT_EQ(Sum.find(Libm), std::string::npos) << Libm << " in\n" << Sum;
+  std::string AddBody = Kernel.substr(Add, End - Add);
+  EXPECT_NE(AddBody.find("double e = pr_lse_exp(x - *m);"),
+            std::string::npos)
+      << AddBody;
+  EXPECT_NE(AddBody.find("double e = pr_lse_exp(*m - x);"),
+            std::string::npos)
+      << AddBody;
+  // The sum's body reads its own transition from the packed entry.
+  EXPECT_NE(Kernel.find("= rt->log_prob;"), std::string::npos);
+  EXPECT_NE(Kernel.find("= (int64_t)rt->from;"), std::string::npos);
 }
