@@ -19,8 +19,7 @@ void BytecodeVM::bind(const Evaluator &Eval) {
   size_t N = Args.size();
   Seqs.assign(N, {});
   Matrices.assign(N, nullptr);
-  Hmms.clear();
-  Hmms.resize(N);
+  Hmms.assign(N, {});
   IntArgs.assign(N, 0);
   RealArgs.assign(N, 0.0);
 
@@ -36,39 +35,10 @@ void BytecodeVM::bind(const Evaluator &Eval) {
       Matrices[P] = Args[P].Matrix;
       break;
     case ParamClass::Hmm: {
-      const bio::Hmm *H = Args[P].Hmm;
-      if (!H)
-        break;
-      BoundHmm &BH = Hmms[P];
-      BH.H = H;
-      // Borrow the Evaluator's log caches: same values, same bits.
-      const HmmLogCache &Cache = Caches[P];
-      BH.LogTrans = Cache.LogTransitionProbs.data();
-
-      unsigned NumStates = H->numStates();
-      unsigned Alpha = H->alphabet().size();
-      BH.Stride = Alpha + 1;
-      // Silent states keep all-zero rows (log 1 for any character);
-      // emitting states get their cached log emissions plus -inf in the
-      // trailing out-of-alphabet column.
-      BH.Emissions.assign(static_cast<size_t>(NumStates) * BH.Stride,
-                          0.0);
-      for (unsigned S = 0; S != NumStates; ++S) {
-        const std::vector<double> &Row = Cache.LogEmissions[S];
-        if (Row.empty())
-          continue;
-        double *Dst = BH.Emissions.data() +
-                      static_cast<size_t>(S) * BH.Stride;
-        for (unsigned C = 0; C != Alpha; ++C)
-          Dst[C] = Row[C];
-        Dst[Alpha] = NegInfinity;
-      }
-      for (unsigned C = 0; C != 256; ++C) {
-        int Index = H->alphabet().indexOf(static_cast<char>(C));
-        BH.CharCol[C] =
-            Index >= 0 ? static_cast<uint16_t>(Index)
-                       : static_cast<uint16_t>(Alpha);
-      }
+      const HmmLogCache &C = Caches[P];
+      Hmms[P] = BoundHmm{Args[P].Hmm, C.LogTransitionProbs.data(),
+                         C.Emissions.data(), C.EmissionStride,
+                         C.CharCol.data()};
       break;
     }
     case ParamClass::Int:

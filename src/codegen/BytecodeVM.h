@@ -33,7 +33,6 @@
 #include "codegen/LogSpace.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -123,20 +122,14 @@ private:
     int64_t Len = 0;
   };
 
+  /// Borrowed from the Evaluator's HmmLogCache: identical values mean
+  /// identical bits in every probability the VM produces.
   struct BoundHmm {
     const bio::Hmm *H = nullptr;
-    /// Borrowed from the Evaluator's HmmLogCache: identical values mean
-    /// identical bits in every probability the VM produces.
     const double *LogTrans = nullptr;
-    /// Dense [numStates x (alphabet size + 1)] log emissions. Silent
-    /// states are all-zero rows (they emit with log-prob 0); the last
-    /// column holds the out-of-alphabet value (-inf for emitting
-    /// states).
-    std::vector<double> Emissions;
+    const double *Emissions = nullptr;
     uint32_t Stride = 0;
-    /// Character -> emission column; out-of-alphabet characters map to
-    /// the trailing column.
-    std::array<uint16_t, 256> CharCol{};
+    const uint16_t *CharCol = nullptr;
   };
 
   // Threaded (computed-goto) dispatch gives every opcode handler its own

@@ -498,27 +498,10 @@ std::string parrec::codegen::emitCudaKernel(const FunctionDecl &F,
   unsigned N = Info.numDims();
   assert(S.numDims() == N && "schedule arity mismatch");
 
-  // Build the symbolic loop nest: one parameter "<dim>_n" per dimension,
-  // domain 0 <= x_d <= <dim>_n - 1, scattered by the schedule.
-  std::vector<std::string> DomainNames;
-  for (const lang::DimInfo &Dim : Info.Dims)
-    DomainNames.push_back(Dim.Name + "_n");
-  for (const lang::DimInfo &Dim : Info.Dims)
-    DomainNames.push_back(Dim.Name);
-  poly::Polyhedron Domain(DomainNames);
-  for (unsigned D = 0; D != N; ++D) {
-    unsigned Var = N + D;
-    Domain.addConstraint(poly::Constraint::ge(
-        poly::AffineExpr::dim(2 * N, Var)));
-    Domain.addConstraint(poly::Constraint::ge(
-        poly::AffineExpr::dim(2 * N, D) -
-        poly::AffineExpr::dim(2 * N, Var) -
-        poly::AffineExpr::constant(2 * N, 1)));
-  }
-  poly::AffineExpr Scatter(2 * N);
-  for (unsigned D = 0; D != N; ++D)
-    Scatter.setCoefficient(N + D, S.Coefficients[D]);
-  poly::LoopNest Nest = poly::generateLoops(Domain, N, Scatter, "p");
+  // The recursion's parametric nest, the one ParRec's plans run: one
+  // parameter "<dim>_n" per dimension.
+  poly::LoopNest Nest =
+      poly::generateBoxLoops(Info.Recurrence.DimNames, S.Coefficients);
 
   CellEmitter Cell(F, Info);
 
@@ -532,6 +515,14 @@ std::string parrec::codegen::emitCudaKernel(const FunctionDecl &F,
   Out += "#include <limits.h>\n";
   Out += "#include <math.h>\n\n";
   Out += "#define parrec_chr(c) ((int)(unsigned char)(c))\n";
+  // Loop bounds divide as poly::ceilDiv and poly::floorDiv do (d > 0);
+  // C's `/` truncates toward zero.
+  Out += "__device__ static inline int parrec_ceil_div(int n, int d) {\n";
+  Out += "  return n / d + (n % d != 0 && n > 0);\n";
+  Out += "}\n";
+  Out += "__device__ static inline int parrec_floor_div(int n, int d) {\n";
+  Out += "  return n / d - (n % d != 0 && n < 0);\n";
+  Out += "}\n";
   Out += "__device__ static inline float parrec_logf(float x) {\n";
   Out += "  return x <= 0.0f ? -INFINITY : logf(x);\n";
   Out += "}\n";
@@ -595,8 +586,8 @@ std::string parrec::codegen::emitCudaKernel(const FunctionDecl &F,
     for (size_t I = 0; I != Bounds.size(); ++I) {
       std::string One = Bounds[I].Numerator.str(Names);
       if (Bounds[I].Divisor != 1)
-        One = std::string(Lower ? "ceil_div(" : "floor_div(") + One + "," +
-              std::to_string(Bounds[I].Divisor) + ")";
+        One = std::string(Lower ? "parrec_ceil_div(" : "parrec_floor_div(") +
+              One + "," + std::to_string(Bounds[I].Divisor) + ")";
       if (I == 0) {
         Text = One;
       } else {

@@ -23,13 +23,23 @@ void HmmLogCache::build(const bio::Hmm &Hmm) {
     LogTransitionProbs[T] = toLog(Hmm.transition(T).Prob);
   LogEmissions.resize(Hmm.numStates());
   unsigned AlphaSize = Hmm.alphabet().size();
+  EmissionStride = AlphaSize + 1;
+  Emissions.assign(static_cast<size_t>(Hmm.numStates()) * EmissionStride,
+                   0.0);
   for (unsigned S = 0; S != Hmm.numStates(); ++S) {
     const bio::HmmState &State = Hmm.state(S);
     if (State.isSilent())
       continue;
     LogEmissions[S].resize(AlphaSize);
+    double *Dense = Emissions.data() + static_cast<size_t>(S) * EmissionStride;
     for (unsigned C = 0; C != AlphaSize; ++C)
-      LogEmissions[S][C] = toLog(State.Emissions[C]);
+      Dense[C] = LogEmissions[S][C] = toLog(State.Emissions[C]);
+    Dense[AlphaSize] = NegInfinity;
+  }
+  CharCol.resize(256);
+  for (unsigned C = 0; C != 256; ++C) {
+    int Index = Hmm.alphabet().indexOf(static_cast<char>(C));
+    CharCol[C] = static_cast<uint16_t>(Index >= 0 ? Index : AlphaSize);
   }
 }
 

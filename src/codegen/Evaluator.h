@@ -87,6 +87,13 @@ struct HmmLogCache {
   /// Per state: per alphabet character log emission; empty for silent
   /// states (which contribute log 1 = 0).
   std::vector<std::vector<double>> LogEmissions;
+  /// The same emissions as the VM and the JIT read them, dense with
+  /// stride alphabet size + 1: silent states are all-zero rows, and the
+  /// last column (-inf) is where CharCol maps characters outside the
+  /// alphabet.
+  std::vector<double> Emissions;
+  uint32_t EmissionStride = 0;
+  std::vector<uint16_t> CharCol; // 256 entries, one per character.
 
   void build(const bio::Hmm &Hmm);
 };

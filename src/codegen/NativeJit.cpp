@@ -40,7 +40,7 @@ JitKernel::~JitKernel() {
 }
 
 //===----------------------------------------------------------------------===//
-// Binding: mirrors BytecodeVM::bind field-for-field.
+// Binding: borrows what BytecodeVM::bind borrows.
 //===----------------------------------------------------------------------===//
 
 void JitBinding::bind(const BytecodeProgram &Prog, const Evaluator &Eval) {
@@ -93,28 +93,6 @@ void JitBinding::bind(const BytecodeProgram &Prog, const Evaluator &Eval) {
       const HmmLogCache &Cache = Caches[P];
 
       unsigned NumStates = H->numStates();
-      unsigned Alpha = H->alphabet().size();
-      uint64_t Stride = Alpha + 1;
-      // Dense log emissions, exactly as the VM builds them: silent
-      // states keep all-zero rows, emitting states take the cached log
-      // values plus -inf in the trailing out-of-alphabet column.
-      HD.Emissions.assign(static_cast<size_t>(NumStates) * Stride, 0.0);
-      for (unsigned S = 0; S != NumStates; ++S) {
-        const std::vector<double> &Row = Cache.LogEmissions[S];
-        if (Row.empty())
-          continue;
-        double *Dst = HD.Emissions.data() + static_cast<size_t>(S) * Stride;
-        for (unsigned C = 0; C != Alpha; ++C)
-          Dst[C] = Row[C];
-        Dst[Alpha] = NegInfinity;
-      }
-      HD.CharCol.resize(256);
-      for (unsigned C = 0; C != 256; ++C) {
-        int Index = H->alphabet().indexOf(static_cast<char>(C));
-        HD.CharCol[C] = Index >= 0 ? static_cast<uint64_t>(Index)
-                                   : static_cast<uint64_t>(Alpha);
-      }
-
       unsigned NumTrans = H->numTransitions();
       HD.From.resize(NumTrans);
       HD.To.resize(NumTrans);
@@ -152,8 +130,8 @@ void JitBinding::bind(const BytecodeProgram &Prog, const Evaluator &Eval) {
 
       JitHmm &JH = Hmms[P];
       JH.LogTrans = Cache.LogTransitionProbs.data();
-      JH.Emissions = HD.Emissions.data();
-      JH.CharCol = HD.CharCol.data();
+      JH.Emissions = Cache.Emissions.data();
+      JH.CharCol = Cache.CharCol.data();
       JH.TransFrom = HD.From.data();
       JH.TransTo = HD.To.data();
       JH.StateIsStart = HD.IsStart.data();
@@ -162,7 +140,7 @@ void JitBinding::bind(const BytecodeProgram &Prog, const Evaluator &Eval) {
       JH.AdjIn = HD.AdjIn.data();
       JH.AdjOutOff = HD.AdjOutOff.data();
       JH.AdjOut = HD.AdjOut.data();
-      JH.Stride = Stride;
+      JH.Stride = Cache.EmissionStride;
       break;
     }
     case ParamClass::Int:
@@ -196,21 +174,22 @@ std::string intLit(int64_t V) {
   return std::to_string(V) + "LL";
 }
 
-/// Renders one ExecutablePlan as a self-contained C translation unit.
-/// Every statement performs at most one floating-point operation (so
-/// -ffp-contract=off keeps the op sequence identical to the VM's), real
-/// immediates are hexfloat literals, and log-space helpers copy
-/// LogSpace.h operation-for-operation.
+/// Renders one ExecutablePlan as a self-contained C translation unit,
+/// the same text for every box of its recursion and schedule (the box
+/// comes in pr_args). Every statement performs at most one
+/// floating-point operation (so -ffp-contract=off keeps the op sequence
+/// identical to the VM's), real immediates are hexfloat literals, and
+/// log-space helpers copy LogSpace.h operation-for-operation.
 class CEmitter {
 public:
   explicit CEmitter(const exec::ExecutablePlan &Plan)
       : Plan(Plan), Prog(Plan.Program.get()) {}
 
   std::string render() {
-    if (!Prog || Prog->NumRegs == 0 || Plan.Box.numDims() == 0 ||
-        Plan.Nest.NumParams != 0 ||
-        Prog->NumDims != Plan.Box.numDims() ||
-        Plan.Nest.Levels.size() != 1 + static_cast<size_t>(Plan.Box.numDims()))
+    unsigned N = Plan.Box.numDims();
+    if (!Prog || Prog->NumRegs == 0 || N == 0 || Prog->NumDims != N ||
+        Plan.Sched.Coefficients.size() != N ||
+        Plan.Nest.Levels.size() != 1 + static_cast<size_t>(N))
       return std::string();
     emitPrelude();
     emitKernel();
@@ -220,6 +199,9 @@ public:
 private:
   const exec::ExecutablePlan &Plan;
   const BytecodeProgram *Prog;
+  /// The scan being emitted bakes these strides as 0 and 1 (-1: none),
+  /// which spares a reduce's table reads a multiply per element.
+  int DropDim = -1, UnitDim = -1;
   std::string Out;
   int Indent = 0;
   int NextRange = 0;
@@ -263,17 +245,20 @@ private:
     return Buf;
   }
 
-  /// Affine expression over the nest dimensions, rendered over v0..vN.
-  /// Only variables below \p MaxVar may appear (outer loop variables).
-  std::string nestAffine(const poly::AffineExpr &E, unsigned MaxVar) {
+  /// Affine expression over the nest dimensions, rendered over pn0.. for
+  /// the parameters, v0 for the partition and v1..vN for the point. Only
+  /// the parameters and the variables of levels outside \p Level appear.
+  std::string nestAffine(const poly::AffineExpr &E, unsigned Level) {
+    unsigned P = Plan.Nest.NumParams;
     std::string S = "(" + intLit(E.constantTerm());
     for (unsigned D = 0; D != E.numDims(); ++D) {
       int64_t C = E.coefficient(D);
       if (C == 0)
         continue;
-      if (D >= MaxVar)
+      if (D >= P + Level)
         fail(); // Bound references a not-yet-defined loop variable.
-      S += " + " + intLit(C) + " * v" + std::to_string(D);
+      S += " + " + intLit(C) + " * " +
+           (D < P ? "pn" + std::to_string(D) : "v" + std::to_string(D - P));
     }
     S += ")";
     return S;
@@ -291,19 +276,34 @@ private:
     return S;
   }
 
-  std::string pointVarList() {
-    std::string S;
-    for (unsigned D = 0; D != Prog->NumDims; ++D) {
-      if (D)
-        S += ", ";
-      S += "v" + std::to_string(1 + D);
-    }
-    return S;
+  /// The table slot of point \p X: SlidingWindowTable::slot, or
+  /// FullTable::flatten, over the layout the kernel read into its st,
+  /// tbase, tplane and tmin locals. The schedule coefficients, the
+  /// window's fastmod constants and the strides 0 and 1 are baked.
+  std::string addr(const std::vector<std::string> &X) {
+    std::string Index = "(0ULL";
+    for (int D = 0; D != static_cast<int>(X.size()); ++D)
+      if (D != DropDim)
+        Index += (D == UnitDim ? " + " : " + st" + std::to_string(D) + " * ") +
+                 "(uint64_t)" + X[D];
+    Index += " - tbase)";
+    if (!Plan.UseWindow)
+      return Index;
+    std::string Part = "(0LL";
+    for (unsigned D = 0; D != X.size(); ++D)
+      if (int64_t C = Plan.Sched.Coefficients[D])
+        Part += " + " + intLit(C) + " * " + X[D];
+    Part += ")";
+    uint64_t NumPlanes = static_cast<uint64_t>(Plan.WindowDepth) + 1;
+    uint64_t ModMagic = std::numeric_limits<uint64_t>::max() / NumPlanes + 1;
+    return "(uint64_t)((unsigned __int128)(" + std::to_string(ModMagic) +
+           "ULL * (uint64_t)(" + Part + " - tmin)) * " +
+           std::to_string(NumPlanes) + "ULL >> 64) * tplane + " + Index;
   }
 
   void emitPrelude() {
-    line("/* Generated by ParRec NativeJit: one ExecutablePlan, fully");
-    line(" * specialised. Bit-identical to the bytecode VM by");
+    line("/* Generated by ParRec NativeJit: one recursion and schedule;");
+    line(" * the box comes in pr_args. Bit-identical to the bytecode VM by");
     line(" * construction: one FP op per statement, -ffp-contract=off,");
     line(" * hexfloat immediates, LogSpace.h helpers copied op-for-op. */");
     // The libm entry points and fixed-width types the kernel uses,
@@ -315,6 +315,7 @@ private:
     line("typedef __INT32_TYPE__ int32_t;");
     line("typedef __INT64_TYPE__ int64_t;");
     line("typedef __UINT8_TYPE__ uint8_t;");
+    line("typedef __UINT16_TYPE__ uint16_t;");
     line("typedef __UINT32_TYPE__ uint32_t;");
     line("typedef __UINT64_TYPE__ uint64_t;");
     line("#define INFINITY (__builtin_inf())");
@@ -329,7 +330,7 @@ private:
     line("typedef struct { uint64_t index, from, to; double log_prob; } "
          "pr_trans;");
     line("typedef struct { const double *log_trans; const double *emissions;");
-    line("  const uint64_t *char_col; const uint64_t *trans_from;");
+    line("  const uint16_t *char_col; const uint64_t *trans_from;");
     line("  const uint64_t *trans_to; const uint64_t *state_is_start;");
     line("  const uint64_t *state_is_end; const uint64_t *adj_in_off;");
     line("  const pr_trans *adj_in; const uint64_t *adj_out_off;");
@@ -337,7 +338,11 @@ private:
     line("typedef struct { const pr_seq *seqs; const pr_matrix *matrices;");
     line("  const pr_hmm *hmms; const int64_t *int_args;");
     line("  const double *real_args; double *table;");
-    line("  uint64_t cyc_op, cyc_trans, cyc_table, cyc_model; } pr_args;");
+    line("  uint64_t cyc_op, cyc_trans, cyc_table, cyc_model;");
+    line("  const int64_t *nest_params; const int64_t *root;");
+    line("  const uint64_t *strides; uint64_t base_index, plane_size;");
+    line("  int64_t min_partition, first_partition, last_partition; } "
+         "pr_args;");
     line("typedef struct { uint64_t ops, table_reads, table_writes,");
     line("  model_reads, transcendentals, cells;");
     line("  double table_max, root_value; uint64_t has_root; } pr_slot_t;");
@@ -393,7 +398,6 @@ private:
     line("    return m + l;");
     line("  }");
     line("}");
-    emitAddr();
     line("");
   }
 
@@ -443,79 +447,6 @@ private:
     line("}");
   }
 
-  /// pr_addr: the table slot of a recursion point, baked from the plan.
-  /// Sliding windows replicate SlidingWindowTable::slot (fused strides +
-  /// Lemire fastmod); full tables replicate FullTable::flatten.
-  void emitAddr() {
-    unsigned N = Plan.Box.numDims();
-    std::string Params;
-    for (unsigned D = 0; D != N; ++D) {
-      if (D)
-        Params += ", ";
-      Params += "int64_t x" + std::to_string(D);
-    }
-    line("static inline uint64_t pr_addr(%s) {", Params.c_str());
-    if (Plan.UseWindow) {
-      if (Plan.Sched.Coefficients.size() != N) {
-        fail();
-        line("}");
-        return;
-      }
-      // Same stride walk as the SlidingWindowTable constructor.
-      std::vector<uint64_t> Strides(N, 0);
-      uint64_t BaseIndex = 0;
-      uint64_t Stride = 1;
-      for (unsigned D = N; D-- > 0;) {
-        if (D == Plan.WindowDropDim)
-          continue;
-        Strides[D] = Stride;
-        BaseIndex += static_cast<uint64_t>(Plan.Box.Lower[D]) * Stride;
-        Stride *= static_cast<uint64_t>(Plan.Box.extent(D));
-      }
-      uint64_t PlaneSize = Stride;
-      uint64_t NumPlanes = static_cast<uint64_t>(Plan.WindowDepth) + 1;
-      uint64_t ModMagic =
-          std::numeric_limits<uint64_t>::max() / NumPlanes + 1;
-      int64_t MinPartition = Plan.Sched.minOver(Plan.Box);
-
-      std::string Part = "(" + intLit(0);
-      std::string Index = "0ULL";
-      for (unsigned D = 0; D != N; ++D) {
-        int64_t C = Plan.Sched.Coefficients[D];
-        if (C != 0)
-          Part += " + " + intLit(C) + " * x" + std::to_string(D);
-        if (Strides[D] != 0)
-          Index += " + " + std::to_string(Strides[D]) + "ULL * (uint64_t)x" +
-                   std::to_string(D);
-      }
-      Part += ")";
-      line("  int64_t wp = %s;", Part.c_str());
-      line("  uint64_t wi = %s;", Index.c_str());
-      line("  uint64_t wx = (uint64_t)(wp - %s);", intLit(MinPartition).c_str());
-      line("  uint64_t wplane = (uint64_t)(");
-      line("      (unsigned __int128)(%" PRIu64 "ULL * wx) * %" PRIu64
-           "ULL >> 64);",
-           ModMagic, NumPlanes);
-      line("  return wplane * %" PRIu64 "ULL + (wi - %" PRIu64 "ULL);",
-           PlaneSize, BaseIndex);
-    } else {
-      // Same stride walk as the FullTable constructor.
-      std::vector<uint64_t> Strides(N, 0);
-      uint64_t Stride = 1;
-      for (unsigned D = N; D-- > 0;) {
-        Strides[D] = Stride;
-        Stride *= static_cast<uint64_t>(Plan.Box.extent(D));
-      }
-      std::string Index = "0ULL";
-      for (unsigned D = 0; D != N; ++D)
-        Index += " + (uint64_t)(x" + std::to_string(D) + " - " +
-                 intLit(Plan.Box.Lower[D]) + ") * " +
-                 std::to_string(Strides[D]) + "ULL";
-      line("  return %s;", Index.c_str());
-    }
-    line("}");
-  }
-
   void emitKernel() {
     line("void parrec_scan(const pr_args *a, int64_t p, uint32_t t_begin,");
     line("                 uint32_t t_end, uint32_t n_threads,");
@@ -524,9 +455,18 @@ private:
     ++Indent;
     line("pr_reg r[%u];", Prog->NumRegs);
     line("(void)n_threads;");
-    line("if (p < %s || p > %s)", intLit(Plan.FirstPartition).c_str(),
-         intLit(Plan.LastPartition).c_str());
+    line("if (p < a->first_partition || p > a->last_partition)");
     line("  return;");
+    // What depends on the box, read once per call.
+    for (unsigned D = 0; D != Plan.Nest.NumParams; ++D)
+      line("const int64_t pn%u = a->nest_params[%u];", D, D);
+    for (unsigned D = 0; D != Prog->NumDims; ++D)
+      line("const uint64_t st%u = a->strides[%u];", D, D);
+    line("const uint64_t tbase = a->base_index;");
+    if (Plan.UseWindow) {
+      line("const uint64_t tplane = a->plane_size;");
+      line("const int64_t tmin = a->min_partition;");
+    }
     line("const int64_t v0 = p;");
     // The slot's counters live in locals and are stored once per call,
     // so no table store has to be assumed to alias them. JitScanner
@@ -535,24 +475,46 @@ private:
     line("uint64_t s_tw = slot->table_writes, s_mr = slot->model_reads;");
     line("uint64_t s_tc = slot->transcendentals, s_cells = slot->cells;");
     line("double s_max = slot->table_max;");
-    line("for (uint32_t t = t_begin; t != t_end; ++t) {");
-    ++Indent;
-    line("uint64_t cyc = 0;");
-    bool Striped = Plan.Nest.threadedLevel().has_value();
-    if (!Striped) {
-      // No space loop to stripe: every point belongs to simulated
-      // thread 0, exactly as forEachPointForThread assigns it.
-      line("if (t == 0u) {");
+    // The box picks a window's dropped dimension among those the
+    // schedule lets it drop (exec::pickWindowDropDim). The kernel holds
+    // one scan per candidate and runs the one whose stride is 0.
+    int N = static_cast<int>(Prog->NumDims);
+    std::vector<int> Drops;
+    for (int D = 0; Plan.UseWindow && D != N; ++D)
+      if (exec::windowMayDrop(Plan.Sched, D))
+        Drops.push_back(D);
+    if (Drops.empty())
+      Drops.push_back(-1);
+    for (size_t I = 0; I != Drops.size(); ++I) {
+      DropDim = Drops[I];
+      UnitDim = DropDim == N - 1 ? N - 2 : N - 1;
+      if (I + 1 != Drops.size())
+        line("%sif (st%d == 0) {", I ? "} else " : "", DropDim);
+      else if (I)
+        line("} else {");
+      Indent += Drops.size() > 1;
+      line("for (uint32_t t = t_begin; t != t_end; ++t) {");
       ++Indent;
-    }
-    emitNestLevel(1);
-    if (!Striped) {
+      line("uint64_t cyc = 0;");
+      bool Striped = Plan.Nest.threadedLevel().has_value();
+      if (!Striped) {
+        // No space loop to stripe: every point belongs to simulated
+        // thread 0, exactly as forEachPointForThread assigns it.
+        line("if (t == 0u) {");
+        ++Indent;
+      }
+      emitNestLevel(1);
+      if (!Striped) {
+        --Indent;
+        line("}");
+      }
+      line("thread_cycles[t] = cyc;");
       --Indent;
       line("}");
+      Indent -= Drops.size() > 1;
     }
-    line("thread_cycles[t] = cyc;");
-    --Indent;
-    line("}");
+    if (Drops.size() > 1)
+      line("}");
     line("slot->ops = s_ops;");
     line("slot->table_reads = s_tr;");
     line("slot->table_writes = s_tw;");
@@ -677,8 +639,11 @@ private:
       snprintf(Buf, sizeof(Buf), Conv, Prog->ResultReg);
       ConvExpr = Buf;
     }
+    std::vector<std::string> Point;
+    for (unsigned D = 0; D != Prog->NumDims; ++D)
+      Point.push_back("v" + std::to_string(1 + D));
     line("double cv = %s;", ConvExpr.c_str());
-    line("a->table[pr_addr(%s)] = cv;", pointVarList().c_str());
+    line("a->table[%s] = cv;", addr(Point).c_str());
     line("d_tw += 1ULL;"); // The cell's own store, as evalCell charges it.
     line("s_ops += d_ops;");
     line("s_tr += d_tr;");
@@ -692,8 +657,7 @@ private:
     line("  s_max = cv;");
     std::string RootCond = "check_root";
     for (unsigned D = 0; D != Prog->NumDims; ++D)
-      RootCond += " && v" + std::to_string(1 + D) + " == " +
-                  intLit(Plan.Box.Upper[D]);
+      RootCond += " && " + Point[D] + " == a->root[" + std::to_string(D) + "]";
     line("if (%s) {", RootCond.c_str());
     line("  slot->root_value = cv;");
     line("  slot->has_root = 1ULL;");
@@ -865,7 +829,7 @@ private:
     }
     line("{");
     ++Indent;
-    std::string ArgList;
+    std::vector<std::string> Args;
     for (unsigned A = 0; A != Cd.NumArgs; ++A) {
       const CallArg &Ca = Prog->CallArgsPool[Cd.FirstArg + A];
       if (Ca.Reg >= 0)
@@ -873,11 +837,9 @@ private:
       else
         line("int64_t tg%u = %s;", A,
              pointAffine(&Prog->AffinePool[Ca.CoeffOffset], Ca.Bias).c_str());
-      if (A)
-        ArgList += ", ";
-      ArgList += "tg" + std::to_string(A);
+      Args.push_back("tg" + std::to_string(A));
     }
-    line("double tv = a->table[pr_addr(%s)];", ArgList.c_str());
+    line("double tv = a->table[%s];", addr(Args).c_str());
     switch (In.Op) {
     case Opcode::TableReadReal:
       line("r[%d].d = tv;", In.A);
@@ -1140,7 +1102,8 @@ std::string resolveCacheDir(const std::string &Override) {
 /// Loads the kernel at \p SoPath, or returns null when the object
 /// cannot be loaded or was not built from the source hashing to
 /// \p SourceHash under this JitKernelAbi. A stale or foreign object at
-/// a cache path would otherwise run with another plan's baked bounds.
+/// a cache path would otherwise run another recursion's or schedule's
+/// nest and cell body.
 std::shared_ptr<const JitKernel> tryLoad(const std::string &SoPath,
                                          uint64_t SourceHash) {
   void *Handle = ::dlopen(SoPath.c_str(), RTLD_NOW | RTLD_LOCAL);
@@ -1224,8 +1187,8 @@ codegen::compileKernel(const exec::ExecutablePlan &Plan,
     return fallBack("cannot create the jit cache directory");
 
   // Cache key: schedule fingerprint mixed into a hash of the emitted
-  // source (which already bakes the box, the window decision and the
-  // program), so any plan-visible change misses.
+  // source (which bakes the nest, the window depth and the program but
+  // no box), so every box of a recursion and schedule shares one entry.
   uint64_t Key = Rendered.SourceHash ^
                  (Plan.Sched.fingerprint() * 0x9e3779b97f4a7c15ULL);
   char Hex[24];

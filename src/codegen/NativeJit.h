@@ -13,15 +13,17 @@
 /// compiler into a shared object, dlopen it, and dispatch the resolved
 /// kernel instead of interpreting bytecode.
 ///
-/// Everything that is a *plan-time* constant is baked into the source:
-/// loop bounds, schedule coefficients, fastmod window addressing (the
-/// same slot math as exec::SlidingWindowTable), the result conversion,
-/// and the packed per-instruction cost deltas. Everything that varies
-/// per *binding* (sequences, matrices, the precomputed log-space HMM
-/// tables, scalar arguments, the table base pointer and the cost-model
-/// cycle weights) is passed at run time through JitArgs, so one cached
-/// kernel serves every problem that reuses the plan — exactly the
-/// contract the bytecode program already has.
+/// What the recursion and its schedule fix is baked into the source: the
+/// parametric loop nest, the schedule coefficients, the window depth and the
+/// strides 0 and 1 (one scan per dimension a window may drop; they keep a
+/// reduce's address arithmetic cheap and loop-invariant), the cell body, the
+/// result conversion and the packed cost deltas. What the box decides (the
+/// nest's parameter values, the partition range, the root point, the table
+/// layout, which scan runs) and what varies per *binding* (sequences, matrices,
+/// HMM tables, scalar arguments, the table base pointer and the cost-model
+/// cycle weights) is read from JitArgs, so one cached kernel serves every box
+/// and problem of a recursion and schedule — exactly the contract the bytecode
+/// program already has.
 ///
 /// The emitted code replicates the bytecode VM operation-for-operation
 /// (one floating-point operation per emitted statement, compiled with
@@ -40,13 +42,14 @@
 /// locals. Every cell is evaluated on its own, in serial point order.
 ///
 /// Compiled objects are cached on disk keyed by the schedule fingerprint
-/// plus a hash of the emitted source, so cold process starts reuse warm
-/// kernels without invoking the compiler. Each object exports the hash
-/// of the source it was built from and the kernel ABI version; a cached
-/// object whose symbols do not match is removed and recompiled, never
-/// run. Any failure — unsupported body shape, missing or broken host
-/// compiler, dlopen error — degrades to the bytecode VM with a single
-/// warning line and a `jit.fallbacks` metric; it is never an error.
+/// plus a hash of the emitted source, so other boxes and cold process
+/// starts reuse warm kernels without invoking the compiler. Each object
+/// exports the hash of the source it was built from and the kernel ABI
+/// version; a cached object whose symbols do not match is removed and
+/// recompiled, never run. Any failure — unsupported body shape, missing
+/// or broken host compiler, dlopen error — degrades to the bytecode VM
+/// with a single warning line and a `jit.fallbacks` metric; it is never
+/// an error.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -96,7 +99,7 @@ struct JitTrans {
 struct JitHmm {
   const double *LogTrans;      // One per transition (borrowed log cache).
   const double *Emissions;     // NumStates x Stride dense log emissions.
-  const uint64_t *CharCol;     // 256-entry character -> emission column.
+  const uint16_t *CharCol;     // 256-entry character -> emission column.
   const uint64_t *TransFrom;   // Per transition: source state.
   const uint64_t *TransTo;     // Per transition: target state.
   const uint64_t *StateIsStart; // Per state: 0/1.
@@ -113,11 +116,12 @@ struct JitHmm {
 /// by the emitted pr_args, pr_slot_t and parrec_scan. Every kernel
 /// exports it as `parrec_kernel_abi`, and a cached object with another
 /// value is recompiled. Bump it whenever any of them changes.
-inline constexpr uint64_t JitKernelAbi = 2;
+inline constexpr uint64_t JitKernelAbi = 3;
 
 /// Per-run kernel inputs: the binding plus the table base pointer and the
 /// cost model's cycle weights (so one kernel serves both backends and
-/// both table residencies).
+/// both table residencies), and what the box decides (so one kernel
+/// serves every box).
 struct JitArgs {
   const JitSeq *Seqs;
   const JitMatrix *Matrices;
@@ -129,6 +133,14 @@ struct JitArgs {
   uint64_t CycTrans;
   uint64_t CycTable;
   uint64_t CycModel;
+  const int64_t *NestParams; // ExecutablePlan::NestParams.
+  const int64_t *Root;       // The root point, the box's upper corner.
+  const uint64_t *Strides;   // The run's exec::TableLayout.
+  uint64_t BaseIndex;
+  uint64_t PlaneSize;
+  int64_t MinPartition;
+  int64_t FirstPartition;
+  int64_t LastPartition;
 };
 
 /// Per-invocation outputs, folded into the caller's WorkerSlot: the wide
@@ -171,11 +183,11 @@ private:
   JitKernelFn Fn = nullptr;
 };
 
-/// The per-binding state a jitted kernel consumes; mirrors
-/// BytecodeVM::bind field-for-field (and borrows the same Evaluator log
-/// caches, so every probability the kernel reads is bit-identical to the
-/// VM's). The Evaluator must stay alive and bound while the returned
-/// args are in use.
+/// The per-binding state a jitted kernel consumes. Like BytecodeVM::bind
+/// it borrows the Evaluator's log caches, dense emissions included, so
+/// every probability the kernel reads is bit-identical to the VM's. The
+/// Evaluator must stay alive and bound while the returned args are in
+/// use.
 class JitBinding {
 public:
   JitBinding() = default;
@@ -184,8 +196,8 @@ public:
 
   void bind(const BytecodeProgram &Prog, const Evaluator &Eval);
 
-  /// Args with the binding pointers filled in; the caller sets Table and
-  /// the cycle weights per run.
+  /// Args with the binding pointers filled in; the caller sets Table,
+  /// the cycle weights and the box's fields per run.
   JitArgs args() const { return Args; }
 
 private:
@@ -201,8 +213,6 @@ private:
     std::vector<int64_t> CharIdx;
   };
   struct HmmData {
-    std::vector<double> Emissions;
-    std::vector<uint64_t> CharCol;
     std::vector<uint64_t> From, To, IsStart, IsEnd;
     std::vector<uint64_t> AdjInOff, AdjOutOff;
     std::vector<JitTrans> AdjIn, AdjOut;

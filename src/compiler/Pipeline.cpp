@@ -190,8 +190,7 @@ bool passScheduleSynthesis(CompilationModule &M, obs::Span &S) {
     M.Plan->Sched = std::move(*Minimal);
   }
   if (S.active())
-    S.arg("schedule",
-          M.Plan->Sched.str(M.DimNames.empty() ? Rec.DimNames : M.DimNames));
+    S.arg("schedule", M.Plan->Sched.str(Rec.DimNames));
   return true;
 }
 
@@ -225,12 +224,12 @@ bool passLoopGen(CompilationModule &M, obs::Span &S) {
     return missing(M, "loopgen", "a planning request");
   if (M.Plan->Sched.Coefficients.size() != M.Box->numDims())
     return missing(M, "loopgen", "a resolved schedule");
-  // Section 4.3: scan the box under the schedule, CLooG-style.
-  poly::Polyhedron Domain(M.DimNames);
+  // Section 4.3: the recursion's nest under the schedule, CLooG-style,
+  // with the box's extents as its parameter values.
+  M.Plan->Nest = poly::generateBoxLoops(M.recurrence().DimNames,
+                                        M.Plan->Sched.Coefficients);
   for (unsigned D = 0; D != M.Box->numDims(); ++D)
-    Domain.addBounds(D, M.Box->Lower[D], M.Box->Upper[D]);
-  M.Plan->Nest = poly::generateLoops(Domain, /*NumParams=*/0,
-                                     M.Plan->Sched.toAffineExpr(0));
+    M.Plan->NestParams.push_back(M.Box->extent(D));
   if (S.active())
     S.arg("dims", static_cast<uint64_t>(M.Box->numDims()));
   return true;
@@ -239,7 +238,7 @@ bool passLoopGen(CompilationModule &M, obs::Span &S) {
 bool passFinalize(CompilationModule &M, obs::Span &S) {
   if (!M.Box || !M.Plan)
     return missing(M, "finalize", "a planning request");
-  auto TimeRange = M.Plan->Nest.timeRange({});
+  auto TimeRange = M.Plan->Nest.timeRange(M.Plan->NestParams);
   if (!TimeRange) {
     M.Diags.error({}, "empty domain for '" + M.recurrence().Name + "'");
     return false;
@@ -326,7 +325,6 @@ bool compiler::isKnownPass(std::string_view Name) {
 
 std::optional<exec::ExecutablePlan>
 exec::buildPlan(const solver::RecurrenceSpec &Rec,
-                const std::vector<std::string> &DimNames,
                 const solver::DomainBox &Box, const PlanRequest &Req,
                 DiagnosticEngine &Diags) {
   obs::Span PlanSpan("exec.build_plan", "exec");
@@ -334,9 +332,13 @@ exec::buildPlan(const solver::RecurrenceSpec &Rec,
     PlanSpan.arg("function", Rec.Name);
     PlanSpan.arg("dims", static_cast<uint64_t>(Box.numDims()));
   }
+  // The nest's parameters are the box's extents, so x_d starts at 0.
+  if (Box.Lower != std::vector<int64_t>(Box.numDims(), 0)) {
+    Diags.error({}, "the box of '" + Rec.Name + "' is not at the origin");
+    return std::nullopt;
+  }
   CompilationModule M(Diags);
   M.Recurrence = &Rec;
-  M.DimNames = DimNames;
   M.Box = Box;
   M.Request = Req;
   M.Plan.emplace();

@@ -69,7 +69,6 @@ struct CompilationModule {
   /// The recurrence planned against; when null, Info's recurrence is
   /// used (a module that ran the frontend plans itself).
   const solver::RecurrenceSpec *Recurrence = nullptr;
-  std::vector<std::string> DimNames;
   std::optional<solver::DomainBox> Box;
   exec::PlanRequest Request;
   /// Built up across the planning passes: schedule_synthesis resolves

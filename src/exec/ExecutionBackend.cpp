@@ -172,12 +172,12 @@ struct CellScanner {
 };
 
 /// Scanner over the natively jitted kernel: one call covers the whole
-/// (partition, thread-range) slice — the kernel walks the baked loop
-/// nest, writes the table through the baked slot addressing, accumulates
-/// the wide cost lanes and per-thread modelled cycles, and captures the
-/// running table max and the root cell. The fold below mirrors what
-/// scanThreadRange accumulates per cell; one invocation per slot keeps
-/// the strict-`>`/first-wins merge semantics exact.
+/// (partition, thread-range) slice — the kernel walks the loop nest over
+/// the box in its args, writes the table through the table's layout,
+/// accumulates the wide cost lanes and per-thread modelled cycles, and
+/// captures the running table max and the root cell. The fold below
+/// mirrors what scanThreadRange accumulates per cell; one invocation per
+/// slot keeps the strict-`>`/first-wins merge semantics exact.
 struct JitScanner {
   codegen::JitKernelFn Fn = nullptr;
   codegen::JitArgs Args{};
@@ -434,6 +434,18 @@ RunResult scanPlan(const ExecutablePlan &Plan, codegen::Evaluator &Eval,
         S.Fn = Plan.Kernel->fn();
         S.Args = JitBind.args();
         S.Args.Table = ConcreteTable.rawData();
+        // What depends on the box, so one kernel serves every box.
+        const TableLayout &Layout = ConcreteTable.layout();
+        assert(Plan.NestParams.size() == Plan.Nest.NumParams &&
+               "wrong parameter count");
+        S.Args.NestParams = Plan.NestParams.data();
+        S.Args.Root = Plan.Box.Upper.data();
+        S.Args.Strides = Layout.Strides.data();
+        S.Args.BaseIndex = Layout.BaseIndex;
+        S.Args.PlaneSize = Layout.PlaneSize;
+        S.Args.MinPartition = Layout.MinPartition;
+        S.Args.FirstPartition = Plan.FirstPartition;
+        S.Args.LastPartition = Plan.LastPartition;
         // The kernel bakes the cycle *formula*; the weights come from
         // the live cost model so one cached kernel serves both backends
         // and both table residencies.
@@ -455,13 +467,13 @@ RunResult scanPlan(const ExecutablePlan &Plan, codegen::Evaluator &Eval,
         E.Vm.bind(Eval);
         return CellScanner<TableT, VmEval>{
             Plan,  ConcreteTable, Model, IsGpu, TableInShared,
-            std::move(E), Plan.Nest.makeScanContext({})};
+            std::move(E), Plan.Nest.makeScanContext(Plan.NestParams)};
       });
     } else {
       Drive([&] {
         return CellScanner<TableT, AstEval>{
             Plan,  ConcreteTable, Model, IsGpu, TableInShared,
-            AstEval{&Eval}, Plan.Nest.makeScanContext({})};
+            AstEval{&Eval}, Plan.Nest.makeScanContext(Plan.NestParams)};
       });
     }
   };

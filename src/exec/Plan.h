@@ -9,10 +9,11 @@
 /// The planning stage of the execution pipeline: everything derived from
 /// a recursion and a concrete domain box *before* any cell is evaluated —
 /// the schedule (Section 4.5–4.7), the sliding-window decision (Section
-/// 4.8) and the CLooG-style loop nest (Section 4.3) — captured in an
-/// immutable ExecutablePlan. Plans are keyed by PlanKey and memoised in a
-/// PlanCache so repeated runs over same-shaped problems skip schedule
-/// synthesis and loop generation entirely.
+/// 4.8) and the CLooG-style loop nest (Section 4.3) with the box's
+/// parameter values — captured in an immutable ExecutablePlan. Plans
+/// are keyed by PlanKey and memoised in a PlanCache so repeated runs
+/// over same-shaped problems skip schedule synthesis and loop
+/// generation entirely.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -101,7 +102,10 @@ class ExecutablePlan {
 public:
   solver::DomainBox Box;
   solver::Schedule Sched;
+  /// The recursion's nest under Sched, the same for every box, and the
+  /// box's values for its parameters (its extents; empty for none).
   poly::LoopNest Nest;
+  std::vector<int64_t> NestParams;
   /// Inclusive partition (time-step) range of the scan.
   int64_t FirstPartition = 0;
   int64_t LastPartition = 0;
@@ -132,11 +136,10 @@ public:
 
 /// Builds a plan for \p Box: resolves the schedule per \p Req, decides the
 /// sliding window, and generates the loop nest. Reports diagnostics and
-/// returns nullopt on failure (invalid forced schedule, no valid schedule,
-/// empty domain).
+/// returns nullopt on failure (a box whose lower corner is not the
+/// origin, invalid forced schedule, no valid schedule, empty domain).
 std::optional<ExecutablePlan>
 buildPlan(const solver::RecurrenceSpec &Rec,
-          const std::vector<std::string> &DimNames,
           const solver::DomainBox &Box, const PlanRequest &Req,
           DiagnosticEngine &Diags);
 

@@ -27,6 +27,24 @@
 namespace parrec {
 namespace exec {
 
+/// Whether a sliding window over \p S may drop dimension \p D (a unit
+/// coefficient); pickWindowDropDim and the JIT's kernels both ask this.
+inline bool windowMayDrop(const solver::Schedule &S, unsigned D) {
+  return S.Coefficients[D] == 1 || S.Coefficients[D] == -1;
+}
+
+/// A table's slot addressing, as a jitted kernel reads it from JitArgs:
+/// point x lives at slot sum_d Strides[d] * x_d - BaseIndex (unsigned,
+/// modulo 2^64) of a full table, and a sliding window adds PlaneSize
+/// times the ring plane of partition S(x) - MinPartition. The last
+/// dimension a table keeps has stride 1, which kernels bake.
+struct TableLayout {
+  std::vector<uint64_t> Strides; // 0 for a window's dropped dimension.
+  uint64_t BaseIndex = 0;
+  uint64_t PlaneSize = 0;
+  int64_t MinPartition = 0;
+};
+
 /// Writable extension of the evaluator's read view.
 ///
 /// Disjoint-write invariant (what makes the wavefront-parallel scan
@@ -46,22 +64,27 @@ public:
   virtual void set(const int64_t *Point, double Value) = 0;
   virtual uint64_t bytes() const = 0;
 
-  /// Base pointer of the flat value storage, for jitted kernels that bake
-  /// the slot addressing into generated code (the same flatten/slot math
-  /// as get/set). Raw writes bypass the debug-build write-once poisoning
-  /// of FullTable; the generated nest preserves the invariant by
+  /// Base pointer of the flat value storage, for jitted kernels that
+  /// address it through layout() (the same flatten/slot math as
+  /// get/set). Raw writes bypass the debug-build write-once poisoning of
+  /// FullTable; the generated nest preserves the invariant by
   /// construction (it visits each point exactly once).
   virtual double *rawData() = 0;
+  const TableLayout &layout() const { return Layout; }
+
+protected:
+  TableLayout Layout;
 };
 
 /// Dense row-major storage over the whole domain box.
 class FullTable final : public DpTable {
 public:
   explicit FullTable(const solver::DomainBox &Box) : Box(Box) {
-    Strides.resize(Box.numDims());
+    Layout.Strides.resize(Box.numDims());
     uint64_t Stride = 1;
     for (unsigned D = Box.numDims(); D-- > 0;) {
-      Strides[D] = Stride;
+      Layout.Strides[D] = Stride;
+      Layout.BaseIndex += static_cast<uint64_t>(Box.Lower[D]) * Stride;
       Stride *= static_cast<uint64_t>(Box.extent(D));
     }
     Data.assign(Stride, std::numeric_limits<double>::quiet_NaN());
@@ -84,7 +107,6 @@ public:
 
 private:
   solver::DomainBox Box;
-  std::vector<uint64_t> Strides;
   std::vector<double> Data;
 
   uint64_t flatten(const int64_t *Point) const {
@@ -92,7 +114,8 @@ private:
     for (unsigned D = 0; D != Box.numDims(); ++D) {
       assert(Point[D] >= Box.Lower[D] && Point[D] <= Box.Upper[D] &&
              "point outside the domain box");
-      Index += static_cast<uint64_t>(Point[D] - Box.Lower[D]) * Strides[D];
+      Index += static_cast<uint64_t>(Point[D] - Box.Lower[D]) *
+               Layout.Strides[D];
     }
     return Index;
   }
@@ -110,36 +133,33 @@ public:
   SlidingWindowTable(const solver::DomainBox &Box,
                      const solver::Schedule &S, int64_t Window,
                      unsigned DropDim)
-      : Box(Box), Sched(S), NumPlanes(static_cast<uint64_t>(Window) + 1),
-        DropDim(DropDim) {
-    assert((S.Coefficients[DropDim] == 1 ||
-            S.Coefficients[DropDim] == -1) &&
+      : NumPlanes(static_cast<uint64_t>(Window) + 1) {
+    assert(windowMayDrop(S, DropDim) &&
            "dropped dimension must have a unit schedule coefficient");
-    MinPartition = S.minOver(Box);
+    Layout.MinPartition = S.minOver(Box);
+    Layout.Strides.assign(Box.numDims(), 0);
     // Fuse per-dimension addressing state into one contiguous array so
     // slot() walks a single cache line instead of chasing three vectors.
     Addr.resize(Box.numDims());
     uint64_t Stride = 1;
     for (unsigned D = Box.numDims(); D-- > 0;) {
       Addr[D].Coeff = S.Coefficients[D];
-      if (D == DropDim) {
-        Addr[D].Stride = 0;
+      if (D == DropDim)
         continue;
-      }
-      Addr[D].Stride = Stride;
-      BaseIndex += static_cast<uint64_t>(Box.Lower[D]) * Stride;
+      Addr[D].Stride = Layout.Strides[D] = Stride;
+      Layout.BaseIndex += static_cast<uint64_t>(Box.Lower[D]) * Stride;
       Stride *= static_cast<uint64_t>(Box.extent(D));
     }
-    PlaneSize = Stride;
+    Layout.PlaneSize = Stride;
     // The partition offset fits 32 bits for any table that fits in
     // memory, so the ring lookup can use an exact multiply-based modulus
     // (Lemire's fastmod) instead of a hardware divide on every access.
-    assert(S.maxOver(Box) - MinPartition >= 0 &&
-           static_cast<uint64_t>(S.maxOver(Box) - MinPartition) <=
+    assert(S.maxOver(Box) - Layout.MinPartition >= 0 &&
+           static_cast<uint64_t>(S.maxOver(Box) - Layout.MinPartition) <=
                std::numeric_limits<uint32_t>::max() &&
            "partition range exceeds 32 bits");
     ModMagic = std::numeric_limits<uint64_t>::max() / NumPlanes + 1;
-    Data.assign(NumPlanes * PlaneSize, 0.0);
+    Data.assign(NumPlanes * Stride, 0.0);
   }
 
   double get(const int64_t *Point) const override {
@@ -157,13 +177,7 @@ private:
     uint64_t Stride = 0; // Plane stride; 0 for the dropped dimension.
   };
 
-  solver::DomainBox Box;
-  solver::Schedule Sched;
   uint64_t NumPlanes;
-  unsigned DropDim;
-  int64_t MinPartition = 0;
-  uint64_t PlaneSize = 0;
-  uint64_t BaseIndex = 0;
   uint64_t ModMagic = 0;
   std::vector<DimAddr> Addr;
   std::vector<double> Data;
@@ -178,26 +192,25 @@ private:
       Index += A[D].Stride * static_cast<uint64_t>(Point[D]);
     }
     // Exact X % NumPlanes for 32-bit X via the precomputed reciprocal.
-    uint64_t X = static_cast<uint64_t>(Partition - MinPartition);
+    uint64_t X = static_cast<uint64_t>(Partition - Layout.MinPartition);
     assert(X <= std::numeric_limits<uint32_t>::max() &&
            "partition offset exceeds 32 bits");
     uint64_t Plane = static_cast<uint64_t>(
         (static_cast<unsigned __int128>(ModMagic * X) * NumPlanes) >> 64);
-    return Plane * PlaneSize + (Index - BaseIndex);
+    return Plane * Layout.PlaneSize + (Index - Layout.BaseIndex);
   }
 };
 
-/// Picks the dimension a sliding-window table should drop: among the unit
-/// coefficients, the one with the largest extent minimises the window's
-/// footprint. Returns -1 when no unit coefficient exists (the window
-/// optimisation then falls back to full tabulation).
+/// Picks the dimension a sliding-window table should drop: among the ones
+/// it may drop, the one with the largest extent minimises the window's
+/// footprint. Returns -1 when it may drop none (the window optimisation
+/// then falls back to full tabulation).
 inline int pickWindowDropDim(const solver::Schedule &S,
                              const solver::DomainBox &Box) {
   int Best = -1;
   int64_t BestExtent = 0;
   for (unsigned D = 0; D != S.numDims(); ++D) {
-    int64_t A = S.Coefficients[D];
-    if (A != 1 && A != -1)
+    if (!windowMayDrop(S, D))
       continue;
     if (Box.extent(D) > BestExtent) {
       Best = static_cast<int>(D);

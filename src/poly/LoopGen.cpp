@@ -174,3 +174,24 @@ LoopNest parrec::poly::generateLoops(const Polyhedron &Domain,
   }
   return Nest;
 }
+
+LoopNest parrec::poly::generateBoxLoops(
+    const std::vector<std::string> &DimNames,
+    const std::vector<int64_t> &Schedule) {
+  unsigned N = static_cast<unsigned>(DimNames.size());
+  assert(Schedule.size() == N && "schedule arity mismatch");
+  std::vector<std::string> Names;
+  for (const std::string &Dim : DimNames)
+    Names.push_back(Dim + "_n");
+  Names.insert(Names.end(), DimNames.begin(), DimNames.end());
+  Polyhedron Domain(Names);
+  AffineExpr Scatter(2 * N);
+  for (unsigned D = 0; D != N; ++D) {
+    AffineExpr X = AffineExpr::dim(2 * N, N + D);
+    Domain.addConstraint(Constraint::ge(X));
+    Domain.addConstraint(Constraint::ge(AffineExpr::dim(2 * N, D) - X -
+                                        AffineExpr::constant(2 * N, 1)));
+    Scatter.setCoefficient(N + D, Schedule[D]);
+  }
+  return generateLoops(Domain, N, Scatter);
+}

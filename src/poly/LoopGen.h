@@ -219,6 +219,12 @@ LoopNest generateLoops(const Polyhedron &Domain, unsigned NumParams,
                        const AffineExpr &Schedule,
                        const std::string &TimeName = "p");
 
+/// A recursion's one loop nest, as the paper builds it (Section 4.3):
+/// 0 <= x_d <= <dim>_n - 1 scanned under the coefficients \p Schedule,
+/// with the extents <dim>_n as parameters, so it serves every box.
+LoopNest generateBoxLoops(const std::vector<std::string> &DimNames,
+                          const std::vector<int64_t> &Schedule);
+
 } // namespace poly
 } // namespace parrec
 

@@ -176,9 +176,6 @@ CompiledRecurrence::planFor(const DomainBox &Box,
   if (PlanSpan.active())
     PlanSpan.arg("cache", "miss");
 
-  std::vector<std::string> DimNames;
-  for (const lang::DimInfo &Dim : Info.Dims)
-    DimNames.push_back(Dim.Name);
   exec::PlanRequest Req;
   Req.UseSlidingWindow = Options.UseSlidingWindow;
   Req.KeepTable = Options.KeepTable;
@@ -189,7 +186,7 @@ CompiledRecurrence::planFor(const DomainBox &Box,
   Req.Jit = Key.Jit;
   Req.JitCacheDir = Options.JitCacheDir;
   std::optional<exec::ExecutablePlan> Plan =
-      exec::buildPlan(Info.Recurrence, DimNames, Box, Req, Diags);
+      exec::buildPlan(Info.Recurrence, Box, Req, Diags);
   if (!Plan)
     return nullptr;
   auto Shared =

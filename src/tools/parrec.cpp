@@ -11,7 +11,7 @@
 ///   parrec run --cpu <script.rdsl>   execute with the modelled CPU
 ///   parrec check <fn.rdsl>           parse + analyse one function
 ///   parrec schedule <fn.rdsl> n1 n2  print the minimal schedule for a box
-///   parrec emit <fn.rdsl> [n1 n2..]  print the synthesized CUDA source
+///   parrec emit <fn.rdsl>            print the synthesized CUDA source
 ///   parrec loops <fn.rdsl> n1 n2     print the Figure 9/10 loop nests
 ///   parrec serve --replay=<w.json>   replay a workload through the
 ///                                    serving engine and print throughput
@@ -24,7 +24,7 @@
 ///   --stats[=json]       print the metrics registry to stderr
 ///   --stats-out=<file>   write the metrics registry snapshot JSON
 ///
-/// `emit` and `loops` accept `--schedule a1,a2,...` to use a
+/// `emit` and `loops` accept `--schedule=a1,a2,...` to use a
 /// user-provided scheduling function instead of the derived one; it is
 /// verified against the dependency criteria first (Section 4.5).
 ///
@@ -75,8 +75,10 @@ int usage() {
                "                         changes modelled wall-clock only)\n"
                "  check <function>       analyse a single function\n"
                "  schedule <fn> <n...>   derive the minimal schedule\n"
-               "  emit <fn>              print synthesized CUDA source\n"
-               "  loops <fn> <n...>      print generated loop nests\n"
+               "  emit [--schedule=<a1,...>] <fn>\n"
+               "                         print synthesized CUDA source\n"
+               "  loops [--schedule=<a1,...>] <fn> <n...>\n"
+               "                         print generated loop nests\n"
                "  serve --replay=<w.json> [--devices=<n>]\n"
                "      [--queue-cap=<n>] [--max-batch=<n>]\n"
                "      [--linger=<ticks>]\n"
@@ -177,20 +179,39 @@ std::optional<AnalyzedFunction> analyzeFile(const char *Path,
   return Result;
 }
 
-/// Parses a --schedule a1,a2,... option if present at Argv[*Index],
-/// advancing *Index past it. Returns nullopt when absent; exits with an
-/// error message on malformed input.
-std::optional<solver::Schedule> parseScheduleOption(int Argc, char **Argv,
-                                                    int *Index) {
-  if (*Index + 1 >= Argc ||
-      std::strcmp(Argv[*Index], "--schedule") != 0)
-    return std::nullopt;
-  solver::Schedule S;
-  for (const std::string &Piece :
-       splitString(Argv[*Index + 1], ','))
-    S.Coefficients.push_back(std::atoll(Piece.c_str()));
-  *Index += 2;
-  return S;
+/// Returns the value of a `--name=value` option, or null when \p Arg is
+/// not that option.
+const char *optionValue(const char *Arg, const char *Name) {
+  size_t Len = std::strlen(Name);
+  if (std::strncmp(Arg, Name, Len) != 0 || Arg[Len] != '=')
+    return nullptr;
+  return Arg + Len + 1;
+}
+
+/// Reads emit's and loops' one option, `--schedule=a1,a2,...`, into \p S
+/// when Argv[*Index] is an option, advancing *Index past it. Returns
+/// false after a one-line error on any other option or on a coefficient
+/// that is not a whole integer.
+bool parseScheduleOption(int Argc, char **Argv, int *Index,
+                         std::optional<solver::Schedule> &S) {
+  if (*Index >= Argc || Argv[*Index][0] != '-')
+    return true;
+  const char *Value = optionValue(Argv[*Index], "--schedule");
+  S.emplace();
+  for (const std::string &Piece : splitString(Value ? Value : "", ',')) {
+    char *End = nullptr;
+    errno = 0;
+    S->Coefficients.push_back(std::strtoll(Piece.c_str(), &End, 10));
+    if (!Value || Piece.empty() || errno != 0 || *End != '\0') {
+      std::fprintf(stderr,
+                   "error: %s takes --schedule=a1,a2,... with whole-integer "
+                   "coefficients, got '%s'\n",
+                   Argv[1], Argv[*Index]);
+      return false;
+    }
+  }
+  ++*Index;
+  return true;
 }
 
 std::optional<solver::DomainBox> boxFromArgs(int Argc, char **Argv,
@@ -210,15 +231,6 @@ std::optional<solver::DomainBox> boxFromArgs(int Argc, char **Argv,
       return std::nullopt;
     }
   return solver::DomainBox::fromExtents(Extents);
-}
-
-/// Returns the value of a `--name=value` option, or null when \p Arg is
-/// not that option.
-const char *optionValue(const char *Arg, const char *Name) {
-  size_t Len = std::strlen(Name);
-  if (std::strncmp(Arg, Name, Len) != 0 || Arg[Len] != '=')
-    return nullptr;
-  return Arg + Len + 1;
 }
 
 int cmdRun(int Argc, char **Argv) {
@@ -408,8 +420,9 @@ int cmdSchedule(int Argc, char **Argv) {
 int cmdEmit(int Argc, char **Argv) {
   int Index = 2;
   DiagnosticEngine Diags;
-  std::optional<solver::Schedule> UserSchedule =
-      parseScheduleOption(Argc, Argv, &Index);
+  std::optional<solver::Schedule> S;
+  if (!parseScheduleOption(Argc, Argv, &Index, S))
+    return 2;
   if (Index >= Argc)
     return usage();
   auto Fn = analyzeFile(Argv[Index], Diags);
@@ -417,37 +430,27 @@ int cmdEmit(int Argc, char **Argv) {
     std::fputs(Diags.str().c_str(), stderr);
     return 1;
   }
-  if (UserSchedule) {
+  if (S) {
     // Verify against the criteria before emitting (Section 4.5); with
     // uniform descents no box is needed.
-    if (!solver::verifySchedule(Fn->Info->Recurrence, *UserSchedule,
-                                std::nullopt, Diags)) {
-      std::fputs(Diags.str().c_str(), stderr);
-      return 1;
+    if (!solver::verifySchedule(Fn->Info->Recurrence, *S, std::nullopt,
+                                Diags))
+      S.reset();
+  } else {
+    // Conditional derivation needs no box; fall back to a generic box
+    // for affine descents.
+    if (Fn->Info->Recurrence.allUniform()) {
+      auto Candidates =
+          solver::findConditionalSchedules(Fn->Info->Recurrence, Diags);
+      if (Candidates && !Candidates->empty())
+        S = (*Candidates)[0].S;
     }
-    std::printf("%s\n%s",
-                codegen::emitCudaKernel(*Fn->Decl, *Fn->Info,
-                                        *UserSchedule)
-                    .c_str(),
-                codegen::emitHostLaunchStub(*Fn->Decl, *Fn->Info)
-                    .c_str());
-    return 0;
-  }
-  // Conditional derivation needs no box; fall back to a generic box for
-  // affine descents.
-  std::optional<solver::Schedule> S;
-  if (Fn->Info->Recurrence.allUniform()) {
-    auto Candidates =
-        solver::findConditionalSchedules(Fn->Info->Recurrence, Diags);
-    if (Candidates && !Candidates->empty())
-      S = (*Candidates)[0].S;
-  }
-  if (!S) {
-    std::vector<int64_t> Extents(Fn->Info->numDims(), 128);
-    S = solver::findMinimalSchedule(Fn->Info->Recurrence,
-                                    solver::DomainBox::fromExtents(
-                                        Extents),
-                                    Diags);
+    if (!S)
+      S = solver::findMinimalSchedule(
+          Fn->Info->Recurrence,
+          solver::DomainBox::fromExtents(
+              std::vector<int64_t>(Fn->Info->numDims(), 128)),
+          Diags);
   }
   std::fputs(Diags.str().c_str(), stderr);
   if (!S)
@@ -462,8 +465,9 @@ int cmdEmit(int Argc, char **Argv) {
 int cmdLoops(int Argc, char **Argv) {
   int Index = 2;
   DiagnosticEngine Diags;
-  std::optional<solver::Schedule> UserSchedule =
-      parseScheduleOption(Argc, Argv, &Index);
+  std::optional<solver::Schedule> UserSchedule;
+  if (!parseScheduleOption(Argc, Argv, &Index, UserSchedule))
+    return 2;
   if (Index >= Argc)
     return usage();
   auto Fn = analyzeFile(Argv[Index], Diags);
@@ -489,14 +493,10 @@ int cmdLoops(int Argc, char **Argv) {
   if (!S)
     return 1;
 
-  std::vector<std::string> Names;
-  for (const lang::DimInfo &Dim : Fn->Info->Dims)
-    Names.push_back(Dim.Name);
-  poly::Polyhedron Domain(Names);
-  for (unsigned D = 0; D != Box->numDims(); ++D)
-    Domain.addBounds(D, Box->Lower[D], Box->Upper[D]);
-  poly::LoopNest Nest =
-      poly::generateLoops(Domain, 0, S->toAffineExpr(0));
+  // The extents chose the schedule; the nest is the recursion's one
+  // parametric nest under it, the paper's Figure 9/10 form.
+  poly::LoopNest Nest = poly::generateBoxLoops(
+      Fn->Info->Recurrence.DimNames, S->Coefficients);
   std::printf("// CLooG-style sequential scan (Figure 9)\n%s\n",
               poly::printSequentialLoops(Nest).c_str());
   std::printf("// Thread-partitioned conversion (Figure 10)\n%s",

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <set>
+
 using namespace parrec;
 using namespace parrec::lang;
 
@@ -146,6 +149,31 @@ TEST(CudaEmitterTest, NonUnitScheduleEmitsDivisibilityGuard) {
                   std::string::npos;
   bool HasDivBounds = E.Source.find("_div(") != std::string::npos;
   EXPECT_TRUE(HasGuard || HasDivBounds) << E.Source;
+}
+
+TEST(CudaEmitterTest, DivisionHelpersAreDefined) {
+  // With S = 2i + j the space loop's bounds divide by 2. Every division
+  // helper the kernel calls must be defined in the same text.
+  Emitted E = emit(EditDistanceSource, solver::Schedule{{2, 1}});
+  const std::string &Src = E.Source;
+  size_t Kernel = Src.find("__global__ void d_kernel(");
+  ASSERT_NE(Kernel, std::string::npos) << Src;
+  std::set<std::string> Called;
+  for (size_t At = Src.find("_div(", Kernel); At != std::string::npos;
+       At = Src.find("_div(", At + 1)) {
+    size_t Begin = At;
+    while (Begin > 0 && (std::isalnum(static_cast<unsigned char>(
+                             Src[Begin - 1])) ||
+                         Src[Begin - 1] == '_'))
+      --Begin;
+    Called.insert(Src.substr(Begin, At + 4 - Begin));
+  }
+  EXPECT_FALSE(Called.empty()) << Src;
+  for (const std::string &Name : Called)
+    EXPECT_NE(Src.find("__device__ static inline int " + Name + "("),
+              std::string::npos)
+        << Name << " is called but not defined:\n"
+        << Src;
 }
 
 TEST(CudaEmitterTest, HostLaunchStub) {

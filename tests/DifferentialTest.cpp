@@ -32,6 +32,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <tuple>
 
 #include <unistd.h>
 
@@ -786,6 +787,60 @@ TEST(DifferentialTest, JitUnderWorkerNesting) {
     expectRunsIdentical(VmB->Problems[I], JitB->Problems[I], "JIT",
                         " (batch problem " + std::to_string(I) + ")");
   EXPECT_EQ(VmB->TotalCycles, JitB->TotalCycles);
+}
+
+TEST(DifferentialTest, FixedLevelAboveTheInnermostReadsItsExtents) {
+  // Under (2, 0) the nest fixes i = p / 2 at level 1 and loops j at
+  // level 2 up to the j extent, a nest parameter: the fixed level's
+  // numerator must not hide that parameter in the kernel.
+  CompiledRecurrence Fn =
+      compileOrDie("int f(seq[en] s, index[s] i, seq[en] t, index[t] j) =\n"
+                   "  if i == 0 then 0 else f(i-1, j) + 1\n");
+  bio::Sequence S("s", "abcdefg"), T("t", "abcdefghijk");
+  std::vector<ArgValue> Args = {ArgValue::ofSeq(&S), ArgValue(),
+                                ArgValue::ofSeq(&T), ArgValue()};
+  gpu::Device Dev;
+  DiagnosticEngine Diags;
+  uint64_t FallbacksBefore =
+      obs::MetricsRegistry::global().snapshot().counter("jit.fallbacks");
+  RunOptions VmOpts;
+  VmOpts.ForcedSchedule = solver::Schedule{{2, 0}};
+  RunOptions JitOpts = VmOpts;
+  JitOpts.Evaluator = EvalKind::Jit;
+  JitOpts.JitCacheDir = jitCacheDirForTest();
+  auto Vm = Fn.runGpu(Args, Dev, Diags, VmOpts);
+  auto Jit = Fn.runGpu(Args, Dev, Diags, JitOpts);
+  ASSERT_TRUE(Vm.has_value()) << Diags.str();
+  ASSERT_TRUE(Jit.has_value()) << Diags.str();
+  EXPECT_EQ(Vm->RootValue, 7.0);
+  EXPECT_EQ(Vm->Cells, 8u * 12u);
+  expectRunsIdentical(*Vm, *Jit, "JIT", " (schedule 2,0)");
+  EXPECT_EQ(
+      obs::MetricsRegistry::global().snapshot().counter("jit.fallbacks"),
+      FallbacksBefore);
+}
+
+TEST(DifferentialTest, EveryDroppedDimensionOfAThreeDimensionalWindow) {
+  // Under i + j + k a window may drop any dimension, and the box drops
+  // its largest: one kernel holds a scan per dimension, and each of
+  // the three boxes runs another.
+  CompiledRecurrence Fn = compileOrDie(
+      "int f(seq[en] a, index[a] i, seq[en] b, index[b] j,\n"
+      "      seq[en] c, index[c] k) =\n"
+      "  if i == 0 then j + k\n"
+      "  else if j == 0 then i + k\n"
+      "  else if k == 0 then i + j\n"
+      "  else if a[i-1] == b[j-1] then f(i-1, j-1, k) max f(i, j, k-1)\n"
+      "  else (f(i-1, j, k) min f(i, j-1, k) min f(i, j, k-1)) + 1\n");
+  for (auto [AText, BText, CText] :
+       {std::tuple{"abcdefghijk", "abcd", "abcdefg"},
+        std::tuple{"abcd", "abcdefghijk", "abcdefg"},
+        std::tuple{"abcdefg", "abcd", "abcdefghijk"}}) {
+    bio::Sequence A("a", AText), B("b", BText), C("c", CText);
+    expectEvaluatorsAgree(Fn, {ArgValue::ofSeq(&A), ArgValue(),
+                               ArgValue::ofSeq(&B), ArgValue(),
+                               ArgValue::ofSeq(&C), ArgValue()});
+  }
 }
 
 TEST(DifferentialTest, ShippedScriptsProduceIdenticalOutput) {

@@ -7,7 +7,8 @@
 ///
 /// \file
 /// The native JIT's caching and degradation contract: a warm disk cache
-/// means zero compiler invocations, a PlanCache hit means zero JIT work
+/// means zero compiler invocations, every box of a recursion and
+/// schedule shares one kernel, a PlanCache hit means zero JIT work
 /// of any kind, a corrupt, foreign or older-ABI cache entry is silently
 /// recompiled, the ParRec_JIT_CACHE override is honoured, any cache path
 /// works, and a broken host compiler degrades to the bytecode VM with
@@ -69,21 +70,29 @@ uint64_t distCount(const char *Name) {
   return It == Snap.Distributions.end() ? 0 : It->second.Count;
 }
 
-/// Runs edit distance on \p Fn with the given evaluator and cache dir,
-/// returning the root value (the edit distance itself).
-double runOnce(const CompiledRecurrence &Fn, exec::EvalKind Evaluator,
-               const std::string &CacheDir, const char *SText = "kitten",
-               const char *TText = "sitting") {
+/// Runs edit distance of \p SText and \p TText on \p Fn under \p Opts.
+std::optional<exec::RunResult> run(const CompiledRecurrence &Fn,
+                                   const RunOptions &Opts, const char *SText,
+                                   const char *TText) {
   bio::Sequence S("s", SText), T("t", TText);
   std::vector<ArgValue> Args = {ArgValue::ofSeq(&S), ArgValue(),
                                 ArgValue::ofSeq(&T), ArgValue()};
   gpu::Device Dev;
   DiagnosticEngine Diags;
+  auto Result = Fn.runGpu(Args, Dev, Diags, Opts);
+  EXPECT_TRUE(Result.has_value()) << Diags.str();
+  return Result;
+}
+
+/// Runs edit distance on \p Fn with the given evaluator and cache dir,
+/// returning the root value (the edit distance itself).
+double runOnce(const CompiledRecurrence &Fn, exec::EvalKind Evaluator,
+               const std::string &CacheDir, const char *SText = "kitten",
+               const char *TText = "sitting") {
   RunOptions Opts;
   Opts.Evaluator = Evaluator;
   Opts.JitCacheDir = CacheDir;
-  auto Result = Fn.runGpu(Args, Dev, Diags, Opts);
-  EXPECT_TRUE(Result.has_value()) << Diags.str();
+  auto Result = run(Fn, Opts, SText, TText);
   return Result ? Result->RootValue : -1.0;
 }
 
@@ -209,15 +218,20 @@ TEST(JitCacheTest, BogusCompilerFallsBackToVm) {
 }
 
 TEST(JitCacheTest, ForeignEntryRecompiles) {
-  // A loadable kernel that was built for another box sits at this box's
-  // cache path (a key collision, or an object left by an older
-  // emitter). Its baked loop bounds belong to the other box, so it must
-  // be recompiled, never run.
+  // A loadable kernel that was built for another schedule sits at this
+  // plan's cache path (a key collision, or an object left by an older
+  // emitter). Its baked nest belongs to the other schedule, so it must
+  // be recompiled, never run. (A kernel of another box would not do:
+  // every box of a recursion and schedule shares one.)
   std::string DirA = freshCacheDir("foreign-a");
   std::string DirB = freshCacheDir("foreign-b");
   {
     CompiledRecurrence Cold = compileOrDie();
-    runOnce(Cold, exec::EvalKind::Jit, DirA);
+    RunOptions Forced;
+    Forced.Evaluator = exec::EvalKind::Jit;
+    Forced.JitCacheDir = DirA;
+    Forced.ForcedSchedule = solver::Schedule{{2, 1}};
+    run(Cold, Forced, "intention", "execution");
     runOnce(Cold, exec::EvalKind::Jit, DirB, "intention", "execution");
   }
   std::filesystem::path Foreign = onlyKernel(DirA);
@@ -242,6 +256,51 @@ TEST(JitCacheTest, ForeignEntryRecompiles) {
   EXPECT_EQ(Vm, 5.0);
   EXPECT_GT(distCount("jit.compile_ns"), CompilesBefore)
       << "the foreign kernel was loaded instead of recompiled";
+}
+
+TEST(JitCacheTest, OneKernelServesEveryBox) {
+  // The kernel holds no box, so two boxes of one recursion and schedule
+  // compile once, though the first (7 x 8) drops j from its window and
+  // the second (10 x 10, equal extents) drops i.
+  std::string Dir = freshCacheDir("boxes");
+  CompiledRecurrence Fn = compileOrDie();
+  uint64_t MissesBefore = counter("jit.cache_misses");
+  uint64_t FallbacksBefore = counter("jit.fallbacks");
+  RunOptions Vm, Jit;
+  Jit.Evaluator = exec::EvalKind::Jit;
+  Jit.JitCacheDir = Dir;
+  std::vector<unsigned> DropDims;
+  for (auto [SText, TText] : {std::pair{"kitten", "sitting"},
+                              std::pair{"intention", "execution"}}) {
+    auto Want = run(Fn, Vm, SText, TText);
+    auto Got = run(Fn, Jit, SText, TText);
+    ASSERT_TRUE(Want && Got);
+    EXPECT_EQ(Got->RootValue, Want->RootValue) << SText;
+    EXPECT_EQ(Got->Cells, Want->Cells) << SText;
+    EXPECT_EQ(Got->Cycles, Want->Cycles) << SText;
+
+    bio::Sequence S("s", SText), T("t", TText);
+    DiagnosticEngine Diags;
+    auto Box = Fn.domainFor({ArgValue::ofSeq(&S), ArgValue(),
+                             ArgValue::ofSeq(&T), ArgValue()},
+                            Diags);
+    ASSERT_TRUE(Box.has_value()) << Diags.str();
+    auto Plan = Fn.planFor(*Box, Jit, nullptr, Diags);
+    ASSERT_NE(Plan, nullptr) << Diags.str();
+    ASSERT_TRUE(Plan->UseWindow);
+    DropDims.push_back(Plan->WindowDropDim);
+  }
+  EXPECT_EQ(DropDims, (std::vector<unsigned>{1, 0}));
+  EXPECT_EQ(counter("jit.cache_misses"), MissesBefore + 1);
+  EXPECT_EQ(counter("jit.fallbacks"), FallbacksBefore);
+  // One scan per droppable dimension, each with both strides baked, so
+  // no address multiplies a stride read at run time.
+  std::ifstream Source(onlyKernel(Dir).replace_extension(".c"));
+  std::string Text((std::istreambuf_iterator<char>(Source)),
+                   std::istreambuf_iterator<char>());
+  EXPECT_NE(Text.find("if (st0 == 0) {"), std::string::npos);
+  EXPECT_EQ(Text.find("st0 * "), std::string::npos);
+  EXPECT_EQ(Text.find("st1 * "), std::string::npos);
 }
 
 TEST(JitCacheTest, CacheDirWithSpaceAndQuoteCompiles) {
@@ -303,7 +362,7 @@ TEST(JitCacheTest, OlderAbiEntryRecompiles) {
 
 TEST(JitCacheTest, ForwardKernelSumCallsNoLibm) {
   // The forward plan's kernel: its online sum calls the emitted
-  // pr_lse_exp, which calls nothing, and the kernel exports ABI 2.
+  // pr_lse_exp, which calls nothing, and the kernel exports ABI 3.
   DiagnosticEngine Diags;
   auto Fn = CompiledRecurrence::compile(
       "prob forward(hmm h, state[h] s, seq[dna] x, index[x] i) =\n"
@@ -329,8 +388,8 @@ TEST(JitCacheTest, ForwardKernelSumCallsNoLibm) {
   std::string Kernel = codegen::renderKernelSource(*Plan);
   ASSERT_FALSE(Kernel.empty());
 
-  EXPECT_EQ(codegen::JitKernelAbi, 2u);
-  EXPECT_NE(Kernel.find("const uint64_t parrec_kernel_abi = 2ULL;\n"),
+  EXPECT_EQ(codegen::JitKernelAbi, 3u);
+  EXPECT_NE(Kernel.find("const uint64_t parrec_kernel_abi = 3ULL;\n"),
             std::string::npos);
   // From pr_lse_exp's definition to the end of pr_lse_add.
   size_t Begin = Kernel.find("static inline double pr_lse_exp(double x)");

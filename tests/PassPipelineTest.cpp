@@ -24,6 +24,7 @@
 #include "gpu/Device.h"
 #include "lang/Parser.h"
 #include "lang/Sema.h"
+#include "poly/CPrinter.h"
 #include "poly/LoopGen.h"
 #include "runtime/CompiledRecurrence.h"
 #include "runtime/Interpreter.h"
@@ -277,6 +278,34 @@ TEST(PassPipelineTest, CasinoForwardMatchesHandRolledChain) {
                                   {ArgValue::ofHmm(&Casino), ArgValue(),
                                    ArgValue::ofSeq(&Rolls), ArgValue()},
                                   {"dice"});
+}
+
+TEST(PassPipelineTest, OneNestServesEveryBox) {
+  // The loopgen pass builds the recursion's parametric nest: plans for
+  // two boxes of one function and schedule share it, and differ in its
+  // parameter values only.
+  CompiledRecurrence Fn = compileOrDie(ShippedEditDistanceSource);
+  bio::Sequence S("s", "kitten"), T("t", "sitting");
+  bio::Sequence U("u", "intention"), V("v", "execution");
+  DiagnosticEngine Diags;
+  std::optional<solver::DomainBox> BoxA =
+      Fn.domainFor(editDistanceArgs(S, T), Diags);
+  std::optional<solver::DomainBox> BoxB =
+      Fn.domainFor(editDistanceArgs(U, V), Diags);
+  ASSERT_TRUE(BoxA && BoxB) << Diags.str();
+  std::shared_ptr<const exec::ExecutablePlan> A =
+      Fn.planFor(*BoxA, {}, /*Preselected=*/nullptr, Diags);
+  std::shared_ptr<const exec::ExecutablePlan> B =
+      Fn.planFor(*BoxB, {}, /*Preselected=*/nullptr, Diags);
+  ASSERT_NE(A, nullptr) << Diags.str();
+  ASSERT_NE(B, nullptr) << Diags.str();
+  EXPECT_EQ(A->Sched, B->Sched);
+  EXPECT_EQ(A->Nest.NumParams, 2u);
+  EXPECT_EQ(A->Nest.NumParams, B->Nest.NumParams);
+  EXPECT_EQ(A->Nest.NestDimNames, B->Nest.NestDimNames);
+  EXPECT_EQ(poly::printParallelLoops(A->Nest),
+            poly::printParallelLoops(B->Nest));
+  EXPECT_NE(A->LastPartition, B->LastPartition);
 }
 
 //===----------------------------------------------------------------------===//
