@@ -1,0 +1,208 @@
+#!/usr/bin/env python3
+"""Alternating A/B pairs of perfbench runs: a parent against a change.
+
+    python3 scripts/perf_pairs.py --parent HEAD~1 --change . \\
+        --workload serve_mixed --seeds 601-610 --seconds 20
+
+Run it from the root of a git checkout; revisions are resolved there.
+
+Each side is copied into its own directory under --scratch: a revision
+with `git archive`, a directory (for example an uncommitted working
+tree) by copying its files without build outputs. Every pair then runs
+`perfbench/run.py --workload W --seed N --seconds S --trace T` once in
+each copy, one after the other, and swaps which side goes first from
+one pair to the next, so that a drift of the host's speed falls on both
+sides alike. The first run of each copy also builds it.
+
+For every metric the script prints the median and quartiles of each
+side, the change of the medians in percent, and in how many pairs the
+change was better (by the metric's "better" direction in
+BENCHMARK.json, "?" for a metric it does not list), and whether the two
+sides read the same value for every seed. Then it prints the
+failed and attempted operations of each side and the host block of the
+first run, and it writes every run's result, pair by pair, to
+pairs.json in --scratch. It decides nothing: the exit code is 0
+whenever every run printed a result, so it is a measuring tool, not a
+gate.
+"""
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+# Build outputs and caches that a directory copy leaves behind.
+SKIP = {".git", ".bench_build", "build", ".parrec-jit", ".parrec-jit-cold"}
+
+
+def parse_seeds(text):
+    seeds = []
+    for part in text.split(","):
+        if "-" in part:
+            first, last = part.split("-")
+            seeds.extend(range(int(first), int(last) + 1))
+        else:
+            seeds.append(int(part))
+    return seeds
+
+
+def copy_side(source, target):
+    """Copies a revision or a directory into target; returns a label."""
+    if os.path.isdir(source):
+        def ignore(directory, names):
+            return [n for n in names if n in SKIP or n.startswith("build-")]
+        shutil.copytree(source, target, ignore=ignore)
+        return os.path.abspath(source)
+    rev = subprocess.run(["git", "rev-parse", "--short", source], check=True,
+                         capture_output=True, text=True).stdout.strip()
+    os.makedirs(target)
+    with tempfile.TemporaryFile() as archive:
+        subprocess.run(["git", "archive", rev], check=True, stdout=archive)
+        archive.seek(0)
+        with tarfile.open(fileobj=archive) as tar:
+            tar.extractall(target)
+    return rev
+
+
+def run_once(checkout, args, seed):
+    """One perfbench run; returns (result dict or None, stdout)."""
+    command = [sys.executable, "perfbench/run.py", "--workload",
+               args.workload, "--seed", str(seed), "--seconds",
+               str(args.seconds), "--trace", args.trace]
+    done = subprocess.run(command, cwd=checkout, capture_output=True,
+                          text=True)
+    lines = done.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1]), done.stdout
+    except (IndexError, ValueError):
+        sys.stderr.write(done.stdout[-2000:] + done.stderr[-2000:])
+        return None, done.stdout
+
+
+def host_block(stdout):
+    lines, inside = [], False
+    for line in stdout.splitlines():
+        if line.startswith("== host =="):
+            inside = True
+            continue
+        if inside and line.startswith("=="):
+            break
+        if inside:
+            lines.append(line)
+    return lines
+
+
+def quartiles(values):
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def directions(checkout):
+    path = os.path.join(checkout, "BENCHMARK.json")
+    if not os.path.isfile(path):
+        return {}
+    with open(path) as f:
+        spec = json.load(f)
+    return {m["name"]: m["better"]
+            for key in ("end_to_end", "per_layer") for m in spec.get(key, [])}
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True,
+                        help="git revision of the parent side")
+    parser.add_argument("--change", required=True,
+                        help="git revision or directory of the change side")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True,
+                        help="seeds, e.g. 601-610 or 1,5,9; one pair each")
+    parser.add_argument("--seconds", required=True, type=float)
+    parser.add_argument("--trace", default="0", choices=("0", "1"))
+    parser.add_argument("--scratch", default=None,
+                        help="directory for the two copies (default: a "
+                             "new temporary directory, kept)")
+    args = parser.parse_args()
+
+    seeds = parse_seeds(args.seeds)
+    scratch = args.scratch or tempfile.mkdtemp(prefix="perf-pairs-")
+    os.makedirs(scratch, exist_ok=True)
+    sides = {}
+    labels = {}
+    for side, source in (("parent", args.parent), ("change", args.change)):
+        target = os.path.join(scratch, side)
+        if os.path.exists(target):
+            sys.exit("perf_pairs: %s exists; use a fresh --scratch" % target)
+        labels[side] = copy_side(source, target)
+        sides[side] = target
+    print("parent: %s  change: %s  workload: %s  seconds: %g  trace: %s"
+          % (labels["parent"], labels["change"], args.workload, args.seconds,
+             args.trace))
+
+    results = {"parent": [], "change": []}
+    host = None
+    for index, seed in enumerate(seeds):
+        order = ("parent", "change") if index % 2 == 0 else ("change",
+                                                             "parent")
+        for side in order:
+            result, stdout = run_once(sides[side], args, seed)
+            if result is None:
+                sys.exit("perf_pairs: %s run for seed %d printed no result"
+                         % (side, seed))
+            host = host or host_block(stdout)
+            results[side].append(result)
+        print("pair %d (seed %d, %s first) done" % (index + 1, seed,
+                                                      order[0]),
+              flush=True)
+
+    with open(os.path.join(scratch, "pairs.json"), "w") as f:
+        json.dump({"seeds": seeds, "results": results}, f)
+
+    better = directions(sides["change"])
+    names = [m for m in results["parent"][0]["metrics"]]
+    print()
+    print("| metric | parent median [q1, q3] | change median [q1, q3] "
+          "| change | change better | same per seed |")
+    print("|---|---|---|---|---|---|")
+    for name in names:
+        a = [r["metrics"][name]["value"] for r in results["parent"]]
+        b = [r["metrics"][name]["value"] for r in results["change"]
+             if name in r["metrics"]]
+        if len(b) != len(a):
+            continue
+        qa, qb = quartiles(a), quartiles(b)
+        pct = ("%+.1f%%" % (100.0 * (qb[1] - qa[1]) / qa[1])
+               if qa[1] else "n/a")
+        direction = better.get(name)
+        if direction == "lower":
+            won = "%d/%d" % (sum(y < x for x, y in zip(a, b)), len(a))
+        elif direction == "higher":
+            won = "%d/%d" % (sum(y > x for x, y in zip(a, b)), len(a))
+        else:
+            won = "?"
+        same = "yes" if a == b else "no"
+        print("| %s | %.6g [%.6g, %.6g] | %.6g [%.6g, %.6g] | %s | %s | %s |"
+              % (name, qa[1], qa[0], qa[2], qb[1], qb[0], qb[2], pct, won,
+                 same))
+    print()
+    for side in ("parent", "change"):
+        failed = sum(r["failed"] for r in results[side])
+        attempted = sum(r["attempted"] for r in results[side])
+        correct = all(r["correct"] for r in results[side])
+        print("%s: failed/attempted %d/%d, every run correct: %s"
+              % (side, failed, attempted, "yes" if correct else "NO"))
+    print()
+    print("host:")
+    for line in host or []:
+        print("  " + line)
+    print("copies kept in %s" % scratch)
+
+
+if __name__ == "__main__":
+    main()

@@ -77,6 +77,13 @@ public:
   std::shared_ptr<const BytecodeProgram> run() {
     Value Result = compileExpr(F.Body.get());
     finishResult(Result);
+    // A function whose result is an int register stores only
+    // double(int64) values, which a plain conversion reads back exactly.
+    // Any other int function (a float body, which Sema admits) rounds.
+    if (P.Conv != ResultConv::IntSlot)
+      for (Instr &I : P.Code)
+        if (I.Op == Opcode::TableReadInt)
+          I.Op = Opcode::TableReadRoundInt;
     P.NumRegs = static_cast<uint32_t>(NextReg);
     P.ParamClasses.reserve(F.Params.size());
     for (const Param &Pm : F.Params)

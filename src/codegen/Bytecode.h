@@ -113,9 +113,11 @@ enum class Opcode : uint8_t {
 
   // Recursive table lookups (strength-reduced; see CallDesc). The
   // variants bake in the function's return-type conversion.
-  TableReadReal, // R[A].D = T(target of CallDesc[B])
-  TableReadBool, // R[A].I = T(...) != 0.0
-  TableReadInt,  // R[A].I = llround(T(...))
+  TableReadReal,     // R[A].D = T(target of CallDesc[B])
+  TableReadBool,     // R[A].I = T(...) != 0.0
+  TableReadInt,      // R[A].I = int64(T(...)): T holds double(int64)s
+  TableReadRoundInt, // R[A].I = roundToInt64(T(...)): an int function
+                     // with a float body
 
   // Model reads, pre-resolved to parameter slots at compile time.
   SeqChar,      // R[A].I = seq param B at index R[C].I

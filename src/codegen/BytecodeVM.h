@@ -169,6 +169,7 @@ private:
         &&Op_CmpEqReal,     &&Op_CmpNeReal,  &&Op_CmpEqInt,
         &&Op_CmpNeInt,      &&Op_JumpIfFalse, &&Op_Jump,
         &&Op_TableReadReal, &&Op_TableReadBool, &&Op_TableReadInt,
+        &&Op_TableReadRoundInt,
         &&Op_SeqChar,       &&Op_MatrixScore, &&Op_TransStart,
         &&Op_TransEnd,      &&Op_TransLogProb, &&Op_StateIsStart,
         &&Op_StateIsEnd,    &&Op_Emission,   &&Op_Reduce};
@@ -299,8 +300,11 @@ private:
     }
       VM_NEXT();
     VM_CASE(TableReadInt) : {
-      R[In->A].I = static_cast<int64_t>(
-          std::llround(readTable(In->B, Point, Table)));
+      R[In->A].I = static_cast<int64_t>(readTable(In->B, Point, Table));
+    }
+      VM_NEXT();
+    VM_CASE(TableReadRoundInt) : {
+      R[In->A].I = roundToInt64(readTable(In->B, Point, Table));
     }
       VM_NEXT();
     VM_CASE(SeqChar) : {

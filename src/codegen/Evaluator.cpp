@@ -377,7 +377,7 @@ Evaluator::RuntimeValue Evaluator::evalExpr(const Expr *E,
     case TypeKind::Bool:
       return RV::ofBool(Stored != 0.0);
     default:
-      return RV::ofInt(static_cast<int64_t>(std::llround(Stored)));
+      return RV::ofInt(roundToInt64(Stored));
     }
   }
 

@@ -15,7 +15,9 @@
 ///
 /// The `exp` of the online sum is ParRec's own (lseExp), so the sum does
 /// not depend on the host's libm and the JIT kernel inlines it; `toLog`,
-/// `logAddExp` and the sum's final `log` still call libm.
+/// `logAddExp` and the sum's final `log` still call libm. The rounding of
+/// an int-typed table read (roundToInt64) lives here too, for the same
+/// reason: one definition, which the kernel prints as pr_round_i64.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -211,6 +213,22 @@ struct LogSumExp {
     return M + L;
   }
 };
+
+/// The int-typed table read: round half away from zero, as std::llround
+/// does on x86-64 for every double. NaN, the infinities and values
+/// beyond the int64 range give INT64_MIN (-2^63 itself is exact). X - T
+/// is exact, so 0.49999999999999994 rounds to 0, not to 1 as
+/// floor(X + 0.5) would. The AST walker reads every int table through
+/// it. A function whose result is an int stores only double(int64)
+/// values, which convert back exactly, so the VM and the JIT need it
+/// only for an int function with a float body, which Sema admits.
+inline int64_t roundToInt64(double X) {
+  if (!(X > -0x1p63 && X < 0x1p63))
+    return std::numeric_limits<int64_t>::min();
+  int64_t T = static_cast<int64_t>(X); // Truncates toward zero.
+  double Frac = X - static_cast<double>(T);
+  return T + (Frac >= 0.5) - (Frac <= -0.5);
+}
 
 } // namespace codegen
 } // namespace parrec

@@ -309,9 +309,9 @@ private:
     // The libm entry points and fixed-width types the kernel uses,
     // declared here rather than through <math.h> and <stdint.h>, whose
     // preprocessing alone is a sizeable share of a kernel's compile.
-    // exp and log1p serve only binary `+` (pr_logaddexp), log serves
-    // toLog and the sum's result, and llround int-typed table reads; the
-    // sum's per-element exp is pr_lse_exp below.
+    // exp and log1p serve only binary `+` (pr_logaddexp), and log serves
+    // toLog and the sum's result. The sum's per-element exp is
+    // pr_lse_exp and an int read's rounding pr_round_i64, both below.
     line("typedef __INT32_TYPE__ int32_t;");
     line("typedef __INT64_TYPE__ int64_t;");
     line("typedef __UINT8_TYPE__ uint8_t;");
@@ -322,7 +322,6 @@ private:
     line("double exp(double);");
     line("double log(double);");
     line("double log1p(double);");
-    line("long long llround(double);");
     line("");
     line("typedef struct { const char *data; int64_t len; } pr_seq;");
     line("typedef struct { const int64_t *scores; const int64_t *char_idx;");
@@ -360,6 +359,16 @@ private:
     line("  if (n %% d != 0 && n < 0)");
     line("    --q;");
     line("  return q;");
+    line("}");
+    // LogSpace.h's roundToInt64, statement for statement.
+    line("static inline int64_t pr_round_i64(double x) {");
+    line("  if (!(x > -0x1p63 && x < 0x1p63))");
+    line("    return -0x7fffffffffffffffLL - 1;");
+    line("  {");
+    line("    int64_t t = (int64_t)x;");
+    line("    double frac = x - (double)t;");
+    line("    return t + (frac >= 0.5) - (frac <= -0.5);");
+    line("  }");
     line("}");
     line("static double pr_tolog(double linear) {");
     line("  return linear <= 0.0 ? -INFINITY : log(linear);");
@@ -848,7 +857,10 @@ private:
       line("r[%d].i = tv != 0.0;", In.A);
       break;
     case Opcode::TableReadInt:
-      line("r[%d].i = (int64_t)llround(tv);", In.A);
+      line("r[%d].i = (int64_t)tv;", In.A);
+      break;
+    case Opcode::TableReadRoundInt:
+      line("r[%d].i = pr_round_i64(tv);", In.A);
       break;
     default:
       fail();
@@ -968,6 +980,7 @@ private:
     case Opcode::TableReadReal:
     case Opcode::TableReadBool:
     case Opcode::TableReadInt:
+    case Opcode::TableReadRoundInt:
       emitTableRead(In);
       break;
     case Opcode::SeqChar:

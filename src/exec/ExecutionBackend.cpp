@@ -100,8 +100,8 @@ struct AstEval {
 };
 
 /// Scans the cells of partition \p P owned by simulated threads
-/// [ThreadBegin, ThreadEnd), accumulating results into \p Slot and
-/// per-thread cycles into \p Timer.
+/// [ThreadBegin, ThreadEnd) in one walk of the loop nest, accumulating
+/// results into \p Slot and per-thread cycles into \p Timer.
 ///
 /// Thread safety when called from concurrent host workers: each
 /// simulated thread T belongs to exactly one worker, so the
@@ -119,29 +119,36 @@ void scanThreadRange(const ExecutablePlan &Plan, poly::ScanContext &Ctx,
   unsigned N = Plan.Box.numDims();
   const int64_t *Root = Plan.Box.Upper.data();
   gpu::CostCounter Delta;
-  for (unsigned T = ThreadBegin; T != ThreadEnd; ++T) {
-    uint64_t ThreadCycles = 0;
-    Plan.Nest.forEachPointForThread(
-        Ctx, P, T, Threads, [&](const int64_t *Point) {
-          Delta.reset();
-          double Value = Eval(Point, Table, Delta);
-          Table.set(Point, Value);
-          Slot.Cost += Delta;
-          ThreadCycles += IsGpu
-                              ? Model.gpuCellCycles(Delta, TableInShared)
+  // The walk visits the threads in order; each one's cycles are charged
+  // once, when the next thread starts or the walk ends.
+  unsigned Thread = ThreadBegin;
+  uint64_t ThreadCycles = 0;
+  Plan.Nest.forEachPointForThreads(
+      Ctx, P, ThreadBegin, ThreadEnd, Threads,
+      [&](unsigned T, const int64_t *Point) {
+        if (T != Thread) {
+          if (ThreadCycles)
+            Timer.addThreadCycles(Thread, ThreadCycles);
+          Thread = T;
+          ThreadCycles = 0;
+        }
+        Delta.reset();
+        double Value = Eval(Point, Table, Delta);
+        Table.set(Point, Value);
+        Slot.Cost += Delta;
+        ThreadCycles += IsGpu ? Model.gpuCellCycles(Delta, TableInShared)
                               : Model.cpuCycles(Delta);
-          ++Slot.Cells;
-          if (Value > Slot.TableMax)
-            Slot.TableMax = Value;
-          if (CheckRoot && std::memcmp(Point, Root,
-                                       N * sizeof(int64_t)) == 0) {
-            Slot.RootValue = Value;
-            Slot.HasRoot = true;
-          }
-        });
-    if (ThreadCycles)
-      Timer.addThreadCycles(T, ThreadCycles);
-  }
+        ++Slot.Cells;
+        if (Value > Slot.TableMax)
+          Slot.TableMax = Value;
+        if (CheckRoot &&
+            std::memcmp(Point, Root, N * sizeof(int64_t)) == 0) {
+          Slot.RootValue = Value;
+          Slot.HasRoot = true;
+        }
+      });
+  if (ThreadCycles)
+    Timer.addThreadCycles(Thread, ThreadCycles);
 }
 
 /// The uniform unit of work the scan drivers below dispatch: scan the

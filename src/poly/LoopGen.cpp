@@ -10,6 +10,29 @@
 using namespace parrec;
 using namespace parrec::poly;
 
+namespace {
+
+/// \p Numerator / \p Divisor with the parameters' terms folded into the
+/// constant, for the walker.
+ScanContext::Form foldParams(const AffineExpr &Numerator, int64_t Divisor,
+                             const std::vector<int64_t> &ParamValues) {
+  ScanContext::Form F;
+  F.Constant = Numerator.constantTerm();
+  F.Divisor = Divisor;
+  for (unsigned I = 0, E = Numerator.numDims(); I != E; ++I) {
+    int64_t C = Numerator.coefficient(I);
+    if (C == 0)
+      continue;
+    if (I < ParamValues.size())
+      F.Constant += C * ParamValues[I];
+    else
+      F.Terms.emplace_back(I, C);
+  }
+  return F;
+}
+
+} // namespace
+
 std::optional<unsigned> LoopNest::threadedLevel() const {
   for (unsigned L = 1; L < Levels.size(); ++L)
     if (!Levels[L].isFixed())
@@ -19,24 +42,7 @@ std::optional<unsigned> LoopNest::threadedLevel() const {
 
 std::optional<std::pair<int64_t, int64_t>>
 LoopNest::timeRange(const std::vector<int64_t> &ParamValues) const {
-  assert(ParamValues.size() == NumParams && "wrong parameter count");
-  std::vector<int64_t> Env(NestDimNames.size(), 0);
-  for (unsigned I = 0; I != NumParams; ++I)
-    Env[I] = ParamValues[I];
-
-  const LoopLevel &Time = Levels[0];
-  if (Time.isFixed()) {
-    int64_t Num = Time.FixedNumerator->evaluate(Env);
-    if (Num % Time.FixedDivisor != 0)
-      return std::nullopt;
-    int64_t V = Num / Time.FixedDivisor;
-    return std::make_pair(V, V);
-  }
-  std::optional<int64_t> Lo = evalLower(Time, Env);
-  std::optional<int64_t> Hi = evalUpper(Time, Env);
-  if (!Lo || !Hi || *Lo > *Hi)
-    return std::nullopt;
-  return std::make_pair(*Lo, *Hi);
+  return makeScanContext(ParamValues).Range;
 }
 
 ScanContext LoopNest::makeScanContext(
@@ -46,8 +52,33 @@ ScanContext LoopNest::makeScanContext(
   Ctx.Env.assign(NestDimNames.size(), 0);
   for (unsigned I = 0; I != NumParams; ++I)
     Ctx.Env[I] = ParamValues[I];
-  Ctx.Range = timeRange(ParamValues);
   Ctx.StripedLevel = threadedLevel();
+  Ctx.Levels.resize(Levels.size());
+  for (unsigned L = 0; L < Levels.size(); ++L) {
+    const LoopLevel &Level = Levels[L];
+    ScanContext::Level &Scan = Ctx.Levels[L];
+    if (Level.isFixed()) {
+      Scan.Fixed = foldParams(*Level.FixedNumerator, Level.FixedDivisor,
+                              ParamValues);
+      continue;
+    }
+    for (const LoopBound &B : Level.Lower)
+      Scan.Lower.push_back(foldParams(B.Numerator, B.Divisor, ParamValues));
+    for (const LoopBound &B : Level.Upper)
+      Scan.Upper.push_back(foldParams(B.Numerator, B.Divisor, ParamValues));
+  }
+  // The time level's bounds mention only the parameters; an empty or
+  // unbounded range means an empty domain.
+  const ScanContext::Level &Time = Ctx.Levels[0];
+  if (Time.Fixed) {
+    if (fix(Ctx, 0))
+      Ctx.Range = std::make_pair(Ctx.Env[NumParams], Ctx.Env[NumParams]);
+  } else if (!Time.Lower.empty() && !Time.Upper.empty()) {
+    int64_t Lo, Hi;
+    bounds(Ctx, 0, Lo, Hi);
+    if (Lo <= Hi)
+      Ctx.Range = std::make_pair(Lo, Hi);
+  }
   return Ctx;
 }
 

@@ -21,24 +21,47 @@
 
 #include <cassert>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace parrec {
 namespace poly {
 
-/// Precomputed per-scan state for LoopNest::forEachPointForThread: the
-/// reusable Env scratch vector plus the time range and striped level,
-/// which depend only on the nest and the parameter values — not on the
-/// partition or thread — and were historically re-derived (and the Env
-/// heap-allocated) for every (partition x thread) pair of a scan. Build
-/// one with LoopNest::makeScanContext and reuse it across the whole
-/// scan; each host worker of a parallel scan owns its own context.
+/// Per-scan state for LoopNest's walker: the Env scratch vector, the
+/// time range, the striped level, and every level's bounds with the
+/// parameters folded into their constants. All of it depends only on
+/// the nest and the parameter values, not on the partition or thread.
+/// Build one with LoopNest::makeScanContext and reuse it across the
+/// whole scan; each host worker of a parallel scan owns its own context.
 struct ScanContext {
+  /// Constant + sum of Coefficient * Env[Index] over the partition and
+  /// space variables, then divided by Divisor (> 0).
+  struct Form {
+    int64_t Constant = 0;
+    int64_t Divisor = 1;
+    std::vector<std::pair<unsigned, int64_t>> Terms; // (Index, Coefficient)
+
+    int64_t numerator(const int64_t *Env) const {
+      int64_t Sum = Constant;
+      for (const auto &[Index, Coefficient] : Terms)
+        Sum += Coefficient * Env[Index];
+      return Sum;
+    }
+  };
+  /// One LoopLevel: Fixed for a fixed level, else Lower and Upper.
+  struct Level {
+    std::optional<Form> Fixed;
+    std::vector<Form> Lower;
+    std::vector<Form> Upper;
+  };
+
   std::vector<int64_t> Env;
   std::optional<std::pair<int64_t, int64_t>> Range;
   std::optional<unsigned> StripedLevel;
+  std::vector<Level> Levels; // Parallel to LoopNest::Levels.
 };
 
 /// One affine bound "value (>=|<=) ceil|floor(Numerator / Divisor)" where
@@ -93,42 +116,62 @@ public:
   void forEachPoint(const std::vector<int64_t> &ParamValues, int64_t TimeStep,
                     const std::function<void(const int64_t *)> &Body) const;
 
-  /// Builds the reusable scan state for \p ParamValues: sized Env
-  /// scratch, memoised time range and striped level. One context serves
-  /// any number of forEachPointForThread calls over the same parameters.
+  /// Builds the reusable scan state for \p ParamValues. One context
+  /// serves any number of walks over the same parameters.
   ScanContext makeScanContext(const std::vector<int64_t> &ParamValues) const;
 
-  /// Like forEachPoint but enumerates only the slice assigned to
-  /// \p ThreadId when the outermost space loop is striped across
-  /// \p NumThreads threads (the conversion of Figure 10). When the nest
-  /// has no space loop, thread 0 receives every point.
+  /// The walker: invokes \p Body(T, Point) with each point of partition
+  /// \p TimeStep owned by simulated threads [\p Begin, \p End) when the
+  /// outermost space loop is striped across \p NumThreads threads (the
+  /// conversion of Figure 10), thread by thread and, within a thread, in
+  /// nest order. When the nest has no space loop, thread 0 receives
+  /// every point.
   ///
-  /// The ScanContext template is the real implementation: hot paths
-  /// reuse a precomputed context and a concrete callable, paying neither
-  /// a heap allocation nor a bounds re-derivation nor a type-erased call
-  /// per (partition x thread). \p Ctx must come from makeScanContext on
-  /// this nest; its Env is scratch, mutated during the walk.
+  /// The levels above the striped one are fixed by the partition, and
+  /// the striped level's bounds do not depend on the thread, so both are
+  /// derived once per call rather than once per thread. \p Ctx must come
+  /// from makeScanContext on this nest; its Env is scratch, mutated
+  /// during the walk.
+  template <typename BodyT>
+  void forEachPointForThreads(ScanContext &Ctx, int64_t TimeStep,
+                              unsigned Begin, unsigned End,
+                              unsigned NumThreads, const BodyT &Body) const {
+    assert(Begin <= End && End <= NumThreads && "bad thread mapping");
+    assert(Ctx.Env.size() == NestDimNames.size() && "foreign scan context");
+    // Figure 8's template iterates the partition range, so out-of-range
+    // steps simply contain no work.
+    if (Begin == End || !Ctx.Range || TimeStep < Ctx.Range->first ||
+        TimeStep > Ctx.Range->second)
+      return;
+    int64_t *Env = Ctx.Env.data();
+    Env[NumParams] = TimeStep;
+    unsigned Striped = Ctx.StripedLevel ? *Ctx.StripedLevel
+                                        : static_cast<unsigned>(Levels.size());
+    for (unsigned L = 1; L != Striped; ++L)
+      if (!fix(Ctx, L))
+        return; // Divisibility guard: no integer point here.
+    if (!Ctx.StripedLevel) {
+      if (Begin == 0)
+        Body(0u, Env + NumParams + 1);
+      return;
+    }
+    int64_t Lo, Hi;
+    bounds(Ctx, Striped, Lo, Hi);
+    for (unsigned T = Begin; T != End; ++T)
+      for (int64_t V = Lo + T; V <= Hi; V += NumThreads) {
+        Env[NumParams + Striped] = V;
+        walk(Ctx, Striped + 1, T, Body);
+      }
+  }
+
+  /// Like forEachPointForThreads for the one thread \p ThreadId.
   template <typename BodyT>
   void forEachPointForThread(ScanContext &Ctx, int64_t TimeStep,
                              unsigned ThreadId, unsigned NumThreads,
                              const BodyT &Body) const {
-    assert(NumThreads > 0 && ThreadId < NumThreads && "bad thread mapping");
-    assert(Ctx.Env.size() == NestDimNames.size() && "foreign scan context");
-    // Confirm TimeStep lies within the partition range; Figure 8's
-    // template iterates the range, so out-of-range steps simply contain
-    // no work.
-    if (!Ctx.Range || TimeStep < Ctx.Range->first ||
-        TimeStep > Ctx.Range->second)
-      return;
-    Ctx.Env[NumParams] = TimeStep;
-
-    std::optional<unsigned> Striped;
-    if (NumThreads > 1) {
-      Striped = Ctx.StripedLevel;
-      if (!Striped && ThreadId != 0)
-        return; // No space loop: all the work belongs to thread 0.
-    }
-    walk(Ctx.Env, 1, Striped, ThreadId, NumThreads, Body);
+    forEachPointForThreads(
+        Ctx, TimeStep, ThreadId, ThreadId + 1, NumThreads,
+        [&](unsigned, const int64_t *Point) { Body(Point); });
   }
 
   /// Convenience overload building a throwaway context per call.
@@ -150,60 +193,62 @@ public:
                        int64_t TimeStep) const;
 
 private:
-  /// Evaluates the max of the ceil-divided lower bounds at \p Env;
-  /// nullopt when there is no lower bound (unbounded).
-  static std::optional<int64_t> evalLower(const LoopLevel &Level,
-                                          const std::vector<int64_t> &Env) {
-    std::optional<int64_t> Best;
-    for (const LoopBound &B : Level.Lower) {
-      int64_t V = ceilDiv(B.Numerator.evaluate(Env), B.Divisor);
-      if (!Best || V > *Best)
-        Best = V;
+  /// Sets fixed level \p L's variable; false when its division is
+  /// inexact. A divisor of 1 divides nothing.
+  bool fix(ScanContext &Ctx, unsigned L) const {
+    const ScanContext::Form &F = *Ctx.Levels[L].Fixed;
+    int64_t Num = F.numerator(Ctx.Env.data());
+    if (F.Divisor != 1) {
+      if (Num % F.Divisor != 0)
+        return false;
+      Num /= F.Divisor;
     }
-    return Best;
+    Ctx.Env[NumParams + L] = Num;
+    return true;
   }
 
-  static std::optional<int64_t> evalUpper(const LoopLevel &Level,
-                                          const std::vector<int64_t> &Env) {
-    std::optional<int64_t> Best;
-    for (const LoopBound &B : Level.Upper) {
-      int64_t V = floorDiv(B.Numerator.evaluate(Env), B.Divisor);
-      if (!Best || V < *Best)
-        Best = V;
+  /// Loop level \p L's range: the max of the ceil-divided lower bounds
+  /// and the min of the floor-divided upper bounds.
+  static void bounds(const ScanContext &Ctx, unsigned L, int64_t &Lo,
+                     int64_t &Hi) {
+    const ScanContext::Level &Level = Ctx.Levels[L];
+    assert(!Level.Lower.empty() && !Level.Upper.empty() &&
+           "generated loops must be bounded");
+    const int64_t *Env = Ctx.Env.data();
+    Lo = std::numeric_limits<int64_t>::min();
+    for (const ScanContext::Form &B : Level.Lower) {
+      int64_t V = B.numerator(Env);
+      if (B.Divisor != 1)
+        V = ceilDiv(V, B.Divisor);
+      Lo = V > Lo ? V : Lo;
     }
-    return Best;
+    Hi = std::numeric_limits<int64_t>::max();
+    for (const ScanContext::Form &B : Level.Upper) {
+      int64_t V = B.numerator(Env);
+      if (B.Divisor != 1)
+        V = floorDiv(V, B.Divisor);
+      Hi = V < Hi ? V : Hi;
+    }
   }
 
+  /// Walks the levels from \p L inwards for simulated thread \p T.
   template <typename BodyT>
-  void walk(std::vector<int64_t> &Env, unsigned Level,
-            std::optional<unsigned> StripedLevel, unsigned ThreadId,
-            unsigned NumThreads, const BodyT &Body) const {
-    if (Level == Levels.size()) {
-      Body(Env.data() + NumParams + 1); // x values follow params and t.
+  void walk(ScanContext &Ctx, unsigned L, unsigned T,
+            const BodyT &Body) const {
+    if (L == Levels.size()) {
+      Body(T, Ctx.Env.data() + NumParams + 1);
       return;
     }
-    const LoopLevel &L = Levels[Level];
-    unsigned EnvIndex = NumParams + Level;
-    if (L.isFixed()) {
-      int64_t Num = L.FixedNumerator->evaluate(Env);
-      if (Num % L.FixedDivisor != 0)
-        return; // Divisibility guard: no integer point here.
-      Env[EnvIndex] = Num / L.FixedDivisor;
-      walk(Env, Level + 1, StripedLevel, ThreadId, NumThreads, Body);
+    if (Ctx.Levels[L].Fixed) {
+      if (fix(Ctx, L))
+        walk(Ctx, L + 1, T, Body);
       return;
     }
-    std::optional<int64_t> Lo = evalLower(L, Env);
-    std::optional<int64_t> Hi = evalUpper(L, Env);
-    assert(Lo && Hi && "generated loops must be bounded");
-    int64_t Start = *Lo;
-    int64_t Step = 1;
-    if (StripedLevel && Level == *StripedLevel) {
-      Start += ThreadId;
-      Step = NumThreads;
-    }
-    for (int64_t V = Start; V <= *Hi; V += Step) {
-      Env[EnvIndex] = V;
-      walk(Env, Level + 1, StripedLevel, ThreadId, NumThreads, Body);
+    int64_t Lo, Hi;
+    bounds(Ctx, L, Lo, Hi);
+    for (int64_t V = Lo; V <= Hi; ++V) {
+      Ctx.Env[NumParams + L] = V;
+      walk(Ctx, L + 1, T, Body);
     }
   }
 };

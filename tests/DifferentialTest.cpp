@@ -18,6 +18,7 @@
 
 #include "baselines/HmmBaselines.h"
 #include "bio/HmmZoo.h"
+#include "codegen/Bytecode.h"
 #include "codegen/LogSpace.h"
 #include "codegen/NativeJit.h"
 #include "obs/Metrics.h"
@@ -27,9 +28,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <tuple>
@@ -865,5 +868,203 @@ TEST(DifferentialTest, ShippedScriptsProduceIdenticalOutput) {
     EXPECT_FALSE(VmOut.empty()) << Script;
     EXPECT_EQ(VmOut, AstOut) << Script;
     EXPECT_EQ(VmOut, JitOut) << Script;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Int-typed table reads
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Whether \p Fn's program reads its table with opcode \p Op.
+bool readsWith(const CompiledRecurrence &Fn, codegen::Opcode Op) {
+  for (const codegen::Instr &I : Fn.bytecode()->Code)
+    if (I.Op == Op)
+      return true;
+  return false;
+}
+
+/// Runs the two-sequence recursion \p Fn on an S x T box with every
+/// evaluator (full table kept) and checks each cell bit for bit against
+/// \p Oracle, a plain C++ table of doubles whose reads round with
+/// std::llround; then checks the evaluators against each other on both
+/// backends, with the window on and off.
+void expectCellsMatchOracle(
+    const CompiledRecurrence &Fn, size_t SLen, size_t TLen,
+    const std::function<double(int64_t, int64_t,
+                               const std::function<int64_t(int64_t, int64_t)> &)>
+        &Cell) {
+  std::vector<double> Oracle((SLen + 1) * (TLen + 1));
+  auto At = [&](int64_t I, int64_t J) -> double & {
+    return Oracle[static_cast<size_t>(I) * (TLen + 1) +
+                  static_cast<size_t>(J)];
+  };
+  std::function<int64_t(int64_t, int64_t)> Read = [&](int64_t I, int64_t J) {
+    return static_cast<int64_t>(std::llround(At(I, J)));
+  };
+  for (int64_t I = 0; I <= static_cast<int64_t>(SLen); ++I)
+    for (int64_t J = 0; J <= static_cast<int64_t>(TLen); ++J)
+      At(I, J) = Cell(I, J, Read);
+
+  bio::Sequence S("s", std::string(SLen, 'a')), T("t", std::string(TLen, 'b'));
+  std::vector<ArgValue> Args = {ArgValue::ofSeq(&S), ArgValue(),
+                                ArgValue::ofSeq(&T), ArgValue()};
+  gpu::Device Dev;
+  DiagnosticEngine Diags;
+  for (EvalKind Kind : {EvalKind::Ast, EvalKind::Vm, EvalKind::Jit}) {
+    RunOptions Opts;
+    Opts.UseSlidingWindow = false;
+    Opts.KeepTable = true;
+    Opts.Evaluator = Kind;
+    Opts.JitCacheDir = jitCacheDirForTest();
+    auto R = Fn.runGpu(Args, Dev, Diags, Opts);
+    ASSERT_TRUE(R.has_value()) << Diags.str();
+    ASSERT_NE(R->Table, nullptr);
+    for (int64_t I = 0; I <= static_cast<int64_t>(SLen); ++I)
+      for (int64_t J = 0; J <= static_cast<int64_t>(TLen); ++J) {
+        int64_t Point[2] = {I, J};
+        EXPECT_EQ(std::bit_cast<uint64_t>(R->Table->get(Point)),
+                  std::bit_cast<uint64_t>(At(I, J)))
+            << "evaluator " << static_cast<int>(Kind) << " cell (" << I
+            << ", " << J << "): " << R->Table->get(Point) << " vs "
+            << At(I, J);
+      }
+    EXPECT_EQ(std::bit_cast<uint64_t>(R->RootValue),
+              std::bit_cast<uint64_t>(At(static_cast<int64_t>(SLen),
+                                         static_cast<int64_t>(TLen))));
+  }
+  expectEvaluatorsAgree(Fn, Args);
+}
+
+} // namespace
+
+TEST(DifferentialTest, IntFunctionWithFloatBodyRoundsHalvesAwayFromZero) {
+  // Sema admits an int function with a float body: its table holds
+  // doubles such as -2.5 and 0.49999999999999994, and every read must
+  // round them as llround does (half away from zero, and
+  // 0.49999999999999994 to 0, where floor(x + 0.5) gives 1).
+  CompiledRecurrence Fn = compileOrDie(
+      "int h(seq[en] s, index[s] i, seq[en] t, index[t] j) =\n"
+      "  if i == 0 then 0.49999999999999994 * j\n"
+      "  else if j == 0 then 0.5 - i\n"
+      "  else h(i-1, j) + h(i, j-1) * 0.5 - h(i-1, j-1) + 0.5\n");
+  ASSERT_NE(Fn.bytecode(), nullptr);
+  EXPECT_TRUE(readsWith(Fn, codegen::Opcode::TableReadRoundInt));
+  EXPECT_FALSE(readsWith(Fn, codegen::Opcode::TableReadInt));
+  bool SawHalf = false, SawNearHalf = false, SawNegativeHalf = false;
+  expectCellsMatchOracle(
+      Fn, 9, 12,
+      [&](int64_t I, int64_t J,
+          const std::function<int64_t(int64_t, int64_t)> &Read) {
+        double V;
+        if (I == 0)
+          V = 0.49999999999999994 * static_cast<double>(J);
+        else if (J == 0)
+          V = 0.5 - static_cast<double>(I);
+        else
+          V = static_cast<double>(Read(I - 1, J)) +
+              static_cast<double>(Read(I, J - 1)) * 0.5 -
+              static_cast<double>(Read(I - 1, J - 1)) + 0.5;
+        double Frac = V - std::trunc(V);
+        SawHalf |= Frac == 0.5;
+        SawNegativeHalf |= Frac == -0.5;
+        SawNearHalf |= V == 0.49999999999999994;
+        return V;
+      });
+  EXPECT_TRUE(SawHalf);
+  EXPECT_TRUE(SawNegativeHalf);
+  EXPECT_TRUE(SawNearHalf);
+}
+
+TEST(DifferentialTest, IntBodiedValuesPastTwoToThe53ReadBackExactly) {
+  // An int body stores double(int64): past 2^53 the store rounds, and
+  // the plain conversion must read back what llround would.
+  CompiledRecurrence Fn = compileOrDie(
+      "int g(seq[en] s, index[s] i, seq[en] t, index[t] j) =\n"
+      "  if i == 0 then j + 1\n"
+      "  else if j == 0 then g(i-1, j) * 3 + 1\n"
+      "  else g(i-1, j) * 3 + g(i, j-1)\n");
+  ASSERT_NE(Fn.bytecode(), nullptr);
+  EXPECT_TRUE(readsWith(Fn, codegen::Opcode::TableReadInt));
+  EXPECT_FALSE(readsWith(Fn, codegen::Opcode::TableReadRoundInt));
+  unsigned Inexact = 0;
+  expectCellsMatchOracle(
+      Fn, 28, 4,
+      [&](int64_t I, int64_t J,
+          const std::function<int64_t(int64_t, int64_t)> &Read) {
+        int64_t V;
+        if (I == 0)
+          V = J + 1;
+        else if (J == 0)
+          V = Read(I - 1, J) * 3 + 1;
+        else
+          V = Read(I - 1, J) * 3 + Read(I, J - 1);
+        double D = static_cast<double>(V);
+        Inexact += static_cast<int64_t>(D) != V;
+        return D;
+      });
+  EXPECT_GT(Inexact, 0u) << "no value lost bits in the store";
+}
+
+TEST(RoundToInt64Test, MatchesLlroundOnEveryDouble) {
+  auto Expect = [](double X) {
+    int64_t Got = codegen::roundToInt64(X);
+    // llround is unspecified out of range; x86-64 returns INT64_MIN.
+#if defined(__x86_64__)
+    int64_t Want = static_cast<int64_t>(std::llround(X));
+#else
+    int64_t Want = std::isfinite(X) && std::fabs(X) < 0x1p63
+                       ? static_cast<int64_t>(std::llround(X))
+                       : std::numeric_limits<int64_t>::min();
+#endif
+    EXPECT_EQ(Got, Want) << std::hexfloat << X;
+    return Got == Want;
+  };
+  double Inf = std::numeric_limits<double>::infinity();
+  for (double X : {std::numeric_limits<double>::quiet_NaN(), Inf, -Inf,
+                   0x1p63, -0x1p63, 0x1p63 - 1024, -0x1p63 + 1024, 0.0,
+                   -0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5,
+                   0.49999999999999994, -0.49999999999999994,
+                   0x1p52 - 0.5, -0x1p52 + 0.5, 0x1p52 + 1, 0x1p53 + 2,
+                   std::numeric_limits<double>::denorm_min(),
+                   std::numeric_limits<double>::max(),
+                   std::numeric_limits<double>::lowest()})
+    Expect(X);
+  // Seeded doubles: raw bit patterns (every exponent, NaN payloads),
+  // values of every magnitude up to 2^64, and halves k + 1/2 with their
+  // neighbours.
+  uint64_t State = 0x9e3779b97f4a7c15ull;
+  auto Next = [&] {
+    State += 0x9e3779b97f4a7c15ull;
+    uint64_t Z = State;
+    Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebull;
+    return Z ^ (Z >> 31);
+  };
+  unsigned Failures = 0;
+  for (unsigned N = 0; N != 1200000 && Failures < 10; ++N) {
+    uint64_t R = Next();
+    double X;
+    switch (N % 4) {
+    case 0:
+      X = std::bit_cast<double>(R);
+      break;
+    case 1: {
+      double Unit = static_cast<double>(R >> 11) * 0x1p-53;
+      X = std::ldexp(Unit, static_cast<int>(Next() % 66)) *
+          (R & 1 ? -1.0 : 1.0);
+      break;
+    }
+    default: {
+      double Half = static_cast<double>(static_cast<int64_t>(R) >>
+                                        (11 + Next() % 52)) +
+                    0.5;
+      X = N % 4 == 2 ? Half
+                     : std::nextafter(Half, (R & 2) ? Inf : -Inf);
+      break;
+    }
+    }
+    Failures += !Expect(X);
   }
 }

@@ -28,6 +28,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 
 #include <unistd.h>
 
@@ -412,4 +413,59 @@ TEST(JitCacheTest, ForwardKernelSumCallsNoLibm) {
   // The sum's body reads its own transition from the packed entry.
   EXPECT_NE(Kernel.find("= rt->log_prob;"), std::string::npos);
   EXPECT_NE(Kernel.find("= (int64_t)rt->from;"), std::string::npos);
+}
+
+TEST(JitCacheTest, SmithWatermanKernelReadsIntsWithoutLibm) {
+  // An int-bodied recursion stores only double(int64) values, so its
+  // kernel reads them back with a plain conversion: no llround, and the
+  // only libm declarations left are those of the log-space helpers.
+  DiagnosticEngine Diags;
+  auto Fn = CompiledRecurrence::compile(
+      "int sw(matrix[dna] m, seq[dna] a, index[a] i, seq[dna] b, "
+      "index[b] j) =\n"
+      "  if i == 0 then 0\n"
+      "  else if j == 0 then 0\n"
+      "  else 0 max (sw(i-1, j-1) + m[a[i-1], b[j-1]])\n"
+      "       max (sw(i-1, j) - 2) max (sw(i, j-1) - 2)\n",
+      Diags);
+  ASSERT_TRUE(Fn.has_value()) << Diags.str();
+  bio::SubstitutionMatrix M =
+      bio::SubstitutionMatrix::matchMismatch(bio::Alphabet::dna(), 2, 1);
+  bio::Sequence A("a", "acgtacgtac"), B("b", "gtacgtacgtacg");
+  std::vector<ArgValue> Args = {ArgValue::ofMatrix(&M), ArgValue::ofSeq(&A),
+                                ArgValue(), ArgValue::ofSeq(&B),
+                                ArgValue()};
+  auto Box = Fn->domainFor(Args, Diags);
+  ASSERT_TRUE(Box.has_value()) << Diags.str();
+  auto Plan = Fn->planFor(*Box, RunOptions(), nullptr, Diags);
+  ASSERT_NE(Plan, nullptr) << Diags.str();
+  std::string Kernel = codegen::renderKernelSource(*Plan);
+  ASSERT_FALSE(Kernel.empty());
+
+  EXPECT_EQ(Kernel.find("llround"), std::string::npos);
+  EXPECT_NE(Kernel.find(" = (int64_t)tv;"), std::string::npos);
+  EXPECT_EQ(Kernel.find("pr_round_i64(tv)"), std::string::npos);
+  // Declarations without a body: "<type> <name>(<params>);" at the start
+  // of a line.
+  std::vector<std::string> Declared;
+  std::istringstream Lines(Kernel);
+  for (std::string Line; std::getline(Lines, Line);) {
+    if (Line.empty() || Line[0] == ' ' || Line.back() != ';' ||
+        Line.find('(') == std::string::npos ||
+        Line.find('=') != std::string::npos ||
+        Line.rfind("typedef", 0) == 0 || Line.rfind("static", 0) == 0)
+      continue;
+    size_t Open = Line.find('(');
+    size_t Start = Line.rfind(' ', Open);
+    Declared.push_back(Line.substr(Start + 1, Open - Start - 1));
+  }
+  EXPECT_EQ(Declared, (std::vector<std::string>{"exp", "log", "log1p"}))
+      << Kernel.substr(0, 2000);
+  // And the scan calls neither them nor a helper that does.
+  size_t Scan = Kernel.find("void parrec_scan(");
+  ASSERT_NE(Scan, std::string::npos);
+  std::string Body = Kernel.substr(Scan);
+  for (const char *Call : {"exp(", "log(", "log1p(", "pr_tolog(",
+                           "pr_logaddexp(", "pr_lse_result("})
+    EXPECT_EQ(Body.find(Call), std::string::npos) << Call << " in\n" << Body;
 }

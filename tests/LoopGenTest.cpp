@@ -7,12 +7,16 @@
 
 #include "poly/CPrinter.h"
 #include "poly/LoopGen.h"
+#include "solver/ScheduleSynthesis.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
+#include <utility>
 
 using namespace parrec;
 using namespace parrec::poly;
@@ -145,32 +149,58 @@ struct RandomScanCase {
 class LoopGenPropertyTest
     : public ::testing::TestWithParam<RandomScanCase> {};
 
-TEST_P(LoopGenPropertyTest, ScansExactlyTheBox) {
-  RandomScanCase Case = GetParam();
+namespace {
+
+/// "x<D>", built by appending: GCC 12 warns (-Wrestrict, falsely) on
+/// "x" + std::to_string(D).
+std::string dimName(unsigned D) {
+  std::string Name = "x";
+  Name += std::to_string(D);
+  return Name;
+}
+
+/// The box, schedule and nest one RandomScanCase draws.
+struct RandomScan {
+  std::vector<int64_t> Extents;
+  AffineExpr Schedule;
+  LoopNest Nest;
+};
+
+RandomScan drawRandomScan(const RandomScanCase &Case) {
   SplitMix64 Rng(Case.Seed);
   unsigned N = Case.Dims;
 
-  std::vector<int64_t> Extents;
+  RandomScan S;
   std::vector<std::string> Names;
   for (unsigned D = 0; D != N; ++D) {
-    Extents.push_back(Rng.nextInRange(1, 6));
-    Names.push_back("x" + std::to_string(D));
+    S.Extents.push_back(Rng.nextInRange(1, 6));
+    Names.push_back(dimName(D));
   }
   Polyhedron Domain(Names);
   for (unsigned D = 0; D != N; ++D)
-    Domain.addBounds(D, 0, Extents[D] - 1);
+    Domain.addBounds(D, 0, S.Extents[D] - 1);
 
-  AffineExpr Schedule(N);
+  S.Schedule = AffineExpr(N);
   bool AllZero = true;
   for (unsigned D = 0; D != N; ++D) {
     int64_t C = Rng.nextInRange(-3, 3);
-    Schedule.setCoefficient(D, C);
+    S.Schedule.setCoefficient(D, C);
     AllZero &= C == 0;
   }
   if (AllZero)
-    Schedule.setCoefficient(0, 1);
+    S.Schedule.setCoefficient(0, 1);
 
-  LoopNest Nest = generateLoops(Domain, 0, Schedule);
+  S.Nest = generateLoops(Domain, 0, S.Schedule);
+  return S;
+}
+
+} // namespace
+
+TEST_P(LoopGenPropertyTest, ScansExactlyTheBox) {
+  RandomScan S = drawRandomScan(GetParam());
+  unsigned N = GetParam().Dims;
+  const AffineExpr &Schedule = S.Schedule;
+  const LoopNest &Nest = S.Nest;
   auto Range = Nest.timeRange({});
   ASSERT_TRUE(Range.has_value());
 
@@ -186,7 +216,7 @@ TEST_P(LoopGenPropertyTest, ScansExactlyTheBox) {
     });
 
   uint64_t Expected = 1;
-  for (int64_t E : Extents)
+  for (int64_t E : S.Extents)
     Expected *= static_cast<uint64_t>(E);
   EXPECT_EQ(Total, Expected);
 }
@@ -198,6 +228,185 @@ INSTANTIATE_TEST_SUITE_P(
                       RandomScanCase{2, 23}, RandomScanCase{3, 31},
                       RandomScanCase{3, 32}, RandomScanCase{3, 33},
                       RandomScanCase{4, 41}, RandomScanCase{4, 42}));
+
+namespace {
+
+using ThreadPoint = std::pair<unsigned, Point>;
+
+/// The per-thread walk as the nest defines it, written out level by
+/// level with AffineExpr::evaluate and the ceil/floor divisions: an
+/// oracle for the walker that shares none of its hoisting or folding.
+void referenceWalk(const LoopNest &Nest, std::vector<int64_t> &Env,
+                   unsigned L, std::optional<unsigned> Striped, unsigned T,
+                   unsigned NumThreads, std::vector<ThreadPoint> &Out) {
+  if (L == Nest.Levels.size()) {
+    const int64_t *X = Env.data() + Nest.NumParams + 1;
+    Out.emplace_back(T, Point(X, X + Nest.NumRecursionDims));
+    return;
+  }
+  const LoopLevel &Level = Nest.Levels[L];
+  int64_t &V = Env[Nest.NumParams + L];
+  if (Level.isFixed()) {
+    int64_t Num = Level.FixedNumerator->evaluate(Env);
+    if (Num % Level.FixedDivisor != 0)
+      return;
+    V = Num / Level.FixedDivisor;
+    referenceWalk(Nest, Env, L + 1, Striped, T, NumThreads, Out);
+    return;
+  }
+  int64_t Lo = std::numeric_limits<int64_t>::min();
+  int64_t Hi = std::numeric_limits<int64_t>::max();
+  for (const LoopBound &B : Level.Lower)
+    Lo = std::max(Lo, ceilDiv(B.Numerator.evaluate(Env), B.Divisor));
+  for (const LoopBound &B : Level.Upper)
+    Hi = std::min(Hi, floorDiv(B.Numerator.evaluate(Env), B.Divisor));
+  bool IsStriped = Striped && *Striped == L;
+  for (int64_t X = Lo + (IsStriped ? T : 0); X <= Hi;
+       X += IsStriped ? NumThreads : 1) {
+    V = X;
+    referenceWalk(Nest, Env, L + 1, Striped, T, NumThreads, Out);
+  }
+}
+
+/// Checks, for every partition of the range (and one beyond each end),
+/// every thread count and several thread sub-ranges, that the walker's
+/// (thread, point) sequence equals the per-thread calls' concatenation
+/// and the reference walk's.
+void expectWalkerMatchesPerThreadWalks(const LoopNest &Nest,
+                                       const std::vector<int64_t> &Params,
+                                       uint64_t DomainSize,
+                                       const std::string &What) {
+  auto Range = Nest.timeRange(Params);
+  ASSERT_TRUE(Range.has_value()) << What;
+  ScanContext Ctx = Nest.makeScanContext(Params);
+  uint64_t Points = 0;
+  for (unsigned Threads : {1u, 3u, 32u, 100u}) {
+    std::vector<std::pair<unsigned, unsigned>> Slices = {
+        {0, Threads},
+        {0, 1},
+        {1, Threads},
+        {Threads / 3, 2 * Threads / 3},
+        {Threads - 1, Threads},
+        {Threads / 2, Threads / 2}};
+    for (int64_t P = Range->first - 1; P <= Range->second + 1; ++P) {
+      for (size_t Slice = 0; Slice != Slices.size(); ++Slice) {
+        auto [Begin, End] = Slices[Slice];
+        std::vector<ThreadPoint> Walked, PerThread, Reference;
+        Nest.forEachPointForThreads(
+            Ctx, P, Begin, End, Threads,
+            [&](unsigned T, const int64_t *X) {
+              Walked.emplace_back(T, Point(X, X + Nest.NumRecursionDims));
+            });
+        for (unsigned T = Begin; T != End; ++T) {
+          Nest.forEachPointForThread(
+              Ctx, P, T, Threads, [&](const int64_t *X) {
+                PerThread.emplace_back(T,
+                                       Point(X, X + Nest.NumRecursionDims));
+              });
+          if (P < Range->first || P > Range->second)
+            continue;
+          std::vector<int64_t> Env(Nest.NestDimNames.size(), 0);
+          std::copy(Params.begin(), Params.end(), Env.begin());
+          Env[Nest.NumParams] = P;
+          std::optional<unsigned> Striped;
+          if (Threads > 1) {
+            Striped = Nest.threadedLevel();
+            if (!Striped && T != 0)
+              continue;
+          }
+          referenceWalk(Nest, Env, 1, Striped, T, Threads, Reference);
+        }
+        std::string Where = What + " p=" + std::to_string(P) + " threads=" +
+                            std::to_string(Threads) + " [" +
+                            std::to_string(Begin) + ", " +
+                            std::to_string(End) + ")";
+        EXPECT_EQ(Walked, PerThread) << Where;
+        EXPECT_EQ(Walked, Reference) << Where;
+        if (Slice == 0)
+          Points += Walked.size();
+      }
+    }
+  }
+  // The full range covers the domain once per thread count.
+  EXPECT_EQ(Points, 4 * DomainSize) << What;
+}
+
+/// Every schedule with coefficients in {0, 1, 2} that the verifier
+/// accepts for a recursion reading f(x0 - 1, x1, ...), as
+/// coefficient vectors over \p N dimensions.
+std::vector<std::vector<int64_t>> acceptedSmallSchedules(unsigned N) {
+  solver::RecurrenceSpec Spec;
+  solver::DescentFunction Row;
+  for (unsigned D = 0; D != N; ++D) {
+    Spec.DimNames.push_back(dimName(D));
+    AffineExpr C = AffineExpr::dim(N, D);
+    C.setConstantTerm(D == 0 ? -1 : 0);
+    Row.Components.push_back(C);
+  }
+  Spec.Calls.push_back(Row);
+  std::vector<int64_t> Extents(N, 4);
+  solver::DomainBox Box = solver::DomainBox::fromExtents(Extents);
+  std::vector<std::vector<int64_t>> Accepted;
+  std::vector<int64_t> Coeffs(N, 0);
+  unsigned Total = 1;
+  for (unsigned D = 0; D != N; ++D)
+    Total *= 3;
+  for (unsigned Code = 0; Code != Total; ++Code) {
+    unsigned Rest = Code;
+    for (unsigned D = 0; D != N; ++D) {
+      Coeffs[D] = Rest % 3;
+      Rest /= 3;
+    }
+    DiagnosticEngine Diags;
+    if (solver::verifySchedule(Spec, solver::Schedule{Coeffs}, Box, Diags))
+      Accepted.push_back(Coeffs);
+  }
+  return Accepted;
+}
+
+} // namespace
+
+TEST_P(LoopGenPropertyTest, WalkerMatchesPerThreadWalks) {
+  RandomScan S = drawRandomScan(GetParam());
+  uint64_t Size = 1;
+  for (int64_t E : S.Extents)
+    Size *= static_cast<uint64_t>(E);
+  expectWalkerMatchesPerThreadWalks(S.Nest, {}, Size, S.Schedule.str());
+}
+
+TEST(LoopGenTest, WalkerMatchesPerThreadWalksOnSmallSchedules) {
+  bool SawDivisorTwo = false, SawFixedAboveStripe = false;
+  for (std::vector<int64_t> Extents :
+       {std::vector<int64_t>{5, 7}, std::vector<int64_t>{3, 4, 5}}) {
+    unsigned N = static_cast<unsigned>(Extents.size());
+    std::vector<std::string> Dims;
+    for (unsigned D = 0; D != N; ++D)
+      Dims.push_back(dimName(D));
+    std::vector<std::vector<int64_t>> Schedules = acceptedSmallSchedules(N);
+    // a0 in {1, 2} and every other coefficient in {0, 1, 2}.
+    EXPECT_EQ(Schedules.size(), N == 2 ? 6u : 18u);
+    for (const std::vector<int64_t> &S : Schedules) {
+      LoopNest Nest = generateBoxLoops(Dims, S);
+      for (unsigned L = 1; L != Nest.Levels.size(); ++L) {
+        const LoopLevel &Level = Nest.Levels[L];
+        SawDivisorTwo |= Level.isFixed() && Level.FixedDivisor == 2;
+        SawFixedAboveStripe |= Level.isFixed() && Nest.threadedLevel() &&
+                               L < *Nest.threadedLevel();
+      }
+      std::string What = "schedule";
+      for (int64_t C : S) {
+        What += ' ';
+        What += std::to_string(C);
+      }
+      uint64_t Size = 1;
+      for (int64_t E : Extents)
+        Size *= static_cast<uint64_t>(E);
+      expectWalkerMatchesPerThreadWalks(Nest, Extents, Size, What);
+    }
+  }
+  EXPECT_TRUE(SawDivisorTwo);
+  EXPECT_TRUE(SawFixedAboveStripe);
+}
 
 TEST(LoopGenTest, CountPoints) {
   LoopNest Nest = generateLoops(editDistanceDomain(), 2,
