@@ -1104,9 +1104,8 @@ std::shared_ptr<const JitKernel> fallBack(const char *Reason) {
 std::string resolveCacheDir(const std::string &Override) {
   if (!Override.empty())
     return Override;
-  for (const char *Var : {"ParRec_JIT_CACHE", "PARREC_JIT_CACHE"})
-    if (const char *E = std::getenv(Var); E && *E)
-      return E;
+  if (const char *E = std::getenv("ParRec_JIT_CACHE"); E && *E)
+    return E;
   if (const char *Home = std::getenv("HOME"); Home && *Home)
     return std::string(Home) + "/.cache/parrec-jit";
   return "/tmp/parrec-jit";
@@ -1217,30 +1216,39 @@ codegen::compileKernel(const exec::ExecutablePlan &Plan,
     std::filesystem::remove(SoPath, Ec);
   }
 
-  std::string CPath = Dir + "/k" + Hex + ".c";
-  {
-    std::ofstream Os(CPath, std::ios::trunc);
-    Os << Rendered.Source;
-    if (!Os)
-      return fallBack("cannot write the generated source");
-  }
-
+  // Every compile writes and compiles its own copy of the source, so a
+  // concurrent compile of the same kernel never reads a file that
+  // another is rewriting (cc compiles a truncated, empty file without
+  // complaint, into an object with no symbols). The copy keeps the `.c`
+  // suffix, from which cc picks the language.
   static std::atomic<uint64_t> TmpCounter{0};
   std::string Tmp = SoPath + "." + std::to_string(::getpid()) + "." +
                     std::to_string(TmpCounter.fetch_add(1)) + ".tmp";
+  std::string TmpSource = Tmp + ".c";
+  {
+    std::ofstream Os(TmpSource, std::ios::trunc);
+    Os << Rendered.Source;
+    if (!Os) {
+      std::filesystem::remove(TmpSource, Ec);
+      return fallBack("cannot write the generated source");
+    }
+  }
+
   auto T0 = std::chrono::steady_clock::now();
-  const char *Failure = runCompiler(CPath, Tmp);
+  const char *Failure = runCompiler(TmpSource, Tmp);
   auto Ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - T0)
                 .count();
+  // Atomic publish so concurrent compiles of one plan race benignly.
+  if (!Failure && std::rename(Tmp.c_str(), SoPath.c_str()) != 0)
+    Failure = "cannot publish the compiled kernel";
+  // The source stays beside its kernel (or its failed compile) for
+  // reading.
+  if (std::rename(TmpSource.c_str(), (Dir + "/k" + Hex + ".c").c_str()) != 0)
+    std::filesystem::remove(TmpSource, Ec);
   if (Failure) {
     std::filesystem::remove(Tmp, Ec);
     return fallBack(Failure);
-  }
-  // Atomic publish so concurrent compiles of one plan race benignly.
-  if (std::rename(Tmp.c_str(), SoPath.c_str()) != 0) {
-    std::filesystem::remove(Tmp, Ec);
-    return fallBack("cannot publish the compiled kernel");
   }
   Metrics.add("jit.cache_misses");
   Metrics.record("jit.compile_ns", static_cast<double>(Ns));

@@ -223,7 +223,7 @@ private:
 
 struct JitCompileOptions {
   /// On-disk shared-object cache directory. Empty resolves, in order, to
-  /// $ParRec_JIT_CACHE, $PARREC_JIT_CACHE, ~/.cache/parrec-jit.
+  /// $ParRec_JIT_CACHE, ~/.cache/parrec-jit.
   std::string CacheDir;
 };
 

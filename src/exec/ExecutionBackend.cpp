@@ -26,7 +26,6 @@
 #include "obs/Trace.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <mutex>
@@ -36,14 +35,6 @@ using namespace parrec;
 using namespace parrec::exec;
 
 namespace {
-
-/// The ParRec_EVAL_AST escape hatch: force every execution onto the AST
-/// tree-walker (e.g. to bisect a suspected VM miscompile). Checked once.
-bool envForcesAstEvaluator() {
-  static const bool Forced = std::getenv("ParRec_EVAL_AST") != nullptr ||
-                             std::getenv("PARREC_EVAL_AST") != nullptr;
-  return Forced;
-}
 
 /// How one scan was fanned out, for the run span and the registry.
 struct ScanStats {
@@ -399,14 +390,13 @@ RunResult scanPlan(const ExecutablePlan &Plan, codegen::Evaluator &Eval,
   Result.UsedSchedule = Plan.Sched;
   Result.TableMax = -std::numeric_limits<double>::infinity();
 
-  bool ForceAst =
-      envForcesAstEvaluator() || Options.Evaluator == EvalKind::Ast;
   // Jit silently degrades to the VM when the plan carries no kernel:
   // the jit pass already warned and counted the fallback at plan time.
-  bool UseJit = !ForceAst && Options.Evaluator == EvalKind::Jit &&
+  bool UseJit = Options.Evaluator == EvalKind::Jit &&
                 Plan.Kernel != nullptr && Plan.Kernel->fn() != nullptr &&
                 Plan.Program != nullptr;
-  bool UseVm = !ForceAst && !UseJit && Plan.Program != nullptr;
+  bool UseVm = Options.Evaluator != EvalKind::Ast && !UseJit &&
+               Plan.Program != nullptr;
   ScanStats Stats;
   Stats.Workers = resolveScanWorkers(Plan, Options, Threads);
   uint64_t Grain = std::max<uint64_t>(Options.ScanGrainCells, 1);

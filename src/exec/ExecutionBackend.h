@@ -74,9 +74,8 @@ struct RunOptions {
   /// The cell evaluator (`parrec run --evaluator=ast|vm|jit`). Jit makes
   /// planning run the native JIT pass and execution dispatch the
   /// compiled kernel; Ast, the tree-walking differential-testing oracle,
-  /// runs even when the plan carries a compiled bytecode program (the
-  /// ParRec_EVAL_AST environment variable forces it globally); Vm is the
-  /// default.
+  /// runs even when the plan carries a compiled bytecode program; Vm is
+  /// the default.
   EvalKind Evaluator = EvalKind::Vm;
   /// JIT disk-cache directory override (`--jit-cache-dir=`); empty
   /// resolves to $ParRec_JIT_CACHE then ~/.cache/parrec-jit.

@@ -344,8 +344,6 @@ struct TraceEnvActivation {
 
   TraceEnvActivation() {
     const char *Value = std::getenv("ParRec_TRACE");
-    if (!Value)
-      Value = std::getenv("PARREC_TRACE");
     if (!Value || !*Value)
       return;
     exportPath() = Value;

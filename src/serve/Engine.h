@@ -103,7 +103,7 @@ public:
     bool ContinuousBatch = false;
     /// Result memo cache; null disables memoization. See MemoCache.h for
     /// the key derivation. A Router passes one cache to all shards so
-    /// re-routed repeats still hit.
+    /// spilled repeats still hit.
     std::shared_ptr<MemoCache> Memo;
     /// Host worker threads per device for the problems of one batch;
     /// 0 divides exec::hostWorkerBudget() across the devices.

@@ -75,8 +75,11 @@ public:
 
   /// Queued requests for one tenant, across all priority classes.
   size_t tenantDepth(const std::string &Tenant) const {
-    auto It = TenantDepths.find(Tenant);
-    return It == TenantDepths.end() ? 0 : It->second;
+    size_t N = 0;
+    for (const auto &[Priority, Class] : Classes)
+      if (auto It = Class.Tenants.find(Tenant); It != Class.Tenants.end())
+        N += It->second.size();
+    return N;
   }
 
   /// Queues \p Item behind every queued item of its subqueue with a
@@ -84,15 +87,13 @@ public:
   /// at the tail; absorb() returns a full batch's overflow here too, and
   /// it must land ahead of its tenant's later requests.
   void push(T Item) {
-    // Copy, not reference: the item is moved into its subqueue below.
-    const std::string Tenant = Traits::tenant(Item);
-    std::deque<T> &Q = Classes[Traits::priority(Item)].Tenants[Tenant];
+    std::deque<T> &Q =
+        Classes[Traits::priority(Item)].Tenants[Traits::tenant(Item)];
     auto Pos = std::upper_bound(Q.begin(), Q.end(), Traits::seq(Item),
                                 [](uint64_t Seq, const T &Queued) {
                                   return Seq < Traits::seq(Queued);
                                 });
     Q.insert(Pos, std::move(Item));
-    ++TenantDepths[Tenant];
     ++Total;
   }
 
@@ -124,7 +125,7 @@ public:
       while (!Q.empty() && expired(Q.front(), Now)) {
         if (Shed)
           Shed->push_back(std::move(Q.front()));
-        removeFront(Class, Q);
+        removeFront(Q);
       }
       if (Q.empty()) {
         Class.Tenants.erase(Class.Cursor);
@@ -132,7 +133,7 @@ public:
         continue;
       }
       T Item = std::move(Q.front());
-      removeFront(Class, Q);
+      removeFront(Q);
       --Class.BurstLeft;
       if (Q.empty())
         Class.Tenants.erase(Traits::tenant(Item));
@@ -201,9 +202,7 @@ private:
     Class.Cursor = It->first;
   }
 
-  void removeFront(ClassState &Class, std::deque<T> &Q) {
-    --TenantDepths[Traits::tenant(Q.front())];
-    (void)Class;
+  void removeFront(std::deque<T> &Q) {
     Q.pop_front();
     --Total;
   }
@@ -216,7 +215,6 @@ private:
         std::deque<T> &Q = It->second;
         for (auto QIt = Q.begin(); QIt != Q.end();) {
           if (Match(static_cast<const T &>(*QIt))) {
-            --TenantDepths[Traits::tenant(*QIt)];
             --Total;
             Matched.push_back(std::move(*QIt));
             QIt = Q.erase(QIt);
@@ -240,7 +238,6 @@ private:
   /// Priority classes, highest first.
   std::map<int, ClassState, std::greater<int>> Classes;
   std::map<std::string, uint64_t> Weights;
-  std::map<std::string, size_t> TenantDepths;
   size_t Total = 0;
 };
 

@@ -10,14 +10,6 @@
 using namespace parrec;
 using namespace parrec::serve;
 
-uint64_t MemoCache::entryBytes(const Entry &E) {
-  // Memoized payloads never carry a table or a timeline (the engine
-  // refuses to memoize those requests), so the footprint is the struct
-  // plus the schedule's coefficient vector.
-  return sizeof(Slot) +
-         E.Result.UsedSchedule.Coefficients.size() * sizeof(int64_t);
-}
-
 std::optional<MemoCache::Entry> MemoCache::lookup(const Key &K) {
   std::lock_guard<std::mutex> Lock(Mutex);
   auto It = Index.find(K);
@@ -34,13 +26,10 @@ void MemoCache::insert(const Key &K, Entry E) {
   std::lock_guard<std::mutex> Lock(Mutex);
   if (Index.count(K))
     return; // A concurrent duplicate execution already inserted it.
-  uint64_t Bytes = entryBytes(E);
   Lru.emplace_front(K, std::move(E));
   Index.emplace(K, Lru.begin());
   ++Counters.Insertions;
-  Counters.Bytes += Bytes;
   while (Lru.size() > Capacity) {
-    Counters.Bytes -= entryBytes(Lru.back().second);
     Index.erase(Lru.back().first);
     Lru.pop_back();
     ++Counters.Evictions;

@@ -20,7 +20,7 @@
 /// execution it replaces.
 ///
 /// Shared by design: a Router hands one MemoCache to all its engine
-/// shards, so a spilled or re-routed repeat still hits.
+/// shards, so a spilled repeat still hits.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -83,8 +83,6 @@ public:
     uint64_t Misses = 0;
     uint64_t Evictions = 0;
     uint64_t Insertions = 0;
-    /// Approximate bytes currently held (payload estimate).
-    uint64_t Bytes = 0;
   };
 
   explicit MemoCache(size_t CapacityEntries)
@@ -106,8 +104,6 @@ public:
 
 private:
   using Slot = std::pair<Key, Entry>;
-
-  static uint64_t entryBytes(const Entry &E);
 
   const size_t Capacity;
   mutable std::mutex Mutex;

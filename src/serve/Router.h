@@ -12,21 +12,13 @@
 /// tenant's repeats of one shape land on one shard and keep coalescing,
 /// while distinct tenants and shapes spread across shards. Routing is
 /// load-aware: when Options::SpillQueueDepth is set and the sticky
-/// shard's queue is deeper, the request spills to the shallowest live
-/// shard (deterministic, lowest index on ties).
+/// shard's queue is deeper, the request spills to the shallowest shard
+/// (deterministic, lowest index on ties).
 ///
-/// Shards can be drained one at a time for rolling restarts:
-/// drainShard() takes a shard out of rotation (the router re-routes its
-/// traffic to the remaining shards) and finishes everything it had
-/// admitted; readmitShard() replaces it with a fresh engine synchronised
-/// to the router's virtual clock. Because results are bit-identical
-/// whichever engine runs a request, a rolling restart is invisible in
-/// response payloads.
-///
-/// All shards share one MemoCache, so a repeat that re-routes or spills
-/// still hits. The router's own clock (advanceTo) fans out to every
-/// shard; per-shard clocks never diverge from it by more than a readmit
-/// resync.
+/// The shard set is fixed when the router is built, so routing reads it
+/// without a lock. All shards share one MemoCache, so a repeat that
+/// spills still hits. The router's clock (advanceTo) fans out to every
+/// shard, so every shard's clock is the router's.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,9 +27,9 @@
 
 #include "serve/Engine.h"
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 namespace parrec {
@@ -52,8 +44,8 @@ public:
     /// Number of engine shards (clamped to >= 1).
     unsigned Shards = 1;
     /// Spill threshold: when non-zero and the sticky shard's queue is
-    /// strictly deeper than this, the request goes to the live shard
-    /// with the shallowest queue instead. 0 disables spilling.
+    /// strictly deeper than this, the request goes to the shard with
+    /// the shallowest queue instead. 0 disables spilling.
     size_t SpillQueueDepth = 0;
     /// Shared memo-cache capacity in entries across all shards; 0 falls
     /// back to Shard.Memo (also shared across shards when set).
@@ -61,86 +53,52 @@ public:
   };
 
   struct Stats {
-    /// Sum over shards (and over drained generations). The Device*
-    /// vectors concatenate per-shard device totals in shard order.
+    /// Sum over shards. The Device* vectors concatenate per-shard
+    /// device totals in shard order.
     Engine::Stats Total;
-    /// Per-shard aggregates, drained generations included.
     std::vector<Engine::Stats> PerShard;
-    uint64_t Routed = 0;   ///< Requests routed to their sticky shard.
-    uint64_t Spilled = 0;  ///< Requests re-routed by the spill rule.
-    uint64_t Rerouted = 0; ///< Requests routed around a draining shard.
-    uint64_t Drains = 0;
-    uint64_t Readmits = 0;
+    uint64_t Routed = 0;  ///< Requests routed to their sticky shard.
+    uint64_t Spilled = 0; ///< Requests re-routed by the spill rule.
   };
 
   explicit Router(Options Opts);
-  /// Drains every live shard.
+  /// Drains every shard.
   ~Router();
 
   Router(const Router &) = delete;
   Router &operator=(const Router &) = delete;
 
-  unsigned shards() const { return NumShards; }
+  unsigned shards() const { return static_cast<unsigned>(Shards_.size()); }
   const Options &options() const { return Opts; }
-  bool shardLive(unsigned Shard) const;
 
   /// Routes and submits one request; the returned Future resolves when
-  /// the owning shard completes it. With every shard draining, requests
-  /// resolve to Status::QueueFull (the shard refuses admission).
+  /// the owning shard completes it.
   Future submit(Request Req,
                 std::function<void(const Response &)> Callback = {});
 
   /// The router's virtual clock; fans out to every shard.
   void advanceTo(uint64_t Tick);
-  uint64_t now() const;
-
-  /// Takes shard \p Shard out of rotation and drains it (blocks until
-  /// its admitted work completes). False when already draining or out of
-  /// range. New traffic re-routes to the remaining shards meanwhile.
-  bool drainShard(unsigned Shard);
-  /// Replaces a drained shard with a fresh engine synchronised to the
-  /// router clock and puts it back in rotation. False when the shard is
-  /// live or out of range.
-  bool readmitShard(unsigned Shard);
+  /// Every shard receives every advanceTo, so shard 0's clock is the
+  /// router's.
+  uint64_t now() const { return Shards_.front()->now(); }
 
   /// Shuts every shard down (Drain finishes admitted work, Abort
   /// resolves queued requests as Aborted).
   void shutdown(Engine::ShutdownMode Mode);
 
   Stats stats() const;
-  /// Sum of live shards' queue depths.
-  size_t queueDepth() const;
-  const std::shared_ptr<MemoCache> &memoCache() const { return Memo; }
+  const std::shared_ptr<MemoCache> &memoCache() const {
+    return Opts.Shard.Memo;
+  }
   /// Direct shard access for tests and diagnostics; \p Shard must be in
-  /// range. The engine may be mid-drain — treat as read-only.
-  Engine &shard(unsigned Shard) const { return *Shards_[Shard].Eng; }
+  /// range.
+  Engine &shard(unsigned Shard) const { return *Shards_[Shard]; }
 
 private:
-  struct ShardSlot {
-    std::shared_ptr<Engine> Eng;
-    bool Live = true;
-  };
-
-  /// Sticky shard for (tenant, plan key hash), ignoring liveness.
-  unsigned homeShard(const std::string &Tenant, uint64_t KeyHash) const;
-  /// Folds \p From into \p Into: scalars summed, device vectors summed
-  /// element-wise, or appended when \p AppendDevices.
-  static void accumulate(Engine::Stats &Into, const Engine::Stats &From,
-                         bool AppendDevices = false);
-
   Options Opts;
-  unsigned NumShards = 1;
-  std::shared_ptr<MemoCache> Memo;
-
-  mutable std::mutex Mutex;
-  std::vector<ShardSlot> Shards_;           // Guarded by Mutex.
-  std::vector<Engine::Stats> Retired;       // Guarded by Mutex.
-  uint64_t LastTick = 0;                    // Guarded by Mutex.
-  uint64_t RoutedCount = 0;                 // Guarded by Mutex.
-  uint64_t SpilledCount = 0;                // Guarded by Mutex.
-  uint64_t ReroutedCount = 0;               // Guarded by Mutex.
-  uint64_t DrainCount = 0;                  // Guarded by Mutex.
-  uint64_t ReadmitCount = 0;                // Guarded by Mutex.
+  std::vector<std::unique_ptr<Engine>> Shards_;
+  std::atomic<uint64_t> Routed{0};
+  std::atomic<uint64_t> Spilled{0};
 };
 
 } // namespace serve

@@ -351,9 +351,6 @@ ReplayReport serve::replay(Router &R, const Workload &W) {
       R.options().Shard.Model.gpuSeconds(Report.ModelledCycles);
   Report.RouterShards = R.shards();
   Report.RouterSpilled = S.Spilled;
-  Report.RouterRerouted = S.Rerouted;
-  Report.RouterDrains = S.Drains;
-  Report.RouterReadmits = S.Readmits;
   return Report;
 }
 
@@ -418,9 +415,6 @@ std::string ReplayReport::json() const {
     Json.key("router").beginObject();
     Json.key("shards").value(static_cast<uint64_t>(RouterShards));
     Json.key("spilled").value(RouterSpilled);
-    Json.key("rerouted").value(RouterRerouted);
-    Json.key("drains").value(RouterDrains);
-    Json.key("readmits").value(RouterReadmits);
     Json.endObject();
   }
   Json.endObject();

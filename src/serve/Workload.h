@@ -155,9 +155,6 @@ struct ReplayReport {
   /// replay(Router&, ...) overload.
   unsigned RouterShards = 0;
   uint64_t RouterSpilled = 0;
-  uint64_t RouterRerouted = 0;
-  uint64_t RouterDrains = 0;
-  uint64_t RouterReadmits = 0;
 
   uint64_t okCount() const {
     auto It = ByStatus.find("ok");

@@ -9,7 +9,7 @@
 /// The compiler driver:
 ///   parrec run <script.rdsl>         execute a script on the simulator
 ///   parrec run --cpu <script.rdsl>   execute with the modelled CPU
-///   parrec check <fn.rdsl>           parse + analyse one function
+///   parrec check <fn.rdsl>           compile and validate one function
 ///   parrec schedule <fn.rdsl> n1 n2  print the minimal schedule for a box
 ///   parrec emit <fn.rdsl>            print the synthesized CUDA source
 ///   parrec loops <fn.rdsl> n1 n2     print the Figure 9/10 loop nests
@@ -32,11 +32,11 @@
 
 #include "codegen/CudaEmitter.h"
 #include "compiler/Pipeline.h"
-#include "lang/Parser.h"
 #include "obs/Export.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "poly/CPrinter.h"
+#include "runtime/CompiledRecurrence.h"
 #include "runtime/Interpreter.h"
 #include "serve/Router.h"
 #include "serve/Workload.h"
@@ -155,28 +155,17 @@ std::optional<std::string> readFile(const char *Path) {
   return Buffer.str();
 }
 
-struct AnalyzedFunction {
-  std::unique_ptr<lang::FunctionDecl> Decl;
-  std::optional<lang::FunctionInfo> Info;
-};
-
-std::optional<AnalyzedFunction> analyzeFile(const char *Path,
-                                            DiagnosticEngine &Diags) {
+/// Compiles the one function in \p Path through the frontend pass
+/// pipeline, so `check`, `schedule`, `emit` and `loops` reject what
+/// `run` rejects.
+std::optional<runtime::CompiledRecurrence>
+compileFile(const char *Path, DiagnosticEngine &Diags) {
   std::optional<std::string> Source = readFile(Path);
   if (!Source) {
     std::fprintf(stderr, "error: cannot open '%s'\n", Path);
     return std::nullopt;
   }
-  AnalyzedFunction Result;
-  lang::Parser P(*Source, Diags);
-  Result.Decl = P.parseFunctionOnly();
-  if (!Result.Decl)
-    return std::nullopt;
-  lang::Sema S(Diags, {"dna", "rna", "protein", "en"});
-  Result.Info = S.analyze(*Result.Decl);
-  if (!Result.Info)
-    return std::nullopt;
-  return Result;
+  return runtime::CompiledRecurrence::compile(*Source, Diags);
 }
 
 /// Returns the value of a `--name=value` option, or null when \p Arg is
@@ -371,19 +360,19 @@ int cmdCheck(int Argc, char **Argv) {
   if (Argc < 3)
     return usage();
   DiagnosticEngine Diags;
-  auto Fn = analyzeFile(Argv[2], Diags);
+  auto Fn = compileFile(Argv[2], Diags);
   std::fputs(Diags.str().c_str(), stderr);
   if (!Fn)
     return 1;
-  std::printf("%s\n", Fn->Decl->signatureStr().c_str());
+  std::printf("%s\n", Fn->decl().signatureStr().c_str());
   std::printf("recursion dimensions:");
-  for (const lang::DimInfo &Dim : Fn->Info->Dims)
+  for (const lang::DimInfo &Dim : Fn->info().Dims)
     std::printf(" %s", Dim.Name.c_str());
   std::printf("\nrecursive calls:\n");
   for (const solver::DescentFunction &Call :
-       Fn->Info->Recurrence.Calls)
+       Fn->info().Recurrence.Calls)
     std::printf("  %s%s\n",
-                Call.str(Fn->Info->Recurrence.DimNames).c_str(),
+                Call.str(Fn->info().Recurrence.DimNames).c_str(),
                 Call.isUniform() ? " (uniform)" : " (affine)");
   return 0;
 }
@@ -392,23 +381,23 @@ int cmdSchedule(int Argc, char **Argv) {
   if (Argc < 3)
     return usage();
   DiagnosticEngine Diags;
-  auto Fn = analyzeFile(Argv[2], Diags);
+  auto Fn = compileFile(Argv[2], Diags);
   if (!Fn) {
     std::fputs(Diags.str().c_str(), stderr);
     return 1;
   }
-  auto Box = boxFromArgs(Argc, Argv, 3, Fn->Info->numDims());
+  auto Box = boxFromArgs(Argc, Argv, 3, Fn->info().numDims());
   if (!Box)
     return 1;
-  auto S = solver::findMinimalSchedule(Fn->Info->Recurrence, *Box, Diags);
+  auto S = solver::findMinimalSchedule(Fn->info().Recurrence, *Box, Diags);
   std::fputs(Diags.str().c_str(), stderr);
   if (!S)
     return 1;
-  std::printf("S_%s = %s\n", Fn->Decl->Name.c_str(),
-              S->str(Fn->Info->Recurrence.DimNames).c_str());
+  std::printf("S_%s = %s\n", Fn->decl().Name.c_str(),
+              S->str(Fn->info().Recurrence.DimNames).c_str());
   std::printf("partitions: %lld\n",
               static_cast<long long>(S->partitionCount(*Box)));
-  auto Window = solver::slidingWindowDepth(Fn->Info->Recurrence, *S);
+  auto Window = solver::slidingWindowDepth(Fn->info().Recurrence, *S);
   if (Window)
     std::printf("sliding window: %lld previous partitions\n",
                 static_cast<long long>(*Window));
@@ -425,7 +414,7 @@ int cmdEmit(int Argc, char **Argv) {
     return 2;
   if (Index >= Argc)
     return usage();
-  auto Fn = analyzeFile(Argv[Index], Diags);
+  auto Fn = compileFile(Argv[Index], Diags);
   if (!Fn) {
     std::fputs(Diags.str().c_str(), stderr);
     return 1;
@@ -433,31 +422,31 @@ int cmdEmit(int Argc, char **Argv) {
   if (S) {
     // Verify against the criteria before emitting (Section 4.5); with
     // uniform descents no box is needed.
-    if (!solver::verifySchedule(Fn->Info->Recurrence, *S, std::nullopt,
+    if (!solver::verifySchedule(Fn->info().Recurrence, *S, std::nullopt,
                                 Diags))
       S.reset();
   } else {
     // Conditional derivation needs no box; fall back to a generic box
     // for affine descents.
-    if (Fn->Info->Recurrence.allUniform()) {
+    if (Fn->info().Recurrence.allUniform()) {
       auto Candidates =
-          solver::findConditionalSchedules(Fn->Info->Recurrence, Diags);
+          solver::findConditionalSchedules(Fn->info().Recurrence, Diags);
       if (Candidates && !Candidates->empty())
         S = (*Candidates)[0].S;
     }
     if (!S)
       S = solver::findMinimalSchedule(
-          Fn->Info->Recurrence,
+          Fn->info().Recurrence,
           solver::DomainBox::fromExtents(
-              std::vector<int64_t>(Fn->Info->numDims(), 128)),
+              std::vector<int64_t>(Fn->info().numDims(), 128)),
           Diags);
   }
   std::fputs(Diags.str().c_str(), stderr);
   if (!S)
     return 1;
   std::printf("%s\n%s",
-              codegen::emitCudaKernel(*Fn->Decl, *Fn->Info, *S).c_str(),
-              codegen::emitHostLaunchStub(*Fn->Decl, *Fn->Info)
+              codegen::emitCudaKernel(Fn->decl(), Fn->info(), *S).c_str(),
+              codegen::emitHostLaunchStub(Fn->decl(), Fn->info())
                   .c_str());
   return 0;
 }
@@ -470,24 +459,24 @@ int cmdLoops(int Argc, char **Argv) {
     return 2;
   if (Index >= Argc)
     return usage();
-  auto Fn = analyzeFile(Argv[Index], Diags);
+  auto Fn = compileFile(Argv[Index], Diags);
   if (!Fn) {
     std::fputs(Diags.str().c_str(), stderr);
     return 1;
   }
-  auto Box = boxFromArgs(Argc, Argv, Index + 1, Fn->Info->numDims());
+  auto Box = boxFromArgs(Argc, Argv, Index + 1, Fn->info().numDims());
   if (!Box)
     return 1;
   std::optional<solver::Schedule> S;
   if (UserSchedule) {
-    if (!solver::verifySchedule(Fn->Info->Recurrence, *UserSchedule,
+    if (!solver::verifySchedule(Fn->info().Recurrence, *UserSchedule,
                                 *Box, Diags)) {
       std::fputs(Diags.str().c_str(), stderr);
       return 1;
     }
     S = std::move(UserSchedule);
   } else {
-    S = solver::findMinimalSchedule(Fn->Info->Recurrence, *Box, Diags);
+    S = solver::findMinimalSchedule(Fn->info().Recurrence, *Box, Diags);
   }
   std::fputs(Diags.str().c_str(), stderr);
   if (!S)
@@ -496,7 +485,7 @@ int cmdLoops(int Argc, char **Argv) {
   // The extents chose the schedule; the nest is the recursion's one
   // parametric nest under it, the paper's Figure 9/10 form.
   poly::LoopNest Nest = poly::generateBoxLoops(
-      Fn->Info->Recurrence.DimNames, S->Coefficients);
+      Fn->info().Recurrence.DimNames, S->Coefficients);
   std::printf("// CLooG-style sequential scan (Figure 9)\n%s\n",
               poly::printSequentialLoops(Nest).c_str());
   std::printf("// Thread-partitioned conversion (Figure 10)\n%s",
@@ -728,13 +717,8 @@ int cmdServe(int Argc, char **Argv) {
                 static_cast<unsigned long long>(
                     Report.Stats.ContinuousJoins));
   if (Report.RouterShards)
-    std::printf("router: %u shard(s), spilled=%llu rerouted=%llu "
-                "drains=%llu readmits=%llu\n",
-                Report.RouterShards,
-                static_cast<unsigned long long>(Report.RouterSpilled),
-                static_cast<unsigned long long>(Report.RouterRerouted),
-                static_cast<unsigned long long>(Report.RouterDrains),
-                static_cast<unsigned long long>(Report.RouterReadmits));
+    std::printf("router: %u shard(s), spilled=%llu\n", Report.RouterShards,
+                static_cast<unsigned long long>(Report.RouterSpilled));
   std::printf("modelled busiest device: %llu cycles (%.6fs)\n",
               static_cast<unsigned long long>(Report.ModelledCycles),
               Report.ModelledSeconds);

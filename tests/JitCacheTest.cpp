@@ -9,7 +9,8 @@
 /// The native JIT's caching and degradation contract: a warm disk cache
 /// means zero compiler invocations, every box of a recursion and
 /// schedule shares one kernel, a PlanCache hit means zero JIT work
-/// of any kind, a corrupt, foreign or older-ABI cache entry is silently
+/// of any kind, concurrent compiles of one kernel all load it, a
+/// corrupt, foreign or older-ABI cache entry is silently
 /// recompiled, the ParRec_JIT_CACHE override is honoured, any cache path
 /// works, and a broken host compiler degrades to the bytecode VM with
 /// identical results and exactly one warning line for the whole
@@ -24,11 +25,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <thread>
 
 #include <unistd.h>
 
@@ -317,6 +320,51 @@ TEST(JitCacheTest, CacheDirWithSpaceAndQuoteCompiles) {
   EXPECT_EQ(counter("jit.fallbacks"), FallbacksBefore);
   EXPECT_EQ(counter("jit.cache_misses"), MissesBefore + 1);
   EXPECT_TRUE(std::filesystem::exists(onlyKernel(Dir)));
+}
+
+TEST(JitCacheTest, ConcurrentCompilesOfOneKernelAllLoadIt) {
+  // Four threads plan one new box into a cold cache, a few milliseconds
+  // apart, so their compiles of the one kernel overlap (router shards
+  // planning one shape do the same). No compile may read a source that
+  // another is rewriting: every plan gets a kernel, nothing falls back,
+  // and only the published object and its source remain.
+  std::string Dir = freshCacheDir("concurrent");
+  CompiledRecurrence Fn = compileOrDie();
+  bio::Sequence S("s", std::string(40, 'a')), T("t", std::string(50, 'b'));
+  DiagnosticEngine BoxDiags;
+  auto Box = Fn.domainFor({ArgValue::ofSeq(&S), ArgValue(),
+                           ArgValue::ofSeq(&T), ArgValue()},
+                          BoxDiags);
+  ASSERT_TRUE(Box.has_value()) << BoxDiags.str();
+  RunOptions Jit;
+  Jit.Evaluator = exec::EvalKind::Jit;
+  Jit.JitCacheDir = Dir;
+  uint64_t FallbacksBefore = counter("jit.fallbacks");
+
+  constexpr unsigned Planners = 4;
+  std::vector<std::shared_ptr<const exec::ExecutablePlan>> Plans(Planners);
+  std::vector<std::thread> Threads;
+  for (unsigned I = 0; I != Planners; ++I)
+    Threads.emplace_back([&, I] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(4 * I));
+      DiagnosticEngine Diags;
+      Plans[I] = Fn.planFor(*Box, Jit, nullptr, Diags);
+    });
+  for (std::thread &Th : Threads)
+    Th.join();
+
+  for (unsigned I = 0; I != Planners; ++I) {
+    ASSERT_NE(Plans[I], nullptr) << "planner " << I;
+    EXPECT_NE(Plans[I]->Kernel, nullptr) << "planner " << I << " fell back";
+  }
+  EXPECT_EQ(counter("jit.fallbacks"), FallbacksBefore);
+  unsigned Objects = 0, Sources = 0;
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir)) {
+    Objects += Entry.path().extension() == ".so";
+    Sources += Entry.path().extension() == ".c";
+  }
+  EXPECT_EQ(Objects, 1u);
+  EXPECT_EQ(Sources, 1u);
 }
 
 TEST(JitCacheTest, OlderAbiEntryRecompiles) {

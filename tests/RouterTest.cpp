@@ -9,9 +9,10 @@
 /// The front-router stack's contract: the fair queue schedules by strict
 /// priority and weighted deficit round robin with FIFO per tenant; the
 /// memo cache is a bounded LRU whose hits are bit-identical copies; and
-/// routed serving — sharding, spilling, rolling restarts, shared
-/// memoization — returns responses bit-identical to a direct
-/// single-engine run, across evaluators and both dispatch paths.
+/// routed serving — sharding, spilling, shared memoization — returns
+/// responses bit-identical to a direct single-engine run, across
+/// evaluators and both dispatch paths, and routes concurrent submitters
+/// without a lock.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,11 +26,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <deque>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -318,11 +321,10 @@ TEST(MemoCacheTest, LruEvictionAndStats) {
   EXPECT_EQ(S.Evictions, 1u);
   EXPECT_EQ(S.Misses, 2u);
   EXPECT_GT(S.Hits, 0u);
-  EXPECT_GT(S.Bytes, 0u);
 }
 
 //===----------------------------------------------------------------------===//
-// Router: bit-identity, stickiness, spilling, rolling restarts, memo
+// Router: bit-identity, stickiness, spilling, concurrency, memo
 //===----------------------------------------------------------------------===//
 
 TEST(RouterTest, RoutedServingBitIdenticalAcrossEvaluatorsAndPipeline) {
@@ -452,68 +454,60 @@ TEST(RouterTest, SpillsToShallowestShardWhenPrimaryBacklogged) {
     EXPECT_EQ(F.wait().St, serve::Status::Ok);
 }
 
-TEST(RouterTest, RollingRestartIsBitIdenticalAndReroutes) {
+TEST(RouterTest, ConcurrentSubmittersAndClockNeedNoRouterLock) {
+  // The shard set is fixed, so routing, spilling, the clock and stats
+  // read it without a lock while four threads submit and a fifth
+  // advances the clock. Every request must complete, every submission
+  // must be counted once, and a problem's result must not depend on
+  // the shard that ran it.
   RoutedProblems P;
-
-  // Oracle: everything through one plain engine.
-  serve::Engine::Options Plain;
-  Plain.MaxBatch = 4;
-  Plain.StartPaused = true;
-  serve::Engine Oracle(Plain);
-  std::vector<serve::Future> Direct;
-  for (size_t I = 0; I != P.size(); ++I) {
-    serve::Request Req;
-    Req.Fn = P.Fns[I];
-    Req.Args = P.Args[I];
-    Req.Tenant = P.Tenants[I];
-    Direct.push_back(Oracle.submit(std::move(Req)));
-  }
-  Oracle.shutdown(serve::Engine::ShutdownMode::Drain);
-
   serve::Router::Options RO;
-  RO.Shards = 2;
+  RO.Shards = 3;
+  RO.SpillQueueDepth = 1;
   RO.Shard.MaxBatch = 4;
   serve::Router Router(RO);
-  auto submitWave = [&](size_t Begin, size_t End,
-                        std::vector<serve::Future> &Out) {
-    for (size_t I = Begin; I != End && I < P.size(); ++I) {
-      serve::Request Req;
-      Req.Fn = P.Fns[I];
-      Req.Args = P.Args[I];
-      Req.Tenant = P.Tenants[I];
-      Out.push_back(Router.submit(std::move(Req)));
-    }
-  };
 
-  std::vector<serve::Future> Routed;
-  size_t Third = P.size() / 3;
-  // Wave 1 with both shards live; drain shard 0 (blocks until its work
-  // completes); wave 2 rides the remaining shard; readmit; wave 3 uses
-  // the restarted shard again.
-  submitWave(0, Third, Routed);
-  ASSERT_TRUE(Router.drainShard(0));
-  EXPECT_FALSE(Router.shardLive(0));
-  EXPECT_FALSE(Router.drainShard(0)) << "double drain must refuse";
-  submitWave(Third, 2 * Third, Routed);
-  ASSERT_TRUE(Router.readmitShard(0));
-  EXPECT_TRUE(Router.shardLive(0));
-  EXPECT_FALSE(Router.readmitShard(0)) << "double readmit must refuse";
-  submitWave(2 * Third, P.size(), Routed);
+  constexpr unsigned Submitters = 4;
+  std::atomic<bool> Done{false};
+  std::thread Clock([&] {
+    for (uint64_t Tick = 1; !Done.load(); ++Tick) {
+      Router.advanceTo(Tick);
+      (void)Router.stats();
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::vector<serve::Future>> Futures(Submitters);
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T != Submitters; ++T)
+    Threads.emplace_back([&, T] {
+      for (size_t I = 0; I != P.size(); ++I) {
+        serve::Request Req;
+        Req.Fn = P.Fns[I];
+        Req.Args = P.Args[I];
+        Req.Tenant = P.Tenants[I];
+        Futures[T].push_back(Router.submit(std::move(Req)));
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  Done = true;
+  Clock.join();
   Router.shutdown(serve::Engine::ShutdownMode::Drain);
 
-  ASSERT_EQ(Routed.size(), P.size());
-  for (size_t I = 0; I != P.size(); ++I) {
-    const serve::Response &D = Direct[I].wait();
-    const serve::Response &R = Routed[I].wait();
-    ASSERT_EQ(D.St, serve::Status::Ok) << D.Error;
-    ASSERT_EQ(R.St, serve::Status::Ok)
-        << "wave request " << I << ": " << R.Error;
-    expectIdentical(D.Result, R.Result);
-  }
+  for (unsigned T = 0; T != Submitters; ++T)
+    for (size_t I = 0; I != P.size(); ++I) {
+      const serve::Response &R = Futures[T][I].wait();
+      ASSERT_EQ(R.St, serve::Status::Ok)
+          << "submitter " << T << " request " << I << ": " << R.Error;
+      expectIdentical(Futures[0][I].wait().Result, R.Result);
+    }
   serve::Router::Stats S = Router.stats();
-  EXPECT_EQ(S.Drains, 1u);
-  EXPECT_EQ(S.Readmits, 1u);
-  EXPECT_EQ(S.Total.Completed, P.size());
+  EXPECT_EQ(S.Routed + S.Spilled, Submitters * P.size());
+  uint64_t PerShardSubmitted = 0;
+  for (const serve::Engine::Stats &Shard : S.PerShard)
+    PerShardSubmitted += Shard.Submitted;
+  EXPECT_EQ(S.Total.Submitted, PerShardSubmitted);
+  EXPECT_EQ(S.Total.Submitted, Submitters * P.size());
 }
 
 TEST(RouterTest, MemoCacheIsSharedAcrossShards) {
