@@ -312,7 +312,7 @@ int main(int Argc, char **Argv) {
     }
     // The gate the JIT must hold: at least VM speed on every case
     // study. Profile forward gains least: its time is one `exp` per
-    // element of each cell's log-space sum, the same LogSpace.h
+    // element of each cell's log-space sum, the same CellMath.h
     // arithmetic in both; only the interpretation around it goes away.
     if (C.JitSpeedup < 1.0) {
       std::fprintf(stderr, "FAIL: JIT slower than VM on %s (%.2fx)\n",

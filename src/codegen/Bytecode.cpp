@@ -303,7 +303,7 @@ private:
   }
 
   /// The evaluator's AsLog: prob-typed operands are already log-space,
-  /// anything else is converted with toLog (cost-free in the walker).
+  /// anything else is converted with pr_tolog (cost-free in the walker).
   Value asLogProb(Value V, const Expr *Operand) {
     if (Operand->ExprType.Kind == TypeKind::Prob) {
       if (V.Kind != VKind::Real)
@@ -315,7 +315,7 @@ private:
 
   Value logOfValue(Value Real) {
     if (Real.IsConst)
-      return constReal(toLog(Real.CD), Real.Cost);
+      return constReal(pr_tolog(Real.CD), Real.Cost);
     int32_t Dst = newReg();
     emit(Opcode::LogOf, {}, Dst, Real.Reg);
     return regValue(VKind::Real, Dst);
@@ -560,7 +560,7 @@ private:
             case BinaryOp::Div:
               return constReal(A.CD - C.CD);
             case BinaryOp::Add:
-              return constReal(logAddExp(A.CD, C.CD));
+              return constReal(pr_logaddexp(A.CD, C.CD));
             case BinaryOp::Min:
               return constReal(A.CD < C.CD ? A.CD : C.CD);
             default:
@@ -889,7 +889,7 @@ private:
     bool IsProb = R->ExprType.Kind == TypeKind::Prob;
     VKind ResKind;
     if (IsProb) {
-      // The walker converts non-prob bodies with toLog per element.
+      // The walker converts non-prob bodies with pr_tolog per element.
       if (R->Body->ExprType.Kind == TypeKind::Prob) {
         if (Body.Kind != VKind::Real)
           throw Unsupported{};

@@ -74,7 +74,7 @@ enum class Opcode : uint8_t {
 
   // Conversions.
   IntToReal, // R[A].D = double(R[B].I)
-  LogOf,     // R[A].D = toLog(R[B].D)
+  LogOf,     // R[A].D = pr_tolog(R[B].D)
 
   // Integer arithmetic. A = dst, B, C = operands.
   AddInt,
@@ -95,7 +95,7 @@ enum class Opcode : uint8_t {
   // Log-space probability arithmetic.
   LogMul, // R[A].D = R[B].D + R[C].D
   LogDiv, // R[A].D = R[B].D - R[C].D
-  LogSum, // R[A].D = logAddExp(R[B].D, R[C].D)
+  LogSum, // R[A].D = pr_logaddexp(R[B].D, R[C].D)
 
   // Comparisons; the boolean result lands in the I slot (0/1).
   CmpLtReal,
@@ -116,7 +116,7 @@ enum class Opcode : uint8_t {
   TableReadReal,     // R[A].D = T(target of CallDesc[B])
   TableReadBool,     // R[A].I = T(...) != 0.0
   TableReadInt,      // R[A].I = int64(T(...)): T holds double(int64)s
-  TableReadRoundInt, // R[A].I = roundToInt64(T(...)): an int function
+  TableReadRoundInt, // R[A].I = pr_round_i64(T(...)): an int function
                      // with a float body
 
   // Model reads, pre-resolved to parameter slots at compile time.
@@ -208,8 +208,8 @@ enum class ResultConv : uint8_t {
   RealSlot,    // R.D as-is
   IntSlot,     // double(R.I)
   BoolSlot,    // R.I ? 1.0 : 0.0
-  LogRealSlot, // toLog(R.D) (linear body feeding a prob function)
-  LogIntSlot,  // toLog(double(R.I))
+  LogRealSlot, // pr_tolog(R.D) (linear body feeding a prob function)
+  LogIntSlot,  // pr_tolog(double(R.I))
 };
 
 /// How each declared parameter is consumed at bind time.

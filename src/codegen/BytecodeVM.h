@@ -76,9 +76,9 @@ public:
     case ResultConv::BoolSlot:
       return R.I ? 1.0 : 0.0;
     case ResultConv::LogRealSlot:
-      return toLog(R.D);
+      return pr_tolog(R.D);
     case ResultConv::LogIntSlot:
-      return toLog(static_cast<double>(R.I));
+      return pr_tolog(static_cast<double>(R.I));
     }
     return 0.0;
   }
@@ -222,7 +222,7 @@ private:
       VM_NEXT();
     VM_CASE(IntToReal) : { R[In->A].D = static_cast<double>(R[In->B].I); }
       VM_NEXT();
-    VM_CASE(LogOf) : { R[In->A].D = toLog(R[In->B].D); }
+    VM_CASE(LogOf) : { R[In->A].D = pr_tolog(R[In->B].D); }
       VM_NEXT();
     VM_CASE(AddInt) : { R[In->A].I = R[In->B].I + R[In->C].I; }
       VM_NEXT();
@@ -262,7 +262,7 @@ private:
       VM_NEXT();
     VM_CASE(LogDiv) : { R[In->A].D = R[In->B].D - R[In->C].D; }
       VM_NEXT();
-    VM_CASE(LogSum) : { R[In->A].D = logAddExp(R[In->B].D, R[In->C].D); }
+    VM_CASE(LogSum) : { R[In->A].D = pr_logaddexp(R[In->B].D, R[In->C].D); }
       VM_NEXT();
     VM_CASE(CmpLtReal) : { R[In->A].I = R[In->B].D < R[In->C].D; }
       VM_NEXT();
@@ -304,7 +304,7 @@ private:
     }
       VM_NEXT();
     VM_CASE(TableReadRoundInt) : {
-      R[In->A].I = roundToInt64(readTable(In->B, Point, Table));
+      R[In->A].I = pr_round_i64(readTable(In->B, Point, Table));
     }
       VM_NEXT();
     VM_CASE(SeqChar) : {

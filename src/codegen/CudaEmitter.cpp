@@ -533,7 +533,7 @@ std::string parrec::codegen::emitCudaKernel(const FunctionDecl &F,
   Out += "  float hi = fmaxf(a, b), lo = fminf(a, b);\n";
   Out += "  return hi + log1pf(expf(lo - hi));\n";
   Out += "}\n";
-  // LogSpace.h's LogSumExp, in float.
+  // CellMath.h's pr_lse_add and pr_lse_result, in float.
   Out += "__device__ static inline void parrec_lse_addf(float *m, float *s, "
          "float x) {\n";
   Out += "  if (x == -INFINITY) return;\n";

@@ -20,7 +20,7 @@ void HmmLogCache::build(const bio::Hmm &Hmm) {
   Model = &Hmm;
   LogTransitionProbs.resize(Hmm.numTransitions());
   for (unsigned T = 0; T != Hmm.numTransitions(); ++T)
-    LogTransitionProbs[T] = toLog(Hmm.transition(T).Prob);
+    LogTransitionProbs[T] = pr_tolog(Hmm.transition(T).Prob);
   LogEmissions.resize(Hmm.numStates());
   unsigned AlphaSize = Hmm.alphabet().size();
   EmissionStride = AlphaSize + 1;
@@ -33,7 +33,7 @@ void HmmLogCache::build(const bio::Hmm &Hmm) {
     LogEmissions[S].resize(AlphaSize);
     double *Dense = Emissions.data() + static_cast<size_t>(S) * EmissionStride;
     for (unsigned C = 0; C != AlphaSize; ++C)
-      Dense[C] = LogEmissions[S][C] = toLog(State.Emissions[C]);
+      Dense[C] = LogEmissions[S][C] = pr_tolog(State.Emissions[C]);
     Dense[AlphaSize] = NegInfinity;
   }
   CharCol.resize(256);
@@ -195,7 +195,7 @@ double Evaluator::evalCell(const int64_t *Point, const TableView &Table,
     // log if needed.
     if (Decl.Body->ExprType.Kind == TypeKind::Prob)
       return V.asDouble();
-    return toLog(V.asDouble());
+    return pr_tolog(V.asDouble());
   }
   case TypeKind::Bool:
     return V.K == RuntimeValue::Kind::Bool ? (V.B ? 1.0 : 0.0)
@@ -284,7 +284,7 @@ Evaluator::RuntimeValue Evaluator::evalExpr(const Expr *E,
       auto AsLog = [&](const RV &V, const Expr *Operand) {
         if (Operand->ExprType.Kind == TypeKind::Prob)
           return V.asDouble();
-        return toLog(V.asDouble());
+        return pr_tolog(V.asDouble());
       };
       double A = AsLog(L, B->Lhs.get());
       double C = AsLog(R, B->Rhs.get());
@@ -296,7 +296,7 @@ Evaluator::RuntimeValue Evaluator::evalExpr(const Expr *E,
       case BinaryOp::Add:
         Ctx.Cost->Ops += 2; // Compare + add around the exp/log pair.
         Ctx.Cost->Transcendentals += 1;
-        return RV::ofReal(logAddExp(A, C));
+        return RV::ofReal(pr_logaddexp(A, C));
       case BinaryOp::Min:
         return RV::ofReal(A < C ? A : C);
       case BinaryOp::Max:
@@ -356,7 +356,7 @@ Evaluator::RuntimeValue Evaluator::evalExpr(const Expr *E,
     // Convert linear branches feeding a prob-typed if.
     if (I->ExprType.Kind == TypeKind::Prob &&
         Chosen->ExprType.Kind != TypeKind::Prob)
-      return RV::ofReal(toLog(V.asDouble()));
+      return RV::ofReal(pr_tolog(V.asDouble()));
     return V;
   }
 
@@ -377,7 +377,7 @@ Evaluator::RuntimeValue Evaluator::evalExpr(const Expr *E,
     case TypeKind::Bool:
       return RV::ofBool(Stored != 0.0);
     default:
-      return RV::ofInt(roundToInt64(Stored));
+      return RV::ofInt(pr_round_i64(Stored));
     }
   }
 
@@ -506,7 +506,7 @@ Evaluator::RuntimeValue Evaluator::evalExpr(const Expr *E,
       if (IsProb)
         BodyLog = R->Body->ExprType.Kind == TypeKind::Prob
                       ? Body.asDouble()
-                      : toLog(Body.asDouble());
+                      : pr_tolog(Body.asDouble());
       switch (R->Reduction) {
       case ReductionKind::Sum:
         if (IsProb) {

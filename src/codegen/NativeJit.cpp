@@ -7,7 +7,6 @@
 
 #include "codegen/NativeJit.h"
 
-#include "codegen/LogSpace.h"
 #include "exec/Plan.h"
 #include "obs/Metrics.h"
 
@@ -168,6 +167,12 @@ void JitBinding::bind(const BytecodeProgram &Prog, const Evaluator &Eval) {
 
 namespace {
 
+/// CellMath.h's text, embedded by the build: every kernel's prelude
+/// prints it, so the kernel's log-space helpers are the evaluators' own.
+const char CellMathText[] =
+#include "CellMathText.inc"
+    ;
+
 std::string intLit(int64_t V) {
   if (V == std::numeric_limits<int64_t>::min())
     return "(-9223372036854775807LL - 1LL)";
@@ -179,7 +184,7 @@ std::string intLit(int64_t V) {
 /// comes in pr_args). Every statement performs at most one
 /// floating-point operation (so -ffp-contract=off keeps the op sequence
 /// identical to the VM's), real immediates are hexfloat literals, and
-/// log-space helpers copy LogSpace.h operation-for-operation.
+/// the log-space helpers are CellMath.h's own text.
 class CEmitter {
 public:
   explicit CEmitter(const exec::ExecutablePlan &Plan)
@@ -305,13 +310,12 @@ private:
     line("/* Generated by ParRec NativeJit: one recursion and schedule;");
     line(" * the box comes in pr_args. Bit-identical to the bytecode VM by");
     line(" * construction: one FP op per statement, -ffp-contract=off,");
-    line(" * hexfloat immediates, LogSpace.h helpers copied op-for-op. */");
-    // The libm entry points and fixed-width types the kernel uses,
-    // declared here rather than through <math.h> and <stdint.h>, whose
-    // preprocessing alone is a sizeable share of a kernel's compile.
-    // exp and log1p serve only binary `+` (pr_logaddexp), and log serves
-    // toLog and the sum's result. The sum's per-element exp is
-    // pr_lse_exp and an int read's rounding pr_round_i64, both below.
+    line(" * hexfloat immediates, the evaluators' own CellMath.h. */");
+    // The libm entry points and fixed-width types the kernel and
+    // CellMath.h use, declared here rather than through <math.h> and
+    // <stdint.h>, whose preprocessing alone is a sizeable share of a
+    // kernel's compile. exp and log1p serve only binary `+`
+    // (pr_logaddexp), and log serves pr_tolog and the sum's result.
     line("typedef __INT32_TYPE__ int32_t;");
     line("typedef __INT64_TYPE__ int64_t;");
     line("typedef __UINT8_TYPE__ uint8_t;");
@@ -360,100 +364,8 @@ private:
     line("    --q;");
     line("  return q;");
     line("}");
-    // LogSpace.h's roundToInt64, statement for statement.
-    line("static inline int64_t pr_round_i64(double x) {");
-    line("  if (!(x > -0x1p63 && x < 0x1p63))");
-    line("    return -0x7fffffffffffffffLL - 1;");
-    line("  {");
-    line("    int64_t t = (int64_t)x;");
-    line("    double frac = x - (double)t;");
-    line("    return t + (frac >= 0.5) - (frac <= -0.5);");
-    line("  }");
-    line("}");
-    line("static double pr_tolog(double linear) {");
-    line("  return linear <= 0.0 ? -INFINITY : log(linear);");
-    line("}");
-    line("static double pr_logaddexp(double la, double lb) {");
-    line("  if (la == -INFINITY)");
-    line("    return lb;");
-    line("  if (lb == -INFINITY)");
-    line("    return la;");
-    line("  {");
-    line("    double hi = la > lb ? la : lb;");
-    line("    double lo = la > lb ? lb : la;");
-    line("    return hi + log1p(exp(lo - hi));");
-    line("  }");
-    line("}");
-    emitLseExp();
-    // LogSumExp::add and LogSumExp::result: the online log-space sum.
-    line("static inline void pr_lse_add(double *m, double *s, double x) {");
-    line("  if (x == -INFINITY)");
-    line("    return;");
-    line("  if (x <= *m) {");
-    line("    double e = pr_lse_exp(x - *m);");
-    line("    *s = *s + e;");
-    line("  } else {");
-    line("    double e = pr_lse_exp(*m - x);");
-    line("    double scaled = *s * e;");
-    line("    *s = scaled + 1.0;");
-    line("    *m = x;");
-    line("  }");
-    line("}");
-    line("static inline double pr_lse_result(double m, double s) {");
-    line("  if (m == -INFINITY)");
-    line("    return -INFINITY;");
-    line("  {");
-    line("    double l = log(s);");
-    line("    return m + l;");
-    line("  }");
-    line("}");
+    Out += CellMathText;
     line("");
-  }
-
-  /// pr_lse_exp: LogSpace.h's lseExp statement for statement, with its
-  /// table and constants printed from the same C++ values.
-  void emitLseExp() {
-    line("static const uint64_t pr_lse_exp_table[%" PRIu64 "] = {",
-         2 * lseexp::TableSize);
-    for (uint64_t J = 0; J != 2 * lseexp::TableSize; J += 4)
-      line("  0x%016" PRIx64 "ULL, 0x%016" PRIx64 "ULL, 0x%016" PRIx64
-           "ULL, 0x%016" PRIx64 "ULL,",
-           lseexp::Table[J], lseexp::Table[J + 1], lseexp::Table[J + 2],
-           lseexp::Table[J + 3]);
-    line("};");
-    line("static inline double pr_lse_exp(double x) {");
-    line("  union { double d; uint64_t u; } kb, sb;");
-    line("  if (!(x >= %s))", realLit(lseexp::MinArg).c_str());
-    line("    return x != x ? x : 0.0;");
-    line("  double z = %s * x;", realLit(lseexp::InvLn2N).c_str());
-    line("  double kd = z + %s;", realLit(lseexp::Shift).c_str());
-    line("  kb.d = kd;");
-    line("  uint64_t ki = kb.u;");
-    line("  kd = kd - %s;", realLit(lseexp::Shift).c_str());
-    line("  double r_hi = kd * %s;", realLit(lseexp::NegLn2HiN).c_str());
-    line("  double r = x + r_hi;");
-    line("  double r_lo = kd * %s;", realLit(lseexp::NegLn2LoN).c_str());
-    line("  r = r + r_lo;");
-    line("  uint64_t idx = 2ULL * (ki %% %" PRIu64 "ULL);", lseexp::TableSize);
-    line("  uint64_t top = ki << %u;", 52 - lseexp::TableBits);
-    line("  kb.u = pr_lse_exp_table[idx];");
-    line("  double tail = kb.d;");
-    line("  sb.u = pr_lse_exp_table[idx + 1] + top;");
-    line("  double scale = sb.d;");
-    line("  double r2 = r * r;");
-    line("  double p3 = r * %s;", realLit(lseexp::C3).c_str());
-    line("  double p23 = %s + p3;", realLit(lseexp::C2).c_str());
-    line("  double lo = r2 * p23;");
-    line("  double p5 = r * %s;", realLit(lseexp::C5).c_str());
-    line("  double p45 = %s + p5;", realLit(lseexp::C4).c_str());
-    line("  double r4 = r2 * r2;");
-    line("  double hi = r4 * p45;");
-    line("  double tmp = tail + r;");
-    line("  tmp = tmp + lo;");
-    line("  tmp = tmp + hi;");
-    line("  double scaled = scale * tmp;");
-    line("  return scale + scaled;");
-    line("}");
   }
 
   void emitKernel() {

@@ -27,16 +27,17 @@
 ///
 /// The emitted code replicates the bytecode VM operation-for-operation
 /// (one floating-point operation per emitted statement, compiled with
-/// -ffp-contract=off, hexfloat literals for real immediates, the same
-/// libm call sequence for log-space arithmetic), so results, cost
-/// counters and modelled cycle totals are bit-identical to the VM and
-/// the AST oracle.
+/// -ffp-contract=off, hexfloat literals for real immediates), so
+/// results, cost counters and modelled cycle totals are bit-identical to
+/// the VM and the AST oracle. The log-space helpers are not emitted but
+/// embedded: every kernel's prelude prints the text of CellMath.h, the
+/// header the AST walker and the VM compile, so there is one definition.
 ///
-/// A log-space `sum` reduce folds with LogSpace.h's online log-sum-exp
+/// A log-space `sum` reduce folds with CellMath.h's online log-sum-exp
 /// (pr_lse_add / pr_lse_result): one `exp` per element that does not
 /// wait on the previous element's, and one `log` per cell. That `exp`
-/// is LogSpace.h's lseExp, printed into the kernel with its table as
-/// pr_lse_exp, so the fold calls no libm function. A reduce body reads
+/// is CellMath.h's own table-driven pr_lse_exp, so the fold calls no
+/// libm function. A reduce body reads
 /// its own transition's start, end and log-prob from a packed array in
 /// the set's CSR order, and the scan keeps the slot's counters in
 /// locals. Every cell is evaluated on its own, in serial point order.

@@ -27,6 +27,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <exception>
 #include <limits>
 #include <mutex>
 #include <type_traits>
@@ -282,8 +283,7 @@ void scanParallel(const ExecutablePlan &Plan, uint64_t SyncCycles,
   std::mutex ErrorMutex;
   std::exception_ptr FirstError;
 
-  WorkerPool Pool(Workers);
-  Pool.run([&](unsigned W) {
+  forkJoin(Workers, [&](unsigned W) {
     WorkerSlot &Slot = Slots[W];
     auto Scanner = MakeScanner();
     for (int64_t P = Plan.FirstPartition; P <= Plan.LastPartition; ++P) {

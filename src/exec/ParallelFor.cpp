@@ -7,7 +7,9 @@
 
 #include "exec/ParallelFor.h"
 
-#include <cassert>
+#include <exception>
+#include <thread>
+#include <vector>
 
 using namespace parrec;
 using namespace parrec::exec;
@@ -25,82 +27,35 @@ unsigned exec::resolveWorkerCount(unsigned Requested, size_t Jobs) {
 }
 
 //===----------------------------------------------------------------------===//
-// WorkerPool
+// forkJoin
 //===----------------------------------------------------------------------===//
 
-WorkerPool::WorkerPool(unsigned Workers)
-    : NumWorkers(Workers ? Workers : 1) {
-  Threads.reserve(NumWorkers - 1);
-  for (unsigned W = 1; W != NumWorkers; ++W)
-    Threads.emplace_back(&WorkerPool::workerMain, this, W);
-}
-
-WorkerPool::~WorkerPool() {
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    Stopping = true;
-  }
-  WakeCv.notify_all();
-  for (std::thread &T : Threads)
-    T.join();
-}
-
-void WorkerPool::workerMain(unsigned Worker) {
-  uint64_t SeenEpoch = 0;
-  for (;;) {
-    const std::function<void(unsigned)> *MyTask;
-    {
-      std::unique_lock<std::mutex> Lock(Mutex);
-      WakeCv.wait(Lock,
-                  [&] { return Stopping || Epoch != SeenEpoch; });
-      if (Stopping)
-        return;
-      SeenEpoch = Epoch;
-      MyTask = Task;
-    }
-    try {
-      (*MyTask)(Worker);
-    } catch (...) {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      if (!FirstError)
-        FirstError = std::current_exception();
-    }
-    std::lock_guard<std::mutex> Lock(Mutex);
-    if (--Unfinished == 0)
-      DoneCv.notify_one();
-  }
-}
-
-void WorkerPool::run(const std::function<void(unsigned)> &Task) {
-  if (NumWorkers == 1) {
+void exec::forkJoin(unsigned Workers,
+                    const std::function<void(unsigned)> &Task) {
+  if (Workers <= 1) {
     Task(0);
     return;
   }
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    assert(Unfinished == 0 && "WorkerPool::run is not reentrant");
-    this->Task = &Task;
-    Unfinished = NumWorkers - 1;
-    ++Epoch;
-  }
-  WakeCv.notify_all();
-  try {
-    Task(0);
-  } catch (...) {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    if (!FirstError)
-      FirstError = std::current_exception();
-  }
-  std::exception_ptr Error;
-  {
-    std::unique_lock<std::mutex> Lock(Mutex);
-    DoneCv.wait(Lock, [&] { return Unfinished == 0; });
-    this->Task = nullptr;
-    Error = FirstError;
-    FirstError = nullptr;
-  }
-  if (Error)
-    std::rethrow_exception(Error);
+  std::mutex ErrorMutex;
+  std::exception_ptr FirstError;
+  auto Run = [&](unsigned Worker) {
+    try {
+      Task(Worker);
+    } catch (...) {
+      std::lock_guard<std::mutex> Lock(ErrorMutex);
+      if (!FirstError)
+        FirstError = std::current_exception();
+    }
+  };
+  std::vector<std::thread> Threads;
+  Threads.reserve(Workers - 1);
+  for (unsigned W = 1; W != Workers; ++W)
+    Threads.emplace_back(Run, W);
+  Run(0);
+  for (std::thread &T : Threads)
+    T.join();
+  if (FirstError)
+    std::rethrow_exception(FirstError);
 }
 
 //===----------------------------------------------------------------------===//
@@ -152,13 +107,7 @@ void SpinBarrier::arriveAndWait() {
 void exec::parallelFor(unsigned Workers, size_t Jobs,
                        const std::function<void(size_t)> &Body) {
   Workers = resolveWorkerCount(Workers ? Workers : 1, Jobs);
-  if (Workers <= 1) {
-    for (size_t I = 0; I != Jobs; ++I)
-      Body(I);
-    return;
-  }
-  WorkerPool Pool(Workers);
-  Pool.run([&](unsigned Worker) {
+  forkJoin(Workers, [&](unsigned Worker) {
     for (size_t I = Worker; I < Jobs; I += Workers)
       Body(I);
   });

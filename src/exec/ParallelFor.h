@@ -7,12 +7,12 @@
 ///
 /// \file
 /// Host-side threading primitives for work that is independent by
-/// construction: a persistent WorkerPool whose threads park between
-/// tasks, a SpinBarrier for the per-partition rendezvous of the
-/// wavefront scan, and the parallelFor fan-out used by batch execution.
-/// Indices are striped statically and each index writes its own output
-/// slot, so results are deterministic and identical for any worker
-/// count.
+/// construction: forkJoin, which runs one task per worker on threads
+/// started for that call, a SpinBarrier for the per-partition rendezvous
+/// of the wavefront scan, and the parallelFor fan-out used by batch
+/// execution. Indices are striped statically and each index writes its
+/// own output slot, so results are deterministic and identical for any
+/// worker count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,11 +23,8 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <mutex>
-#include <thread>
-#include <vector>
 
 namespace parrec {
 namespace exec {
@@ -42,47 +39,13 @@ unsigned hostWorkerBudget();
 /// and the result never exceeds \p Jobs (nor drops below 1).
 unsigned resolveWorkerCount(unsigned Requested, size_t Jobs);
 
-/// A persistent group of worker threads that run one task functor at a
-/// time. Construction parks Workers-1 threads on a condition variable;
-/// run() publishes the task, executes slice 0 on the calling thread, and
-/// returns once every worker has finished. A pool is reused across many
-/// run() calls (the scan loop forks once per execution, not once per
-/// partition), so thread creation is paid once.
-///
-/// Not reentrant: run() must not be called from inside a task, and only
-/// one thread may call run() at a time. Each nested fan-out level owns
-/// its own pool.
-class WorkerPool {
-public:
-  /// Spawns \p Workers - 1 parked threads (a 1-worker pool spawns none
-  /// and run() degenerates to a plain call).
-  explicit WorkerPool(unsigned Workers);
-  ~WorkerPool();
-
-  WorkerPool(const WorkerPool &) = delete;
-  WorkerPool &operator=(const WorkerPool &) = delete;
-
-  unsigned workers() const { return NumWorkers; }
-
-  /// Invokes Task(W) for every worker index W in [0, workers()); W == 0
-  /// runs on the calling thread. Returns after all workers finish; the
-  /// first exception thrown by any task is rethrown here.
-  void run(const std::function<void(unsigned)> &Task);
-
-private:
-  void workerMain(unsigned Worker);
-
-  unsigned NumWorkers;
-  std::mutex Mutex;
-  std::condition_variable WakeCv; // Parked workers wait here.
-  std::condition_variable DoneCv; // run() waits here.
-  const std::function<void(unsigned)> *Task = nullptr;
-  uint64_t Epoch = 0;      // Bumped once per run() to publish a task.
-  unsigned Unfinished = 0; // Helper threads still inside the task.
-  bool Stopping = false;
-  std::exception_ptr FirstError;
-  std::vector<std::thread> Threads;
-};
+/// Invokes Task(W) for every worker index W in [0, Workers): W == 0 on
+/// the calling thread, the others on Workers - 1 threads started for
+/// this call. Returns once every task has finished and its thread is
+/// joined; the first exception thrown by any task is rethrown here.
+/// Workers <= 1 is a plain call of Task(0). The scan forks once per
+/// execution, not once per partition, and a batch once per batch.
+void forkJoin(unsigned Workers, const std::function<void(unsigned)> &Task);
 
 /// A reusable rendezvous for a fixed set of participants. arriveAndWait
 /// blocks until all \p Count participants arrive, then releases them and

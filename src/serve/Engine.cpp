@@ -319,6 +319,11 @@ void Engine::maybeMemoize(const Pending &P, const exec::RunResult &R,
 
 Future Engine::submit(Request Req,
                       std::function<void(const Response &)> Callback) {
+  return submit(std::move(Req), std::nullopt, std::move(Callback));
+}
+
+Future Engine::submit(Request Req, std::optional<Fingerprint> Known,
+                      std::function<void(const Response &)> Callback) {
   auto State = std::make_shared<detail::FutureState>();
   State->Callback = std::move(Callback);
   Future F(State);
@@ -342,15 +347,19 @@ Future Engine::submit(Request Req,
   // Validate and fingerprint on the submitting thread: the domain box
   // plus the plan key define which batch this request can join.
   DiagnosticEngine Diags;
-  std::optional<solver::DomainBox> Box;
-  if (P.Req.Fn)
-    Box = P.Req.Fn->domainFor(P.Req.Args, Diags);
-  else
+  if (!P.Req.Fn) {
     Diags.error({}, "request has no compiled function");
+  } else if (!Known) {
+    if (std::optional<solver::DomainBox> Box =
+            P.Req.Fn->domainFor(P.Req.Args, Diags)) {
+      exec::PlanKey Key = exec::planKey(*Box, P.Req.Options);
+      Known = Fingerprint{std::move(*Box), std::move(Key)};
+    }
+  }
   std::optional<MemoCache::Entry> Hit;
-  if (Box) {
-    P.Box = std::move(*Box);
-    P.Key = exec::planKey(P.Box, P.Req.Options);
+  if (Known) {
+    P.Box = std::move(Known->Box);
+    P.Key = std::move(Known->Key);
     // Result memoization (the serving-layer PlanCache): identical
     // request contents under an identical plan key resolve from the
     // cache without queueing. Requests that keep run-scoped payloads are
@@ -371,9 +380,9 @@ Future Engine::submit(Request Req,
   const uint32_t Tenant = P.TenantId;
   const uint64_t SubmitTick = P.SubmitTick;
   const std::string TenantLbl = tenantLabel(P.Req.Tenant);
-  Status St = Box ? Status::Ok : Status::Failed;
+  Status St = Known ? Status::Ok : Status::Failed;
   size_t Depth = 0;
-  if (Box && !Hit) {
+  if (Known && !Hit) {
     std::lock_guard<std::mutex> Lock(QueueMutex);
     if (!Stopping && Queue.size() < Opts.QueueCapacity) {
       P.Seq = NextRequestSeq++;

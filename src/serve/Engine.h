@@ -218,6 +218,19 @@ private:
   struct DeviceLane;
   using Wall = std::chrono::steady_clock;
 
+  /// A request's domain box and the plan key whose equality defines
+  /// batch compatibility. Router::submit derives them to pick a shard
+  /// and hands them to that shard's submit, so they are derived once.
+  struct Fingerprint {
+    solver::DomainBox Box;
+    exec::PlanKey Key;
+  };
+  friend class Router;
+  /// submit, with the fingerprint already derived when \p Known is set;
+  /// otherwise derived here, and a request whose box fails is failed.
+  Future submit(Request Req, std::optional<Fingerprint> Known,
+                std::function<void(const Response &)> Callback);
+
   /// A request admitted to the submission queue, with everything the
   /// coalescer needs precomputed on the submitting thread: the domain
   /// box and the plan key whose equality defines batch compatibility.

@@ -65,15 +65,19 @@ Future Router::submit(Request Req,
                       std::function<void(const Response &)> Callback) {
   // The routing key mirrors the coalescer's batching key: requests that
   // could share a batch must share a shard, or sharding would defeat
-  // coalescing.
+  // coalescing. The chosen shard takes the fingerprint as it is.
+  std::optional<Engine::Fingerprint> Known;
   uint64_t KeyHash = 0;
   if (Req.Fn) {
     DiagnosticEngine Diags;
     if (std::optional<solver::DomainBox> Box =
             Req.Fn->domainFor(Req.Args, Diags)) {
-      KeyHash = exec::planKey(*Box, Req.Options).hash();
+      exec::PlanKey Key = exec::planKey(*Box, Req.Options);
+      KeyHash = Key.hash();
+      Known = Engine::Fingerprint{std::move(*Box), std::move(Key)};
     }
-    // An invalid request routes by tenant alone; the shard fails it.
+    // An invalid request routes by tenant alone; the shard derives its
+    // box again and fails it with the same diagnostic.
   }
 
   const unsigned N = shards();
@@ -97,7 +101,8 @@ Future Router::submit(Request Req,
   (Chosen == Home ? Routed : Spilled).fetch_add(1, std::memory_order_relaxed);
   // A rejection or memo hit runs the caller's callback inline, and that
   // callback may re-enter the router.
-  return Shards_[Chosen]->submit(std::move(Req), std::move(Callback));
+  return Shards_[Chosen]->submit(std::move(Req), std::move(Known),
+                                 std::move(Callback));
 }
 
 void Router::advanceTo(uint64_t Tick) {

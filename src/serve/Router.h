@@ -72,7 +72,8 @@ public:
   const Options &options() const { return Opts; }
 
   /// Routes and submits one request; the returned Future resolves when
-  /// the owning shard completes it.
+  /// the owning shard completes it. The request's domain box and plan
+  /// key, derived here to pick the shard, go to the shard with it.
   Future submit(Request Req,
                 std::function<void(const Response &)> Callback = {});
 

@@ -114,8 +114,8 @@ TEST(CudaEmitterTest, ForwardKernelLogSpace) {
 }
 
 TEST(CudaEmitterTest, ForwardSumFoldsOnline) {
-  // The sum folds into a running maximum and a scaled sum (LogSpace.h's
-  // LogSumExp, in float) and never calls the pairwise helper.
+  // The sum folds into a running maximum and a scaled sum (CellMath.h's
+  // pr_lse_add, in float) and never calls the pairwise helper.
   Emitted E = emit(ForwardSource, solver::Schedule{{0, 1}});
   const std::string &Src = E.Source;
   size_t Cell = Src.find("__device__ float forward_cell(");

@@ -24,6 +24,7 @@
 #include "obs/Metrics.h"
 #include "runtime/CompiledRecurrence.h"
 #include "runtime/Interpreter.h"
+#include "TempPath.h"
 
 #include <gtest/gtest.h>
 
@@ -36,8 +37,6 @@
 #include <limits>
 #include <sstream>
 #include <tuple>
-
-#include <unistd.h>
 
 using namespace parrec;
 using namespace parrec::runtime;
@@ -112,9 +111,8 @@ const char *ProteinForwardSource =
 /// A per-process JIT disk cache so concurrent test shards never share
 /// (or pollute) the user's real cache.
 const std::string &jitCacheDirForTest() {
-  static const std::string Dir =
-      "/tmp/parrec-jit-test-" + std::to_string(::getpid());
-  return Dir;
+  static const TempPath Dir("jit-test");
+  return Dir.str();
 }
 
 CompiledRecurrence compileOrDie(const char *Source,
@@ -320,7 +318,7 @@ TEST(DifferentialTest, WideProfileForward) {
 
 TEST(LogSumExpTest, WideProfileRootIsPinned) {
   // The forward root of the 63-state profile, pinned bit for bit. Every
-  // element of its sums goes through LogSpace.h's own exp, so the value
+  // element of its sums goes through CellMath.h's own exp, so the value
   // does not depend on the host libm's exp, and a libm call that crept
   // back into the sum of any evaluator would move it.
   CompiledRecurrence Fn = compileOrDie(ProteinForwardSource);
@@ -478,11 +476,11 @@ TEST(DifferentialTest, BinaryPlusBesideSumStaysLogAddExp) {
     for (unsigned S = 0; S != N; ++S) {
       codegen::LogSumExp Sum;
       for (unsigned T : Model.transitionsTo(S))
-        Sum.add(codegen::toLog(Model.transition(T).Prob) +
+        Sum.add(codegen::pr_tolog(Model.transition(T).Prob) +
                 Prev[Model.transition(T).From]);
-      double Emit = codegen::toLog(Model.emission(S, X.at(I - 1)));
-      Cur[S] = codegen::logAddExp(Emit + Sum.result(),
-                                  codegen::toLog(0.1) + Prev[S]);
+      double Emit = codegen::pr_tolog(Model.emission(S, X.at(I - 1)));
+      Cur[S] = codegen::pr_logaddexp(Emit + Sum.result(),
+                                     codegen::pr_tolog(0.1) + Prev[S]);
     }
     std::swap(Prev, Cur);
   }
@@ -1009,7 +1007,7 @@ TEST(DifferentialTest, IntBodiedValuesPastTwoToThe53ReadBackExactly) {
 
 TEST(RoundToInt64Test, MatchesLlroundOnEveryDouble) {
   auto Expect = [](double X) {
-    int64_t Got = codegen::roundToInt64(X);
+    int64_t Got = codegen::pr_round_i64(X);
     // llround is unspecified out of range; x86-64 returns INT64_MIN.
 #if defined(__x86_64__)
     int64_t Want = static_cast<int64_t>(std::llround(X));

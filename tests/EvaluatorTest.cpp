@@ -269,7 +269,7 @@ double onlineSum(const std::vector<double> &Xs) {
 double pairwiseSum(const std::vector<double> &Xs) {
   double Acc = NegInfinity;
   for (double X : Xs)
-    Acc = logAddExp(Acc, X);
+    Acc = pr_logaddexp(Acc, X);
   return Acc;
 }
 
@@ -370,8 +370,8 @@ TEST(LogSumExpTest, ExpWithinOneUlpOfExpl) {
   const unsigned N = 1000000;
   unsigned Exact = 0, Worse = 0;
   for (unsigned I = 0; I != N; ++I) {
-    double X = (I % 4 == 0 ? -40.0 : lseexp::MinArg) * Uniform();
-    double Got = lseExp(X);
+    double X = (I % 4 == 0 ? -40.0 : pr_lse_min_arg) * Uniform();
+    double Got = pr_lse_exp(X);
     double Want = static_cast<double>(std::exp(static_cast<long double>(X)));
     int64_t Ulps = static_cast<int64_t>(std::bit_cast<uint64_t>(Got) -
                                         std::bit_cast<uint64_t>(Want));
@@ -384,33 +384,34 @@ TEST(LogSumExpTest, ExpWithinOneUlpOfExpl) {
     }
   }
   EXPECT_EQ(Worse, 0u);
-  std::printf("lseExp equal to expl rounded to double on %.4f%% of %u "
+  std::printf("pr_lse_exp equal to expl rounded to double on %.4f%% of %u "
               "arguments\n",
               100.0 * Exact / N, N);
 }
 
 TEST(LogSumExpTest, ExpSpecialValues) {
   const double Inf = std::numeric_limits<double>::infinity();
-  EXPECT_EQ(lseExp(0.0), 1.0);
-  EXPECT_EQ(lseExp(-0.0), 1.0);
-  EXPECT_EQ(lseExp(-Inf), 0.0);
-  EXPECT_TRUE(std::isnan(lseExp(std::numeric_limits<double>::quiet_NaN())));
-  for (double X : {std::nextafter(lseexp::MinArg, -Inf), -708.5, -745.2,
+  EXPECT_EQ(pr_lse_exp(0.0), 1.0);
+  EXPECT_EQ(pr_lse_exp(-0.0), 1.0);
+  EXPECT_EQ(pr_lse_exp(-Inf), 0.0);
+  EXPECT_TRUE(
+      std::isnan(pr_lse_exp(std::numeric_limits<double>::quiet_NaN())));
+  for (double X : {std::nextafter(pr_lse_min_arg, -Inf), -708.5, -745.2,
                    -1e300})
-    EXPECT_EQ(lseExp(X), 0.0) << X;
+    EXPECT_EQ(pr_lse_exp(X), 0.0) << X;
   // MinArg itself still gives a normal number.
-  EXPECT_GE(lseExp(lseexp::MinArg), std::numeric_limits<double>::min());
+  EXPECT_GE(pr_lse_exp(pr_lse_min_arg), std::numeric_limits<double>::min());
 }
 
 TEST(LogSumExpTest, ExpTableHoldsPowersOfTwo) {
   // Entry j: 2^(j/128) rounded to double (stored less j << 45) and the
   // relative tail of the rounding, checked against exp2l.
-  for (uint64_t J = 0; J != lseexp::TableSize; ++J) {
+  for (uint64_t J = 0; J != pr_lse_table_size; ++J) {
     long double Exact = std::exp2(static_cast<long double>(J) / 128.0L);
-    double Scale = std::bit_cast<double>(lseexp::Table[2 * J + 1] +
-                                         (J << (52 - lseexp::TableBits)));
+    double Scale = std::bit_cast<double>(pr_lse_exp_table[2 * J + 1] +
+                                         (J << (52 - pr_lse_table_bits)));
     EXPECT_EQ(Scale, static_cast<double>(Exact)) << J;
-    double Tail = std::bit_cast<double>(lseexp::Table[2 * J]);
+    double Tail = std::bit_cast<double>(pr_lse_exp_table[2 * J]);
     long double Want = (Exact - Scale) / Scale;
     EXPECT_LE(std::fabs(Tail - Want), 0x1.0p-62L) << J;
   }

@@ -22,6 +22,7 @@
 #include "codegen/NativeJit.h"
 #include "obs/Metrics.h"
 #include "runtime/CompiledRecurrence.h"
+#include "TempPath.h"
 
 #include <gtest/gtest.h>
 
@@ -32,8 +33,6 @@
 #include <iterator>
 #include <sstream>
 #include <thread>
-
-#include <unistd.h>
 
 using namespace parrec;
 using namespace parrec::runtime;
@@ -49,10 +48,10 @@ const char *EditDistanceSource =
     "  else (d(i-1, j) min d(i, j-1) min d(i-1, j-1)) + 1\n";
 
 /// A fresh per-test cache directory (removed on construction so every
-/// test starts cold).
+/// test starts cold), inside one that the process removes at exit.
 std::string freshCacheDir(const char *Tag) {
-  std::string Dir = "/tmp/parrec-jit-cachetest-" +
-                    std::to_string(::getpid()) + "-" + Tag;
+  static const TempPath Root("jit-cachetest");
+  std::string Dir = Root.str() + "/" + Tag;
   std::filesystem::remove_all(Dir);
   return Dir;
 }

@@ -26,6 +26,7 @@
 #include "obs/Trace.h"
 #include "runtime/CompiledRecurrence.h"
 #include "serve/Engine.h"
+#include "TempPath.h"
 
 #include <gtest/gtest.h>
 
@@ -43,8 +44,6 @@
 #include <sstream>
 #include <string>
 #include <vector>
-
-#include <unistd.h>
 
 using namespace parrec;
 using namespace parrec::obs;
@@ -700,8 +699,8 @@ TEST(MetricsTest, JitPassFollowsTheNamingLaw) {
   DiagnosticEngine Diags;
   exec::RunOptions Opts;
   Opts.Evaluator = exec::EvalKind::Jit;
-  Opts.JitCacheDir =
-      "/tmp/parrec-jit-obstest-" + std::to_string(::getpid());
+  TempPath JitCache("jit-obstest");
+  Opts.JitCacheDir = JitCache.str();
   ASSERT_TRUE(
       Fn.runGpu(editDistanceArgs(S, T), Dev, Diags, Opts).has_value())
       << Diags.str();
@@ -768,9 +767,8 @@ TEST(MetricsTest, RunsByEvaluatorCountsTheEvaluatorThatRan) {
   CompiledRecurrence Fn = compileOrDie(EditDistanceSource);
   exec::RunOptions Jit;
   Jit.Evaluator = exec::EvalKind::Jit;
-  Jit.JitCacheDir =
-      "/tmp/parrec-jit-obstest-nocc-" + std::to_string(::getpid());
-  std::filesystem::remove_all(Jit.JitCacheDir);
+  TempPath JitCache("jit-obstest-nocc");
+  Jit.JitCacheDir = JitCache.str();
   Before = runCounts();
   bool Ran = Fn.runGpu(editDistanceArgs(S, T), Dev, Diags, Jit).has_value();
   if (OldCc)
@@ -970,12 +968,9 @@ TEST(MetricsTest, PrometheusTextIsWellFormedAndDuplicateFree) {
 }
 
 TEST(MetricsTest, ExporterWritesPromFileAndJsonlSeries) {
-  const std::string Base =
-      "/tmp/parrec-obstest-export-" + std::to_string(::getpid());
-  const std::string Prom = Base + ".prom";
-  const std::string Jsonl = Base + ".jsonl";
-  std::remove(Prom.c_str());
-  std::remove(Jsonl.c_str());
+  TempPath Dir("obstest-export");
+  const std::string Prom = Dir.str() + "/export.prom";
+  const std::string Jsonl = Dir.str() + "/export.jsonl";
 
   uint64_t Tick = 41;
   MetricsRegistry::global().add("obs.exporter_test_flushes");
@@ -1022,7 +1017,4 @@ TEST(MetricsTest, ExporterWritesPromFileAndJsonlSeries) {
     ++Seq;
   }
   EXPECT_EQ(Seq, 2u);
-
-  std::remove(Prom.c_str());
-  std::remove(Jsonl.c_str());
 }

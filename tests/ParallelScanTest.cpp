@@ -12,8 +12,8 @@
 /// ScanWorkers=1 and any other worker count, for both backends, with
 /// and without the sliding window, under the bytecode VM and the AST
 /// tree-walker, and when nested inside a parallel batch. Also covers
-/// the WorkerPool / SpinBarrier primitives directly; the whole file
-/// runs under the TSan CI job.
+/// the forkJoin / SpinBarrier primitives directly; the whole file runs
+/// under the TSan CI job.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -112,55 +112,49 @@ RunOptions scanOptions(unsigned Workers) {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// WorkerPool / SpinBarrier primitives
+// forkJoin / SpinBarrier primitives
 //===----------------------------------------------------------------------===//
 
-TEST(WorkerPoolTest, RunsEveryWorkerAndIsReusable) {
-  exec::WorkerPool Pool(4);
-  EXPECT_EQ(Pool.workers(), 4u);
-  for (int Round = 0; Round != 3; ++Round) {
-    std::vector<std::atomic<int>> Hits(4);
-    for (auto &H : Hits)
-      H = 0;
-    Pool.run([&](unsigned W) { Hits[W].fetch_add(1); });
-    for (unsigned W = 0; W != 4; ++W)
-      EXPECT_EQ(Hits[W].load(), 1) << "round " << Round << " worker " << W;
-  }
+TEST(ForkJoinTest, RunsEveryWorker) {
+  std::vector<std::atomic<int>> Hits(4);
+  for (auto &H : Hits)
+    H = 0;
+  exec::forkJoin(4, [&](unsigned W) { Hits[W].fetch_add(1); });
+  for (unsigned W = 0; W != 4; ++W)
+    EXPECT_EQ(Hits[W].load(), 1) << "worker " << W;
 }
 
-TEST(WorkerPoolTest, SingleWorkerPoolRunsInline) {
-  exec::WorkerPool Pool(1);
+TEST(ForkJoinTest, SingleWorkerRunsInline) {
   unsigned Calls = 0;
-  Pool.run([&](unsigned W) {
+  exec::forkJoin(1, [&](unsigned W) {
     EXPECT_EQ(W, 0u);
     ++Calls;
   });
   EXPECT_EQ(Calls, 1u);
 }
 
-TEST(WorkerPoolTest, PropagatesTaskExceptions) {
-  exec::WorkerPool Pool(3);
-  EXPECT_THROW(Pool.run([](unsigned W) {
-                 if (W == 2)
-                   throw std::runtime_error("boom");
-               }),
+TEST(ForkJoinTest, PropagatesTaskExceptions) {
+  EXPECT_THROW(exec::forkJoin(3,
+                              [](unsigned W) {
+                                if (W == 2)
+                                  throw std::runtime_error("boom");
+                              }),
                std::runtime_error);
-  // The pool survives a failed task.
+  // A failed task leaves nothing behind for the next fork-join.
   std::atomic<int> Count{0};
-  Pool.run([&](unsigned) { Count.fetch_add(1); });
+  exec::forkJoin(3, [&](unsigned) { Count.fetch_add(1); });
   EXPECT_EQ(Count.load(), 3);
 }
 
 TEST(SpinBarrierTest, OrdersWritesAcrossPhases) {
   constexpr unsigned Workers = 3;
   constexpr int Rounds = 200;
-  exec::WorkerPool Pool(Workers);
   exec::SpinBarrier Barrier(Workers);
   // Plain (non-atomic) slots: the barrier itself must provide the
   // ordering that makes every phase-R write visible to every reader.
   std::vector<int64_t> Slot(Workers, -1);
   std::atomic<bool> Stale{false};
-  Pool.run([&](unsigned W) {
+  exec::forkJoin(Workers, [&](unsigned W) {
     for (int R = 0; R != Rounds; ++R) {
       Slot[W] = R;
       Barrier.arriveAndWait();

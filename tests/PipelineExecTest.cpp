@@ -21,6 +21,7 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "runtime/CompiledRecurrence.h"
+#include "TempPath.h"
 
 #include <gtest/gtest.h>
 
@@ -179,7 +180,8 @@ TEST(PipelineExecTest, DeepLaunchWaitsOnCarriedPredecessorStages) {
 TEST(PipelineExecTest, PipelinedBatchBitIdenticalAcrossSweep) {
   SwBatch B(/*QueryLen=*/32, {20, 28, 20, 28, 28, 36});
   gpu::Device Device;
-  std::string JitCache = testing::TempDir() + "parrec-pipeline-jit";
+  TempPath JitDir("pipeline-jit");
+  const std::string &JitCache = JitDir.str();
 
   // The serial CPU backend is the cross-backend oracle for the values.
   std::vector<double> OracleRoot, OracleMax;

@@ -23,6 +23,7 @@
 #include "serve/FairQueue.h"
 #include "serve/MemoCache.h"
 #include "serve/Router.h"
+#include "TempPath.h"
 
 #include <gtest/gtest.h>
 
@@ -34,8 +35,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-
-#include <unistd.h>
 
 using namespace parrec;
 using namespace parrec::runtime;
@@ -329,8 +328,8 @@ TEST(MemoCacheTest, LruEvictionAndStats) {
 
 TEST(RouterTest, RoutedServingBitIdenticalAcrossEvaluatorsAndPipeline) {
   RoutedProblems P;
-  const std::string JitDir =
-      "/tmp/parrec-routertest-jit-" + std::to_string(::getpid());
+  TempPath JitCache("routertest-jit");
+  const std::string &JitDir = JitCache.str();
 
   // For every evaluator x dispatch path: the full router stack (3
   // shards, weights, continuous batching, shared memoization) must

@@ -24,6 +24,7 @@
 #include "runtime/CompiledRecurrence.h"
 #include "serve/Engine.h"
 #include "serve/Workload.h"
+#include "TempPath.h"
 
 #include <gtest/gtest.h>
 
@@ -41,8 +42,6 @@
 #include <set>
 #include <sstream>
 #include <thread>
-
-#include <unistd.h>
 
 using namespace parrec;
 using namespace parrec::runtime;
@@ -690,8 +689,8 @@ TEST(ServeEngineTest, TraceFlowEventsLinkTheRequestLifecycle) {
 
 TEST(ServeEngineTest, TelemetryOnOffIsBitIdentical) {
   MixedProblems P;
-  const std::string Base =
-      "/tmp/parrec-servetest-telemetry-" + std::to_string(::getpid());
+  TempPath Dir("servetest-telemetry");
+  const std::string Base = Dir.str() + "/export";
 
   // One full pass over the problem set on every evaluator, with the
   // whole telemetry stack either off or on: tracing, flow events, the
@@ -792,9 +791,8 @@ TEST(ServeWorkloadTest, ReportPercentilesAreHistogramBacked) {
 
 TEST(ServeEngineTest, AutoDumpsFlightRecorderOnFirstDeadline) {
   TinyProblem P;
-  const std::string Path = "/tmp/parrec-servetest-autodump-" +
-                           std::to_string(::getpid()) + ".json";
-  std::remove(Path.c_str());
+  TempPath Dir("servetest-autodump");
+  const std::string Path = Dir.str() + "/dump.json";
 
   serve::Engine::Options Opts;
   Opts.StartPaused = true;
@@ -824,7 +822,6 @@ TEST(ServeEngineTest, AutoDumpsFlightRecorderOnFirstDeadline) {
   for (const obs::JsonValue &E : Events->array())
     SawDeadline |= E.stringOr("status", "") == "deadline";
   EXPECT_TRUE(SawDeadline);
-  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//
