@@ -19,9 +19,12 @@ side, the change of the medians in percent, and in how many pairs the
 change was better (by the metric's "better" direction in
 BENCHMARK.json, "?" for a metric it does not list), and whether the two
 sides read the same value for every seed. Then it prints the
-failed and attempted operations of each side and the host block of the
-first run, and it writes every run's result, pair by pair, to
-pairs.json in --scratch. It decides nothing: the exit code is 0
+failed and attempted operations of each side, the notes that say why
+(`request N resolved ...`, `MISMATCH ...`, `INVARIANT BROKEN ...`) of
+every run that failed an operation or was not correct, and the host
+block of the first run. It writes every run's result, pair by pair, to
+pairs.json in --scratch, and every run's standard output and error to
+runs/<side>-<seed>.log there. It decides nothing: the exit code is 0
 whenever every run printed a result, so it is a measuring tool, not a
 gate.
 """
@@ -38,6 +41,9 @@ import tempfile
 
 # Build outputs and caches that a directory copy leaves behind.
 SKIP = {".git", ".bench_build", "build", ".parrec-jit", ".parrec-jit-cold"}
+
+# The starts of the note lines that say why an operation failed.
+FAILURE_NOTES = ("request ", "MISMATCH ", "INVARIANT BROKEN")
 
 
 def parse_seeds(text):
@@ -69,19 +75,29 @@ def copy_side(source, target):
     return rev
 
 
-def run_once(checkout, args, seed):
-    """One perfbench run; returns (result dict or None, stdout)."""
+def run_once(checkout, args, seed, log_path):
+    """One perfbench run, its output kept in log_path; returns (result
+    dict or None, stdout)."""
     command = [sys.executable, "perfbench/run.py", "--workload",
                args.workload, "--seed", str(seed), "--seconds",
                str(args.seconds), "--trace", args.trace]
     done = subprocess.run(command, cwd=checkout, capture_output=True,
                           text=True)
+    with open(log_path, "w") as log:
+        log.write(done.stdout)
+        if done.stderr:
+            log.write("== stderr ==\n" + done.stderr)
     lines = done.stdout.strip().splitlines()
     try:
         return json.loads(lines[-1]), done.stdout
     except (IndexError, ValueError):
         sys.stderr.write(done.stdout[-2000:] + done.stderr[-2000:])
         return None, done.stdout
+
+
+def failure_notes(stdout):
+    return [line for line in stdout.splitlines()
+            if line.startswith(FAILURE_NOTES)]
 
 
 def host_block(stdout):
@@ -145,18 +161,24 @@ def main():
           % (labels["parent"], labels["change"], args.workload, args.seconds,
              args.trace))
 
+    runs = os.path.join(scratch, "runs")
+    os.makedirs(runs, exist_ok=True)
     results = {"parent": [], "change": []}
+    notes = []  # (side, seed, failure notes) of every run that failed.
     host = None
     for index, seed in enumerate(seeds):
         order = ("parent", "change") if index % 2 == 0 else ("change",
                                                              "parent")
         for side in order:
-            result, stdout = run_once(sides[side], args, seed)
+            log_path = os.path.join(runs, "%s-%d.log" % (side, seed))
+            result, stdout = run_once(sides[side], args, seed, log_path)
             if result is None:
-                sys.exit("perf_pairs: %s run for seed %d printed no result"
-                         % (side, seed))
+                sys.exit("perf_pairs: %s run for seed %d printed no result "
+                         "(output in %s)" % (side, seed, log_path))
             host = host or host_block(stdout)
             results[side].append(result)
+            if result["failed"] or not result["correct"]:
+                notes.append((side, seed, failure_notes(stdout)))
         print("pair %d (seed %d, %s first) done" % (index + 1, seed,
                                                       order[0]),
               flush=True)
@@ -197,11 +219,17 @@ def main():
         correct = all(r["correct"] for r in results[side])
         print("%s: failed/attempted %d/%d, every run correct: %s"
               % (side, failed, attempted, "yes" if correct else "NO"))
+    for side, seed, lines in notes:
+        print()
+        print("%s run for seed %d failed (runs/%s-%d.log):"
+              % (side, seed, side, seed))
+        for line in lines or ["(no note says why)"]:
+            print("  " + line)
     print()
     print("host:")
     for line in host or []:
         print("  " + line)
-    print("copies kept in %s" % scratch)
+    print("copies and run logs kept in %s" % scratch)
 
 
 if __name__ == "__main__":

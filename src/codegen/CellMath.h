@@ -136,50 +136,60 @@ static const uint64_t pr_lse_exp_table[2 * pr_lse_table_size] = {
 // s >= 1 (or to s * e^x + 1), such a term cannot change a bit.
 static const double pr_lse_min_arg = -0x1.62p+9; // -708
 
+// The steps of pr_lse_exp between its guard and its table read, and
+// between its table read and its result, written once for the scalar
+// form (D double, U uint64_t) and the lane form below (D pr_v4d, U
+// pr_v4u). The caller declares the unions kb and sb, and reads the table
+// words of idx into tail and scale. Table-driven: x = k ln2/128 + r with
+// integer k and |r| <= ln2/256, so e^x = 2^(k/128) e^r, where
+// 2^(k/128) = scale * (1 + tail) comes from the table and e^r from a
+// degree-5 polynomial; the result is scale + scaled.
+#define PR_LSE_EXP_REDUCE(D, U, x)                                       \
+  /* 128 / ln 2; then 1.5 * 2^52, whose addition rounds z to an       \
+     integer, kept in the low bits of kd. */                            \
+  D z = 0x1.71547652b82fep+7 * (x);                                      \
+  D kd = z + 0x1.8p52;                                                   \
+  kb.d = kd;                                                             \
+  U ki = kb.u;                                                           \
+  kd = kd - 0x1.8p52;                                                    \
+  /* -ln 2 / 128 split in two, so that kd times the high part is      \
+     exact for |k| < 2^17 (its low 17 bits are zero). */                \
+  D r_hi = kd * -0x1.62e42fefa0000p-8;                                   \
+  D r = (x) + r_hi;                                                      \
+  D r_lo = kd * -0x1.cf79abc9e3b3ap-47;                                  \
+  r = r + r_lo;                                                          \
+  U idx = 2 * (ki % (uint64_t)pr_lse_table_size);                        \
+  U top = ki << (52 - pr_lse_table_bits);
+#define PR_LSE_EXP_POLY(D)                                               \
+  /* (e^r - 1 - r) / r^2 ~ c2 + c3 r + c4 r^2 + c5 r^3, a Chebyshev    \
+     fit on |r| <= ln2/256; 1 + r + r^2 (...) is then within 2^-63 of   \
+     e^r. */                                                            \
+  D r2 = r * r;                                                          \
+  D p3 = r * 0x1.5555555555525p-3;                                       \
+  D p23 = 0x1.fffffffffff57p-2 + p3;                                     \
+  D lo = r2 * p23;                                                       \
+  D p5 = r * 0x1.111114324c640p-7;                                       \
+  D p45 = 0x1.55555acf7d28ep-5 + p5;                                     \
+  D r4 = r2 * r2;                                                        \
+  D hi = r4 * p45;                                                       \
+  D tmp = tail + r;                                                      \
+  tmp = tmp + lo;                                                        \
+  tmp = tmp + hi;                                                        \
+  D scaled = scale * tmp;
+
 // e^x for the terms of the online sum, within 1 ulp of the correctly
 // rounded value on [pr_lse_min_arg, 0], where the sum's arguments lie.
 // NaN passes through; -inf and anything below pr_lse_min_arg give 0.
-// Table-driven: x = k ln2/128 + r with integer k and |r| <= ln2/256, so
-// e^x = 2^(k/128) e^r, where 2^(k/128) = scale * (1 + tail) comes from
-// the table and e^r from a degree-5 polynomial; the result is
-// scale + scale * tmp.
 static inline double pr_lse_exp(double x) {
   union { double d; uint64_t u; } kb, sb;
   if (!(x >= pr_lse_min_arg))
     return x != x ? x : 0.0;
-  // 128 / ln 2; then 1.5 * 2^52, whose addition rounds z to an integer,
-  // kept in the low bits of kd.
-  double z = 0x1.71547652b82fep+7 * x;
-  double kd = z + 0x1.8p52;
-  kb.d = kd;
-  uint64_t ki = kb.u;
-  kd = kd - 0x1.8p52;
-  // -ln 2 / 128 split in two, so that kd times the high part is exact
-  // for |k| < 2^17 (its low 17 bits are zero).
-  double r_hi = kd * -0x1.62e42fefa0000p-8;
-  double r = x + r_hi;
-  double r_lo = kd * -0x1.cf79abc9e3b3ap-47;
-  r = r + r_lo;
-  uint64_t idx = 2 * (ki % pr_lse_table_size);
-  uint64_t top = ki << (52 - pr_lse_table_bits);
+  PR_LSE_EXP_REDUCE(double, uint64_t, x)
   kb.u = pr_lse_exp_table[idx];
   double tail = kb.d;
   sb.u = pr_lse_exp_table[idx + 1] + top;
   double scale = sb.d;
-  // (e^r - 1 - r) / r^2 ~ c2 + c3 r + c4 r^2 + c5 r^3, a Chebyshev fit
-  // on |r| <= ln2/256; 1 + r + r^2 (...) is then within 2^-63 of e^r.
-  double r2 = r * r;
-  double p3 = r * 0x1.5555555555525p-3;
-  double p23 = 0x1.fffffffffff57p-2 + p3;
-  double lo = r2 * p23;
-  double p5 = r * 0x1.111114324c640p-7;
-  double p45 = 0x1.55555acf7d28ep-5 + p5;
-  double r4 = r2 * r2;
-  double hi = r4 * p45;
-  double tmp = tail + r;
-  tmp = tmp + lo;
-  tmp = tmp + hi;
-  double scaled = scale * tmp;
+  PR_LSE_EXP_POLY(double)
   return scale + scaled;
 }
 
@@ -210,6 +220,71 @@ static inline double pr_lse_result(double m, double s) {
   {
     double l = log(s);
     return m + l;
+  }
+}
+
+// The lane forms: four problems' values side by side in one vector, as
+// GCC and Clang define vector types. Each lane performs the scalar
+// form's floating-point operations in the same order, so each lane's
+// bits are the scalar form's. A branch of the scalar form becomes a mask
+// that selects, per lane, the result of the path that lane would take.
+// Lane values pass by pointer and the helpers are always inlined, so no
+// vector crosses a call by value (which would change the ABI without
+// AVX, -Wpsabi), and the caller's target picks the instructions.
+typedef double pr_v4d __attribute__((vector_size(32)));
+typedef int64_t pr_v4i __attribute__((vector_size(32)));
+typedef uint64_t pr_v4u __attribute__((vector_size(32)));
+
+// Lane-wise m ? a : b on pr_v4u values, for a mask m whose lanes are all
+// ones or all zeros, as a vector comparison yields.
+#define PR_LANE_SELECT(m, a, b) (((m) & (a)) | (~(m) & (b)))
+
+// pr_lse_exp of each lane of *x.
+static inline __attribute__((always_inline)) void
+pr_lse_exp_lanes(pr_v4d *out, const pr_v4d *xp) {
+  union { pr_v4d d; pr_v4u u; } kb, sb;
+  pr_v4d x = *xp;
+  PR_LSE_EXP_REDUCE(pr_v4d, pr_v4u, x)
+  {
+    pr_v4u tail_bits = {pr_lse_exp_table[idx[0]], pr_lse_exp_table[idx[1]],
+                        pr_lse_exp_table[idx[2]], pr_lse_exp_table[idx[3]]};
+    pr_v4u scale_bits = {
+        pr_lse_exp_table[idx[0] + 1], pr_lse_exp_table[idx[1] + 1],
+        pr_lse_exp_table[idx[2] + 1], pr_lse_exp_table[idx[3] + 1]};
+    kb.u = tail_bits;
+    sb.u = scale_bits + top;
+  }
+  {
+    pr_v4d tail = kb.d;
+    pr_v4d scale = sb.d;
+    PR_LSE_EXP_POLY(pr_v4d)
+    pr_v4d e = scale + scaled;
+    // The scalar form's guard: a lane below pr_lse_min_arg gives 0, or
+    // itself when it is NaN.
+    pr_v4u in_range = (pr_v4u)(x >= pr_lse_min_arg);
+    pr_v4u is_nan = (pr_v4u)(x != x);
+    *out = (pr_v4d)PR_LANE_SELECT(in_range, (pr_v4u)e, is_nan & (pr_v4u)x);
+  }
+}
+
+// pr_lse_add of lane l of *x to lane l of (*m, *s), for every lane.
+static inline __attribute__((always_inline)) void
+pr_lse_add_lanes(pr_v4d *m, pr_v4d *s, const pr_v4d *xp) {
+  pr_v4d x = *xp;
+  pr_v4u skip = (pr_v4u)(x == -(double)INFINITY);
+  pr_v4u below = (pr_v4u)(x <= *m);
+  pr_v4d up = x - *m;
+  pr_v4d down = *m - x;
+  pr_v4d arg = (pr_v4d)PR_LANE_SELECT(below, (pr_v4u)up, (pr_v4u)down);
+  pr_v4d e;
+  pr_lse_exp_lanes(&e, &arg);
+  {
+    pr_v4d added = *s + e;
+    pr_v4d scaled = *s * e;
+    pr_v4d rescaled = scaled + 1.0;
+    pr_v4u next = PR_LANE_SELECT(below, (pr_v4u)added, (pr_v4u)rescaled);
+    *s = (pr_v4d)PR_LANE_SELECT(skip, (pr_v4u)*s, next);
+    *m = (pr_v4d)PR_LANE_SELECT(skip | below, (pr_v4u)*m, (pr_v4u)x);
   }
 }
 

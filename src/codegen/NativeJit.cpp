@@ -21,6 +21,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <set>
 #include <sstream>
 
@@ -42,6 +43,18 @@ JitKernel::~JitKernel() {
 // Binding: borrows what BytecodeVM::bind borrows.
 //===----------------------------------------------------------------------===//
 
+std::vector<JitSeq> codegen::jitSeqs(const BytecodeProgram &Prog,
+                                     const std::vector<ArgValue> &Args) {
+  assert(Args.size() == Prog.ParamClasses.size() &&
+         "arguments do not match the compiled function");
+  std::vector<JitSeq> Seqs(Args.size(), JitSeq{nullptr, 0});
+  for (size_t P = 0; P != Args.size(); ++P)
+    if (const bio::Sequence *S = Args[P].Seq;
+        S && Prog.ParamClasses[P] == ParamClass::Seq)
+      Seqs[P] = JitSeq{S->data().data(), S->length()};
+  return Seqs;
+}
+
 void JitBinding::bind(const BytecodeProgram &Prog, const Evaluator &Eval) {
   const std::vector<ArgValue> &Bound = Eval.boundArgs();
   const std::vector<HmmLogCache> &Caches = Eval.hmmCaches();
@@ -49,7 +62,7 @@ void JitBinding::bind(const BytecodeProgram &Prog, const Evaluator &Eval) {
          "binding does not match the compiled function");
 
   size_t N = Bound.size();
-  Seqs.assign(N, JitSeq{nullptr, 0});
+  Seqs = jitSeqs(Prog, Bound);
   Matrices.assign(N, JitMatrix{});
   Hmms.assign(N, JitHmm{});
   IntArgs.assign(N, 0);
@@ -62,10 +75,6 @@ void JitBinding::bind(const BytecodeProgram &Prog, const Evaluator &Eval) {
   for (size_t P = 0; P != N; ++P) {
     switch (Prog.ParamClasses[P]) {
     case ParamClass::Seq:
-      if (const bio::Sequence *S = Bound[P].Seq) {
-        Seqs[P].Data = S->data().data();
-        Seqs[P].Len = S->length();
-      }
       break;
     case ParamClass::Matrix: {
       const bio::SubstitutionMatrix *M = Bound[P].Matrix;
@@ -184,7 +193,9 @@ std::string intLit(int64_t V) {
 /// comes in pr_args). Every statement performs at most one
 /// floating-point operation (so -ffp-contract=off keeps the op sequence
 /// identical to the VM's), real immediates are hexfloat literals, and
-/// the log-space helpers are CellMath.h's own text.
+/// the log-space helpers are CellMath.h's own text. A body whose control
+/// flow no lane-dependent value decides also gets parrec_scan_lanes,
+/// the same scan over JitLanes problems at once.
 class CEmitter {
 public:
   explicit CEmitter(const exec::ExecutablePlan &Plan)
@@ -197,13 +208,26 @@ public:
         Plan.Nest.Levels.size() != 1 + static_cast<size_t>(N))
       return std::string();
     emitPrelude();
+    line("#if PARREC_KERNEL_PART != 2");
     emitKernel();
+    line("#endif");
+    HasLanes = markVarying();
+    if (HasLanes)
+      emitLanesKernel();
     return Failed ? std::string() : Out;
   }
+
+  /// Whether the rendered unit has parrec_scan_lanes.
+  bool HasLanes = false;
 
 private:
   const exec::ExecutablePlan &Plan;
   const BytecodeProgram *Prog;
+  /// Set while parrec_scan_lanes is emitted. There a varying register
+  /// lives in the vector q[r], one problem per lane, and a uniform one,
+  /// the same in every lane, in the scalar r[r].
+  bool Lanes = false;
+  std::vector<char> Varying; // One per register.
   /// The scan being emitted bakes these strides as 0 and 1 (-1: none),
   /// which spares a reduce's table reads a multiply per element.
   int DropDim = -1, UnitDim = -1;
@@ -350,7 +374,12 @@ private:
     line("  model_reads, transcendentals, cells;");
     line("  double table_max, root_value; uint64_t has_root; } pr_slot_t;");
     line("typedef union { int64_t i; double d; } pr_reg;");
+    // PARREC_KERNEL_PART picks what one compile of this text builds: 1,
+    // parrec_scan and the exported constants; 2, parrec_scan_lanes;
+    // undefined, everything. The JIT compiles the two parts at once.
+    line("#if PARREC_KERNEL_PART != 2");
     line("const uint64_t parrec_kernel_abi = %" PRIu64 "ULL;", JitKernelAbi);
+    line("#endif");
     line("");
     line("static inline int64_t pr_ceil_div(int64_t n, int64_t d) {");
     line("  int64_t q = n / d;");
@@ -369,12 +398,22 @@ private:
   }
 
   void emitKernel() {
-    line("void parrec_scan(const pr_args *a, int64_t p, uint32_t t_begin,");
-    line("                 uint32_t t_end, uint32_t n_threads,");
-    line("                 int32_t check_root, pr_slot_t *slot,");
-    line("                 uint64_t *thread_cycles) {");
+    if (Lanes) {
+      line("void parrec_scan_lanes(const pr_args *a, const pr_seq *const *lseq,");
+      line("                       int64_t p, uint32_t t_begin,");
+      line("                       uint32_t t_end, uint32_t n_threads,");
+      line("                       int32_t check_root, pr_slot_t *slot,");
+      line("                       uint64_t *thread_cycles) {");
+    } else {
+      line("void parrec_scan(const pr_args *a, int64_t p, uint32_t t_begin,");
+      line("                 uint32_t t_end, uint32_t n_threads,");
+      line("                 int32_t check_root, pr_slot_t *slot,");
+      line("                 uint64_t *thread_cycles) {");
+    }
     ++Indent;
     line("pr_reg r[%u];", Prog->NumRegs);
+    if (Lanes)
+      line("pr_lreg q[%u];", Prog->NumRegs);
     line("(void)n_threads;");
     line("if (p < a->first_partition || p > a->last_partition)");
     line("  return;");
@@ -395,7 +434,11 @@ private:
     line("uint64_t s_ops = slot->ops, s_tr = slot->table_reads;");
     line("uint64_t s_tw = slot->table_writes, s_mr = slot->model_reads;");
     line("uint64_t s_tc = slot->transcendentals, s_cells = slot->cells;");
-    line("double s_max = slot->table_max;");
+    if (Lanes)
+      line("pr_v4d s_max = {slot[0].table_max, slot[1].table_max, "
+           "slot[2].table_max, slot[3].table_max};");
+    else
+      line("double s_max = slot->table_max;");
     // The box picks a window's dropped dimension among those the
     // schedule lets it drop (exec::pickWindowDropDim). The kernel holds
     // one scan per candidate and runs the one whose stride is 0.
@@ -442,9 +485,172 @@ private:
     line("slot->model_reads = s_mr;");
     line("slot->transcendentals = s_tc;");
     line("slot->cells = s_cells;");
-    line("slot->table_max = s_max;");
+    if (Lanes) {
+      for (unsigned L = 0; L != JitLanes; ++L)
+        line("slot[%u].table_max = s_max[%u];", L, L);
+    } else {
+      line("slot->table_max = s_max;");
+    }
     --Indent;
     line("}");
+  }
+
+  /// parrec_scan_lanes (JitLanesFn): parrec_scan for JitLanes problems
+  /// whose arguments differ only in their sequences. A varying register
+  /// holds one problem per lane of a vector; lane l reads its sequences
+  /// from lseq[l] and slot s of its table at a->table[s * 4 + l], so a
+  /// table access is one vector access. The counters and cycles follow
+  /// control flow alone, which every lane shares, so they are counted
+  /// once, into slot[0]. The function is compiled for AVX2 on x86-64
+  /// only, whatever the host, so the text, and with it the cache key, is
+  /// the same on every host; the host calls it only on a CPU with AVX2.
+  void emitLanesKernel() {
+    line("");
+    line("#if defined(__x86_64__) && PARREC_KERNEL_PART != 1");
+    line("typedef double pr_v4du");
+    line("    __attribute__((vector_size(32), aligned(8), may_alias));");
+    line("typedef union { pr_v4i i; pr_v4d d; } pr_lreg;");
+    line("#define pr_splat_i(x) ((pr_v4i){(x), (x), (x), (x)})");
+    line("#define pr_splat_d(x) ((pr_v4d){(x), (x), (x), (x)})");
+    line("static inline int64_t pr_lane_score(const pr_matrix *m, int64_t x,");
+    line("                                    int64_t y) {");
+    line("  int64_t ia = m->char_idx[(uint8_t)(char)x];");
+    line("  int64_t ib = m->char_idx[(uint8_t)(char)y];");
+    line("  return (ia < 0 || ib < 0) ? m->default_score");
+    line("                            : m->scores[ia * m->size + ib];");
+    line("}");
+    line("__attribute__((target(\"avx2\")))");
+    Lanes = true;
+    NextRange = 0;
+    emitKernel();
+    Lanes = false;
+    line("#endif");
+  }
+
+  /// Marks each register varying (in a lanes scan it may hold another
+  /// value in each lane) or uniform, and returns whether the body may
+  /// run in lanes. A register is varying when some instruction writes it
+  /// a sequence character, a table read, an emission, a matrix score or
+  /// a value computed from a varying register; point coordinates,
+  /// constants, scalar arguments and model reads at uniform indices are
+  /// uniform. The body may run in lanes when every branch condition,
+  /// reduce state, table-read index and sequence, state and emission
+  /// index is uniform: then every lane takes the same path.
+  bool markVarying() {
+    Varying.assign(Prog->NumRegs, 0);
+    for (bool Changed = true; Changed;) {
+      Changed = false;
+      for (const Instr &In : Prog->Code) {
+        int Dst = In.A;
+        bool Varies = false;
+        switch (In.Op) {
+        case Opcode::Move:
+        case Opcode::IntToReal:
+        case Opcode::LogOf:
+          Varies = varies(In.B);
+          break;
+        case Opcode::TableReadReal:
+        case Opcode::TableReadBool:
+        case Opcode::TableReadInt:
+        case Opcode::TableReadRoundInt:
+        case Opcode::SeqChar:
+        case Opcode::MatrixScore:
+        case Opcode::Emission:
+          Varies = true;
+          break;
+        case Opcode::Reduce: {
+          const ReduceDesc &Rd = Prog->Reduces[static_cast<size_t>(In.A)];
+          Dst = Rd.DstReg;
+          Varies = varies(Rd.BodyReg);
+          break;
+        }
+        default:
+          Varies = isBinary(In.Op) && (varies(In.B) || varies(In.C));
+          break;
+        }
+        if (Varies && !varies(Dst)) {
+          Varying[static_cast<size_t>(Dst)] = 1;
+          Changed = true;
+        }
+      }
+    }
+    for (const Instr &In : Prog->Code) {
+      switch (In.Op) {
+      case Opcode::JumpIfFalse:
+        if (varies(In.A))
+          return false;
+        break;
+      case Opcode::Reduce:
+        if (varies(Prog->Reduces[static_cast<size_t>(In.A)].StateReg))
+          return false;
+        break;
+      case Opcode::TableReadReal:
+      case Opcode::TableReadBool:
+      case Opcode::TableReadInt:
+      case Opcode::TableReadRoundInt: {
+        const CallDesc &Cd = Prog->Calls[static_cast<size_t>(In.B)];
+        for (unsigned A = 0; A != Cd.NumArgs; ++A) {
+          int32_t Reg = Prog->CallArgsPool[Cd.FirstArg + A].Reg;
+          if (Reg >= 0 && varies(Reg))
+            return false;
+        }
+        break;
+      }
+      case Opcode::SeqChar:
+      case Opcode::TransStart:
+      case Opcode::TransEnd:
+      case Opcode::TransLogProb:
+      case Opcode::StateIsStart:
+      case Opcode::StateIsEnd:
+      case Opcode::Emission:
+        if (varies(In.C))
+          return false;
+        break;
+      default:
+        break;
+      }
+    }
+    return true;
+  }
+
+  bool varies(int R) const { return Varying[static_cast<size_t>(R)] != 0; }
+
+  /// The opcodes computing register A from registers B and C alone.
+  static bool isBinary(Opcode Op) {
+    return Op >= Opcode::AddInt && Op <= Opcode::CmpNeInt;
+  }
+
+  static std::string scalarReg(int R, char Slot) {
+    return "r[" + std::to_string(R) + "]." + Slot;
+  }
+  /// Lane L of register R's slot ('i' or 'd') in a lanes scan.
+  std::string laneReg(int R, char Slot, unsigned L) const {
+    if (!varies(R))
+      return scalarReg(R, Slot);
+    return "q[" + std::to_string(R) + "]." + Slot + "[" + std::to_string(L) +
+           "]";
+  }
+  /// Register R's slot as a vector: a uniform register is splatted.
+  std::string vecReg(int R, char Slot) const {
+    if (varies(R))
+      return "q[" + std::to_string(R) + "]." + Slot;
+    return std::string("pr_splat_") + Slot + "(" + scalarReg(R, Slot) + ")";
+  }
+  /// A vector of slot \p Slot built lane by lane, for a statement that has
+  /// no vector form: each lane evaluates the scalar statement.
+  static std::string perLane(char Slot,
+                             const std::function<std::string(unsigned)> &Lane) {
+    std::string E = Slot == 'd' ? "(pr_v4d){" : "(pr_v4i){";
+    for (unsigned L = 0; L != JitLanes; ++L)
+      E += (L ? ", " : "") + Lane(L);
+    return E + "}";
+  }
+  /// Lane-wise Cond ? Then : Else of vector operands of slot \p Slot.
+  static std::string select(char Slot, const std::string &Cond,
+                            const std::string &Then, const std::string &Else) {
+    return std::string(Slot == 'd' ? "(pr_v4d)" : "(pr_v4i)") +
+           "PR_LANE_SELECT((pr_v4u)(" + Cond + "), (pr_v4u)" + Then +
+           ", (pr_v4u)" + Else + ")";
   }
 
   void emitNestLevel(unsigned L) {
@@ -536,35 +742,28 @@ private:
     ++Indent;
     line("uint64_t d_ops = 0, d_tr = 0, d_tw = 0, d_mr = 0, d_tc = 0;");
     emitRange(0, static_cast<uint32_t>(Prog->Code.size()));
-    const char *Conv = nullptr;
-    switch (Prog->Conv) {
-    case ResultConv::RealSlot:
-      Conv = "r[%d].d";
-      break;
-    case ResultConv::IntSlot:
-      Conv = "(double)r[%d].i";
-      break;
-    case ResultConv::BoolSlot:
-      Conv = "r[%d].i ? 1.0 : 0.0";
-      break;
-    case ResultConv::LogRealSlot:
-      Conv = "pr_tolog(r[%d].d)";
-      break;
-    case ResultConv::LogIntSlot:
-      Conv = "pr_tolog((double)r[%d].i)";
-      break;
-    }
-    std::string ConvExpr;
-    {
-      char Buf[64];
-      snprintf(Buf, sizeof(Buf), Conv, Prog->ResultReg);
-      ConvExpr = Buf;
-    }
+    int Res = Prog->ResultReg;
     std::vector<std::string> Point;
     for (unsigned D = 0; D != Prog->NumDims; ++D)
       Point.push_back("v" + std::to_string(1 + D));
-    line("double cv = %s;", ConvExpr.c_str());
-    line("a->table[%s] = cv;", addr(Point).c_str());
+    auto Scalar = [&](char Slot) { return scalarReg(Res, Slot); };
+    if (!Lanes) {
+      line("double cv = %s;", converted(Scalar).c_str());
+      line("a->table[%s] = cv;", addr(Point).c_str());
+    } else {
+      if (!varies(Res)) {
+        line("double cu = %s;", converted(Scalar).c_str());
+        line("pr_v4d cv = pr_splat_d(cu);");
+      } else if (Prog->Conv == ResultConv::RealSlot) {
+        line("pr_v4d cv = q[%d].d;", Res);
+      } else {
+        line("pr_v4d cv = %s;", perLane('d', [&](unsigned L) {
+               return converted(
+                   [&](char Slot) { return laneReg(Res, Slot, L); });
+             }).c_str());
+      }
+      line("((pr_v4du *)a->table)[%s] = cv;", addr(Point).c_str());
+    }
     line("d_tw += 1ULL;"); // The cell's own store, as evalCell charges it.
     line("s_ops += d_ops;");
     line("s_tr += d_tr;");
@@ -574,17 +773,48 @@ private:
     line("cyc += d_ops * a->cyc_op + d_tc * a->cyc_trans");
     line("    + (d_tr + d_tw) * a->cyc_table + d_mr * a->cyc_model;");
     line("s_cells += 1ULL;");
-    line("if (cv > s_max)");
-    line("  s_max = cv;");
+    if (Lanes) {
+      // Strict >, so the first of equal maxima stays, in every lane.
+      line("s_max = %s;", select('d', "cv > s_max", "cv", "s_max").c_str());
+    } else {
+      line("if (cv > s_max)");
+      line("  s_max = cv;");
+    }
     std::string RootCond = "check_root";
     for (unsigned D = 0; D != Prog->NumDims; ++D)
       RootCond += " && " + Point[D] + " == a->root[" + std::to_string(D) + "]";
     line("if (%s) {", RootCond.c_str());
-    line("  slot->root_value = cv;");
-    line("  slot->has_root = 1ULL;");
+    if (Lanes) {
+      for (unsigned L = 0; L != JitLanes; ++L) {
+        line("  slot[%u].root_value = cv[%u];", L, L);
+        line("  slot[%u].has_root = 1ULL;", L);
+      }
+    } else {
+      line("  slot->root_value = cv;");
+      line("  slot->has_root = 1ULL;");
+    }
     line("}");
     --Indent;
     line("}");
+  }
+
+  /// The value a cell stores: register \p Reg's slot ('i' or 'd')
+  /// converted by Prog->Conv.
+  std::string converted(const std::function<std::string(char)> &Reg) {
+    switch (Prog->Conv) {
+    case ResultConv::RealSlot:
+      return Reg('d');
+    case ResultConv::IntSlot:
+      return "(double)" + Reg('i');
+    case ResultConv::BoolSlot:
+      return Reg('i') + " ? 1.0 : 0.0";
+    case ResultConv::LogRealSlot:
+      return "pr_tolog(" + Reg('d') + ")";
+    case ResultConv::LogIntSlot:
+      return "pr_tolog((double)" + Reg('i') + ")";
+    }
+    fail();
+    return std::string();
   }
 
   /// Emits the instruction range [Pc, End), the unit the VM's execRange
@@ -649,6 +879,16 @@ private:
     bool IntAcc = Rd.AccKind == ReduceDesc::Acc::Int;
     bool ProbSum = Rd.Kind == lang::ReductionKind::Sum &&
                    Rd.AccKind == ReduceDesc::Acc::Prob;
+    // A varying body in a lanes scan folds one accumulator per lane.
+    bool Vec = Lanes && varies(Rd.BodyReg);
+    char Slot = IntAcc ? 'i' : 'd';
+    auto Identity = [&](const std::string &Value) {
+      if (Vec)
+        return std::string(IntAcc ? "pr_v4i" : "pr_v4d") + " acc = pr_splat_" +
+               Slot + "(" + Value + ");";
+      return std::string(IntAcc ? "int64_t" : "double") + " acc = " + Value +
+             ";";
+    };
     line("{");
     ++Indent;
     // The transition set in the model's CSR order, the VM's iteration
@@ -660,26 +900,22 @@ private:
     // Accumulator identities, exactly as the VM initialises them.
     switch (Rd.Kind) {
     case lang::ReductionKind::Sum:
-      if (IntAcc)
-        line("int64_t acc = 0;");
+      if (ProbSum && Vec)
+        line("pr_v4d lm = pr_splat_d(-INFINITY), ls = pr_splat_d(0.0);");
       else if (ProbSum)
         line("double lm = -INFINITY, ls = 0.0;");
       else
-        line("double acc = 0.0;");
+        line("%s", Identity(IntAcc ? "0" : "0.0").c_str());
       break;
     case lang::ReductionKind::Max:
-      if (IntAcc)
-        line("int64_t acc = %s;",
-             intLit(std::numeric_limits<int64_t>::min()).c_str());
-      else
-        line("double acc = -INFINITY;");
+      line("%s", Identity(IntAcc ? intLit(std::numeric_limits<int64_t>::min())
+                                 : "-INFINITY")
+                     .c_str());
       break;
     case lang::ReductionKind::Min:
-      if (IntAcc)
-        line("int64_t acc = %s;",
-             intLit(std::numeric_limits<int64_t>::max()).c_str());
-      else
-        line("double acc = INFINITY;");
+      line("%s", Identity(IntAcc ? intLit(std::numeric_limits<int64_t>::max())
+                                 : "INFINITY")
+                     .c_str());
       break;
     }
     bool NeedFirst = Rd.Kind != lang::ReductionKind::Sum;
@@ -711,33 +947,53 @@ private:
       line("d_mr += %uULL;", Rd.ElemCost.ModelReads);
     if (Rd.ElemCost.Transcendentals)
       line("d_tc += %uULL;", Rd.ElemCost.Transcendentals);
-    const char *Slot = IntAcc ? "i" : "d";
+    int Body = Rd.BodyReg;
+    std::string BodyVec = "q[" + std::to_string(Body) + "]." + Slot;
     switch (Rd.Kind) {
     case lang::ReductionKind::Sum:
-      if (ProbSum)
-        line("pr_lse_add(&lm, &ls, r[%d].d);", Rd.BodyReg);
+      if (ProbSum && Vec)
+        line("pr_lse_add_lanes(&lm, &ls, &%s);", BodyVec.c_str());
+      else if (ProbSum)
+        line("pr_lse_add(&lm, &ls, r[%d].d);", Body);
+      else if (Vec)
+        line("acc = acc + %s;", BodyVec.c_str());
       else
-        line("acc += r[%d].%s;", Rd.BodyReg, Slot);
+        line("acc += r[%d].%c;", Body, Slot);
       break;
     case lang::ReductionKind::Min:
       // std::min(acc, body) selects body only on strict body < acc.
-      line("acc = rfirst ? r[%d].%s : (r[%d].%s < acc ? r[%d].%s : acc);",
-           Rd.BodyReg, Slot, Rd.BodyReg, Slot, Rd.BodyReg, Slot);
+      if (Vec)
+        line("acc = rfirst ? %s : %s;", BodyVec.c_str(),
+             select(Slot, BodyVec + " < acc", BodyVec, "acc").c_str());
+      else
+        line("acc = rfirst ? r[%d].%c : (r[%d].%c < acc ? r[%d].%c : acc);",
+             Body, Slot, Body, Slot, Body, Slot);
       break;
     case lang::ReductionKind::Max:
       // std::max(acc, body) selects body only on strict acc < body.
-      line("acc = rfirst ? r[%d].%s : (acc < r[%d].%s ? r[%d].%s : acc);",
-           Rd.BodyReg, Slot, Rd.BodyReg, Slot, Rd.BodyReg, Slot);
+      if (Vec)
+        line("acc = rfirst ? %s : %s;", BodyVec.c_str(),
+             select(Slot, "acc < " + BodyVec, BodyVec, "acc").c_str());
+      else
+        line("acc = rfirst ? r[%d].%c : (acc < r[%d].%c ? r[%d].%c : acc);",
+             Body, Slot, Body, Slot, Body, Slot);
       break;
     }
     if (NeedFirst)
       line("rfirst = 0;");
     --Indent;
     line("}");
-    if (ProbSum)
+    if (ProbSum && Vec)
+      line("q[%d].d = %s;", Rd.DstReg, perLane('d', [](unsigned L) {
+             return "pr_lse_result(lm[" + std::to_string(L) + "], ls[" +
+                    std::to_string(L) + "])";
+           }).c_str());
+    else if (ProbSum)
       line("r[%d].d = pr_lse_result(lm, ls);", Rd.DstReg);
     else
-      line("r[%d].%s = acc;", Rd.DstReg, Slot);
+      line("%c[%d].%c = acc;", Vec ? 'q' : 'r', Rd.DstReg, Slot);
+    if (Lanes && !Vec && varies(Rd.DstReg))
+      line("q[%d].i = pr_splat_i(r[%d].i);", Rd.DstReg, Rd.DstReg);
     --Indent;
     line("}");
   }
@@ -759,6 +1015,35 @@ private:
         line("int64_t tg%u = %s;", A,
              pointAffine(&Prog->AffinePool[Ca.CoeffOffset], Ca.Bias).c_str());
       Args.push_back("tg" + std::to_string(A));
+    }
+    if (Lanes) {
+      // One vector access reads the slot in every lane.
+      line("pr_v4d tv = ((const pr_v4du *)a->table)[%s];", addr(Args).c_str());
+      auto EachLane = [&](const char *Fn) {
+        return perLane('i', [&](unsigned L) {
+          return std::string(Fn) + "(tv[" + std::to_string(L) + "])";
+        });
+      };
+      switch (In.Op) {
+      case Opcode::TableReadReal:
+        line("q[%d].d = tv;", In.A);
+        break;
+      case Opcode::TableReadBool:
+        line("q[%d].i = -(pr_v4i)(tv != pr_splat_d(0.0));", In.A);
+        break;
+      case Opcode::TableReadInt:
+        line("q[%d].i = %s;", In.A, EachLane("(int64_t)").c_str());
+        break;
+      case Opcode::TableReadRoundInt:
+        line("q[%d].i = %s;", In.A, EachLane("pr_round_i64").c_str());
+        break;
+      default:
+        fail();
+        break;
+      }
+      --Indent;
+      line("}");
+      return;
     }
     line("double tv = a->table[%s];", addr(Args).c_str());
     switch (In.Op) {
@@ -783,6 +1068,176 @@ private:
   }
 
   void emitInstr(const Instr &In, int Rid) {
+    bool WritesA = In.Op != Opcode::JumpIfFalse && In.Op != Opcode::Jump;
+    if (Lanes && WritesA && varies(In.A)) {
+      if (emitLaneInstr(In))
+        return;
+      // The value is the same in every lane: computed once, then splatted
+      // (bit for bit, whichever slot it is).
+      emitScalarInstr(In, Rid);
+      line("q[%d].i = pr_splat_i(r[%d].i);", In.A, In.A);
+      return;
+    }
+    emitScalarInstr(In, Rid);
+  }
+
+  /// Emits \p In, which writes a varying register, in its lanes form, and
+  /// returns true; returns false when every operand is uniform and the
+  /// value is then the same in every lane. Add, sub and mul, compares and
+  /// min/max are vector statements; every other statement evaluates its
+  /// scalar form in each lane.
+  bool emitLaneInstr(const Instr &In) {
+    int A = In.A, B = In.B, C = In.C, D = In.D;
+    if (isBinary(In.Op) && !varies(B) && !varies(C))
+      return false;
+    auto Arith = [&](char Slot, const char *Op) {
+      line("q[%d].%c = %s %s %s;", A, Slot, vecReg(B, Slot).c_str(), Op,
+           vecReg(C, Slot).c_str());
+    };
+    // Scalar compares give 1 or 0; vector compares give -1 or 0.
+    auto Compare = [&](char Slot, const char *Op) {
+      line("q[%d].i = -(pr_v4i)(%s %s %s);", A, vecReg(B, Slot).c_str(), Op,
+           vecReg(C, Slot).c_str());
+    };
+    // B Op C ? B : C, as the scalar min and max select.
+    auto Pick = [&](char Slot, const char *Op) {
+      std::string X = vecReg(B, Slot), Y = vecReg(C, Slot);
+      line("q[%d].%c = %s;", A, Slot,
+           select(Slot, X + " " + Op + " " + Y, X, Y).c_str());
+    };
+    auto EachLane = [&](char Slot,
+                        const std::function<std::string(unsigned)> &Lane) {
+      line("q[%d].%c = %s;", A, Slot, perLane(Slot, Lane).c_str());
+    };
+    switch (In.Op) {
+    case Opcode::Move:
+      if (!varies(B))
+        return false;
+      line("q[%d] = q[%d];", A, B);
+      return true;
+    case Opcode::IntToReal:
+      if (!varies(B))
+        return false;
+      EachLane('d', [&](unsigned L) { return "(double)" + laneReg(B, 'i', L); });
+      return true;
+    case Opcode::LogOf:
+      if (!varies(B))
+        return false;
+      EachLane('d', [&](unsigned L) {
+        return "pr_tolog(" + laneReg(B, 'd', L) + ")";
+      });
+      return true;
+    case Opcode::AddInt:
+      Arith('i', "+");
+      return true;
+    case Opcode::SubInt:
+      Arith('i', "-");
+      return true;
+    case Opcode::MulInt:
+      Arith('i', "*");
+      return true;
+    case Opcode::DivInt:
+      EachLane('i', [&](unsigned L) {
+        return "(" + laneReg(C, 'i', L) + " == 0 ? 0 : " + laneReg(B, 'i', L) +
+               " / " + laneReg(C, 'i', L) + ")";
+      });
+      return true;
+    case Opcode::MinInt:
+      Pick('i', "<");
+      return true;
+    case Opcode::MaxInt:
+      Pick('i', ">");
+      return true;
+    case Opcode::AddReal:
+    case Opcode::LogMul:
+      Arith('d', "+");
+      return true;
+    case Opcode::SubReal:
+    case Opcode::LogDiv:
+      Arith('d', "-");
+      return true;
+    case Opcode::MulReal:
+      Arith('d', "*");
+      return true;
+    case Opcode::DivReal:
+      Arith('d', "/");
+      return true;
+    case Opcode::MinReal:
+      Pick('d', "<");
+      return true;
+    case Opcode::MaxReal:
+      Pick('d', ">");
+      return true;
+    case Opcode::LogSum:
+      EachLane('d', [&](unsigned L) {
+        return "pr_logaddexp(" + laneReg(B, 'd', L) + ", " +
+               laneReg(C, 'd', L) + ")";
+      });
+      return true;
+    case Opcode::CmpLtReal:
+      Compare('d', "<");
+      return true;
+    case Opcode::CmpLeReal:
+      Compare('d', "<=");
+      return true;
+    case Opcode::CmpGtReal:
+      Compare('d', ">");
+      return true;
+    case Opcode::CmpGeReal:
+      Compare('d', ">=");
+      return true;
+    case Opcode::CmpEqReal:
+      Compare('d', "==");
+      return true;
+    case Opcode::CmpNeReal:
+      Compare('d', "!=");
+      return true;
+    case Opcode::CmpEqInt:
+      Compare('i', "==");
+      return true;
+    case Opcode::CmpNeInt:
+      Compare('i', "!=");
+      return true;
+    case Opcode::TableReadReal:
+    case Opcode::TableReadBool:
+    case Opcode::TableReadInt:
+    case Opcode::TableReadRoundInt:
+      emitTableRead(In);
+      return true;
+    case Opcode::SeqChar:
+      EachLane('i', [&](unsigned L) {
+        return "(int64_t)lseq[" + std::to_string(L) + "][" + std::to_string(B) +
+               "].data[r[" + std::to_string(C) + "].i]";
+      });
+      return true;
+    case Opcode::MatrixScore:
+      if (!varies(C) && !varies(D))
+        return false;
+      EachLane('i', [&](unsigned L) {
+        return "pr_lane_score(&a->matrices[" + std::to_string(B) + "], " +
+               laneReg(C, 'i', L) + ", " + laneReg(D, 'i', L) + ")";
+      });
+      return true;
+    case Opcode::Emission:
+      if (!varies(D))
+        return false;
+      line("{");
+      ++Indent;
+      line("const pr_hmm *h = &a->hmms[%d];", B);
+      line("const double *er = h->emissions + (uint64_t)r[%d].i * h->stride;",
+           C);
+      EachLane('d', [&](unsigned L) {
+        return "er[h->char_col[(uint8_t)(char)" + laneReg(D, 'i', L) + "]]";
+      });
+      --Indent;
+      line("}");
+      return true;
+    default:
+      return false;
+    }
+  }
+
+  void emitScalarInstr(const Instr &In, int Rid) {
     int A = In.A, B = In.B, C = In.C, D = In.D;
     switch (In.Op) {
     case Opcode::ConstInt:
@@ -967,18 +1422,22 @@ uint64_t fnv1a(std::string_view S, uint64_t H = 0xcbf29ce484222325ULL) {
 struct RenderedKernel {
   std::string Source;
   uint64_t SourceHash = 0;
+  bool HasLanes = false;
 };
 
 RenderedKernel renderKernel(const exec::ExecutablePlan &Plan) {
   RenderedKernel K;
-  K.Source = CEmitter(Plan).render();
+  CEmitter Emitter(Plan);
+  K.Source = Emitter.render();
   if (K.Source.empty())
     return K;
+  K.HasLanes = Emitter.HasLanes;
   K.SourceHash = fnv1a(K.Source);
-  char Def[96];
+  char Def[128];
   snprintf(Def, sizeof(Def),
+           "#if PARREC_KERNEL_PART != 2\n"
            "const uint64_t parrec_kernel_source_hash = 0x%016" PRIx64
-           "ULL;\n",
+           "ULL;\n#endif\n",
            K.SourceHash);
   K.Source += Def;
   return K;
@@ -1034,6 +1493,8 @@ std::shared_ptr<const JitKernel> tryLoad(const std::string &SoPath,
   if (!Handle)
     return nullptr;
   void *Sym = ::dlsym(Handle, "parrec_scan");
+  void *LanesSym = hostRunsLanes() ? ::dlsym(Handle, "parrec_scan_lanes")
+                                   : nullptr;
   const auto *Abi =
       static_cast<const uint64_t *>(::dlsym(Handle, "parrec_kernel_abi"));
   const auto *Hash = static_cast<const uint64_t *>(
@@ -1044,16 +1505,16 @@ std::shared_ptr<const JitKernel> tryLoad(const std::string &SoPath,
     return nullptr;
   }
   return std::make_shared<JitKernel>(
-      Handle, reinterpret_cast<JitKernelFn>(Sym));
+      Handle, reinterpret_cast<JitKernelFn>(Sym),
+      reinterpret_cast<JitLanesFn>(LanesSym));
 }
 
-/// Compiles \p CPath into the shared object \p OutPath with the host C
-/// compiler, started directly rather than through a shell, so a path is
-/// never parsed as shell text. $CC (default `cc`) is split on
-/// whitespace, so a launcher such as `ccache cc` works. The compiler's
-/// diagnostics go to /dev/null. Returns null on success, else the
-/// fallback reason.
-const char *runCompiler(const std::string &CPath, const std::string &OutPath) {
+/// Starts the host C compiler with \p Args after $CC (default `cc`),
+/// directly rather than through a shell, so a path is never parsed as
+/// shell text. $CC is split on whitespace, so a launcher such as
+/// `ccache cc` works. The compiler's diagnostics go to /dev/null.
+/// Returns the process id, or -1 when it could not be started.
+pid_t startCompiler(const std::vector<std::string> &Args) {
   std::vector<std::string> Argv;
   const char *Cc = std::getenv("CC");
   std::istringstream Words(Cc ? Cc : "");
@@ -1061,12 +1522,7 @@ const char *runCompiler(const std::string &CPath, const std::string &OutPath) {
     Argv.push_back(Word);
   if (Argv.empty())
     Argv.push_back("cc");
-  for (const char *Flag :
-       {"-O2", "-pipe", "-shared", "-fPIC", "-ffp-contract=off", "-o"})
-    Argv.push_back(Flag);
-  Argv.push_back(OutPath);
-  Argv.push_back(CPath);
-  Argv.push_back("-lm");
+  Argv.insert(Argv.end(), Args.begin(), Args.end());
   std::vector<char *> Ptrs;
   for (std::string &Arg : Argv)
     Ptrs.push_back(Arg.data());
@@ -1080,7 +1536,13 @@ const char *runCompiler(const std::string &CPath, const std::string &OutPath) {
   int Err = ::posix_spawnp(&Pid, Ptrs[0], &Actions, nullptr, Ptrs.data(),
                            environ);
   posix_spawn_file_actions_destroy(&Actions);
-  if (Err != 0)
+  return Err == 0 ? Pid : -1;
+}
+
+/// Waits for a compiler startCompiler started; returns null when it
+/// exited zero, else the fallback reason.
+const char *finishCompiler(pid_t Pid) {
+  if (Pid < 0)
     return "host C compiler could not be started";
   int Status = 0;
   while (::waitpid(Pid, &Status, 0) < 0)
@@ -1091,9 +1553,50 @@ const char *runCompiler(const std::string &CPath, const std::string &OutPath) {
   return nullptr;
 }
 
+/// Compiles \p CPath into the shared object \p OutPath. A kernel whose
+/// lanes entry this host runs compiles as its two parts at once, which
+/// take about as long each as the whole would alone, and links them.
+/// Returns null on success, else the fallback reason.
+const char *runCompiler(const std::string &CPath, const std::string &OutPath,
+                        bool TwoParts) {
+  const std::vector<std::string> Flags = {"-O2", "-pipe", "-fPIC",
+                                          "-ffp-contract=off"};
+  auto With = [&](std::vector<std::string> Args) {
+    Args.insert(Args.begin(), Flags.begin(), Flags.end());
+    return Args;
+  };
+  if (!TwoParts)
+    return finishCompiler(
+        startCompiler(With({"-shared", "-o", OutPath, CPath, "-lm"})));
+  std::string Objects[2] = {OutPath + ".1.o", OutPath + ".2.o"};
+  pid_t Parts[2];
+  for (int P = 0; P != 2; ++P)
+    Parts[P] = startCompiler(With({"-c", "-DPARREC_KERNEL_PART=" +
+                                              std::to_string(P + 1),
+                                   "-o", Objects[P], CPath}));
+  const char *Failure = finishCompiler(Parts[0]);
+  if (const char *Second = finishCompiler(Parts[1]); !Failure)
+    Failure = Second;
+  if (!Failure)
+    Failure = finishCompiler(startCompiler(
+        {"-shared", "-o", OutPath, Objects[0], Objects[1], "-lm"}));
+  std::error_code Ec;
+  for (const std::string &Object : Objects)
+    std::filesystem::remove(Object, Ec);
+  return Failure;
+}
+
 } // namespace
 
 uint64_t codegen::jitWarningsEmitted() { return WarningsPrinted.load(); }
+
+bool codegen::hostRunsLanes() {
+#if defined(__x86_64__)
+  return __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
 
 std::shared_ptr<const JitKernel>
 codegen::compileKernel(const exec::ExecutablePlan &Plan,
@@ -1147,7 +1650,8 @@ codegen::compileKernel(const exec::ExecutablePlan &Plan,
   }
 
   auto T0 = std::chrono::steady_clock::now();
-  const char *Failure = runCompiler(TmpSource, Tmp);
+  const char *Failure =
+      runCompiler(TmpSource, Tmp, Rendered.HasLanes && hostRunsLanes());
   auto Ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - T0)
                 .count();

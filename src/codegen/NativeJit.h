@@ -40,7 +40,23 @@
 /// libm function. A reduce body reads
 /// its own transition's start, end and log-prob from a packed array in
 /// the set's CSR order, and the scan keeps the slot's counters in
-/// locals. Every cell is evaluated on its own, in serial point order.
+/// locals. In parrec_scan every cell is evaluated on its own, in serial
+/// point order.
+///
+/// A kernel may export a second entry point, parrec_scan_lanes
+/// (JitLanesFn), which scans one partition for JitLanes problems at once
+/// in the lanes of a host vector register, as inter-task GPU kernels
+/// give each thread its own problem. The problems share a plan and every
+/// argument but their sequences, so every lane takes the same path
+/// through the body; CEmitter emits the entry only for bodies where no
+/// branch, reduce set, table-read index or model index depends on a
+/// sequence or a table value (forward, Viterbi and Smith-Waterman do;
+/// edit distance, which branches on two characters, does not). Each lane
+/// performs parrec_scan's floating-point operations in the same order,
+/// with CellMath.h's lane forms of the sum, so each problem's bits are
+/// parrec_scan's. The entry is compiled for AVX2 on x86-64 whatever the
+/// host, so the source and its cache key do not depend on the host CPU,
+/// and the host calls it only where the CPU has AVX2 (hostRunsLanes).
 ///
 /// Compiled objects are cached on disk keyed by the schedule fingerprint
 /// plus a hash of the emitted source, so other boxes and cold process
@@ -113,11 +129,16 @@ struct JitHmm {
 };
 
 /// Version of the kernel calling convention: JitArgs (with the JitHmm
-/// and JitTrans it points to), JitSlot and JitKernelFn below, mirrored
-/// by the emitted pr_args, pr_slot_t and parrec_scan. Every kernel
-/// exports it as `parrec_kernel_abi`, and a cached object with another
-/// value is recompiled. Bump it whenever any of them changes.
-inline constexpr uint64_t JitKernelAbi = 3;
+/// and JitTrans it points to), JitSlot, JitKernelFn and JitLanesFn
+/// below, mirrored by the emitted pr_args, pr_slot_t, parrec_scan and
+/// parrec_scan_lanes. Every kernel exports it as `parrec_kernel_abi`,
+/// and a cached object with another value is recompiled. Bump it
+/// whenever any of them changes.
+inline constexpr uint64_t JitKernelAbi = 4;
+
+/// The problems one parrec_scan_lanes call scans: the doubles of a
+/// 256-bit vector register.
+inline constexpr unsigned JitLanes = 4;
 
 /// Per-run kernel inputs: the binding plus the table base pointer and the
 /// cost model's cycle weights (so one kernel serves both backends and
@@ -168,21 +189,49 @@ using JitKernelFn = void (*)(const JitArgs *Args, int64_t P,
                              uint32_t NumThreads, int32_t CheckRoot,
                              JitSlot *Slot, uint64_t *ThreadCycles);
 
+/// The lanes entry point: JitKernelFn for JitLanes problems of one plan
+/// whose arguments differ only in their sequences. Lane l reads its
+/// sequences from \p LaneSeqs[l] (Args->Seqs is not read) and slot s of
+/// its table at Args->Table[s * JitLanes + l]; everything else in Args
+/// is shared. \p Slots holds one JitSlot per lane: the counters, which
+/// follow control flow alone and are the same in every lane, accumulate
+/// in Slots[0], and lane l's table maximum and root go to Slots[l].
+using JitLanesFn = void (*)(const JitArgs *Args, const JitSeq *const *LaneSeqs,
+                            int64_t P, uint32_t ThreadBegin,
+                            uint32_t ThreadEnd, uint32_t NumThreads,
+                            int32_t CheckRoot, JitSlot *Slots,
+                            uint64_t *ThreadCycles);
+
+/// Whether this host runs a kernel's lanes entry, which is compiled for
+/// AVX2: an x86-64 CPU with AVX2.
+bool hostRunsLanes();
+
 /// A resolved kernel holding its dlopen handle open for as long as any
 /// plan references it.
 class JitKernel {
 public:
-  JitKernel(void *Handle, JitKernelFn Fn) : Handle(Handle), Fn(Fn) {}
+  JitKernel(void *Handle, JitKernelFn Fn, JitLanesFn LanesFn)
+      : Handle(Handle), Fn(Fn), LanesFn(LanesFn) {}
   JitKernel(const JitKernel &) = delete;
   JitKernel &operator=(const JitKernel &) = delete;
   ~JitKernel();
 
   JitKernelFn fn() const { return Fn; }
+  /// The lanes entry; null when the body has none or the host does not
+  /// run it.
+  JitLanesFn lanesFn() const { return LanesFn; }
 
 private:
   void *Handle = nullptr;
   JitKernelFn Fn = nullptr;
+  JitLanesFn LanesFn = nullptr;
 };
+
+/// The sequence table a kernel reads for \p Args (JitArgs::Seqs, or one
+/// lane of a lanes scan): one entry per parameter, empty but for
+/// sequences.
+std::vector<JitSeq> jitSeqs(const BytecodeProgram &Prog,
+                            const std::vector<ArgValue> &Args);
 
 /// The per-binding state a jitted kernel consumes. Like BytecodeVM::bind
 /// it borrows the Evaluator's log caches, dense emissions included, so

@@ -13,11 +13,111 @@
 #include "obs/Trace.h"
 
 #include <algorithm>
+#include <bit>
 #include <mutex>
 #include <optional>
 
 using namespace parrec;
 using namespace parrec::exec;
+
+namespace {
+
+/// Whether \p A and \p B may share a lanes scan: the same plan, the same
+/// options but for the trace flow id, and the same arguments but for the
+/// sequences (the same model and matrix objects, and ints and reals
+/// equal bit for bit), so every lane takes the same path.
+bool shareLanes(const BatchMember &A, const BatchMember &B) {
+  if (A.Plan != B.Plan)
+    return false;
+  if (A.Options != B.Options) {
+    RunOptions Flowless = *B.Options;
+    Flowless.FlowId = A.Options->FlowId;
+    if (!(*A.Options == Flowless))
+      return false;
+  }
+  const std::vector<codegen::ParamClass> &Classes =
+      A.Plan->Program->ParamClasses;
+  for (size_t P = 0; P != Classes.size(); ++P) {
+    const codegen::ArgValue &X = (*A.Args)[P], &Y = (*B.Args)[P];
+    switch (Classes[P]) {
+    case codegen::ParamClass::Unused:
+    case codegen::ParamClass::Seq:
+      break;
+    case codegen::ParamClass::Matrix:
+      if (X.Matrix != Y.Matrix)
+        return false;
+      break;
+    case codegen::ParamClass::Hmm:
+      if (X.Hmm != Y.Hmm)
+        return false;
+      break;
+    case codegen::ParamClass::Int:
+      if (X.Int != Y.Int)
+        return false;
+      break;
+    case codegen::ParamClass::Real:
+      if (std::bit_cast<uint64_t>(X.Real) != std::bit_cast<uint64_t>(Y.Real))
+        return false;
+      break;
+    }
+  }
+  return true;
+}
+
+/// Splits a batch into the units its workers run, in the order of each
+/// unit's first member: lanes scans of codegen::JitLanes members that
+/// share them (shareLanes, in index order), and single members. A lanes
+/// scan costs about two scalar scans, so a partial group would lose, and
+/// so would groups that leave a batch worker idle: a key's members form
+/// groups only when there is one for every worker, and the rest run
+/// alone.
+std::vector<std::vector<size_t>>
+workUnits(const std::vector<BatchMember> &Members,
+          const SimulatedGpuBackend &Backend, unsigned BatchWorkers,
+          unsigned ScanWorkers) {
+  constexpr size_t Lanes = codegen::JitLanes;
+  std::vector<std::vector<size_t>> Keys;
+  for (size_t I = 0; I != Members.size(); ++I) {
+    const BatchMember &M = Members[I];
+    if (M.Options->Evaluator != EvalKind::Jit)
+      continue;
+    RunOptions Ro = *M.Options;
+    Ro.ScanWorkers = ScanWorkers;
+    if (!Backend.runsLanes(*M.Plan, Ro))
+      continue;
+    auto Key = std::find_if(Keys.begin(), Keys.end(),
+                            [&](const std::vector<size_t> &K) {
+                              return shareLanes(Members[K.front()], M);
+                            });
+    if (Key == Keys.end())
+      Keys.push_back({I});
+    else
+      Key->push_back(I);
+  }
+  std::vector<std::vector<size_t>> Units;
+  std::vector<char> InLanes(Members.size(), 0);
+  for (const std::vector<size_t> &Key : Keys) {
+    size_t Groups = Key.size() / Lanes;
+    if (Groups < BatchWorkers)
+      continue;
+    for (size_t G = 0; G != Groups; ++G) {
+      Units.emplace_back(Key.begin() + G * Lanes,
+                         Key.begin() + (G + 1) * Lanes);
+      for (size_t I : Units.back())
+        InLanes[I] = 1;
+    }
+  }
+  for (size_t I = 0; I != Members.size(); ++I)
+    if (!InLanes[I])
+      Units.push_back({I});
+  std::sort(Units.begin(), Units.end(),
+            [](const std::vector<size_t> &A, const std::vector<size_t> &B) {
+              return A.front() < B.front();
+            });
+  return Units;
+}
+
+} // namespace
 
 BatchDispatch BatchExecutor::run(const std::vector<BatchMember> &Members,
                                  unsigned HostBudget, unsigned BatchWorkers,
@@ -60,9 +160,13 @@ BatchDispatch BatchExecutor::run(const std::vector<BatchMember> &Members,
   size_t Cursor = 0;            // Guarded by FeedMutex.
 
   // Members are independent by construction (one multiprocessor each),
-  // so they fan out across host workers into index-addressed slots.
-  parallelFor(BatchWorkers, N, [&](size_t I) {
-    const BatchMember &M = Members[I];
+  // so they fan out across host workers into index-addressed slots, a
+  // lanes scan's members through one Evaluator bound to the first.
+  std::vector<std::vector<size_t>> Units =
+      workUnits(Members, Backend, BatchWorkers, ScanWorkers);
+  parallelFor(BatchWorkers, Units.size(), [&](size_t U) {
+    const std::vector<size_t> &Unit = Units[U];
+    const BatchMember &M = Members[Unit.front()];
     codegen::Evaluator Eval(Decl, Info);
     Eval.bind(*M.Args);
     RunOptions Ro = *M.Options;
@@ -70,11 +174,21 @@ BatchDispatch BatchExecutor::run(const std::vector<BatchMember> &Members,
     // The planner re-times the batch from per-partition timelines.
     if (Pipeline)
       Ro.Trace = true;
-    Results[I] = Backend.execute(*M.Plan, Eval, Ro);
+    if (Unit.size() == 1) {
+      Results[Unit.front()] = Backend.execute(*M.Plan, Eval, Ro);
+    } else {
+      std::array<LaneProblem, codegen::JitLanes> Problems;
+      for (size_t L = 0; L != Problems.size(); ++L) {
+        const BatchMember &Lane = Members[Unit[L]];
+        Problems[L] = {Lane.Args, Lane.Options->FlowId, &Results[Unit[L]]};
+      }
+      Backend.executeLanes(*M.Plan, Eval, Problems, Ro);
+    }
     if (!Pipeline)
       return;
     std::lock_guard<std::mutex> Lock(FeedMutex);
-    Done[I] = 1;
+    for (size_t I : Unit)
+      Done[I] = 1;
     for (; Cursor != N && Done[Cursor]; ++Cursor) {
       const RunResult &R = Results[Cursor];
       const gpu::PipelinePlacement &P =

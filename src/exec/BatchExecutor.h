@@ -28,6 +28,13 @@
 /// batches through here. The policy changes modelled timing only, never a
 /// member's result.
 ///
+/// Members that share a plan, their options but for the flow id, and
+/// every argument but their sequences scan four at a time through the
+/// JIT kernel's lanes entry (SimulatedGpuBackend::executeLanes) where the
+/// kernel and the host allow it, in full groups taken in index order, and
+/// only when every batch worker gets a group. Lanes change host time
+/// only, never a member's result.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PARREC_EXEC_BATCHEXECUTOR_H

@@ -170,6 +170,38 @@ struct CellScanner {
   }
 };
 
+/// The arguments of a kernel call: the binding and the table, what the
+/// box decides, so one kernel serves every box, and the live cost
+/// model's cycle weights, so one kernel serves both backends and both
+/// table residencies (the kernel bakes only the cycle formula).
+codegen::JitArgs kernelArgs(const ExecutablePlan &Plan,
+                            const codegen::JitBinding &Bind, DpTable &Table,
+                            const gpu::CostModel &Model, bool IsGpu,
+                            bool TableInShared) {
+  codegen::JitArgs Args = Bind.args();
+  Args.Table = Table.rawData();
+  const TableLayout &Layout = Table.layout();
+  assert(Plan.NestParams.size() == Plan.Nest.NumParams &&
+         "wrong parameter count");
+  Args.NestParams = Plan.NestParams.data();
+  Args.Root = Plan.Box.Upper.data();
+  Args.Strides = Layout.Strides.data();
+  Args.BaseIndex = Layout.BaseIndex;
+  Args.PlaneSize = Layout.PlaneSize;
+  Args.MinPartition = Layout.MinPartition;
+  Args.FirstPartition = Plan.FirstPartition;
+  Args.LastPartition = Plan.LastPartition;
+  Args.CycOp = IsGpu ? Model.GpuCyclesPerOp : Model.CpuCyclesPerOp;
+  Args.CycTrans =
+      IsGpu ? Model.GpuTranscendentalCycles : Model.CpuTranscendentalCycles;
+  Args.CycTable = IsGpu ? (TableInShared ? Model.SharedMemLatencyCycles
+                                         : Model.GlobalMemLatencyCycles)
+                        : Model.CpuMemLatencyCycles;
+  Args.CycModel =
+      IsGpu ? Model.SharedMemLatencyCycles : Model.CpuMemLatencyCycles;
+  return Args;
+}
+
 /// Scanner over the natively jitted kernel: one call covers the whole
 /// (partition, thread-range) slice — the kernel walks the loop nest over
 /// the box in its args, writes the table through the table's layout,
@@ -364,6 +396,54 @@ unsigned resolveScanWorkers(const ExecutablePlan &Plan,
   return Workers;
 }
 
+/// Fills in the summary of a finished scan from its block timer:
+/// partitions, cycles and, on the GPU, the run metrics. \p TableBytes is
+/// one problem's table.
+void summarise(const ExecutablePlan &Plan, bool IsGpu, uint64_t TableBytes,
+               bool TableInShared, unsigned Threads,
+               const gpu::BlockTimer &Timer, RunResult &Result) {
+  Result.Partitions = Plan.numPartitions();
+  Result.Cycles = Timer.totalCycles();
+  if (!IsGpu)
+    return;
+  Result.Metrics.Cycles = Result.Cycles;
+  Result.Metrics.Partitions = static_cast<uint64_t>(Result.Partitions);
+  Result.Metrics.CellsComputed = Result.Cells;
+  Result.Metrics.TableBytes = TableBytes;
+  if (TableInShared)
+    Result.Metrics.SharedAccesses = Result.Cost.tableAccesses();
+  else
+    Result.Metrics.GlobalAccesses = Result.Cost.tableAccesses();
+  Result.Metrics.SharedAccesses += Result.Cost.ModelReads;
+  Result.Metrics.BarrierCycles = Timer.barrierCycles();
+  Result.Metrics.ThreadCycles = Timer.threadCycleSum();
+  Result.Metrics.CriticalCycles = Timer.criticalCycles();
+  Result.Metrics.Threads = Threads;
+}
+
+/// The `exec.scan` span's arguments, which every scan records.
+void describeScan(obs::Span &Span, bool IsGpu, bool UseVm,
+                  const char *Evaluator, uint64_t FlowId,
+                  const RunResult &Result, unsigned Threads,
+                  unsigned ScanWorkers) {
+  Span.arg("backend", IsGpu ? "simulated-gpu" : "serial-cpu");
+  Span.arg("vm", UseVm);
+  Span.arg("evaluator", Evaluator);
+  if (FlowId != 0) {
+    // Terminal hop of a served request's flow: the serve.enqueue ->
+    // coalesce -> dispatch chain arrows end on this scan slice.
+    Span.arg("request", FlowId);
+    Span.flowEnd(FlowId);
+  }
+  Span.arg("cells", Result.Cells);
+  Span.arg("partitions", static_cast<uint64_t>(Result.Partitions));
+  Span.arg("cycles", Result.Cycles);
+  Span.arg("threads", Threads);
+  Span.arg("scan_workers", ScanWorkers);
+  if (IsGpu)
+    Span.arg("occupancy", Result.Metrics.occupancy());
+}
+
 /// Dispatches the scan over {bytecode VM, AST walker} x {sliding window,
 /// full table} x {serial, wavefront-parallel} and fills in the result
 /// summary. The VM runs whenever the plan carries a compiled program and
@@ -429,32 +509,8 @@ RunResult scanPlan(const ExecutablePlan &Plan, codegen::Evaluator &Eval,
       Drive([&] {
         JitScanner S;
         S.Fn = Plan.Kernel->fn();
-        S.Args = JitBind.args();
-        S.Args.Table = ConcreteTable.rawData();
-        // What depends on the box, so one kernel serves every box.
-        const TableLayout &Layout = ConcreteTable.layout();
-        assert(Plan.NestParams.size() == Plan.Nest.NumParams &&
-               "wrong parameter count");
-        S.Args.NestParams = Plan.NestParams.data();
-        S.Args.Root = Plan.Box.Upper.data();
-        S.Args.Strides = Layout.Strides.data();
-        S.Args.BaseIndex = Layout.BaseIndex;
-        S.Args.PlaneSize = Layout.PlaneSize;
-        S.Args.MinPartition = Layout.MinPartition;
-        S.Args.FirstPartition = Plan.FirstPartition;
-        S.Args.LastPartition = Plan.LastPartition;
-        // The kernel bakes the cycle *formula*; the weights come from
-        // the live cost model so one cached kernel serves both backends
-        // and both table residencies.
-        S.Args.CycOp = IsGpu ? Model.GpuCyclesPerOp : Model.CpuCyclesPerOp;
-        S.Args.CycTrans = IsGpu ? Model.GpuTranscendentalCycles
-                                : Model.CpuTranscendentalCycles;
-        S.Args.CycTable = IsGpu ? (TableInShared
-                                       ? Model.SharedMemLatencyCycles
-                                       : Model.GlobalMemLatencyCycles)
-                                : Model.CpuMemLatencyCycles;
-        S.Args.CycModel =
-            IsGpu ? Model.SharedMemLatencyCycles : Model.CpuMemLatencyCycles;
+        S.Args = kernelArgs(Plan, JitBind, ConcreteTable, Model, IsGpu,
+                            TableInShared);
         S.Cycles.assign(Threads, 0);
         return S;
       });
@@ -484,23 +540,8 @@ RunResult scanPlan(const ExecutablePlan &Plan, codegen::Evaluator &Eval,
   if (!Plan.UseWindow)
     Result.RootValue = Table->get(Plan.Box.Upper.data());
 
-  Result.Partitions = Plan.numPartitions();
-  Result.Cycles = Timer.totalCycles();
-  if (IsGpu) {
-    Result.Metrics.Cycles = Result.Cycles;
-    Result.Metrics.Partitions = static_cast<uint64_t>(Result.Partitions);
-    Result.Metrics.CellsComputed = Result.Cells;
-    Result.Metrics.TableBytes = Table->bytes();
-    if (TableInShared)
-      Result.Metrics.SharedAccesses = Result.Cost.tableAccesses();
-    else
-      Result.Metrics.GlobalAccesses = Result.Cost.tableAccesses();
-    Result.Metrics.SharedAccesses += Result.Cost.ModelReads;
-    Result.Metrics.BarrierCycles = Timer.barrierCycles();
-    Result.Metrics.ThreadCycles = Timer.threadCycleSum();
-    Result.Metrics.CriticalCycles = Timer.criticalCycles();
-    Result.Metrics.Threads = Threads;
-  }
+  summarise(Plan, IsGpu, Table->bytes(), TableInShared, Threads, Timer,
+            Result);
   if (Trace)
     Result.Timeline =
         std::make_shared<const std::vector<gpu::PartitionSample>>(
@@ -508,29 +549,14 @@ RunResult scanPlan(const ExecutablePlan &Plan, codegen::Evaluator &Eval,
   if (Options.KeepTable)
     Result.Table = Table;
 
-  if (RunSpan.active()) {
-    RunSpan.arg("backend", IsGpu ? "simulated-gpu" : "serial-cpu");
-    RunSpan.arg("vm", UseVm);
-    RunSpan.arg("evaluator", UseJit ? "jit" : (UseVm ? "vm" : "ast"));
-    if (Options.FlowId != 0) {
-      // Terminal hop of a served request's flow: the serve.enqueue ->
-      // coalesce -> dispatch chain arrows end on this scan slice.
-      RunSpan.arg("request", Options.FlowId);
-      RunSpan.flowEnd(Options.FlowId);
-    }
-    RunSpan.arg("cells", Result.Cells);
-    RunSpan.arg("partitions", static_cast<uint64_t>(Result.Partitions));
-    RunSpan.arg("cycles", Result.Cycles);
-    RunSpan.arg("threads", Threads);
-    RunSpan.arg("scan_workers", Stats.Workers);
-    if (IsGpu)
-      RunSpan.arg("occupancy", Result.Metrics.occupancy());
-  }
+  const char *Evaluator = UseJit ? "jit" : (UseVm ? "vm" : "ast");
+  if (RunSpan.active())
+    describeScan(RunSpan, IsGpu, UseVm, Evaluator, Options.FlowId, Result,
+                 Threads, Stats.Workers);
 
   // Per-run (never per-cell) registry updates.
   obs::MetricsRegistry &M = obs::MetricsRegistry::global();
-  M.add("exec.runs_by_evaluator",
-        obs::Labels{{"evaluator", UseJit ? "jit" : (UseVm ? "vm" : "ast")}});
+  M.add("exec.runs_by_evaluator", obs::Labels{{"evaluator", Evaluator}});
   M.record("exec.scan_workers", Stats.Workers);
   if (Stats.Workers > 1) {
     M.add("exec.scan_fork_joins", Stats.ForkJoins);
@@ -561,8 +587,112 @@ RunResult SerialCpuBackend::execute(const ExecutablePlan &Plan,
 RunResult SimulatedGpuBackend::execute(const ExecutablePlan &Plan,
                                        codegen::Evaluator &Eval,
                                        const RunOptions &Options) const {
-  // An explicit request wins, else one thread per multiprocessor core.
-  unsigned Threads =
-      Options.Threads ? Options.Threads : Model.CoresPerMultiprocessor;
-  return scanPlan(Plan, Eval, Model, /*IsGpu=*/true, Threads, Options);
+  return scanPlan(Plan, Eval, Model, /*IsGpu=*/true, threads(Options),
+                  Options);
+}
+
+bool SimulatedGpuBackend::runsLanes(const ExecutablePlan &Plan,
+                                    const RunOptions &Options) const {
+  return Options.Evaluator == EvalKind::Jit && !Options.KeepTable &&
+         Plan.Program && Plan.Kernel && Plan.Kernel->lanesFn() &&
+         resolveScanWorkers(Plan, Options, threads(Options)) == 1;
+}
+
+void SimulatedGpuBackend::executeLanes(
+    const ExecutablePlan &Plan, codegen::Evaluator &Eval,
+    const std::array<LaneProblem, codegen::JitLanes> &Problems,
+    const RunOptions &Options) const {
+  assert(runsLanes(Plan, Options) && "the plan or options rule out lanes");
+  constexpr unsigned Lanes = codegen::JitLanes;
+  constexpr double NegInf = -std::numeric_limits<double>::infinity();
+  unsigned Threads = threads(Options);
+  bool Trace = Options.Trace || obs::Tracer::enabled();
+
+  std::shared_ptr<DpTable> Table;
+  {
+    obs::Span AllocSpan("exec.alloc_table", "exec");
+    Table = Plan.makeTable(Lanes);
+    if (AllocSpan.active()) {
+      AllocSpan.arg("bytes", Table->bytes());
+      AllocSpan.arg("window", Plan.UseWindow);
+      AllocSpan.arg("lanes", Lanes);
+    }
+  }
+  // Residency, like every modelled number, is one problem's.
+  bool TableInShared = Table->bytes() <= Model.SharedMemBytes;
+
+  obs::Span RunSpan("exec.scan", "exec");
+  gpu::BlockTimer Timer(Threads, /*RecordTimeline=*/Trace);
+  codegen::JitBinding Bind;
+  Bind.bind(*Plan.Program, Eval);
+  codegen::JitArgs Args =
+      kernelArgs(Plan, Bind, *Table, Model, /*IsGpu=*/true, TableInShared);
+  std::array<std::vector<codegen::JitSeq>, Lanes> Seqs;
+  std::array<const codegen::JitSeq *, Lanes> LaneSeqs;
+  for (unsigned L = 0; L != Lanes; ++L) {
+    Seqs[L] = codegen::jitSeqs(*Plan.Program, *Problems[L].Args);
+    LaneSeqs[L] = Seqs[L].data();
+  }
+
+  // What follows control flow is the lanes' shared result; each lane
+  // folds its own maximum (strict >, the first stays) and root. The root
+  // is captured in flight with a full table too: it is written once, so
+  // the capture equals a read after the scan.
+  RunResult Shared;
+  Shared.UsedSchedule = Plan.Sched;
+  std::array<double, Lanes> TableMax, RootValue;
+  TableMax.fill(NegInf);
+  RootValue.fill(0.0);
+  std::vector<uint64_t> Cycles(Threads, 0);
+  codegen::JitLanesFn Fn = Plan.Kernel->lanesFn();
+  for (int64_t P = Plan.FirstPartition; P <= Plan.LastPartition; ++P) {
+    std::array<codegen::JitSlot, Lanes> Slots{};
+    for (codegen::JitSlot &Slot : Slots)
+      Slot.TableMax = NegInf;
+    Fn(&Args, LaneSeqs.data(), P, 0, Threads, Threads,
+       P == Plan.RootPartition, Slots.data(), Cycles.data());
+    const codegen::JitSlot &Counts = Slots[0];
+    Shared.Cost.Ops += Counts.Ops;
+    Shared.Cost.TableReads += Counts.TableReads;
+    Shared.Cost.TableWrites += Counts.TableWrites;
+    Shared.Cost.ModelReads += Counts.ModelReads;
+    Shared.Cost.Transcendentals += Counts.Transcendentals;
+    Shared.Cells += Counts.Cells;
+    for (unsigned L = 0; L != Lanes; ++L) {
+      if (Slots[L].TableMax > TableMax[L])
+        TableMax[L] = Slots[L].TableMax;
+      if (Slots[L].HasRoot)
+        RootValue[L] = Slots[L].RootValue;
+    }
+    for (unsigned T = 0; T != Threads; ++T)
+      if (Cycles[T])
+        Timer.addThreadCycles(T, Cycles[T]);
+    Timer.closePartition(Model.SyncCycles, P, Counts.Cells);
+  }
+  summarise(Plan, /*IsGpu=*/true, Table->bytes(), TableInShared, Threads,
+            Timer, Shared);
+  if (Trace)
+    Shared.Timeline =
+        std::make_shared<const std::vector<gpu::PartitionSample>>(
+            Timer.takeTimeline());
+  for (unsigned L = 0; L != Lanes; ++L) {
+    RunResult &R = *Problems[L].Result;
+    R = Shared;
+    R.TableMax = TableMax[L];
+    R.RootValue = RootValue[L];
+  }
+
+  if (RunSpan.active()) {
+    describeScan(RunSpan, /*IsGpu=*/true, /*UseVm=*/false, "jit_lanes",
+                 /*FlowId=*/0, Shared, Threads, /*ScanWorkers=*/1);
+    RunSpan.arg("lanes", Lanes);
+    for (const LaneProblem &Problem : Problems)
+      if (Problem.FlowId != 0)
+        RunSpan.flowEnd(Problem.FlowId);
+  }
+  obs::MetricsRegistry &M = obs::MetricsRegistry::global();
+  M.add("exec.runs_by_evaluator", obs::Labels{{"evaluator", "jit_lanes"}},
+        Lanes);
+  for (unsigned L = 0; L != Lanes; ++L)
+    M.record("exec.scan_workers", 1);
 }

@@ -18,9 +18,11 @@
 #define PARREC_EXEC_EXECUTIONBACKEND_H
 
 #include "codegen/Evaluator.h"
+#include "codegen/NativeJit.h"
 #include "exec/Plan.h"
 #include "gpu/Device.h"
 
+#include <array>
 #include <cassert>
 #include <memory>
 #include <optional>
@@ -101,6 +103,8 @@ struct RunOptions {
   /// bit-identical; only BatchResult::TotalCycles (modelled wall clock)
   /// may drop. Never part of a plan key.
   bool Pipeline = false;
+
+  friend bool operator==(const RunOptions &, const RunOptions &) = default;
 };
 
 /// The plan key of running \p Box under \p Options: the one derivation
@@ -191,6 +195,14 @@ private:
   const gpu::CostModel &Model;
 };
 
+/// One problem of a lanes scan: its arguments, its trace flow id (0 for
+/// none, as RunOptions::FlowId) and where its result goes.
+struct LaneProblem {
+  const std::vector<codegen::ArgValue> *Args = nullptr;
+  uint64_t FlowId = 0;
+  RunResult *Result = nullptr;
+};
+
 /// The simulated GPU: one block on one multiprocessor, threads striped
 /// over the partition loop (Figure 10), lockstep timing with a barrier
 /// per partition, and shared-memory residency when the table fits.
@@ -203,8 +215,31 @@ public:
   RunResult execute(const ExecutablePlan &Plan, codegen::Evaluator &Eval,
                     const RunOptions &Options) const override;
 
+  /// Whether executeLanes may run \p Plan under \p Options: the
+  /// evaluator is the JIT, whose kernel has a lanes entry this host
+  /// runs, no table is kept, and the scan resolves to one worker.
+  bool runsLanes(const ExecutablePlan &Plan, const RunOptions &Options) const;
+
+  /// Runs codegen::JitLanes problems of \p Plan, whose arguments differ
+  /// only in their sequences, in one scan through the kernel's lanes
+  /// entry (NativeJit.h). \p Eval is bound to the first problem's
+  /// arguments and holds the shared model's caches. Each problem's
+  /// result is what execute() gives it alone, bit for bit: the lanes
+  /// share the cost, cycles, metrics and timeline, which follow control
+  /// flow alone, and keep their own table maximum and root. The scan's
+  /// `exec.scan` span carries `lanes` and ends each problem's flow.
+  /// Requires runsLanes(Plan, Options).
+  void executeLanes(const ExecutablePlan &Plan, codegen::Evaluator &Eval,
+                    const std::array<LaneProblem, codegen::JitLanes> &Problems,
+                    const RunOptions &Options) const;
+
 private:
   const gpu::CostModel &Model;
+
+  /// Threads per block: an explicit request, else one per core.
+  unsigned threads(const RunOptions &Options) const {
+    return Options.Threads ? Options.Threads : Model.CoresPerMultiprocessor;
+  }
 };
 
 } // namespace exec

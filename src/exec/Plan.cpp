@@ -44,11 +44,11 @@ PlanKey PlanKey::make(const solver::DomainBox &Box, bool UseSlidingWindow,
   return Key;
 }
 
-std::shared_ptr<DpTable> ExecutablePlan::makeTable() const {
+std::shared_ptr<DpTable> ExecutablePlan::makeTable(unsigned Lanes) const {
   if (UseWindow)
     return std::make_shared<SlidingWindowTable>(Box, Sched, WindowDepth,
-                                                WindowDropDim);
-  return std::make_shared<FullTable>(Box);
+                                                WindowDropDim, Lanes);
+  return std::make_shared<FullTable>(Box, Lanes);
 }
 
 // buildPlan lives in compiler/Pipeline.cpp: it is a thin wrapper over the

@@ -130,8 +130,9 @@ public:
 
   int64_t numPartitions() const { return LastPartition - FirstPartition + 1; }
 
-  /// Allocates the DP table this plan calls for.
-  std::shared_ptr<DpTable> makeTable() const;
+  /// Allocates the DP table this plan calls for, holding \p Lanes
+  /// problems' tables interleaved (DpTable).
+  std::shared_ptr<DpTable> makeTable(unsigned Lanes = 1) const;
 };
 
 /// Builds a plan for \p Box: resolves the schedule per \p Req, decides the

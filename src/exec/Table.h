@@ -59,10 +59,17 @@ struct TableLayout {
 /// separated by the barrier that closes each partition. Concurrent
 /// workers scanning one partition therefore touch disjoint table
 /// addresses, and reads only ever target planes no writer touches.
+///
+/// A table may hold the tables of several problems of one plan, the
+/// lanes of a jitted lanes scan (NativeJit.h), interleaved slot by slot:
+/// slot s of lane l is element s * Lanes + l of rawData(). get and set
+/// address a one-lane table.
 class DpTable : public codegen::TableView {
 public:
   virtual void set(const int64_t *Point, double Value) = 0;
-  virtual uint64_t bytes() const = 0;
+  /// The bytes of one problem's table, whatever the lane count: what a
+  /// simulated block would hold.
+  uint64_t bytes() const { return Slots * sizeof(double); }
 
   /// Base pointer of the flat value storage, for jitted kernels that
   /// address it through layout() (the same flatten/slot math as
@@ -74,12 +81,14 @@ public:
 
 protected:
   TableLayout Layout;
+  uint64_t Slots = 0; // Per lane.
 };
 
 /// Dense row-major storage over the whole domain box.
 class FullTable final : public DpTable {
 public:
-  explicit FullTable(const solver::DomainBox &Box) : Box(Box) {
+  explicit FullTable(const solver::DomainBox &Box, unsigned Lanes = 1)
+      : Box(Box) {
     Layout.Strides.resize(Box.numDims());
     uint64_t Stride = 1;
     for (unsigned D = Box.numDims(); D-- > 0;) {
@@ -87,7 +96,8 @@ public:
       Layout.BaseIndex += static_cast<uint64_t>(Box.Lower[D]) * Stride;
       Stride *= static_cast<uint64_t>(Box.extent(D));
     }
-    Data.assign(Stride, std::numeric_limits<double>::quiet_NaN());
+    Slots = Stride;
+    Data.assign(Stride * Lanes, std::numeric_limits<double>::quiet_NaN());
   }
 
   double get(const int64_t *Point) const override {
@@ -102,7 +112,6 @@ public:
                                "two scan points on one table slot");
     Slot = Value;
   }
-  uint64_t bytes() const override { return Data.size() * sizeof(double); }
   double *rawData() override { return Data.data(); }
 
 private:
@@ -132,7 +141,7 @@ public:
   /// \p DropDim must satisfy |Schedule.Coefficients[DropDim]| == 1.
   SlidingWindowTable(const solver::DomainBox &Box,
                      const solver::Schedule &S, int64_t Window,
-                     unsigned DropDim)
+                     unsigned DropDim, unsigned Lanes = 1)
       : NumPlanes(static_cast<uint64_t>(Window) + 1) {
     assert(windowMayDrop(S, DropDim) &&
            "dropped dimension must have a unit schedule coefficient");
@@ -159,7 +168,8 @@ public:
                std::numeric_limits<uint32_t>::max() &&
            "partition range exceeds 32 bits");
     ModMagic = std::numeric_limits<uint64_t>::max() / NumPlanes + 1;
-    Data.assign(NumPlanes * Stride, 0.0);
+    Slots = NumPlanes * Stride;
+    Data.assign(Slots * Lanes, 0.0);
   }
 
   double get(const int64_t *Point) const override {
@@ -168,7 +178,6 @@ public:
   void set(const int64_t *Point, double Value) override {
     Data[slot(Point)] = Value;
   }
-  uint64_t bytes() const override { return Data.size() * sizeof(double); }
   double *rawData() override { return Data.data(); }
 
 private:

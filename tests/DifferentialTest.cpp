@@ -32,6 +32,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <deque>
 #include <fstream>
 #include <functional>
 #include <limits>
@@ -526,16 +527,28 @@ TEST(DifferentialTest, ReduceReadingAnotherTransitionStaysGeneric) {
   ASSERT_NE(Plan, nullptr) << Diags.str();
   std::string Kernel = codegen::renderKernelSource(*Plan);
   ASSERT_FALSE(Kernel.empty());
+  // Counted in parrec_scan, then in parrec_scan_lanes, which follows it.
+  size_t LanesAt = Kernel.find("void parrec_scan_lanes(");
+  ASSERT_NE(LanesAt, std::string::npos);
+  std::string Scan = Kernel.substr(0, LanesAt);
   auto Count = [&](const std::string &Needle) {
     size_t N = 0;
-    for (size_t At = Kernel.find(Needle); At != std::string::npos;
-         At = Kernel.find(Needle, At + 1))
+    for (size_t At = Scan.find(Needle); At != std::string::npos;
+         At = Scan.find(Needle, At + 1))
       ++N;
     return N;
   };
   // The copied t's prob, and the outer t's end and start read in the
   // inner body, go generic; u's prob, end and start, and the outer
   // body's own t.start, stay packed.
+  EXPECT_EQ(Count("].log_trans["), 1u) << Kernel;
+  EXPECT_EQ(Count("].trans_to["), 1u) << Kernel;
+  EXPECT_EQ(Count("].trans_from["), 1u) << Kernel;
+  EXPECT_EQ(Count("rt->log_prob"), 1u) << Kernel;
+  EXPECT_EQ(Count("rt->to"), 1u) << Kernel;
+  EXPECT_EQ(Count("rt->from"), 2u) << Kernel;
+  // The lanes scan reads every transition operand the same way.
+  Scan = Kernel.substr(LanesAt);
   EXPECT_EQ(Count("].log_trans["), 1u) << Kernel;
   EXPECT_EQ(Count("].trans_to["), 1u) << Kernel;
   EXPECT_EQ(Count("].trans_from["), 1u) << Kernel;
@@ -846,7 +859,8 @@ TEST(DifferentialTest, EveryDroppedDimensionOfAThreeDimensionalWindow) {
 
 TEST(DifferentialTest, ShippedScriptsProduceIdenticalOutput) {
   for (const char *Script :
-       {"smith_waterman.rdsl", "edit_distance.rdsl", "casino.rdsl"}) {
+       {"smith_waterman.rdsl", "edit_distance.rdsl", "casino.rdsl",
+        "casino_batch.rdsl"}) {
     std::string Source = readFileOrDie(scriptsPath(Script));
     auto RunScript = [&](EvalKind Evaluator) {
       DiagnosticEngine Diags;
@@ -1065,4 +1079,323 @@ TEST(RoundToInt64Test, MatchesLlroundOnEveryDouble) {
     }
     Failures += !Expect(X);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Lanes: a batch's same-shaped problems scanned four at a time
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Every field of a RunResult that a run fills: value, table maximum,
+/// cells, partitions, cost, cycles and schedule, the GPU metrics, and
+/// the timeline sample by sample.
+void expectSameResult(const RunResult &Want, const RunResult &Got,
+                      const char *Name, const std::string &Where) {
+  expectRunsIdentical(Want, Got, Name, Where);
+  EXPECT_TRUE(Want.UsedSchedule == Got.UsedSchedule) << Name << Where;
+  const gpu::GpuRunMetrics &A = Want.Metrics, &B = Got.Metrics;
+  EXPECT_EQ(A.Cycles, B.Cycles) << Name << Where;
+  EXPECT_EQ(A.Partitions, B.Partitions) << Name << Where;
+  EXPECT_EQ(A.CellsComputed, B.CellsComputed) << Name << Where;
+  EXPECT_EQ(A.SharedAccesses, B.SharedAccesses) << Name << Where;
+  EXPECT_EQ(A.GlobalAccesses, B.GlobalAccesses) << Name << Where;
+  EXPECT_EQ(A.TableBytes, B.TableBytes) << Name << Where;
+  EXPECT_EQ(A.BarrierCycles, B.BarrierCycles) << Name << Where;
+  EXPECT_EQ(A.ThreadCycles, B.ThreadCycles) << Name << Where;
+  EXPECT_EQ(A.CriticalCycles, B.CriticalCycles) << Name << Where;
+  EXPECT_EQ(A.Threads, B.Threads) << Name << Where;
+  ASSERT_EQ(Want.Timeline == nullptr, Got.Timeline == nullptr)
+      << Name << Where;
+  if (!Want.Timeline)
+    return;
+  ASSERT_EQ(Want.Timeline->size(), Got.Timeline->size()) << Name << Where;
+  for (size_t S = 0; S != Want.Timeline->size(); ++S) {
+    const gpu::PartitionSample &X = (*Want.Timeline)[S];
+    const gpu::PartitionSample &Y = (*Got.Timeline)[S];
+    EXPECT_TRUE(X.Partition == Y.Partition && X.Cells == Y.Cells &&
+                X.MaxThreadCycles == Y.MaxThreadCycles &&
+                X.SumThreadCycles == Y.SumThreadCycles &&
+                X.BarrierCycles == Y.BarrierCycles &&
+                X.ActiveThreads == Y.ActiveThreads && X.Threads == Y.Threads)
+        << Name << Where << " timeline sample " << S;
+  }
+}
+
+uint64_t lanesRuns() {
+  return obs::MetricsRegistry::global().snapshot().labelled(
+      "exec.runs_by_evaluator",
+      obs::Labels{{"evaluator", "jit_lanes"}}.render());
+}
+
+/// Members a batch of \p Members problems of one key runs in lanes on
+/// \p Workers batch workers: full groups of four, and only when every
+/// worker gets one.
+uint64_t expectedLanes(size_t Members, unsigned Workers) {
+  if (!codegen::hostRunsLanes())
+    return 0;
+  size_t Groups = Members / codegen::JitLanes;
+  return Groups >= Workers ? Groups * codegen::JitLanes : 0;
+}
+
+/// Runs \p Problems as one JIT batch under \p Opts, where full groups of
+/// same-shaped problems scan in lanes, and checks every member against
+/// the VM and the AST walker (the same batch) and the scalar JIT (the
+/// problem alone through runGpu), in every field. Returns the members
+/// that ran in lanes.
+uint64_t expectLanesAgree(const CompiledRecurrence &Fn,
+                          const std::vector<std::vector<ArgValue>> &Problems,
+                          RunOptions Opts, const std::string &Where) {
+  gpu::Device Dev;
+  DiagnosticEngine Diags;
+  Opts.Evaluator = EvalKind::Jit;
+  Opts.JitCacheDir = jitCacheDirForTest();
+  uint64_t Before = lanesRuns();
+  auto Lanes = Fn.runGpuBatch(Problems, Dev, Diags, Opts);
+  uint64_t Ran = lanesRuns() - Before;
+  RunOptions VmOpts = Opts, AstOpts = Opts;
+  VmOpts.Evaluator = EvalKind::Vm;
+  AstOpts.Evaluator = EvalKind::Ast;
+  auto Vm = Fn.runGpuBatch(Problems, Dev, Diags, VmOpts);
+  auto Ast = Fn.runGpuBatch(Problems, Dev, Diags, AstOpts);
+  EXPECT_TRUE(Lanes && Vm && Ast) << Diags.str();
+  if (!Lanes || !Vm || !Ast)
+    return Ran;
+  EXPECT_EQ(Lanes->Problems.size(), Problems.size());
+  for (size_t I = 0; I != Problems.size(); ++I) {
+    std::string At = Where + " member " + std::to_string(I);
+    auto Scalar = Fn.runGpu(Problems[I], Dev, Diags, Opts);
+    EXPECT_TRUE(Scalar.has_value()) << Diags.str();
+    expectSameResult(Vm->Problems[I], Lanes->Problems[I], "lanes", At);
+    expectSameResult(Ast->Problems[I], Lanes->Problems[I], "lanes", At);
+    if (Scalar)
+      expectSameResult(*Scalar, Lanes->Problems[I], "lanes", At);
+  }
+  EXPECT_EQ(Vm->TotalCycles, Lanes->TotalCycles) << Where;
+  EXPECT_EQ(Vm->CompletionCycles, Lanes->CompletionCycles) << Where;
+  EXPECT_EQ(Vm->OverlapCycles, Lanes->OverlapCycles) << Where;
+  EXPECT_EQ(Vm->IdleCycles, Lanes->IdleCycles) << Where;
+  return Ran;
+}
+
+/// Batches of 4, 5, 8, 9 and 64 same-length problems on 1 and 2 batch
+/// workers; \p Problem(K) is the K-th problem.
+void expectLanesAgreeOnEveryBatchSize(
+    const CompiledRecurrence &Fn,
+    const std::function<std::vector<ArgValue>(size_t)> &Problem) {
+  for (size_t Size : {4, 5, 8, 9, 64})
+    for (unsigned Workers : {1u, 2u}) {
+      std::vector<std::vector<ArgValue>> Problems;
+      for (size_t K = 0; K != Size; ++K)
+        Problems.push_back(Problem(K));
+      RunOptions Opts;
+      Opts.BatchWorkers = Workers;
+      std::string Where = " (batch of " + std::to_string(Size) + " on " +
+                          std::to_string(Workers) + " workers)";
+      EXPECT_EQ(expectLanesAgree(Fn, Problems, Opts, Where),
+                expectedLanes(Size, Workers))
+          << Where;
+    }
+}
+
+/// \p Count sequences of \p Length letters of \p Letters, each its own.
+std::deque<bio::Sequence> equalLengthSequences(const std::string &Letters,
+                                               size_t Count, size_t Length,
+                                               uint64_t Seed) {
+  std::deque<bio::Sequence> Seqs;
+  for (size_t K = 0; K != Count; ++K)
+    Seqs.emplace_back("x" + std::to_string(K),
+                      randomString(Letters, Length, Seed + K));
+  return Seqs;
+}
+
+} // namespace
+
+TEST(DifferentialTest, LanesWideProfileForward) {
+  CompiledRecurrence Fn = compileOrDie(ProteinForwardSource);
+  auto Wide = makeWideProfile();
+  ASSERT_NE(Wide, nullptr);
+  auto Reads = equalLengthSequences(bio::Alphabet::protein().letters(), 64,
+                                    12, /*Seed=*/31);
+  expectLanesAgreeOnEveryBatchSize(Fn, [&](size_t K) {
+    return std::vector<ArgValue>{ArgValue::ofHmm(&Wide->Model), ArgValue(),
+                                 ArgValue::ofSeq(&Reads[K]), ArgValue()};
+  });
+}
+
+TEST(DifferentialTest, LanesGeneFinderViterbi) {
+  CompiledRecurrence Fn = compileOrDie(DnaViterbiSource);
+  bio::Hmm Genes = bio::makeGeneFinderModel();
+  auto Reads = equalLengthSequences("acgt", 64, 30, /*Seed=*/41);
+  expectLanesAgreeOnEveryBatchSize(Fn, [&](size_t K) {
+    return std::vector<ArgValue>{ArgValue::ofHmm(&Genes), ArgValue(),
+                                 ArgValue::ofSeq(&Reads[K]), ArgValue()};
+  });
+}
+
+TEST(DifferentialTest, LanesSmithWatermanEqualLengthSubjects) {
+  CompiledRecurrence Fn = compileOrDie(SmithWatermanSource);
+  const bio::SubstitutionMatrix M =
+      bio::SubstitutionMatrix::matchMismatch(bio::Alphabet::dna(), 2, 1);
+  bio::Sequence Query("q", "acgtacgtggtacacgt");
+  auto Subjects = equalLengthSequences("acgt", 64, 15, /*Seed=*/51);
+  expectLanesAgreeOnEveryBatchSize(Fn, [&](size_t K) {
+    return std::vector<ArgValue>{ArgValue::ofMatrix(&M),
+                                 ArgValue::ofSeq(&Query), ArgValue(),
+                                 ArgValue::ofSeq(&Subjects[K]), ArgValue()};
+  });
+}
+
+TEST(DifferentialTest, LanesCasinoForward) {
+  CompiledRecurrence Fn = compileOrDie(CasinoForwardSource, {"dice"});
+  bio::Hmm Casino = bio::makeCasinoModel();
+  auto Rolls = equalLengthSequences("abcdef", 64, 40, /*Seed=*/61);
+  expectLanesAgreeOnEveryBatchSize(Fn, [&](size_t K) {
+    return std::vector<ArgValue>{ArgValue::ofHmm(&Casino), ArgValue(),
+                                 ArgValue::ofSeq(&Rolls[K]), ArgValue()};
+  });
+}
+
+TEST(DifferentialTest, LanesSplitByModel) {
+  // Two models of one shape share a plan but not a lanes scan: the batch
+  // alternates them, so each model's members group among themselves.
+  CompiledRecurrence Fn = compileOrDie(DnaForwardSource);
+  DiagnosticEngine Diags;
+  std::deque<bio::Hmm> Models;
+  for (uint64_t Seed : {11, 12}) {
+    auto Profile = bio::eliminateSilentStates(
+        bio::makeProfileHmm(/*MatchPositions=*/5, bio::Alphabet::dna(), Seed),
+        Diags);
+    ASSERT_TRUE(Profile.has_value()) << Diags.str();
+    Models.push_back(std::move(*Profile));
+  }
+  ASSERT_EQ(Models[0].numStates(), Models[1].numStates());
+  auto Reads = equalLengthSequences("acgt", 16, 20, /*Seed=*/71);
+  std::vector<std::vector<ArgValue>> Problems;
+  for (size_t K = 0; K != Reads.size(); ++K)
+    Problems.push_back({ArgValue::ofHmm(&Models[K % 2]), ArgValue(),
+                        ArgValue::ofSeq(&Reads[K]), ArgValue()});
+  for (unsigned Workers : {1u, 2u}) {
+    RunOptions Opts;
+    Opts.BatchWorkers = Workers;
+    std::string Where =
+        " (two models on " + std::to_string(Workers) + " workers)";
+    // Eight members a model: two groups each.
+    EXPECT_EQ(expectLanesAgree(Fn, Problems, Opts, Where),
+              expectedLanes(16, 1))
+        << Where;
+  }
+}
+
+TEST(DifferentialTest, LanesUnderTraceAndPipeline) {
+  // The planner re-times the batch from each member's timeline, so a
+  // lanes scan's shared timeline must be each member's own.
+  CompiledRecurrence Fn = compileOrDie(ProteinForwardSource);
+  auto Wide = makeWideProfile();
+  ASSERT_NE(Wide, nullptr);
+  auto Reads = equalLengthSequences(bio::Alphabet::protein().letters(), 9,
+                                    10, /*Seed=*/81);
+  std::vector<std::vector<ArgValue>> Problems;
+  for (const bio::Sequence &Read : Reads)
+    Problems.push_back({ArgValue::ofHmm(&Wide->Model), ArgValue(),
+                        ArgValue::ofSeq(&Read), ArgValue()});
+  for (bool Pipeline : {false, true}) {
+    RunOptions Opts;
+    Opts.BatchWorkers = 2;
+    Opts.Trace = true;
+    Opts.Pipeline = Pipeline;
+    std::string Where = Pipeline ? " (trace, pipeline)" : " (trace)";
+    EXPECT_EQ(expectLanesAgree(Fn, Problems, Opts, Where),
+              expectedLanes(9, 2))
+        << Where;
+  }
+}
+
+TEST(DifferentialTest, LanesStayScalarWhereTheyCannotRun) {
+  // Three scan workers, a kept table, or fewer groups than batch workers
+  // each keep the scalar kernel, with the same results.
+  CompiledRecurrence Fn = compileOrDie(ProteinForwardSource);
+  auto Wide = makeWideProfile();
+  ASSERT_NE(Wide, nullptr);
+  auto Reads = equalLengthSequences(bio::Alphabet::protein().letters(), 8,
+                                    12, /*Seed=*/91);
+  std::vector<std::vector<ArgValue>> Problems;
+  for (const bio::Sequence &Read : Reads)
+    Problems.push_back({ArgValue::ofHmm(&Wide->Model), ArgValue(),
+                        ArgValue::ofSeq(&Read), ArgValue()});
+  RunOptions ScanWorkers;
+  ScanWorkers.BatchWorkers = 1;
+  ScanWorkers.ScanWorkers = 3;
+  ScanWorkers.ScanGrainCells = 1;
+  EXPECT_EQ(expectLanesAgree(Fn, Problems, ScanWorkers, " (3 scan workers)"),
+            0u);
+  RunOptions KeepTable;
+  KeepTable.BatchWorkers = 1;
+  KeepTable.KeepTable = true;
+  EXPECT_EQ(expectLanesAgree(Fn, Problems, KeepTable, " (kept table)"), 0u);
+  RunOptions Crowded;
+  Crowded.BatchWorkers = 3;
+  EXPECT_EQ(expectLanesAgree(Fn, Problems, Crowded, " (3 batch workers)"),
+            0u);
+}
+
+TEST(DifferentialTest, LanesEntryOnlyWhereNoLaneDecidesControlFlow) {
+  // Forward, Viterbi and Smith-Waterman branch on coordinates and model
+  // flags only; edit distance compares two characters, and the last
+  // body compares a table read, so every lane could take its own path.
+  const char *TableBranch =
+      "int c(seq[dna] a, index[a] i, seq[dna] b, index[b] j) =\n"
+      "  if i == 0 then 0\n"
+      "  else if j == 0 then 0\n"
+      "  else if c(i-1, j-1) == 3 then c(i-1, j)\n"
+      "  else c(i, j-1) + 1\n";
+  bio::Hmm Genes = bio::makeGeneFinderModel();
+  const bio::SubstitutionMatrix M =
+      bio::SubstitutionMatrix::matchMismatch(bio::Alphabet::dna(), 2, 1);
+  bio::Sequence A("a", "acgtacgt"), B("b", "gtacgtac");
+  std::vector<ArgValue> HmmArgs = {ArgValue::ofHmm(&Genes), ArgValue(),
+                                   ArgValue::ofSeq(&A), ArgValue()};
+  std::vector<ArgValue> PairArgs = {ArgValue::ofSeq(&A), ArgValue(),
+                                    ArgValue::ofSeq(&B), ArgValue()};
+  std::vector<ArgValue> SwArgs = {ArgValue::ofMatrix(&M), ArgValue::ofSeq(&A),
+                                  ArgValue(), ArgValue::ofSeq(&B),
+                                  ArgValue()};
+  auto HasLanes = [](const char *Source, const std::vector<ArgValue> &Args) {
+    CompiledRecurrence Fn = compileOrDie(Source);
+    DiagnosticEngine Diags;
+    auto Box = Fn.domainFor(Args, Diags);
+    EXPECT_TRUE(Box.has_value()) << Diags.str();
+    auto Plan = Fn.planFor(*Box, RunOptions(), nullptr, Diags);
+    EXPECT_NE(Plan, nullptr) << Diags.str();
+    std::string Kernel = codegen::renderKernelSource(*Plan);
+    EXPECT_NE(Kernel.find("void parrec_scan("), std::string::npos) << Source;
+    return Kernel.find("parrec_scan_lanes") != std::string::npos;
+  };
+  EXPECT_TRUE(HasLanes(DnaForwardSource, HmmArgs));
+  EXPECT_TRUE(HasLanes(DnaViterbiSource, HmmArgs));
+  {
+    // The forward entry folds its sums with the lane forms, which call
+    // no libm function; the sum's one log per lane is pr_lse_result.
+    CompiledRecurrence Fn = compileOrDie(DnaForwardSource);
+    DiagnosticEngine Diags;
+    auto Box = Fn.domainFor(HmmArgs, Diags);
+    ASSERT_TRUE(Box.has_value()) << Diags.str();
+    auto Plan = Fn.planFor(*Box, RunOptions(), nullptr, Diags);
+    ASSERT_NE(Plan, nullptr) << Diags.str();
+    std::string Kernel = codegen::renderKernelSource(*Plan);
+    size_t Begin = Kernel.find("pr_lse_exp_lanes(pr_v4d *out");
+    size_t Add = Kernel.find("pr_lse_add_lanes(pr_v4d *m");
+    ASSERT_NE(Begin, std::string::npos);
+    ASSERT_NE(Add, std::string::npos);
+    std::string Sum = Kernel.substr(Begin, Kernel.find("\n}\n", Add) - Begin);
+    for (const char *Libm : {" exp(", "(exp(", "log(", "log1p(", "exp2("})
+      EXPECT_EQ(Sum.find(Libm), std::string::npos) << Libm << " in\n" << Sum;
+    std::string Lanes = Kernel.substr(Kernel.find("void parrec_scan_lanes("));
+    EXPECT_NE(Lanes.find("pr_lse_add_lanes(&lm, &ls, &q["), std::string::npos)
+        << Lanes;
+    EXPECT_EQ(Lanes.find("pr_lse_add(&"), std::string::npos) << Lanes;
+  }
+  EXPECT_TRUE(HasLanes(SmithWatermanSource, SwArgs));
+  EXPECT_FALSE(HasLanes(EditDistanceSource, PairArgs));
+  EXPECT_FALSE(HasLanes(TableBranch, PairArgs));
 }

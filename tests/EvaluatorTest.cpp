@@ -403,6 +403,120 @@ TEST(LogSumExpTest, ExpSpecialValues) {
   EXPECT_GE(pr_lse_exp(pr_lse_min_arg), std::numeric_limits<double>::min());
 }
 
+namespace {
+
+/// Whether every lane of a lane-form result has the scalar form's bits.
+bool sameBits(const pr_v4d &Lanes, const double (&Scalar)[4]) {
+  for (unsigned L = 0; L != 4; ++L)
+    if (std::bit_cast<uint64_t>(Lanes[L]) != std::bit_cast<uint64_t>(Scalar[L]))
+      return false;
+  return true;
+}
+
+/// The arguments no seeded draw reaches: -inf, NaN, both zeros, values
+/// below pr_lse_min_arg (the boundary included), and the largest.
+std::vector<double> specialArgs() {
+  const double Inf = std::numeric_limits<double>::infinity();
+  return {-Inf,
+          std::numeric_limits<double>::quiet_NaN(),
+          0.0,
+          -0.0,
+          pr_lse_min_arg,
+          std::nextafter(pr_lse_min_arg, -Inf),
+          -708.5,
+          -745.2,
+          -1e300,
+          -std::numeric_limits<double>::denorm_min(),
+          Inf,
+          1.0};
+}
+
+} // namespace
+
+TEST(LogSumExpTest, LaneExpEqualsScalarBitForBit) {
+  // Seeded arguments over (-750, 0], so some fall below pr_lse_min_arg,
+  // a different one in each lane; every lane position sees 10^6 of
+  // them. Then every special argument in every lane, beside seeded ones.
+  uint64_t State = 0x6A09E667F3BCC909ULL;
+  auto Uniform = [&] {
+    State = State * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<double>(State >> 11) * 0x1.0p-53;
+  };
+  unsigned Mismatches = 0;
+  auto Check = [&](const pr_v4d &X) {
+    pr_v4d Got;
+    pr_lse_exp_lanes(&Got, &X);
+    double Want[4];
+    for (unsigned L = 0; L != 4; ++L)
+      Want[L] = pr_lse_exp(X[L]);
+    if (!sameBits(Got, Want) && ++Mismatches <= 5)
+      ADD_FAILURE() << std::hexfloat << "lanes of exp(" << X[0] << ", "
+                    << X[1] << ", " << X[2] << ", " << X[3] << ")";
+  };
+  for (unsigned I = 0; I != 1000000; ++I) {
+    pr_v4d X;
+    for (unsigned L = 0; L != 4; ++L)
+      X[L] = (I % 4 == L ? -40.0 : -750.0) * Uniform();
+    Check(X);
+  }
+  for (double Special : specialArgs())
+    for (unsigned L = 0; L != 4; ++L) {
+      pr_v4d X = {-Uniform(), -10.0 * Uniform(), -700.0 * Uniform(),
+                  -Uniform()};
+      X[L] = Special;
+      Check(X);
+    }
+  EXPECT_EQ(Mismatches, 0u);
+}
+
+TEST(LogSumExpTest, LaneAddEqualsScalarBitForBit) {
+  // Four sums folded side by side, each lane against pr_lse_add on its
+  // own (m, s). Three kinds of sequence: seeded elements in random
+  // order, ascending elements (every element a new maximum, so every
+  // add rescales), and special values mixed in, in every lane position.
+  uint64_t State = 0xBB67AE8584CAA73BULL;
+  auto Uniform = [&] {
+    State = State * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<double>(State >> 11) * 0x1.0p-53;
+  };
+  std::vector<double> Specials = specialArgs();
+  unsigned Mismatches = 0, Elements = 0;
+  for (unsigned Trial = 0; Trial != 64000; ++Trial) {
+    pr_v4d M = {-INFINITY, -INFINITY, -INFINITY, -INFINITY};
+    pr_v4d S = {0.0, 0.0, 0.0, 0.0};
+    double Ms[4], Ss[4];
+    for (unsigned L = 0; L != 4; ++L) {
+      Ms[L] = -INFINITY;
+      Ss[L] = 0.0;
+    }
+    unsigned Kind = Trial % 3;
+    double Rising[4];
+    for (unsigned L = 0; L != 4; ++L)
+      Rising[L] = -60.0 * Uniform() - 30.0;
+    for (unsigned E = 0; E != 1 + Trial % 32; ++E) {
+      pr_v4d X;
+      for (unsigned L = 0; L != 4; ++L) {
+        if (Kind == 1) {
+          Rising[L] += 3.0 * Uniform();
+          X[L] = Rising[L];
+        } else {
+          X[L] = -100.0 * Uniform();
+        }
+      }
+      if (Kind == 2 && E % 3 == 0)
+        X[(Trial / 3 + E) % 4] = Specials[(Trial + E) % Specials.size()];
+      pr_lse_add_lanes(&M, &S, &X);
+      for (unsigned L = 0; L != 4; ++L)
+        pr_lse_add(&Ms[L], &Ss[L], X[L]);
+      ++Elements;
+      if ((!sameBits(M, Ms) || !sameBits(S, Ss)) && ++Mismatches <= 5)
+        ADD_FAILURE() << "trial " << Trial << " element " << E;
+    }
+  }
+  EXPECT_EQ(Mismatches, 0u);
+  EXPECT_GE(Elements, 1000000u);
+}
+
 TEST(LogSumExpTest, ExpTableHoldsPowersOfTwo) {
   // Entry j: 2^(j/128) rounded to double (stored less j << 45) and the
   // relative tail of the rounding, checked against exp2l.

@@ -410,7 +410,7 @@ TEST(JitCacheTest, OlderAbiEntryRecompiles) {
 
 TEST(JitCacheTest, ForwardKernelSumCallsNoLibm) {
   // The forward plan's kernel: its online sum calls the emitted
-  // pr_lse_exp, which calls nothing, and the kernel exports ABI 3.
+  // pr_lse_exp, which calls nothing, and the kernel exports ABI 4.
   DiagnosticEngine Diags;
   auto Fn = CompiledRecurrence::compile(
       "prob forward(hmm h, state[h] s, seq[dna] x, index[x] i) =\n"
@@ -436,8 +436,8 @@ TEST(JitCacheTest, ForwardKernelSumCallsNoLibm) {
   std::string Kernel = codegen::renderKernelSource(*Plan);
   ASSERT_FALSE(Kernel.empty());
 
-  EXPECT_EQ(codegen::JitKernelAbi, 3u);
-  EXPECT_NE(Kernel.find("const uint64_t parrec_kernel_abi = 3ULL;\n"),
+  EXPECT_EQ(codegen::JitKernelAbi, 4u);
+  EXPECT_NE(Kernel.find("const uint64_t parrec_kernel_abi = 4ULL;\n"),
             std::string::npos);
   // From pr_lse_exp's definition to the end of pr_lse_add.
   size_t Begin = Kernel.find("static inline double pr_lse_exp(double x)");

@@ -17,6 +17,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "bio/Fasta.h"
+#include "bio/HmmZoo.h"
+#include "codegen/NativeJit.h"
 #include "compiler/Pipeline.h"
 #include "exec/PlanCache.h"
 #include "gpu/Device.h"
@@ -37,6 +39,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -726,7 +729,8 @@ TEST(MetricsTest, JitPassFollowsTheNamingLaw) {
 /// exec.runs_by_evaluator counts each run under the evaluator that
 /// executed it, not the one requested: the JIT falls back to the VM
 /// without a host compiler, and the VM to the AST walker without a
-/// bytecode program.
+/// bytecode program. A batch member scanned in lanes counts under
+/// jit_lanes.
 TEST(MetricsTest, RunsByEvaluatorCountsTheEvaluatorThatRan) {
   bio::Sequence S("s", "kitten"), T("t", "sitting");
   gpu::Device Dev;
@@ -734,7 +738,7 @@ TEST(MetricsTest, RunsByEvaluatorCountsTheEvaluatorThatRan) {
   auto runCounts = [] {
     MetricsSnapshot Snap = MetricsRegistry::global().snapshot();
     std::map<std::string, uint64_t> Counts;
-    for (const char *Evaluator : {"ast", "vm", "jit"})
+    for (const char *Evaluator : {"ast", "vm", "jit", "jit_lanes"})
       Counts[Evaluator] =
           Snap.labelled("exec.runs_by_evaluator",
                         Labels{{"evaluator", Evaluator}}.render());
@@ -777,6 +781,37 @@ TEST(MetricsTest, RunsByEvaluatorCountsTheEvaluatorThatRan) {
     ::unsetenv("CC");
   ASSERT_TRUE(Ran) << Diags.str();
   expectOneRunUnder("vm", Before);
+
+  // JIT requested on a batch of four same-shaped rolls of one model, on
+  // one batch worker: where the host runs the kernel's lanes entry, the
+  // four share one lanes scan and each counts once under jit_lanes.
+  DiagnosticEngine ForwardDiags;
+  std::optional<CompiledRecurrence> Forward = CompiledRecurrence::compile(
+      "prob forward(hmm h, state[h] s, seq[dice] x, index[x] i) =\n"
+      "  if i == 0 then\n"
+      "    if s.isstart then 1.0 else 0.0\n"
+      "  else\n"
+      "    (if s.isend then 1.0 else s.emission[x[i-1]]) *\n"
+      "    sum(t in s.transitionsto : t.prob * forward(t.start, i - 1))\n",
+      ForwardDiags, {"dice"});
+  ASSERT_TRUE(Forward.has_value()) << ForwardDiags.str();
+  bio::Hmm Casino = bio::makeCasinoModel();
+  std::deque<bio::Sequence> Rolls;
+  std::vector<std::vector<codegen::ArgValue>> Problems;
+  for (const char *R : {"abcdef", "ffffff", "afafaf", "cdcdcd"}) {
+    Rolls.emplace_back("r", R);
+    Problems.push_back({codegen::ArgValue::ofHmm(&Casino),
+                        codegen::ArgValue(),
+                        codegen::ArgValue::ofSeq(&Rolls.back()),
+                        codegen::ArgValue()});
+  }
+  exec::RunOptions Batch = Jit;
+  Batch.BatchWorkers = 1;
+  Before = runCounts();
+  ASSERT_TRUE(Forward->runGpuBatch(Problems, Dev, Diags, Batch).has_value())
+      << Diags.str();
+  Before[codegen::hostRunsLanes() ? "jit_lanes" : "jit"] += Problems.size();
+  EXPECT_EQ(runCounts(), Before) << "expected four runs under jit_lanes";
 }
 
 //===----------------------------------------------------------------------===//
