@@ -393,6 +393,20 @@ private:
     line("    --q;");
     line("  return q;");
     line("}");
+    // A matrix score (a character outside the matrix's alphabet scores
+    // the default) and an emission, which both scans read through these.
+    line("static inline int64_t pr_score(const pr_matrix *m, int64_t x,");
+    line("                               int64_t y) {");
+    line("  int64_t ia = m->char_idx[(uint8_t)(char)x];");
+    line("  int64_t ib = m->char_idx[(uint8_t)(char)y];");
+    line("  return (ia < 0 || ib < 0) ? m->default_score");
+    line("                            : m->scores[ia * m->size + ib];");
+    line("}");
+    line("static inline double pr_emission(const pr_hmm *h, int64_t s,");
+    line("                                 int64_t x) {");
+    line("  return h->emissions[(uint64_t)s * h->stride");
+    line("                      + h->char_col[(uint8_t)(char)x]];");
+    line("}");
     Out += CellMathText;
     line("");
   }
@@ -512,13 +526,6 @@ private:
     line("typedef union { pr_v4i i; pr_v4d d; } pr_lreg;");
     line("#define pr_splat_i(x) ((pr_v4i){(x), (x), (x), (x)})");
     line("#define pr_splat_d(x) ((pr_v4d){(x), (x), (x), (x)})");
-    line("static inline int64_t pr_lane_score(const pr_matrix *m, int64_t x,");
-    line("                                    int64_t y) {");
-    line("  int64_t ia = m->char_idx[(uint8_t)(char)x];");
-    line("  int64_t ib = m->char_idx[(uint8_t)(char)y];");
-    line("  return (ia < 0 || ib < 0) ? m->default_score");
-    line("                            : m->scores[ia * m->size + ib];");
-    line("}");
     line("__attribute__((target(\"avx2\")))");
     Lanes = true;
     NextRange = 0;
@@ -1214,27 +1221,33 @@ private:
       if (!varies(C) && !varies(D))
         return false;
       EachLane('i', [&](unsigned L) {
-        return "pr_lane_score(&a->matrices[" + std::to_string(B) + "], " +
-               laneReg(C, 'i', L) + ", " + laneReg(D, 'i', L) + ")";
+        return scoreOf(B, laneReg(C, 'i', L), laneReg(D, 'i', L));
       });
       return true;
     case Opcode::Emission:
       if (!varies(D))
         return false;
-      line("{");
-      ++Indent;
-      line("const pr_hmm *h = &a->hmms[%d];", B);
-      line("const double *er = h->emissions + (uint64_t)r[%d].i * h->stride;",
-           C);
       EachLane('d', [&](unsigned L) {
-        return "er[h->char_col[(uint8_t)(char)" + laneReg(D, 'i', L) + "]]";
+        return emissionOf(B, scalarReg(C, 'i'), laneReg(D, 'i', L));
       });
-      --Indent;
-      line("}");
       return true;
     default:
       return false;
     }
+  }
+
+  /// Matrix B's score of the characters X and Y, and HMM B's emission
+  /// of the character X in the state S, as calls of the prelude's
+  /// helpers, so both scans read them through one definition.
+  static std::string scoreOf(int B, const std::string &X,
+                             const std::string &Y) {
+    return "pr_score(&a->matrices[" + std::to_string(B) + "], " + X + ", " +
+           Y + ")";
+  }
+  static std::string emissionOf(int B, const std::string &S,
+                                const std::string &X) {
+    return "pr_emission(&a->hmms[" + std::to_string(B) + "], " + S + ", " +
+           X + ")";
   }
 
   void emitScalarInstr(const Instr &In, int Rid) {
@@ -1354,13 +1367,8 @@ private:
       line("r[%d].i = (int64_t)a->seqs[%d].data[r[%d].i];", A, B, C);
       break;
     case Opcode::MatrixScore:
-      line("{");
-      line("  const pr_matrix *m = &a->matrices[%d];", B);
-      line("  int64_t ia = m->char_idx[(uint8_t)(char)r[%d].i];", C);
-      line("  int64_t ib = m->char_idx[(uint8_t)(char)r[%d].i];", D);
-      line("  r[%d].i = (ia < 0 || ib < 0)", A);
-      line("      ? m->default_score : m->scores[ia * m->size + ib];");
-      line("}");
+      line("r[%d].i = %s;", A,
+           scoreOf(B, scalarReg(C, 'i'), scalarReg(D, 'i')).c_str());
       break;
     case Opcode::TransStart:
       if (C == PackedVar)
@@ -1392,11 +1400,8 @@ private:
            A, B, C);
       break;
     case Opcode::Emission:
-      line("{");
-      line("  const pr_hmm *h = &a->hmms[%d];", B);
-      line("  r[%d].d = h->emissions[(uint64_t)r[%d].i * h->stride", A, C);
-      line("      + h->char_col[(uint8_t)(char)r[%d].i]];", D);
-      line("}");
+      line("r[%d].d = %s;", A,
+           emissionOf(B, scalarReg(C, 'i'), scalarReg(D, 'i')).c_str());
       break;
     case Opcode::Reduce:
       fail(); // Handled by emitRange; reaching here is a logic error.
@@ -1553,8 +1558,8 @@ const char *finishCompiler(pid_t Pid) {
   return nullptr;
 }
 
-/// Compiles \p CPath into the shared object \p OutPath. A kernel whose
-/// lanes entry this host runs compiles as its two parts at once, which
+/// Compiles \p CPath into the shared object \p OutPath. A kernel with a
+/// lanes entry (\p TwoParts) compiles as its two parts at once, which
 /// take about as long each as the whole would alone, and links them.
 /// Returns null on success, else the fallback reason.
 const char *runCompiler(const std::string &CPath, const std::string &OutPath,
@@ -1649,9 +1654,16 @@ codegen::compileKernel(const exec::ExecutablePlan &Plan,
     }
   }
 
+  // The kernel text builds its lanes entry on x86-64 only. Whether this
+  // CPU runs it is decided at load time, so the object is the same on
+  // every host.
+#if defined(__x86_64__)
+  bool TwoParts = Rendered.HasLanes;
+#else
+  bool TwoParts = false;
+#endif
   auto T0 = std::chrono::steady_clock::now();
-  const char *Failure =
-      runCompiler(TmpSource, Tmp, Rendered.HasLanes && hostRunsLanes());
+  const char *Failure = runCompiler(TmpSource, Tmp, TwoParts);
   auto Ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - T0)
                 .count();

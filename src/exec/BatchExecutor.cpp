@@ -67,10 +67,12 @@ bool shareLanes(const BatchMember &A, const BatchMember &B) {
 /// Splits a batch into the units its workers run, in the order of each
 /// unit's first member: lanes scans of codegen::JitLanes members that
 /// share them (shareLanes, in index order), and single members. A lanes
-/// scan costs about two scalar scans, so a partial group would lose, and
-/// so would groups that leave a batch worker idle: a key's members form
-/// groups only when there is one for every worker, and the rest run
-/// alone.
+/// scan costs about two scalar scans, so a partial group would lose. A
+/// key's members form groups only when there is one for every worker,
+/// and the rest run alone: that side wins while a lanes scan costs under
+/// 2.5 scalar scans. With fewer groups than workers, groups lost, tied
+/// or won by up to 31% as the key's size, the worker count and that
+/// cost decide (EXPERIMENTS.md A7), so they are not formed.
 std::vector<std::vector<size_t>>
 workUnits(const std::vector<BatchMember> &Members,
           const SimulatedGpuBackend &Backend, unsigned BatchWorkers,

@@ -202,12 +202,38 @@ codegen::JitArgs kernelArgs(const ExecutablePlan &Plan,
   return Args;
 }
 
+/// The folds of one kernel call's results, which mirror what
+/// scanThreadRange accumulates per cell: its counters and cells, its
+/// table max (strict `>`: the first of equals stays) and root capture,
+/// and its simulated threads' cycles.
+void addJitCounts(const codegen::JitSlot &JS, WorkerSlot &Slot) {
+  Slot.Cost.Ops += JS.Ops;
+  Slot.Cost.TableReads += JS.TableReads;
+  Slot.Cost.TableWrites += JS.TableWrites;
+  Slot.Cost.ModelReads += JS.ModelReads;
+  Slot.Cost.Transcendentals += JS.Transcendentals;
+  Slot.Cells += JS.Cells;
+}
+void foldJitValues(const codegen::JitSlot &JS, WorkerSlot &Slot) {
+  if (JS.TableMax > Slot.TableMax)
+    Slot.TableMax = JS.TableMax;
+  if (JS.HasRoot) {
+    Slot.RootValue = JS.RootValue;
+    Slot.HasRoot = true;
+  }
+}
+void chargeJitCycles(const std::vector<uint64_t> &Cycles, unsigned Begin,
+                     unsigned End, gpu::BlockTimer &Timer) {
+  for (unsigned T = Begin; T != End; ++T)
+    if (Cycles[T])
+      Timer.addThreadCycles(T, Cycles[T]);
+}
+
 /// Scanner over the natively jitted kernel: one call covers the whole
 /// (partition, thread-range) slice — the kernel walks the loop nest over
 /// the box in its args, writes the table through the table's layout,
 /// accumulates the wide cost lanes and per-thread modelled cycles, and
-/// captures the running table max and the root cell. The fold below
-/// mirrors what scanThreadRange accumulates per cell; one invocation per
+/// captures the running table max and the root cell. One invocation per
 /// slot keeps the strict-`>`/first-wins merge semantics exact.
 struct JitScanner {
   codegen::JitKernelFn Fn = nullptr;
@@ -221,21 +247,41 @@ struct JitScanner {
     JS.TableMax = -std::numeric_limits<double>::infinity();
     Fn(&Args, P, Begin, End, Threads, CheckRoot ? 1 : 0, &JS,
        Cycles.data());
-    Slot.Cost.Ops += JS.Ops;
-    Slot.Cost.TableReads += JS.TableReads;
-    Slot.Cost.TableWrites += JS.TableWrites;
-    Slot.Cost.ModelReads += JS.ModelReads;
-    Slot.Cost.Transcendentals += JS.Transcendentals;
-    Slot.Cells += JS.Cells;
-    if (JS.TableMax > Slot.TableMax)
-      Slot.TableMax = JS.TableMax;
-    if (JS.HasRoot) {
-      Slot.RootValue = JS.RootValue;
-      Slot.HasRoot = true;
-    }
-    for (unsigned T = Begin; T != End; ++T)
-      if (Cycles[T])
-        Timer.addThreadCycles(T, Cycles[T]);
+    addJitCounts(JS, Slot);
+    foldJitValues(JS, Slot);
+    chargeJitCycles(Cycles, Begin, End, Timer);
+  }
+};
+
+/// Scanner over the lanes entry: one call scans the slice for
+/// codegen::JitLanes problems. The counters, cells and cycles follow
+/// control flow, which the lanes share, so the kernel counts them once,
+/// into the first lane's slot, and they fold into the worker's slot as
+/// JitScanner's do. Each lane's table max and root fold into its own
+/// entry of Lanes, which outlives the scan.
+struct LanesScanner {
+  codegen::JitLanesFn Fn = nullptr;
+  codegen::JitArgs Args{};
+  const codegen::JitSeq *const *Seqs = nullptr; // One per lane.
+  int64_t RootPartition = 0;
+  WorkerSlot *Lanes = nullptr;
+  std::vector<uint64_t> Cycles;
+
+  void operator()(bool /*CheckRoot*/, unsigned Threads, unsigned Begin,
+                  unsigned End, int64_t P, gpu::BlockTimer &Timer,
+                  WorkerSlot &Slot) {
+    std::array<codegen::JitSlot, codegen::JitLanes> JS{};
+    for (codegen::JitSlot &Lane : JS)
+      Lane.TableMax = -std::numeric_limits<double>::infinity();
+    // The root is captured in flight with a full table too, as no lane's
+    // table is read after the scan: the root is written once, so the
+    // capture equals that read.
+    Fn(&Args, Seqs, P, Begin, End, Threads, P == RootPartition ? 1 : 0,
+       JS.data(), Cycles.data());
+    addJitCounts(JS[0], Slot);
+    for (unsigned L = 0; L != codegen::JitLanes; ++L)
+      foldJitValues(JS[L], Lanes[L]);
+    chargeJitCycles(Cycles, Begin, End, Timer);
   }
 };
 
@@ -604,7 +650,6 @@ void SimulatedGpuBackend::executeLanes(
     const RunOptions &Options) const {
   assert(runsLanes(Plan, Options) && "the plan or options rule out lanes");
   constexpr unsigned Lanes = codegen::JitLanes;
-  constexpr double NegInf = -std::numeric_limits<double>::infinity();
   unsigned Threads = threads(Options);
   bool Trace = Options.Trace || obs::Tracer::enabled();
 
@@ -625,8 +670,6 @@ void SimulatedGpuBackend::executeLanes(
   gpu::BlockTimer Timer(Threads, /*RecordTimeline=*/Trace);
   codegen::JitBinding Bind;
   Bind.bind(*Plan.Program, Eval);
-  codegen::JitArgs Args =
-      kernelArgs(Plan, Bind, *Table, Model, /*IsGpu=*/true, TableInShared);
   std::array<std::vector<codegen::JitSeq>, Lanes> Seqs;
   std::array<const codegen::JitSeq *, Lanes> LaneSeqs;
   for (unsigned L = 0; L != Lanes; ++L) {
@@ -634,41 +677,22 @@ void SimulatedGpuBackend::executeLanes(
     LaneSeqs[L] = Seqs[L].data();
   }
 
-  // What follows control flow is the lanes' shared result; each lane
-  // folds its own maximum (strict >, the first stays) and root. The root
-  // is captured in flight with a full table too: it is written once, so
-  // the capture equals a read after the scan.
+  // What follows control flow is the lanes' shared result; each lane's
+  // table max and root are its own.
   RunResult Shared;
   Shared.UsedSchedule = Plan.Sched;
-  std::array<double, Lanes> TableMax, RootValue;
-  TableMax.fill(NegInf);
-  RootValue.fill(0.0);
-  std::vector<uint64_t> Cycles(Threads, 0);
-  codegen::JitLanesFn Fn = Plan.Kernel->lanesFn();
-  for (int64_t P = Plan.FirstPartition; P <= Plan.LastPartition; ++P) {
-    std::array<codegen::JitSlot, Lanes> Slots{};
-    for (codegen::JitSlot &Slot : Slots)
-      Slot.TableMax = NegInf;
-    Fn(&Args, LaneSeqs.data(), P, 0, Threads, Threads,
-       P == Plan.RootPartition, Slots.data(), Cycles.data());
-    const codegen::JitSlot &Counts = Slots[0];
-    Shared.Cost.Ops += Counts.Ops;
-    Shared.Cost.TableReads += Counts.TableReads;
-    Shared.Cost.TableWrites += Counts.TableWrites;
-    Shared.Cost.ModelReads += Counts.ModelReads;
-    Shared.Cost.Transcendentals += Counts.Transcendentals;
-    Shared.Cells += Counts.Cells;
-    for (unsigned L = 0; L != Lanes; ++L) {
-      if (Slots[L].TableMax > TableMax[L])
-        TableMax[L] = Slots[L].TableMax;
-      if (Slots[L].HasRoot)
-        RootValue[L] = Slots[L].RootValue;
-    }
-    for (unsigned T = 0; T != Threads; ++T)
-      if (Cycles[T])
-        Timer.addThreadCycles(T, Cycles[T]);
-    Timer.closePartition(Model.SyncCycles, P, Counts.Cells);
-  }
+  std::array<WorkerSlot, Lanes> LaneValues;
+  scanSerial(Plan, Model.SyncCycles, Threads, Timer, Shared, [&] {
+    LanesScanner S;
+    S.Fn = Plan.Kernel->lanesFn();
+    S.Args = kernelArgs(Plan, Bind, *Table, Model, /*IsGpu=*/true,
+                        TableInShared);
+    S.Seqs = LaneSeqs.data();
+    S.RootPartition = Plan.RootPartition;
+    S.Lanes = LaneValues.data();
+    S.Cycles.assign(Threads, 0);
+    return S;
+  });
   summarise(Plan, /*IsGpu=*/true, Table->bytes(), TableInShared, Threads,
             Timer, Shared);
   if (Trace)
@@ -678,8 +702,8 @@ void SimulatedGpuBackend::executeLanes(
   for (unsigned L = 0; L != Lanes; ++L) {
     RunResult &R = *Problems[L].Result;
     R = Shared;
-    R.TableMax = TableMax[L];
-    R.RootValue = RootValue[L];
+    R.TableMax = LaneValues[L].TableMax;
+    R.RootValue = LaneValues[L].RootValue;
   }
 
   if (RunSpan.active()) {

@@ -1375,7 +1375,8 @@ TEST(DifferentialTest, LanesEntryOnlyWhereNoLaneDecidesControlFlow) {
   EXPECT_TRUE(HasLanes(DnaViterbiSource, HmmArgs));
   {
     // The forward entry folds its sums with the lane forms, which call
-    // no libm function; the sum's one log per lane is pr_lse_result.
+    // no libm function, nor do the steps they share with the scalar
+    // forms; the sum's one log per lane is pr_lse_result.
     CompiledRecurrence Fn = compileOrDie(DnaForwardSource);
     DiagnosticEngine Diags;
     auto Box = Fn.domainFor(HmmArgs, Diags);
@@ -1383,11 +1384,17 @@ TEST(DifferentialTest, LanesEntryOnlyWhereNoLaneDecidesControlFlow) {
     auto Plan = Fn.planFor(*Box, RunOptions(), nullptr, Diags);
     ASSERT_NE(Plan, nullptr) << Diags.str();
     std::string Kernel = codegen::renderKernelSource(*Plan);
+    size_t Steps = Kernel.find("#define PR_LSE_EXP_REDUCE");
+    size_t Scalar = Kernel.find("static inline double pr_lse_exp(double x)");
     size_t Begin = Kernel.find("pr_lse_exp_lanes(pr_v4d *out");
     size_t Add = Kernel.find("pr_lse_add_lanes(pr_v4d *m");
+    ASSERT_NE(Steps, std::string::npos);
+    ASSERT_NE(Scalar, std::string::npos);
+    ASSERT_LT(Steps, Scalar);
     ASSERT_NE(Begin, std::string::npos);
     ASSERT_NE(Add, std::string::npos);
-    std::string Sum = Kernel.substr(Begin, Kernel.find("\n}\n", Add) - Begin);
+    std::string Sum = Kernel.substr(Steps, Scalar - Steps) +
+                      Kernel.substr(Begin, Kernel.find("\n}\n", Add) - Begin);
     for (const char *Libm : {" exp(", "(exp(", "log(", "log1p(", "exp2("})
       EXPECT_EQ(Sum.find(Libm), std::string::npos) << Libm << " in\n" << Sum;
     std::string Lanes = Kernel.substr(Kernel.find("void parrec_scan_lanes("));

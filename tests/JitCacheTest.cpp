@@ -439,8 +439,9 @@ TEST(JitCacheTest, ForwardKernelSumCallsNoLibm) {
   EXPECT_EQ(codegen::JitKernelAbi, 4u);
   EXPECT_NE(Kernel.find("const uint64_t parrec_kernel_abi = 4ULL;\n"),
             std::string::npos);
-  // From pr_lse_exp's definition to the end of pr_lse_add.
-  size_t Begin = Kernel.find("static inline double pr_lse_exp(double x)");
+  // From the steps pr_lse_exp shares with its lane form, which precede
+  // its definition, to the end of pr_lse_add.
+  size_t Begin = Kernel.find("#define PR_LSE_EXP_REDUCE");
   size_t Add = Kernel.find("static inline void pr_lse_add(");
   ASSERT_NE(Begin, std::string::npos);
   ASSERT_NE(Add, std::string::npos);
