@@ -26,7 +26,6 @@
 #include <cassert>
 #include <memory>
 #include <optional>
-#include <string_view>
 #include <vector>
 
 namespace parrec {
@@ -171,8 +170,6 @@ class ExecutionBackend {
 public:
   virtual ~ExecutionBackend() = default;
 
-  virtual std::string_view name() const = 0;
-
   /// Runs one problem. \p Eval must already be bound to the problem's
   /// calling arguments. Cannot fail: every failure mode (bad schedule,
   /// empty domain, unbound argument) is caught at planning time.
@@ -187,7 +184,6 @@ class SerialCpuBackend final : public ExecutionBackend {
 public:
   explicit SerialCpuBackend(const gpu::CostModel &Model) : Model(Model) {}
 
-  std::string_view name() const override { return "serial-cpu"; }
   RunResult execute(const ExecutablePlan &Plan, codegen::Evaluator &Eval,
                     const RunOptions &Options) const override;
 
@@ -211,7 +207,6 @@ public:
   explicit SimulatedGpuBackend(const gpu::CostModel &Model)
       : Model(Model) {}
 
-  std::string_view name() const override { return "simulated-gpu"; }
   RunResult execute(const ExecutablePlan &Plan, codegen::Evaluator &Eval,
                     const RunOptions &Options) const override;
 

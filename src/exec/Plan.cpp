@@ -50,6 +50,3 @@ std::shared_ptr<DpTable> ExecutablePlan::makeTable(unsigned Lanes) const {
                                                 WindowDropDim, Lanes);
   return std::make_shared<FullTable>(Box, Lanes);
 }
-
-// buildPlan lives in compiler/Pipeline.cpp: it is a thin wrapper over the
-// default planning pass pipeline.

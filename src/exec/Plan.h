@@ -6,14 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The planning stage of the execution pipeline: everything derived from
-/// a recursion and a concrete domain box *before* any cell is evaluated —
-/// the schedule (Section 4.5–4.7), the sliding-window decision (Section
-/// 4.8) and the CLooG-style loop nest (Section 4.3) with the box's
-/// parameter values — captured in an immutable ExecutablePlan. Plans
-/// are keyed by PlanKey and memoised in a PlanCache so repeated runs
-/// over same-shaped problems skip schedule synthesis and loop
-/// generation entirely.
+/// The product of planning: everything derived from a recursion and a
+/// concrete domain box *before* any cell is evaluated — the schedule
+/// (Section 4.5–4.7), the sliding-window decision (Section 4.8) and the
+/// CLooG-style loop nest (Section 4.3) with the box's parameter values —
+/// captured in an immutable ExecutablePlan, which compiler::buildPlan
+/// builds. Plans are keyed by PlanKey and memoised in a PlanCache so
+/// repeated runs over same-shaped problems skip schedule synthesis and
+/// loop generation entirely.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,11 +23,8 @@
 #include "exec/Table.h"
 #include "poly/LoopGen.h"
 #include "solver/Recurrence.h"
-#include "support/Diagnostics.h"
 
 #include <memory>
-#include <optional>
-#include <string>
 #include <vector>
 
 namespace parrec {
@@ -73,29 +70,6 @@ struct PlanKeyHash {
   }
 };
 
-/// What the planner is asked for. The two schedule pointers (either may be
-/// null) distinguish a user-forced schedule — which must be re-verified
-/// against the dependency criteria — from one preselected by the Section
-/// 4.7 conditional-schedule machinery, which is valid by construction.
-struct PlanRequest {
-  bool UseSlidingWindow = true;
-  bool KeepTable = false;
-  const solver::Schedule *ForcedSchedule = nullptr;
-  const solver::Schedule *PreselectedSchedule = nullptr;
-  /// The function's compiled cell body (may be null when the body is not
-  /// bytecode-compilable). Compiled once per function, handed to every
-  /// plan — planning never re-runs the bytecode compiler.
-  std::shared_ptr<const codegen::BytecodeProgram> Program;
-  /// Run the native JIT pass after finalize: render the plan as C,
-  /// compile and attach the resolved kernel (RunOptions::Evaluator ==
-  /// Jit / `parrec run --evaluator=jit`).
-  bool Jit = false;
-  /// On-disk shared-object cache directory override for the JIT pass;
-  /// empty resolves to $ParRec_JIT_CACHE then ~/.cache/parrec-jit.
-  /// Never part of the PlanKey.
-  std::string JitCacheDir;
-};
-
 /// The immutable product of planning: consumed by ExecutionBackends, safe
 /// to share across threads and cache entries.
 class ExecutablePlan {
@@ -134,15 +108,6 @@ public:
   /// problems' tables interleaved (DpTable).
   std::shared_ptr<DpTable> makeTable(unsigned Lanes = 1) const;
 };
-
-/// Builds a plan for \p Box: resolves the schedule per \p Req, decides the
-/// sliding window, and generates the loop nest. Reports diagnostics and
-/// returns nullopt on failure (a box whose lower corner is not the
-/// origin, invalid forced schedule, no valid schedule, empty domain).
-std::optional<ExecutablePlan>
-buildPlan(const solver::RecurrenceSpec &Rec,
-          const solver::DomainBox &Box, const PlanRequest &Req,
-          DiagnosticEngine &Diags);
 
 } // namespace exec
 } // namespace parrec

@@ -31,25 +31,19 @@ allAlphabets(std::vector<std::string> Extra) {
   return Names;
 }
 
-/// Both compilation entry points funnel through here: run the default
-/// frontend pass pipeline (parse -> sema -> dependence -> validate ->
-/// bytecode) over \p M and package the artifacts.
 std::optional<CompiledRecurrence>
-CompiledRecurrence::fromModule(compiler::CompilationModule &M) {
-  obs::Span CompileSpan("compile.function", "compiler");
-  if (!compiler::runFrontend(M) || !M.Info)
+CompiledRecurrence::fromFrontend(std::optional<compiler::FrontendResult> &&F) {
+  if (!F)
     return std::nullopt;
-  if (CompileSpan.active())
-    CompileSpan.arg("function", M.Decl->Name);
   static std::atomic<uint64_t> NextId{1};
   CompiledRecurrence C;
   C.Id = NextId.fetch_add(1, std::memory_order_relaxed);
-  C.Decl = std::move(M.Decl);
-  C.Info = std::move(*M.Info);
+  C.Decl = std::move(F->Decl);
+  C.Info = std::move(F->Info);
   C.Info.Decl = C.Decl.get();
   // The cell body compiled to bytecode once per function; null (an
   // unsupported construct) keeps the AST evaluator as the executor.
-  C.Bytecode = std::move(M.Bytecode);
+  C.Bytecode = std::move(F->Bytecode);
   C.Plans = std::make_unique<exec::PlanCache>();
   return C;
 }
@@ -58,20 +52,16 @@ std::optional<CompiledRecurrence>
 CompiledRecurrence::compile(const std::string &Source,
                             DiagnosticEngine &Diags,
                             std::vector<std::string> ExtraAlphabets) {
-  compiler::CompilationModule M(Diags);
-  M.Source = &Source;
-  M.Alphabets = allAlphabets(std::move(ExtraAlphabets));
-  return fromModule(M);
+  return fromFrontend(compiler::runFrontend(
+      Source, allAlphabets(std::move(ExtraAlphabets)), Diags));
 }
 
 std::optional<CompiledRecurrence>
 CompiledRecurrence::fromDecl(std::unique_ptr<lang::FunctionDecl> Decl,
                              DiagnosticEngine &Diags,
                              std::vector<std::string> ExtraAlphabets) {
-  compiler::CompilationModule M(Diags);
-  M.Decl = std::move(Decl);
-  M.Alphabets = allAlphabets(std::move(ExtraAlphabets));
-  return fromModule(M);
+  return fromFrontend(compiler::runFrontend(
+      std::move(Decl), allAlphabets(std::move(ExtraAlphabets)), Diags));
 }
 
 std::optional<DomainBox>
@@ -176,7 +166,7 @@ CompiledRecurrence::planFor(const DomainBox &Box,
   if (PlanSpan.active())
     PlanSpan.arg("cache", "miss");
 
-  exec::PlanRequest Req;
+  compiler::PlanRequest Req;
   Req.UseSlidingWindow = Options.UseSlidingWindow;
   Req.KeepTable = Options.KeepTable;
   Req.ForcedSchedule =
@@ -186,7 +176,7 @@ CompiledRecurrence::planFor(const DomainBox &Box,
   Req.Jit = Key.Jit;
   Req.JitCacheDir = Options.JitCacheDir;
   std::optional<exec::ExecutablePlan> Plan =
-      exec::buildPlan(Info.Recurrence, Box, Req, Diags);
+      compiler::buildPlan(Info.Recurrence, Box, Req, Diags);
   if (!Plan)
     return nullptr;
   auto Shared =

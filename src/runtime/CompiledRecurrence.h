@@ -34,7 +34,7 @@
 
 namespace parrec {
 namespace compiler {
-struct CompilationModule;
+struct FrontendResult;
 } // namespace compiler
 namespace runtime {
 
@@ -146,10 +146,10 @@ public:
 private:
   CompiledRecurrence() = default;
 
-  /// Runs the default frontend pass pipeline over \p M and packages the
-  /// resulting artifacts; shared by compile() and fromDecl().
+  /// Packages what the frontend made of the function, or nullopt when it
+  /// failed; shared by compile() and fromDecl().
   static std::optional<CompiledRecurrence>
-  fromModule(compiler::CompilationModule &M);
+  fromFrontend(std::optional<compiler::FrontendResult> &&F);
 
   /// Shared single-problem path: plan (cached), bind, execute.
   std::optional<RunResult>

@@ -168,11 +168,6 @@ void Engine::advanceTo(uint64_t Tick) {
   QueueCv.notify_all();
 }
 
-void Engine::pause() {
-  std::lock_guard<std::mutex> Lock(QueueMutex);
-  Paused = true;
-}
-
 void Engine::resume() {
   {
     std::lock_guard<std::mutex> Lock(QueueMutex);

@@ -190,10 +190,10 @@ public:
   /// coalescer so linger windows and deadlines are re-evaluated.
   void advanceTo(uint64_t Tick);
 
-  /// Pauses/resumes the coalescer (submissions stay open). A paused
-  /// coalescer takes no new request off the queue, but its open linger
-  /// windows still close and dispatch on time.
-  void pause();
+  /// Resumes a coalescer started paused (Options::StartPaused;
+  /// submissions stay open). A paused coalescer takes no new request off
+  /// the queue, but its open linger windows still close and dispatch on
+  /// time.
   void resume();
 
   /// Stops the engine and joins its threads. Idempotent; Drain finishes

@@ -23,6 +23,8 @@
 ///   --trace-tree         print the span tree to stderr after the run
 ///   --stats[=json]       print the metrics registry to stderr
 ///   --stats-out=<file>   write the metrics registry snapshot JSON
+///   --dump-passes        print each compiler pass's runs and wall time
+///                        to stderr after the run
 ///
 /// `emit` and `loops` accept `--schedule=a1,a2,...` to use a
 /// user-provided scheduling function instead of the derived one; it is
@@ -62,7 +64,6 @@ int usage() {
                "      [--evaluator=ast|vm|jit] [--jit-cache-dir=<dir>]\n"
                "      [--trace-out=<f>] [--trace-tree] [--stats[=json]]\n"
                "      [--stats-out=<f>] [--dump-passes]\n"
-               "      [--disable-pass=<name>]\n"
                "      <script>           execute a script\n"
                "                         (--scan-workers: host threads per\n"
                "                         partition scan; 0 auto, 1 serial —\n"
@@ -72,7 +73,9 @@ int usage() {
                "                         native; all bit-identical;\n"
                "                         --pipeline: overlap batch members'\n"
                "                         partitions across multiprocessors;\n"
-               "                         changes modelled wall-clock only)\n"
+               "                         changes modelled wall-clock only;\n"
+               "                         --dump-passes: each compiler\n"
+               "                         pass's runs and wall time)\n"
                "  check <function>       analyse a single function\n"
                "  schedule <fn> <n...>   derive the minimal schedule\n"
                "  emit [--schedule=<a1,...>] <fn>\n"
@@ -155,8 +158,8 @@ std::optional<std::string> readFile(const char *Path) {
   return Buffer.str();
 }
 
-/// Compiles the one function in \p Path through the frontend pass
-/// pipeline, so `check`, `schedule`, `emit` and `loops` reject what
+/// Compiles the one function in \p Path through the compiler's frontend
+/// passes, so `check`, `schedule`, `emit` and `loops` reject what
 /// `run` rejects.
 std::optional<runtime::CompiledRecurrence>
 compileFile(const char *Path, DiagnosticEngine &Diags) {
@@ -229,7 +232,6 @@ int cmdRun(int Argc, char **Argv) {
   unsigned ScanWorkers = 0;
   exec::EvalKind Evaluator = exec::EvalKind::Vm;
   std::string TraceOut, StatsOut, JitCacheDir;
-  std::vector<std::string> DisabledPasses;
   int FileIndex = 2;
   for (; FileIndex < Argc && Argv[FileIndex][0] == '-'; ++FileIndex) {
     const char *Arg = Argv[FileIndex];
@@ -242,13 +244,7 @@ int cmdRun(int Argc, char **Argv) {
       Pipeline = false;
     else if (std::strcmp(Arg, "--dump-passes") == 0)
       DumpPasses = true;
-    else if ((Value = optionValue(Arg, "--disable-pass"))) {
-      if (!compiler::isKnownPass(Value)) {
-        std::fprintf(stderr, "error: unknown pass '%s'\n", Value);
-        return 2;
-      }
-      DisabledPasses.push_back(Value);
-    } else if ((Value = optionValue(Arg, "--scan-workers"))) {
+    else if ((Value = optionValue(Arg, "--scan-workers"))) {
       if (!parseCount("--scan-workers", Value, &ScanWorkers))
         return 2;
     } else if ((Value = optionValue(Arg, "--evaluator"))) {
@@ -284,8 +280,6 @@ int cmdRun(int Argc, char **Argv) {
   }
   if (FileIndex >= Argc)
     return usage();
-  if (!DisabledPasses.empty())
-    compiler::setDisabledPasses(std::move(DisabledPasses));
   if (!TraceOut.empty() || TraceTree)
     obs::Tracer::instance().enable();
   std::optional<std::string> Source = readFile(Argv[FileIndex]);
@@ -315,14 +309,14 @@ int cmdRun(int Argc, char **Argv) {
   if (DumpPasses) {
     obs::MetricsSnapshot Snap = obs::MetricsRegistry::global().snapshot();
     std::fprintf(stderr, "%-20s %8s %12s\n", "pass", "runs", "total ms");
-    for (const std::string &Name : compiler::allPassNames()) {
+    for (std::string_view Pass : compiler::PassNames) {
+      std::string Name(Pass);
       auto It = Snap.Distributions.find("compile.pass." + Name + ".ns");
       uint64_t Runs = It == Snap.Distributions.end() ? 0 : It->second.Count;
       double Ms =
           It == Snap.Distributions.end() ? 0.0 : It->second.Sum / 1e6;
-      std::fprintf(stderr, "%-20s %8llu %12.3f%s\n", Name.c_str(),
-                   static_cast<unsigned long long>(Runs), Ms,
-                   compiler::isPassDisabled(Name) ? "  (disabled)" : "");
+      std::fprintf(stderr, "%-20s %8llu %12.3f\n", Name.c_str(),
+                   static_cast<unsigned long long>(Runs), Ms);
     }
   }
 

@@ -1,4 +1,4 @@
-//===- PassPipelineTest.cpp - Tests for the compiler pass pipeline -----------==//
+//===- PassPipelineTest.cpp - Tests for the compiler's pass sequences --------==//
 //
 // Part of ParRec, a reproduction of "Synthesising Graphics Card Programs
 // from DSLs" (Cartey, Lyngsø, de Moor; PLDI 2012).
@@ -6,12 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Golden tests for the explicit pass pipeline: registration order of the
-/// default pipelines, bit-identical plans and results against a
-/// hand-rolled replica of the legacy hardwired chain, deterministic
-/// shipped-script output through the pipelined interpreter, and the
-/// --disable-pass debugging knob (clean diagnostics and working
-/// fallbacks, never crashes).
+/// Golden tests for the compiler's two pass sequences: the one list of
+/// pass names, bit-identical plans and results against a hand-rolled
+/// replica of the legacy hardwired chain, deterministic shipped-script
+/// output through the interpreter, and the AST evaluator's fallback for a
+/// body the bytecode compiler refuses.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,14 +23,18 @@
 #include "gpu/Device.h"
 #include "lang/Parser.h"
 #include "lang/Sema.h"
+#include "obs/Trace.h"
 #include "poly/CPrinter.h"
 #include "poly/LoopGen.h"
 #include "runtime/CompiledRecurrence.h"
 #include "runtime/Interpreter.h"
 #include "solver/ScheduleSynthesis.h"
+#include "TempPath.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -95,12 +98,6 @@ std::vector<ArgValue> editDistanceArgs(const bio::Sequence &S,
                                        const bio::Sequence &T) {
   return {ArgValue::ofSeq(&S), ArgValue(), ArgValue::ofSeq(&T), ArgValue()};
 }
-
-/// RAII guard: whatever a test disables, the knob is clean afterwards.
-struct DisabledPassesGuard {
-  DisabledPassesGuard() { compiler::setDisabledPasses({}); }
-  ~DisabledPassesGuard() { compiler::setDisabledPasses({}); }
-};
 
 /// Replays the legacy hardwired chain — Parser, Sema::analyze,
 /// validateForExecution, compileToBytecode, findMinimalSchedule, sliding
@@ -233,20 +230,62 @@ TEST(PassPipelineTest, RegistrationOrder) {
   // asks for the native JIT.
   std::vector<std::string> Planning = {"schedule_synthesis", "sliding_window",
                                        "loopgen", "finalize", "jit"};
-  EXPECT_EQ(compiler::frontendPipeline().passNames(), Frontend);
-  EXPECT_EQ(compiler::planningPipeline().passNames(), Planning);
+  std::vector<std::string> Names(compiler::PassNames.begin(),
+                                 compiler::PassNames.end());
+  ASSERT_EQ(Names.size(), Frontend.size() + Planning.size());
+  EXPECT_EQ(std::vector<std::string>(Names.begin(),
+                                     Names.begin() + Frontend.size()),
+            Frontend);
+  EXPECT_EQ(std::vector<std::string>(Names.begin() + Frontend.size(),
+                                     Names.end()),
+            Planning);
 
-  // allPassNames is the frontend followed by the planning passes — the
+  // PassNames is the frontend followed by the planning passes — the
   // order --dump-passes prints.
   std::vector<std::string> All = Frontend;
   All.insert(All.end(), Planning.begin(), Planning.end());
-  EXPECT_EQ(compiler::allPassNames(), All);
+  EXPECT_EQ(Names, All);
 
+  auto listed = [&](const std::string &Name) {
+    return std::find(Names.begin(), Names.end(), Name) != Names.end();
+  };
   for (const std::string &Name : All)
-    EXPECT_TRUE(compiler::isKnownPass(Name)) << Name;
-  EXPECT_FALSE(compiler::isKnownPass("nonsense"));
-  EXPECT_FALSE(compiler::isKnownPass(""));
-  EXPECT_FALSE(compiler::isKnownPass("Parse"));
+    EXPECT_TRUE(listed(Name)) << Name;
+  EXPECT_FALSE(listed("nonsense"));
+  EXPECT_FALSE(listed(""));
+  EXPECT_FALSE(listed("Parse"));
+}
+
+/// The passes run in the order PassNames lists them, which is the order
+/// --dump-passes prints: a traced compile from source and a jitted plan
+/// open one compile.<pass> span per pass, in list order.
+TEST(PassPipelineTest, PassesRunInListOrder) {
+  obs::Tracer &Tracer = obs::Tracer::instance();
+  Tracer.disable();
+  Tracer.reset();
+  Tracer.enable();
+  CompiledRecurrence Fn = compileOrDie(ShippedEditDistanceSource);
+  bio::Sequence S("s", "kitten"), T("t", "sitting");
+  DiagnosticEngine Diags;
+  std::optional<solver::DomainBox> Box =
+      Fn.domainFor(editDistanceArgs(S, T), Diags);
+  TempPath JitCache("jit-pass-order");
+  exec::RunOptions Jit;
+  Jit.Evaluator = exec::EvalKind::Jit;
+  Jit.JitCacheDir = JitCache.str();
+  bool Planned =
+      Box && Fn.planFor(*Box, Jit, /*Preselected=*/nullptr, Diags) != nullptr;
+  Tracer.disable();
+  std::vector<obs::TraceEvent> Events = Tracer.hostEvents();
+  Tracer.reset();
+  ASSERT_TRUE(Planned) << Diags.str();
+
+  std::vector<std::string> Ran;
+  for (const obs::TraceEvent &E : Events)
+    if (E.Name.rfind("compile.", 0) == 0 && E.Name != "compile.function")
+      Ran.push_back(E.Name.substr(std::strlen("compile.")));
+  EXPECT_EQ(Ran, std::vector<std::string>(compiler::PassNames.begin(),
+                                          compiler::PassNames.end()));
 }
 
 //===----------------------------------------------------------------------===//
@@ -334,60 +373,33 @@ TEST(PassPipelineTest, ShippedScriptsDeterministic) {
 }
 
 //===----------------------------------------------------------------------===//
-// Disabling passes: clean diagnostics and working fallbacks
+// The AST fallback for a body the bytecode compiler refuses
 //===----------------------------------------------------------------------===//
 
-TEST(PassPipelineTest, DisabledSemaFailsWithDiagnosticNotCrash) {
-  DisabledPassesGuard Guard;
-  compiler::setDisabledPasses({"sema"});
-  EXPECT_TRUE(compiler::isPassDisabled("sema"));
-  EXPECT_FALSE(compiler::isPassDisabled("parse"));
-  DiagnosticEngine Diags;
-  auto Compiled = CompiledRecurrence::compile(ShippedEditDistanceSource, Diags);
-  EXPECT_FALSE(Compiled.has_value());
-  EXPECT_TRUE(Diags.hasErrors());
-  EXPECT_NE(Diags.str().find("requires"), std::string::npos)
-      << "downstream pass must name the missing prerequisite: "
-      << Diags.str();
-}
-
-TEST(PassPipelineTest, DisabledBytecodeFallsBackToAstEvaluator) {
+TEST(PassPipelineTest, UncompilableBodyFallsBackToAstEvaluator) {
+  // One branch is an int and another a real, and the bytecode compiler
+  // wants branch kinds that agree statically, so the bytecode pass makes
+  // no program. The twin's branches are all real; it runs on the VM.
+  const char *Mixed =
+      "float f(seq[en] s, index[s] i, seq[en] t, index[t] j) =\n"
+      "  if i == 0 then 0 else if j == 0 then 1.5\n"
+      "  else f(i-1, j) max f(i, j-1)\n";
+  const char *Twin =
+      "float f(seq[en] s, index[s] i, seq[en] t, index[t] j) =\n"
+      "  if i == 0 then 0.0 else if j == 0 then 1.5\n"
+      "  else f(i-1, j) max f(i, j-1)\n";
   bio::Sequence S("s", "kitten"), T("t", "sitting");
   gpu::Device Dev;
   DiagnosticEngine Diags;
-  CompiledRecurrence Baseline = compileOrDie(ShippedEditDistanceSource);
+  CompiledRecurrence Baseline = compileOrDie(Twin);
+  ASSERT_NE(Baseline.bytecode(), nullptr);
   auto Want = Baseline.runGpu(editDistanceArgs(S, T), Dev, Diags);
   ASSERT_TRUE(Want.has_value()) << Diags.str();
 
-  DisabledPassesGuard Guard;
-  compiler::setDisabledPasses({"bytecode"});
-  CompiledRecurrence Fn = compileOrDie(ShippedEditDistanceSource);
-  EXPECT_EQ(Fn.bytecode(), nullptr);
-  auto Got = Fn.runGpu(editDistanceArgs(S, T), Dev, Diags);
-  ASSERT_TRUE(Got.has_value()) << Diags.str();
-  EXPECT_EQ(Got->RootValue, Want->RootValue);
-  EXPECT_EQ(Got->TableMax, Want->TableMax);
-  EXPECT_EQ(Got->Cells, Want->Cells);
-}
-
-TEST(PassPipelineTest, DisabledSlidingWindowKeepsFullTable) {
-  bio::Sequence S("s", "kitten"), T("t", "sitting");
-  gpu::Device Dev;
-  DiagnosticEngine Diags;
-  CompiledRecurrence Baseline = compileOrDie(ShippedEditDistanceSource);
-  auto Want = Baseline.runGpu(editDistanceArgs(S, T), Dev, Diags);
-  ASSERT_TRUE(Want.has_value()) << Diags.str();
-
-  DisabledPassesGuard Guard;
-  compiler::setDisabledPasses({"sliding_window"});
-  CompiledRecurrence Fn = compileOrDie(ShippedEditDistanceSource);
-  std::optional<solver::DomainBox> Box =
-      Fn.domainFor(editDistanceArgs(S, T), Diags);
-  ASSERT_TRUE(Box.has_value()) << Diags.str();
-  std::shared_ptr<const exec::ExecutablePlan> Plan =
-      Fn.planFor(*Box, {}, /*Preselected=*/nullptr, Diags);
-  ASSERT_NE(Plan, nullptr) << Diags.str();
-  EXPECT_FALSE(Plan->UseWindow);
+  CompiledRecurrence Fn = compileOrDie(Mixed);
+  ASSERT_EQ(Fn.bytecode(), nullptr)
+      << "the bytecode compiler now accepts the mixed body; pick another "
+         "body it refuses";
   auto Got = Fn.runGpu(editDistanceArgs(S, T), Dev, Diags);
   ASSERT_TRUE(Got.has_value()) << Diags.str();
   EXPECT_EQ(Got->RootValue, Want->RootValue);
