@@ -20,6 +20,7 @@
 
 #include "codegen/LogSpace.h"
 
+#include <cassert>
 #include <cstring>
 #include <limits>
 #include <optional>
@@ -286,13 +287,7 @@ private:
     case VKind::Real:
       return V;
     case VKind::Int:
-      if (V.IsConst)
-        return constReal(static_cast<double>(V.CI), V.Cost);
-      else {
-        int32_t Dst = newReg();
-        emit(Opcode::IntToReal, {}, Dst, V.Reg);
-        return regValue(VKind::Real, Dst);
-      }
+      return unary(Opcode::IntToReal, VKind::Real, V);
     case VKind::Bool:
     case VKind::Char:
       // Side effects (cost events) of a register value were already
@@ -314,11 +309,32 @@ private:
   }
 
   Value logOfValue(Value Real) {
-    if (Real.IsConst)
-      return constReal(pr_tolog(Real.CD), Real.Cost);
+    return unary(Opcode::LogOf, VKind::Real, Real);
+  }
+
+  /// The operand slot of a pending constant.
+  static RegValue constSlot(const Value &V) {
+    RegValue S;
+    if (V.Kind == VKind::Real)
+      S.D = V.CD;
+    else
+      S.I = V.CI;
+    return S;
+  }
+
+  /// A pending constant of kind \p K holding slot \p S.
+  static Value constOf(VKind K, RegValue S, InstrCost Cost) {
+    return K == VKind::Real ? constReal(S.D, Cost) : constInt(K, S.I, Cost);
+  }
+
+  /// The cost-free conversion \p Op of \p V: folded when V is a pending
+  /// constant (which keeps its cost), else one instruction.
+  Value unary(Opcode Op, VKind ResKind, const Value &V) {
+    if (V.IsConst)
+      return constOf(ResKind, evalRegOp(Op, constSlot(V), RegValue{}), V.Cost);
     int32_t Dst = newReg();
-    emit(Opcode::LogOf, {}, Dst, Real.Reg);
-    return regValue(VKind::Real, Dst);
+    emit(Op, {}, Dst, V.Reg);
+    return regValue(ResKind, Dst);
   }
 
   /// Feeds \p V into a consumer that reads the tree-walker's I (or C)
@@ -403,66 +419,20 @@ private:
     }
   }
 
-  static int64_t foldIntOp(BinaryOp Op, int64_t L, int64_t R) {
-    switch (Op) {
-    case BinaryOp::Add:
-      return L + R;
-    case BinaryOp::Sub:
-      return L - R;
-    case BinaryOp::Mul:
-      return L * R;
-    case BinaryOp::Div:
-      return R == 0 ? 0 : L / R;
-    case BinaryOp::Min:
-      return L < R ? L : R;
-    case BinaryOp::Max:
-      return L > R ? L : R;
-    default:
-      throw Unsupported{};
+  /// Binary operation \p Op of \p L and \p R, charging \p Cost: folded
+  /// through evalRegOp when both are pending constants and the combined
+  /// cost fits, else one instruction.
+  Value binary(Opcode Op, InstrCost Cost, VKind ResKind, Value L, Value R) {
+    if (L.IsConst && R.IsConst) {
+      InstrCost Total = L.Cost;
+      if (addCost(Total, R.Cost) && addCost(Total, Cost))
+        return constOf(ResKind, evalRegOp(Op, constSlot(L), constSlot(R)), Total);
     }
-  }
-
-  static double foldRealOp(BinaryOp Op, double L, double R) {
-    switch (Op) {
-    case BinaryOp::Add:
-      return L + R;
-    case BinaryOp::Sub:
-      return L - R;
-    case BinaryOp::Mul:
-      return L * R;
-    case BinaryOp::Div:
-      return L / R;
-    case BinaryOp::Min:
-      return L < R ? L : R;
-    case BinaryOp::Max:
-      return L > R ? L : R;
-    default:
-      throw Unsupported{};
-    }
-  }
-
-  Value emitBinary(Opcode Op, InstrCost Cost, VKind ResKind, Value L,
-                   Value R) {
     int32_t LR = materialize(L);
     int32_t RR = materialize(R);
     int32_t Dst = newReg();
     emit(Op, Cost, Dst, LR, RR);
     return regValue(ResKind, Dst);
-  }
-
-  /// Folds a two-operand operation when both operands are pending
-  /// constants and the combined cost fits; returns nullopt otherwise.
-  template <typename FoldFn>
-  std::optional<Value> tryFold(const Value &L, const Value &R,
-                               InstrCost OpCost, FoldFn &&Fold) {
-    if (!L.IsConst || !R.IsConst)
-      return std::nullopt;
-    InstrCost Total = L.Cost;
-    if (!addCost(Total, R.Cost) || !addCost(Total, OpCost))
-      return std::nullopt;
-    Value V = Fold();
-    V.Cost = Total;
-    return V;
   }
 
   Value compileBinary(const BinaryExpr *B) {
@@ -478,50 +448,22 @@ private:
     case BinaryOp::Le:
     case BinaryOp::Ge: {
       Value A = coerceAsDouble(L), C = coerceAsDouble(R);
-      if (auto V = tryFold(A, C, Op1, [&] {
-            bool Res;
-            switch (B->Op) {
-            case BinaryOp::Lt:
-              Res = A.CD < C.CD;
-              break;
-            case BinaryOp::Gt:
-              Res = A.CD > C.CD;
-              break;
-            case BinaryOp::Le:
-              Res = A.CD <= C.CD;
-              break;
-            default:
-              Res = A.CD >= C.CD;
-              break;
-            }
-            return constInt(VKind::Bool, Res);
-          }))
-        return *V;
       Opcode Op = B->Op == BinaryOp::Lt   ? Opcode::CmpLtReal
                   : B->Op == BinaryOp::Gt ? Opcode::CmpGtReal
                   : B->Op == BinaryOp::Le ? Opcode::CmpLeReal
                                           : Opcode::CmpGeReal;
-      return emitBinary(Op, Op1, VKind::Bool, A, C);
+      return binary(Op, Op1, VKind::Bool, A, C);
     }
     case BinaryOp::Eq:
     case BinaryOp::Ne: {
       bool Negate = B->Op == BinaryOp::Ne;
       if ((L.Kind == VKind::Char && R.Kind == VKind::Char) ||
-          (L.Kind == VKind::Bool && R.Kind == VKind::Bool)) {
-        if (auto V = tryFold(L, R, Op1, [&] {
-              return constInt(VKind::Bool, (L.CI == R.CI) != Negate);
-            }))
-          return *V;
-        return emitBinary(Negate ? Opcode::CmpNeInt : Opcode::CmpEqInt,
-                          Op1, VKind::Bool, L, R);
-      }
+          (L.Kind == VKind::Bool && R.Kind == VKind::Bool))
+        return binary(Negate ? Opcode::CmpNeInt : Opcode::CmpEqInt, Op1,
+                      VKind::Bool, L, R);
       Value A = coerceAsDouble(L), C = coerceAsDouble(R);
-      if (auto V = tryFold(A, C, Op1, [&] {
-            return constInt(VKind::Bool, (A.CD == C.CD) != Negate);
-          }))
-        return *V;
-      return emitBinary(Negate ? Opcode::CmpNeReal : Opcode::CmpEqReal,
-                        Op1, VKind::Bool, A, C);
+      return binary(Negate ? Opcode::CmpNeReal : Opcode::CmpEqReal, Op1,
+                    VKind::Bool, A, C);
     }
     default:
       break;
@@ -553,30 +495,11 @@ private:
       default:
         throw Unsupported{}; // The walker asserts here.
       }
-      if (auto V = tryFold(A, C, Cost, [&] {
-            switch (B->Op) {
-            case BinaryOp::Mul:
-              return constReal(A.CD + C.CD);
-            case BinaryOp::Div:
-              return constReal(A.CD - C.CD);
-            case BinaryOp::Add:
-              return constReal(pr_logaddexp(A.CD, C.CD));
-            case BinaryOp::Min:
-              return constReal(A.CD < C.CD ? A.CD : C.CD);
-            default:
-              return constReal(A.CD > C.CD ? A.CD : C.CD);
-            }
-          }))
-        return *V;
-      return emitBinary(Op, Cost, VKind::Real, A, C);
+      return binary(Op, Cost, VKind::Real, A, C);
     }
 
     // Integer arithmetic stays integral when both operands are.
     if (L.Kind == VKind::Int && R.Kind == VKind::Int) {
-      if (auto V = tryFold(L, R, Op1, [&] {
-            return constInt(VKind::Int, foldIntOp(B->Op, L.CI, R.CI));
-          }))
-        return *V;
       Opcode Op;
       switch (B->Op) {
       case BinaryOp::Add:
@@ -600,15 +523,11 @@ private:
       default:
         throw Unsupported{};
       }
-      return emitBinary(Op, Op1, VKind::Int, L, R);
+      return binary(Op, Op1, VKind::Int, L, R);
     }
 
     // Mixed/real arithmetic via asDouble.
     Value A = coerceAsDouble(L), C = coerceAsDouble(R);
-    if (auto V = tryFold(A, C, Op1, [&] {
-          return constReal(foldRealOp(B->Op, A.CD, C.CD));
-        }))
-      return *V;
     Opcode Op;
     switch (B->Op) {
     case BinaryOp::Add:
@@ -632,7 +551,7 @@ private:
     default:
       throw Unsupported{};
     }
-    return emitBinary(Op, Op1, VKind::Real, A, C);
+    return binary(Op, Op1, VKind::Real, A, C);
   }
 
   Value compileIf(const IfExpr *I) {
@@ -962,6 +881,25 @@ private:
 };
 
 } // namespace
+
+RegValue parrec::codegen::evalRegOp(Opcode Op, RegValue B, RegValue C) {
+  RegValue A{};
+  switch (Op) {
+#define PARREC_UNARY(Name, Res, Opnd, Form, What)                             \
+  case Opcode::Name:                                                          \
+    A.Res = PARREC_CXX1_##Form(What, B.Opnd);                                 \
+    break;
+#define PARREC_BINARY(Name, Res, Opnd, Form, What)                            \
+  case Opcode::Name:                                                          \
+    A.Res = PARREC_CXX2_##Form(What, B.Opnd, C.Opnd);                         \
+    break;
+#include "codegen/Opcodes.def"
+  default:
+    assert(false && "not a register operation");
+    break;
+  }
+  return A;
+}
 
 std::shared_ptr<const BytecodeProgram>
 parrec::codegen::compileToBytecode(const FunctionDecl &F,

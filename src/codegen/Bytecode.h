@@ -12,9 +12,13 @@
 /// all name resolution (parameter -> dimension, HMM parameter lookup by
 /// name, sequence/matrix parameter indices) done at compile time.
 ///
+/// Opcodes.def lists the opcodes and states, once, what each register
+/// operation computes; the enum below, the VM, the constant folder and
+/// both scans of the native JIT expand it.
+///
 /// The compiler additionally
 ///   - folds constant subexpressions (and the type conversions between
-///     them) into immediate loads,
+///     them) into immediate loads, computing them with evalRegOp,
 ///   - strength-reduces recursive table lookups whose arguments are
 ///     affine in the recursion point into precomputed coefficient
 ///     vectors (no per-cell argument evaluation at all),
@@ -63,77 +67,40 @@ struct InstrCost {
   }
 };
 
+/// The opcodes, in the order of Opcodes.def, whose rows also state what
+/// each register operation computes.
 enum class Opcode : uint8_t {
-  // Loads. A = dst register.
-  ConstInt,    // R[A].I = Imm.I (also bools 0/1 and chars)
-  ConstReal,   // R[A].D = Imm.D
-  Move,        // R[A] = R[B]
-  LoadPoint,   // R[A].I = Point[B] (pre-resolved recursion dimension)
-  LoadArgInt,  // R[A].I = bound int argument of parameter B
-  LoadArgReal, // R[A].D = bound float/prob argument of parameter B
-
-  // Conversions.
-  IntToReal, // R[A].D = double(R[B].I)
-  LogOf,     // R[A].D = pr_tolog(R[B].D)
-
-  // Integer arithmetic. A = dst, B, C = operands.
-  AddInt,
-  SubInt,
-  MulInt,
-  DivInt, // 0 when the divisor is 0 (the evaluator's convention)
-  MinInt,
-  MaxInt,
-
-  // Real arithmetic.
-  AddReal,
-  SubReal,
-  MulReal,
-  DivReal,
-  MinReal, // B < C ? B : C, matching the tree-walker exactly
-  MaxReal,
-
-  // Log-space probability arithmetic.
-  LogMul, // R[A].D = R[B].D + R[C].D
-  LogDiv, // R[A].D = R[B].D - R[C].D
-  LogSum, // R[A].D = pr_logaddexp(R[B].D, R[C].D)
-
-  // Comparisons; the boolean result lands in the I slot (0/1).
-  CmpLtReal,
-  CmpLeReal,
-  CmpGtReal,
-  CmpGeReal,
-  CmpEqReal,
-  CmpNeReal,
-  CmpEqInt, // char/char and bool/bool equality on the I slot
-  CmpNeInt,
-
-  // Control flow. Structured: only forward jumps within one range.
-  JumpIfFalse, // if !R[A].I then pc = B; charges the if's Ops
-  Jump,        // pc = A
-
-  // Recursive table lookups (strength-reduced; see CallDesc). The
-  // variants bake in the function's return-type conversion.
-  TableReadReal,     // R[A].D = T(target of CallDesc[B])
-  TableReadBool,     // R[A].I = T(...) != 0.0
-  TableReadInt,      // R[A].I = int64(T(...)): T holds double(int64)s
-  TableReadRoundInt, // R[A].I = pr_round_i64(T(...)): an int function
-                     // with a float body
-
-  // Model reads, pre-resolved to parameter slots at compile time.
-  SeqChar,      // R[A].I = seq param B at index R[C].I
-  MatrixScore,  // R[A].I = matrix param B score(char R[C].I, char R[D].I)
-  TransStart,   // R[A].I = hmm param B transition(R[C].I).From
-  TransEnd,     // R[A].I = hmm param B transition(R[C].I).To
-  TransLogProb, // R[A].D = precomputed log transition prob
-  StateIsStart, // R[A].I = hmm param B state(R[C].I).IsStart
-  StateIsEnd,   // R[A].I = hmm param B state(R[C].I).IsEnd
-  Emission,     // R[A].D = dense log-emission[state R[C].I][char R[D].I]
-
-  // Reduction over a transition set; A = index into Reduces. The body
-  // is the instruction range [pc+1, ReduceDesc.BodyEnd), executed once
-  // per transition with ReduceDesc.VarReg bound to the transition.
-  Reduce,
+#define PARREC_OPCODE(Name) Name,
+#include "codegen/Opcodes.def"
 };
+
+/// One register: the int64 slot (ints, bools, chars, indices) or the
+/// double slot (reals and log-space probabilities).
+union RegValue {
+  int64_t I;
+  double D;
+};
+
+/// Register operation \p Op (a PARREC_UNARY or PARREC_BINARY row of
+/// Opcodes.def) applied to the operands \p B and \p C (C unused by a
+/// unary one), as the VM executes it. The constant folder computes
+/// through it.
+RegValue evalRegOp(Opcode Op, RegValue B, RegValue C);
+
+/// Operand of an Infix row: an int converts to uint64_t, where C++
+/// defines + - * to wrap in two's complement (the result converts back
+/// on assignment); a double passes unchanged.
+inline uint64_t infixOperand(int64_t V) { return static_cast<uint64_t>(V); }
+inline double infixOperand(double V) { return V; }
+
+// The forms of Opcodes.def as C++ over operand slots X and Y, for the
+// VM's handlers and evalRegOp.
+#define PARREC_CXX1_Cast(What, X) static_cast<What>(X)
+#define PARREC_CXX1_Call(What, X) What(X)
+#define PARREC_CXX2_Infix(What, X, Y) (infixOperand(X) What infixOperand(Y))
+#define PARREC_CXX2_Compare(What, X, Y) ((X) What (Y))
+#define PARREC_CXX2_Select(What, X, Y) ((X) What (Y) ? (X) : (Y))
+#define PARREC_CXX2_Call(What, X, Y) What(X, Y)
 
 /// One fixed-size instruction. Imm holds an integer or double immediate
 /// depending on the opcode.

@@ -6,9 +6,9 @@
 //===----------------------------------------------------------------------===//
 //
 // The one definition of the helpers whose bits every evaluator must
-// share: the rounding of an int-typed table read, the log-space
-// conversion and binary '+', and the online log-space sum with its own
-// table-driven e^x. The text is C99 and C++20 at once. LogSpace.h
+// share: the rounding of an int-typed table read, integer division, the
+// log-space conversion and binary '+', and the online log-space sum with
+// its own table-driven e^x. The text is C99 and C++20 at once. LogSpace.h
 // includes it inside parrec::codegen, for the AST walker, the bytecode
 // compiler's constant folding and the VM. The build embeds the same text
 // and NativeJit prints it into every kernel, after the declarations it
@@ -41,6 +41,18 @@ static inline int64_t pr_round_i64(double x) {
     double frac = x - (double)t;
     return t + (frac >= 0.5) - (frac <= -0.5);
   }
+}
+
+// The DSL's integer division: C's, which truncates toward zero, except
+// that a divisor of 0 gives 0 and INT64_MIN / -1 gives INT64_MIN, the
+// two's-complement wrap that Java and Go define. C leaves both undefined,
+// and x86-64 traps on both. The negation runs in uint64_t, which wraps.
+static inline int64_t pr_div_i64(int64_t a, int64_t b) {
+  if (b == 0)
+    return 0;
+  if (b == -1)
+    return (int64_t)(0 - (uint64_t)a);
+  return a / b;
 }
 
 // Linear -> log conversion; log 0 is -inf.

@@ -275,6 +275,12 @@ private:
         line(Decl + "(" + L + ") > (" + R + ") ? (" + L + ") : (" + R +
              ");");
         return T;
+      case BinaryOp::Div:
+        if (B->ExprType.Kind == TypeKind::Int) {
+          line(Decl + "parrec_div(" + L + ", " + R + ");");
+          return T;
+        }
+        [[fallthrough]];
       default: {
         const char *Op = binaryOpSpelling(B->Op);
         line(Decl + "(" + L + ") " + Op + " (" + R + ");");
@@ -522,6 +528,12 @@ std::string parrec::codegen::emitCudaKernel(const FunctionDecl &F,
   Out += "}\n";
   Out += "__device__ static inline int parrec_floor_div(int n, int d) {\n";
   Out += "  return n / d - (n % d != 0 && n < 0);\n";
+  Out += "}\n";
+  // The DSL's int `/`, as CellMath.h's pr_div_i64 defines it: a divisor
+  // of 0 gives 0, and INT_MIN / -1 wraps to INT_MIN (C's `/` leaves
+  // both undefined).
+  Out += "__device__ static inline int parrec_div(int a, int b) {\n";
+  Out += "  return b == 0 ? 0 : b == -1 ? (int)(0u - (unsigned)a) : a / b;\n";
   Out += "}\n";
   Out += "__device__ static inline float parrec_logf(float x) {\n";
   Out += "  return x <= 0.0f ? -INFINITY : logf(x);\n";

@@ -307,17 +307,19 @@ Evaluator::RuntimeValue Evaluator::evalExpr(const Expr *E,
       }
     }
 
-    // Integer arithmetic stays integral.
+    // Integer arithmetic stays integral; + - * wrap in two's complement,
+    // computed in uint64_t, where C++ defines the wrap.
     if (L.K == RV::Kind::Int && R.K == RV::Kind::Int) {
+      uint64_t X = static_cast<uint64_t>(L.I), Y = static_cast<uint64_t>(R.I);
       switch (B->Op) {
       case BinaryOp::Add:
-        return RV::ofInt(L.I + R.I);
+        return RV::ofInt(static_cast<int64_t>(X + Y));
       case BinaryOp::Sub:
-        return RV::ofInt(L.I - R.I);
+        return RV::ofInt(static_cast<int64_t>(X - Y));
       case BinaryOp::Mul:
-        return RV::ofInt(L.I * R.I);
+        return RV::ofInt(static_cast<int64_t>(X * Y));
       case BinaryOp::Div:
-        return RV::ofInt(R.I == 0 ? 0 : L.I / R.I);
+        return RV::ofInt(pr_div_i64(L.I, R.I));
       case BinaryOp::Min:
         return RV::ofInt(L.I < R.I ? L.I : R.I);
       case BinaryOp::Max:

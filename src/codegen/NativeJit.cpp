@@ -22,6 +22,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -186,6 +187,60 @@ std::string intLit(int64_t V) {
   if (V == std::numeric_limits<int64_t>::min())
     return "(-9223372036854775807LL - 1LL)";
   return std::to_string(V) + "LL";
+}
+
+/// The expression forms of Opcodes.def.
+enum class RegOpForm : uint8_t { Cast, Call, Infix, Compare, Select };
+
+/// A register operation's row of Opcodes.def, as kernel text: its result
+/// and operand slots ('i' or 'd', pr_reg's members), its form and the
+/// type, helper or operator the form applies.
+struct RegOp {
+  bool Binary;
+  char Res, Opnd;
+  RegOpForm Form;
+  const char *What;
+};
+
+/// The kernel's pr_reg member of the table's slot name "I" or "D".
+constexpr char kernelSlot(const char *Slot) {
+  return Slot[0] == 'I' ? 'i' : 'd';
+}
+
+/// \p Op's row, or nothing for an opcode that reads other state.
+std::optional<RegOp> regOp(Opcode Op) {
+  switch (Op) {
+#define PARREC_UNARY(Name, Res, Opnd, Form, What)                             \
+  case Opcode::Name:                                                          \
+    return RegOp{false, kernelSlot(#Res), kernelSlot(#Opnd), RegOpForm::Form, \
+                 #What};
+#define PARREC_BINARY(Name, Res, Opnd, Form, What)                            \
+  case Opcode::Name:                                                          \
+    return RegOp{true, kernelSlot(#Res), kernelSlot(#Opnd), RegOpForm::Form,  \
+                 #What};
+#include "codegen/Opcodes.def"
+  default:
+    return std::nullopt;
+  }
+}
+
+/// Register operation \p R over the operands \p X and \p Y (Y unused
+/// by a unary one), as a C expression.
+std::string regOpExpr(const RegOp &R, const std::string &X,
+                      const std::string &Y) {
+  std::string What = R.What;
+  switch (R.Form) {
+  case RegOpForm::Cast:
+    return "(" + What + ")" + X;
+  case RegOpForm::Call:
+    return What + "(" + X + (R.Binary ? ", " + Y : "") + ")";
+  case RegOpForm::Infix:
+  case RegOpForm::Compare:
+    return X + " " + What + " " + Y;
+  case RegOpForm::Select:
+    return X + " " + What + " " + Y + " ? " + X + " : " + Y;
+  }
+  return std::string();
 }
 
 /// Renders one ExecutablePlan as a self-contained C translation unit,
@@ -552,8 +607,6 @@ private:
         bool Varies = false;
         switch (In.Op) {
         case Opcode::Move:
-        case Opcode::IntToReal:
-        case Opcode::LogOf:
           Varies = varies(In.B);
           break;
         case Opcode::TableReadReal:
@@ -572,7 +625,8 @@ private:
           break;
         }
         default:
-          Varies = isBinary(In.Op) && (varies(In.B) || varies(In.C));
+          if (std::optional<RegOp> R = regOp(In.Op))
+            Varies = varies(In.B) || (R->Binary && varies(In.C));
           break;
         }
         if (Varies && !varies(Dst)) {
@@ -621,11 +675,6 @@ private:
   }
 
   bool varies(int R) const { return Varying[static_cast<size_t>(R)] != 0; }
-
-  /// The opcodes computing register A from registers B and C alone.
-  static bool isBinary(Opcode Op) {
-    return Op >= Opcode::AddInt && Op <= Opcode::CmpNeInt;
-  }
 
   static std::string scalarReg(int R, char Slot) {
     return "r[" + std::to_string(R) + "]." + Slot;
@@ -1090,120 +1139,48 @@ private:
 
   /// Emits \p In, which writes a varying register, in its lanes form, and
   /// returns true; returns false when every operand is uniform and the
-  /// value is then the same in every lane. Add, sub and mul, compares and
-  /// min/max are vector statements; every other statement evaluates its
-  /// scalar form in each lane.
+  /// value is then the same in every lane. A register operation's Infix,
+  /// Compare and Select forms are vector statements; every other
+  /// statement evaluates its scalar form in each lane.
   bool emitLaneInstr(const Instr &In) {
     int A = In.A, B = In.B, C = In.C, D = In.D;
-    if (isBinary(In.Op) && !varies(B) && !varies(C))
-      return false;
-    auto Arith = [&](char Slot, const char *Op) {
-      line("q[%d].%c = %s %s %s;", A, Slot, vecReg(B, Slot).c_str(), Op,
-           vecReg(C, Slot).c_str());
-    };
-    // Scalar compares give 1 or 0; vector compares give -1 or 0.
-    auto Compare = [&](char Slot, const char *Op) {
-      line("q[%d].i = -(pr_v4i)(%s %s %s);", A, vecReg(B, Slot).c_str(), Op,
-           vecReg(C, Slot).c_str());
-    };
-    // B Op C ? B : C, as the scalar min and max select.
-    auto Pick = [&](char Slot, const char *Op) {
-      std::string X = vecReg(B, Slot), Y = vecReg(C, Slot);
-      line("q[%d].%c = %s;", A, Slot,
-           select(Slot, X + " " + Op + " " + Y, X, Y).c_str());
-    };
     auto EachLane = [&](char Slot,
                         const std::function<std::string(unsigned)> &Lane) {
       line("q[%d].%c = %s;", A, Slot, perLane(Slot, Lane).c_str());
     };
+    if (std::optional<RegOp> R = regOp(In.Op)) {
+      if (!varies(B) && !(R->Binary && varies(C)))
+        return false;
+      std::string X = vecReg(B, R->Opnd), Y = vecReg(C, R->Opnd);
+      switch (R->Form) {
+      case RegOpForm::Infix:
+        line("q[%d].%c = %s %s %s;", A, R->Res, X.c_str(), R->What,
+             Y.c_str());
+        break;
+      case RegOpForm::Compare:
+        // Scalar compares give 1 or 0; vector compares give -1 or 0.
+        line("q[%d].i = -(pr_v4i)(%s %s %s);", A, X.c_str(), R->What,
+             Y.c_str());
+        break;
+      case RegOpForm::Select:
+        line("q[%d].%c = %s;", A, R->Res,
+             select(R->Res, X + " " + R->What + " " + Y, X, Y).c_str());
+        break;
+      case RegOpForm::Cast:
+      case RegOpForm::Call:
+        EachLane(R->Res, [&](unsigned L) {
+          return regOpExpr(*R, laneReg(B, R->Opnd, L),
+                           laneReg(C, R->Opnd, L));
+        });
+        break;
+      }
+      return true;
+    }
     switch (In.Op) {
     case Opcode::Move:
       if (!varies(B))
         return false;
       line("q[%d] = q[%d];", A, B);
-      return true;
-    case Opcode::IntToReal:
-      if (!varies(B))
-        return false;
-      EachLane('d', [&](unsigned L) { return "(double)" + laneReg(B, 'i', L); });
-      return true;
-    case Opcode::LogOf:
-      if (!varies(B))
-        return false;
-      EachLane('d', [&](unsigned L) {
-        return "pr_tolog(" + laneReg(B, 'd', L) + ")";
-      });
-      return true;
-    case Opcode::AddInt:
-      Arith('i', "+");
-      return true;
-    case Opcode::SubInt:
-      Arith('i', "-");
-      return true;
-    case Opcode::MulInt:
-      Arith('i', "*");
-      return true;
-    case Opcode::DivInt:
-      EachLane('i', [&](unsigned L) {
-        return "(" + laneReg(C, 'i', L) + " == 0 ? 0 : " + laneReg(B, 'i', L) +
-               " / " + laneReg(C, 'i', L) + ")";
-      });
-      return true;
-    case Opcode::MinInt:
-      Pick('i', "<");
-      return true;
-    case Opcode::MaxInt:
-      Pick('i', ">");
-      return true;
-    case Opcode::AddReal:
-    case Opcode::LogMul:
-      Arith('d', "+");
-      return true;
-    case Opcode::SubReal:
-    case Opcode::LogDiv:
-      Arith('d', "-");
-      return true;
-    case Opcode::MulReal:
-      Arith('d', "*");
-      return true;
-    case Opcode::DivReal:
-      Arith('d', "/");
-      return true;
-    case Opcode::MinReal:
-      Pick('d', "<");
-      return true;
-    case Opcode::MaxReal:
-      Pick('d', ">");
-      return true;
-    case Opcode::LogSum:
-      EachLane('d', [&](unsigned L) {
-        return "pr_logaddexp(" + laneReg(B, 'd', L) + ", " +
-               laneReg(C, 'd', L) + ")";
-      });
-      return true;
-    case Opcode::CmpLtReal:
-      Compare('d', "<");
-      return true;
-    case Opcode::CmpLeReal:
-      Compare('d', "<=");
-      return true;
-    case Opcode::CmpGtReal:
-      Compare('d', ">");
-      return true;
-    case Opcode::CmpGeReal:
-      Compare('d', ">=");
-      return true;
-    case Opcode::CmpEqReal:
-      Compare('d', "==");
-      return true;
-    case Opcode::CmpNeReal:
-      Compare('d', "!=");
-      return true;
-    case Opcode::CmpEqInt:
-      Compare('i', "==");
-      return true;
-    case Opcode::CmpNeInt:
-      Compare('i', "!=");
       return true;
     case Opcode::TableReadReal:
     case Opcode::TableReadBool:
@@ -1252,6 +1229,12 @@ private:
 
   void emitScalarInstr(const Instr &In, int Rid) {
     int A = In.A, B = In.B, C = In.C, D = In.D;
+    if (std::optional<RegOp> R = regOp(In.Op)) {
+      line("r[%d].%c = %s;", A, R->Res,
+           regOpExpr(*R, scalarReg(B, R->Opnd), scalarReg(C, R->Opnd))
+               .c_str());
+      return;
+    }
     switch (In.Op) {
     case Opcode::ConstInt:
       line("r[%d].i = %s;", A, intLit(In.Imm.I).c_str());
@@ -1270,85 +1253,6 @@ private:
       break;
     case Opcode::LoadArgReal:
       line("r[%d].d = a->real_args[%d];", A, B);
-      break;
-    case Opcode::IntToReal:
-      line("r[%d].d = (double)r[%d].i;", A, B);
-      break;
-    case Opcode::LogOf:
-      line("r[%d].d = pr_tolog(r[%d].d);", A, B);
-      break;
-    case Opcode::AddInt:
-      line("r[%d].i = r[%d].i + r[%d].i;", A, B, C);
-      break;
-    case Opcode::SubInt:
-      line("r[%d].i = r[%d].i - r[%d].i;", A, B, C);
-      break;
-    case Opcode::MulInt:
-      line("r[%d].i = r[%d].i * r[%d].i;", A, B, C);
-      break;
-    case Opcode::DivInt:
-      line("r[%d].i = r[%d].i == 0 ? 0 : r[%d].i / r[%d].i;", A, C, B, C);
-      break;
-    case Opcode::MinInt:
-      line("r[%d].i = r[%d].i < r[%d].i ? r[%d].i : r[%d].i;", A, B, C, B,
-           C);
-      break;
-    case Opcode::MaxInt:
-      line("r[%d].i = r[%d].i > r[%d].i ? r[%d].i : r[%d].i;", A, B, C, B,
-           C);
-      break;
-    case Opcode::AddReal:
-      line("r[%d].d = r[%d].d + r[%d].d;", A, B, C);
-      break;
-    case Opcode::SubReal:
-      line("r[%d].d = r[%d].d - r[%d].d;", A, B, C);
-      break;
-    case Opcode::MulReal:
-      line("r[%d].d = r[%d].d * r[%d].d;", A, B, C);
-      break;
-    case Opcode::DivReal:
-      line("r[%d].d = r[%d].d / r[%d].d;", A, B, C);
-      break;
-    case Opcode::MinReal:
-      line("r[%d].d = r[%d].d < r[%d].d ? r[%d].d : r[%d].d;", A, B, C, B,
-           C);
-      break;
-    case Opcode::MaxReal:
-      line("r[%d].d = r[%d].d > r[%d].d ? r[%d].d : r[%d].d;", A, B, C, B,
-           C);
-      break;
-    case Opcode::LogMul:
-      line("r[%d].d = r[%d].d + r[%d].d;", A, B, C);
-      break;
-    case Opcode::LogDiv:
-      line("r[%d].d = r[%d].d - r[%d].d;", A, B, C);
-      break;
-    case Opcode::LogSum:
-      line("r[%d].d = pr_logaddexp(r[%d].d, r[%d].d);", A, B, C);
-      break;
-    case Opcode::CmpLtReal:
-      line("r[%d].i = r[%d].d < r[%d].d;", A, B, C);
-      break;
-    case Opcode::CmpLeReal:
-      line("r[%d].i = r[%d].d <= r[%d].d;", A, B, C);
-      break;
-    case Opcode::CmpGtReal:
-      line("r[%d].i = r[%d].d > r[%d].d;", A, B, C);
-      break;
-    case Opcode::CmpGeReal:
-      line("r[%d].i = r[%d].d >= r[%d].d;", A, B, C);
-      break;
-    case Opcode::CmpEqReal:
-      line("r[%d].i = r[%d].d == r[%d].d;", A, B, C);
-      break;
-    case Opcode::CmpNeReal:
-      line("r[%d].i = r[%d].d != r[%d].d;", A, B, C);
-      break;
-    case Opcode::CmpEqInt:
-      line("r[%d].i = r[%d].i == r[%d].i;", A, B, C);
-      break;
-    case Opcode::CmpNeInt:
-      line("r[%d].i = r[%d].i != r[%d].i;", A, B, C);
       break;
     case Opcode::JumpIfFalse:
       line("if (!r[%d].i)", A);

@@ -75,7 +75,9 @@ void Parser::skipToStatementStart() {
 //===----------------------------------------------------------------------===//
 
 Script Parser::parseScript() {
-  obs::Span PhaseSpan("compile.parse", "compiler");
+  // The script's parse, a run.* span like its statements'; compile.parse
+  // is the parse pass's span, which parses one function.
+  obs::Span PhaseSpan("run.parse", "runtime");
   Script Result;
   while (current().isNot(TokenKind::EndOfFile)) {
     if (consumeIf(TokenKind::Semicolon))

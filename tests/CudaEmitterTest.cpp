@@ -176,6 +176,23 @@ TEST(CudaEmitterTest, DivisionHelpersAreDefined) {
         << Src;
 }
 
+TEST(CudaEmitterTest, IntDivisionCallsTheDslHelper) {
+  // C's `/` is undefined for k == 0, where every evaluator gives 0, so
+  // the cell divides ints with parrec_div, which the text defines.
+  Emitted E = emit("int f(int n, int k) =\n"
+                   "  if n == 0 then 7 / k else f(n-1, k) + 1\n",
+                   solver::Schedule{{1, 0}});
+  const std::string &Src = E.Source;
+  size_t Cell = Src.find("__device__ int f_cell(");
+  ASSERT_NE(Cell, std::string::npos) << Src;
+  std::string Body = Src.substr(Cell, Src.find("\n}\n", Cell) - Cell);
+  EXPECT_NE(Body.find("= parrec_div(7, k);"), std::string::npos) << Body;
+  EXPECT_EQ(Body.find(" / "), std::string::npos) << Body;
+  EXPECT_NE(Src.find("__device__ static inline int parrec_div(int a, int b)"),
+            std::string::npos)
+      << Src;
+}
+
 TEST(CudaEmitterTest, HostLaunchStub) {
   DiagnosticEngine Diags;
   Parser P(EditDistanceSource, Diags);

@@ -21,6 +21,7 @@
 #include "codegen/Bytecode.h"
 #include "codegen/LogSpace.h"
 #include "codegen/NativeJit.h"
+#include "exec/Table.h"
 #include "obs/Metrics.h"
 #include "runtime/CompiledRecurrence.h"
 #include "runtime/Interpreter.h"
@@ -1082,6 +1083,267 @@ TEST(RoundToInt64Test, MatchesLlroundOnEveryDouble) {
 }
 
 //===----------------------------------------------------------------------===//
+// Register operations at the edges: folded bits are executed bits
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Int operands: 0, 1, -1, INT64_MAX and INT64_MIN.
+const std::vector<std::string> IntEdges = {
+    "0", "1", "(0 - 1)", "9223372036854775807",
+    "(0 - 9223372036854775807 - 1)"};
+/// Real operands: 0.0 / 0.0, +inf, -0.0 and 0.0. They end in 0.0, so a
+/// table's last cell, its root, which a run reads back through
+/// FullTable::get, is no NaN: get takes one for a cell not yet computed.
+const std::vector<std::string> RealEdges = {"(0.0 / 0.0)", "(1.0 / 0.0)",
+                                            "((0 - 1.0) * 0.0)", "0.0"};
+
+/// RealEdges' values, computed at run time as the folder computes them
+/// (a division folded by the C++ compiler may give another NaN).
+std::vector<double> realEdgeValues() {
+  volatile double Zero = 0.0, One = 1.0;
+  return {Zero / Zero, One / Zero, -One * Zero, Zero};
+}
+
+/// "if n == 0 then C0 else if n == 1 then C1 ... else Clast": cell n of
+/// the function's table holds case n.
+std::string caseChain(const std::vector<std::string> &Cases) {
+  std::string S;
+  for (size_t N = 0; N + 1 < Cases.size(); ++N)
+    S += "if n == " + std::to_string(N) + " then " + Cases[N] + " else ";
+  return S + Cases.back();
+}
+
+/// The bits of cells 0 .. Cases-1 of \p Fn's table under \p Kind, whose
+/// first parameter is `int n`; \p Rest binds the others.
+std::vector<uint64_t> caseBits(const CompiledRecurrence &Fn, size_t Cases,
+                               const std::vector<ArgValue> &Rest,
+                               EvalKind Kind) {
+  std::vector<ArgValue> Args = {
+      ArgValue::ofInt(static_cast<int64_t>(Cases) - 1)};
+  Args.insert(Args.end(), Rest.begin(), Rest.end());
+  gpu::Device Dev;
+  DiagnosticEngine Diags;
+  RunOptions Opts;
+  Opts.UseSlidingWindow = false;
+  Opts.KeepTable = true;
+  Opts.Evaluator = Kind;
+  Opts.JitCacheDir = jitCacheDirForTest();
+  auto R = Fn.runGpu(Args, Dev, Diags, Opts);
+  EXPECT_TRUE(R.has_value() && R->Table) << Diags.str();
+  // The raw storage, since get() takes a NaN for a cell not yet computed.
+  auto *Table = R ? dynamic_cast<exec::DpTable *>(R->Table.get()) : nullptr;
+  std::vector<uint64_t> Bits;
+  for (size_t N = 0; Table && N != Cases; ++N)
+    Bits.push_back(std::bit_cast<uint64_t>(Table->rawData()[N]));
+  return Bits;
+}
+
+/// Instructions of \p Fn's program that compute a register operation.
+size_t registerOps(const CompiledRecurrence &Fn) {
+  size_t N = 0;
+  for (const codegen::Instr &I : Fn.bytecode()->Code)
+    switch (I.Op) {
+#define PARREC_UNARY(Name, Res, Opnd, Form, What) case codegen::Opcode::Name:
+#define PARREC_BINARY(Name, Res, Opnd, Form, What) case codegen::Opcode::Name:
+#include "codegen/Opcodes.def"
+      ++N;
+      break;
+    default:
+      break;
+    }
+  return N;
+}
+
+/// Cases that each apply one register operation (Ops[K]) to literals
+/// (Literal[K]) and to values the evaluators compute (Param[K]).
+struct EdgeCases {
+  std::vector<std::string> Literal, Param;
+  std::vector<codegen::Opcode> Ops;
+
+  void add(codegen::Opcode Op, std::string Lit, std::string Par) {
+    Ops.push_back(Op);
+    Literal.push_back(std::move(Lit));
+    Param.push_back(std::move(Par));
+  }
+};
+
+/// Compiles `<LitHead> = <C.Literal>`, which the folder computes whole
+/// (its only register operations left are the case selector's two per
+/// case), and `<ParHead> = <C.Param>`, which runs every operation. Then
+/// checks the AST walker on the first, and the AST walker, the VM and the
+/// JIT on the second, against the folded values bit for bit, cell by
+/// cell. \p LitArgs and \p ParArgs bind the parameters after n.
+void expectFoldedIsExecuted(const std::string &LitHead,
+                            const std::vector<ArgValue> &LitArgs,
+                            const std::string &ParHead,
+                            const std::vector<ArgValue> &ParArgs,
+                            const EdgeCases &C) {
+  CompiledRecurrence Lit =
+      compileOrDie((LitHead + " = " + caseChain(C.Literal)).c_str());
+  CompiledRecurrence Par =
+      compileOrDie((ParHead + " = " + caseChain(C.Param)).c_str());
+  ASSERT_NE(Lit.bytecode(), nullptr) << LitHead;
+  ASSERT_NE(Par.bytecode(), nullptr) << ParHead;
+  size_t Cases = C.Ops.size();
+  EXPECT_EQ(registerOps(Lit), 2 * (Cases - 1))
+      << LitHead << ": a case was not folded";
+  for (codegen::Opcode Op : C.Ops)
+    EXPECT_TRUE(readsWith(Par, Op))
+        << ParHead << " runs no opcode " << static_cast<int>(Op);
+  uint64_t FallbacksBefore =
+      obs::MetricsRegistry::global().snapshot().counter("jit.fallbacks");
+  // The VM runs the folded program's constants.
+  std::vector<uint64_t> Folded = caseBits(Lit, Cases, LitArgs, EvalKind::Vm);
+  ASSERT_EQ(Folded.size(), Cases);
+  std::pair<const char *, std::vector<uint64_t>> Runs[] = {
+      {"AST walker on literals", caseBits(Lit, Cases, LitArgs, EvalKind::Ast)},
+      {"AST walker", caseBits(Par, Cases, ParArgs, EvalKind::Ast)},
+      {"VM", caseBits(Par, Cases, ParArgs, EvalKind::Vm)},
+      {"JIT", caseBits(Par, Cases, ParArgs, EvalKind::Jit)}};
+  for (const auto &[Name, Bits] : Runs) {
+    ASSERT_EQ(Bits.size(), Cases) << Name;
+    for (size_t N = 0; N != Cases; ++N)
+      EXPECT_EQ(Bits[N], Folded[N])
+          << Name << ", case " << N << ": " << C.Param[N] << " gives "
+          << std::bit_cast<double>(Bits[N]) << ", the folder "
+          << std::bit_cast<double>(Folded[N]) << " for " << C.Literal[N];
+  }
+  EXPECT_EQ(
+      obs::MetricsRegistry::global().snapshot().counter("jit.fallbacks"),
+      FallbacksBefore)
+      << ParHead << ": the JIT fell back to the VM";
+}
+
+} // namespace
+
+TEST(DifferentialTest, FoldedOperationsMatchExecutedOnesAtTheEdges) {
+  using codegen::Opcode;
+  // Int + - * / min max over every pair of edges. An int parameter is a
+  // recursion dimension, so the executed operands are n - n + edge. A
+  // cell holds the high or the low 32 bits of a result, which a double
+  // holds exactly, where the whole result may lose bits.
+  const std::pair<const char *, Opcode> IntOps[] = {
+      {"+", Opcode::AddInt},   {"-", Opcode::SubInt},
+      {"*", Opcode::MulInt},   {"/", Opcode::DivInt},
+      {"min", Opcode::MinInt}, {"max", Opcode::MaxInt}};
+  EdgeCases Ints;
+  for (const auto &[Spelling, Op] : IntOps)
+    for (const std::string &A : IntEdges)
+      for (const std::string &B : IntEdges) {
+        std::string Lit = "(" + A + " " + Spelling + " " + B + ")";
+        std::string Par = "((n - n + " + A + ") " + Spelling + " (n - n + " +
+                          B + "))";
+        Ints.add(Op, Lit + " / 4294967296", Par + " / 4294967296");
+        Ints.add(Op, Lit + " - " + Lit + " / 4294967296 * 4294967296",
+                 Par + " - " + Par + " / 4294967296 * 4294967296");
+      }
+  expectFoldedIsExecuted("int f(int n)", {}, "int f(int n)", {}, Ints);
+
+  // Real + - * / min max and the comparisons over every pair of edges,
+  // bound to the parameters e0 .. e3 where the evaluators compute.
+  std::vector<ArgValue> Edges;
+  for (double V : realEdgeValues())
+    Edges.push_back(ArgValue::ofReal(V));
+  const std::string EdgeParams = ", float e0, float e1, float e2, float e3";
+  auto E = [](size_t I) { return "e" + std::to_string(I); };
+  const std::pair<const char *, Opcode> RealOps[] = {
+      {"+", Opcode::AddReal},   {"-", Opcode::SubReal},
+      {"*", Opcode::MulReal},   {"/", Opcode::DivReal},
+      {"min", Opcode::MinReal}, {"max", Opcode::MaxReal}};
+  const std::pair<const char *, Opcode> Compares[] = {
+      {"<", Opcode::CmpLtReal},  {"<=", Opcode::CmpLeReal},
+      {">", Opcode::CmpGtReal},  {">=", Opcode::CmpGeReal},
+      {"==", Opcode::CmpEqReal}, {"!=", Opcode::CmpNeReal}};
+  EdgeCases Reals, Bools;
+  for (size_t I = 0; I != RealEdges.size(); ++I)
+    for (size_t J = 0; J != RealEdges.size(); ++J) {
+      for (const auto &[Spelling, Op] : RealOps)
+        Reals.add(Op, RealEdges[I] + " " + Spelling + " " + RealEdges[J],
+                  E(I) + " " + Spelling + " " + E(J));
+      for (const auto &[Spelling, Op] : Compares)
+        Bools.add(Op, RealEdges[I] + " " + Spelling + " " + RealEdges[J],
+                  E(I) + " " + Spelling + " " + E(J));
+    }
+  expectFoldedIsExecuted("float f(int n)", {}, "float f(int n" + EdgeParams +
+                         ")", Edges, Reals);
+  expectFoldedIsExecuted("bool f(int n)", {}, "bool f(int n" + EdgeParams +
+                         ")", Edges, Bools);
+
+  // Int -> real, and int -> log and real -> log: a prob-typed if converts
+  // its non-prob branches with pr_tolog, so the chain ends in the prob p.
+  EdgeCases ToReal, ToLog;
+  for (const std::string &A : IntEdges) {
+    ToReal.add(Opcode::IntToReal, A + " * 1.0", "(n - n + " + A + ") * 1.0");
+    ToLog.add(Opcode::LogOf, A, "(n - n + " + A + ")");
+  }
+  for (size_t I = 0; I != RealEdges.size(); ++I)
+    ToLog.add(Opcode::LogOf, RealEdges[I], E(I));
+  ToLog.add(Opcode::LogOf, "p", "p");
+  expectFoldedIsExecuted("float f(int n)", {}, "float f(int n)", {}, ToReal);
+  std::vector<ArgValue> PEdges = {ArgValue::ofReal(0.0)};
+  PEdges.insert(PEdges.end(), Edges.begin(), Edges.end());
+  expectFoldedIsExecuted("prob f(int n, prob p)", {ArgValue::ofReal(0.0)},
+                         "prob f(int n, prob p" + EdgeParams + ")", PEdges,
+                         ToLog);
+
+  // == and != on chars, read from a sequence where the evaluators
+  // compute, and on bools.
+  bio::Sequence Letters("s", "ab");
+  auto Char = [](const char *C) {
+    return std::string(C[1] == 'a' ? "s[0]" : "s[1]");
+  };
+  auto Bool = [](const char *B) {
+    return std::string(B[0] == 't' ? "(n == n)" : "(n != n)");
+  };
+  EdgeCases Equalities;
+  for (const char *Spelling : {"==", "!="}) {
+    Opcode Op = Spelling[0] == '=' ? Opcode::CmpEqInt : Opcode::CmpNeInt;
+    for (const char *X : {"'a'", "'b'"})
+      for (const char *Y : {"'a'", "'b'"})
+        Equalities.add(Op, std::string(X) + " " + Spelling + " " + Y,
+                       Char(X) + " " + Spelling + " " + Char(Y));
+    for (const char *X : {"true", "false"})
+      for (const char *Y : {"true", "false"})
+        Equalities.add(Op, std::string(X) + " " + Spelling + " " + Y,
+                       Bool(X) + " " + Spelling + " " + Bool(Y));
+  }
+  expectFoldedIsExecuted("bool f(int n)", {}, "bool f(int n, seq[en] s)",
+                         {ArgValue::ofSeq(&Letters)}, Equalities);
+
+  // Prob * / + min max. No prob value is a literal, so the folder never
+  // meets one; the evaluators' bits are checked against evalRegOp, which
+  // the folder calls, over the same edges taken as log-space values.
+  const std::pair<const char *, Opcode> ProbOps[] = {
+      {"*", Opcode::LogMul},    {"/", Opcode::LogDiv},
+      {"+", Opcode::LogSum},    {"min", Opcode::MinReal},
+      {"max", Opcode::MaxReal}};
+  std::vector<std::string> ProbCases;
+  std::vector<uint64_t> Want;
+  for (size_t I = 0; I != Edges.size(); ++I)
+    for (size_t J = 0; J != Edges.size(); ++J)
+      for (const auto &[Spelling, Op] : ProbOps) {
+        ProbCases.push_back(E(I) + " " + Spelling + " " + E(J));
+        codegen::RegValue X, Y;
+        X.D = Edges[I].Real;
+        Y.D = Edges[J].Real;
+        Want.push_back(std::bit_cast<uint64_t>(codegen::evalRegOp(Op, X, Y).D));
+      }
+  CompiledRecurrence Probs = compileOrDie(
+      ("prob f(int n, prob e0, prob e1, prob e2, prob e3) = " +
+       caseChain(ProbCases))
+          .c_str());
+  for (EvalKind Kind : {EvalKind::Ast, EvalKind::Vm, EvalKind::Jit}) {
+    std::vector<uint64_t> Bits =
+        caseBits(Probs, ProbCases.size(), Edges, Kind);
+    ASSERT_EQ(Bits.size(), Want.size());
+    for (size_t N = 0; N != Want.size(); ++N)
+      EXPECT_EQ(Bits[N], Want[N])
+          << "evaluator " << static_cast<int>(Kind) << ", " << ProbCases[N];
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Lanes: a batch's same-shaped problems scanned four at a time
 //===----------------------------------------------------------------------===//
 
@@ -1254,6 +1516,45 @@ TEST(DifferentialTest, LanesCasinoForward) {
     return std::vector<ArgValue>{ArgValue::ofHmm(&Casino), ArgValue(),
                                  ArgValue::ofSeq(&Rolls[K]), ArgValue()};
   });
+}
+
+TEST(DifferentialTest, LanesDivideTableReads) {
+  // Smith-Waterman with its diagonal term halved and a term divided by
+  // the score, which is 2, 0 or -1 and differs from lane to lane: the
+  // lanes scan divides table reads by a uniform and a varying divisor.
+  CompiledRecurrence Fn = compileOrDie(
+      "int sw(matrix[dna] m, seq[dna] a, index[a] i, seq[dna] b, "
+      "index[b] j) =\n"
+      "  if i == 0 then 0\n"
+      "  else if j == 0 then 0\n"
+      "  else 0 max (sw(i-1, j-1) + m[a[i-1], b[j-1]]) / 2\n"
+      "       max sw(i-1, j-1) / m[a[i-1], b[j-1]]\n"
+      "       max (sw(i-1, j) - 1) max (sw(i, j-1) - 1)\n");
+  std::vector<int> Scores(16, -1);
+  for (unsigned X = 0; X != 4; ++X) {
+    Scores[X * 4 + X] = 2;
+    Scores[X * 4 + (X + 1) % 4] = 0;
+  }
+  const bio::SubstitutionMatrix M("zero", bio::Alphabet::dna(), Scores);
+  bio::Sequence Query("q", "acgtacgtggtacacgt");
+  auto Subjects = equalLengthSequences("acgt", 4, 15, /*Seed=*/57);
+  std::vector<std::vector<ArgValue>> Problems;
+  for (const bio::Sequence &Subject : Subjects)
+    Problems.push_back({ArgValue::ofMatrix(&M), ArgValue::ofSeq(&Query),
+                        ArgValue(), ArgValue::ofSeq(&Subject), ArgValue()});
+  DiagnosticEngine Diags;
+  auto Box = Fn.domainFor(Problems[0], Diags);
+  ASSERT_TRUE(Box.has_value()) << Diags.str();
+  auto Plan = Fn.planFor(*Box, RunOptions(), nullptr, Diags);
+  ASSERT_NE(Plan, nullptr) << Diags.str();
+  std::string Kernel = codegen::renderKernelSource(*Plan);
+  size_t LanesAt = Kernel.find("void parrec_scan_lanes(");
+  ASSERT_NE(LanesAt, std::string::npos);
+  EXPECT_NE(Kernel.find("pr_div_i64(", LanesAt), std::string::npos);
+  RunOptions Opts;
+  Opts.BatchWorkers = 1;
+  EXPECT_EQ(expectLanesAgree(Fn, Problems, Opts, " (divisions)"),
+            expectedLanes(4, 1));
 }
 
 TEST(DifferentialTest, LanesSplitByModel) {

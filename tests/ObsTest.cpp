@@ -27,6 +27,7 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "runtime/CompiledRecurrence.h"
+#include "runtime/Interpreter.h"
 #include "serve/Engine.h"
 #include "TempPath.h"
 
@@ -629,7 +630,8 @@ TEST(MetricsTest, ServingEngineFeedsGlobalRegistry) {
 /// "compile.pass.<pass>.ns", both derived from the pass's name in
 /// compiler::PassNames. Every compile.* span in a traced compile+run must
 /// map back to a listed pass (or one of the two non-pass wrappers), and
-/// every pass that ran must have recorded a duration sample.
+/// every pass that ran must have recorded a duration sample. In a traced
+/// script run, each pass's span count equals its sample count.
 TEST(MetricsTest, PassSpanAndMetricNamesMatchRegisteredPasses) {
   TracerSandbox Sandbox;
   MetricsSnapshot Before = MetricsRegistry::global().snapshot();
@@ -689,6 +691,38 @@ TEST(MetricsTest, PassSpanAndMetricNamesMatchRegisteredPasses) {
         B != Before.Distributions.end())
       CountBefore = B->second.Count;
     EXPECT_GT(It->second.Count, CountBefore) << Metric;
+  }
+
+  // A script run: the interpreter parses the script under run.parse, so
+  // every compile.<pass> span is one run of that pass and comes with its
+  // one compile.pass.<pass>.ns sample.
+  Tracer::instance().reset();
+  MetricsSnapshot ScriptBefore = MetricsRegistry::global().snapshot();
+  Tracer::instance().enable();
+  runtime::Interpreter Interp(Diags);
+  Interp.defineSequence("a", S);
+  Interp.defineSequence("b", T);
+  auto Output = Interp.run(std::string(EditDistanceSource) + "print d(a, b)\n");
+  Tracer::instance().disable();
+  ASSERT_TRUE(Output.has_value()) << Diags.str();
+  MetricsSnapshot ScriptAfter = MetricsRegistry::global().snapshot();
+  std::map<std::string, uint64_t> PassSpans;
+  uint64_t ScriptParses = 0;
+  for (const TraceEvent &E : Tracer::instance().hostEvents()) {
+    ScriptParses += E.Name == "run.parse";
+    if (E.Name.rfind("compile.", 0) == 0)
+      ++PassSpans[E.Name.substr(std::strlen("compile."))];
+  }
+  EXPECT_EQ(ScriptParses, 1u);
+  auto Samples = [](const MetricsSnapshot &Snap, const std::string &Metric) {
+    auto It = Snap.Distributions.find(Metric);
+    return It == Snap.Distributions.end() ? uint64_t(0) : It->second.Count;
+  };
+  for (std::string_view Name : compiler::PassNames) {
+    std::string Metric = "compile.pass." + std::string(Name) + ".ns";
+    EXPECT_EQ(PassSpans[std::string(Name)],
+              Samples(ScriptAfter, Metric) - Samples(ScriptBefore, Metric))
+        << "compile." << Name << " spans against " << Metric << " samples";
   }
 }
 
