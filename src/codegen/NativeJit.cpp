@@ -497,6 +497,23 @@ private:
       line("const int64_t tmin = a->min_partition;");
     }
     line("const int64_t v0 = p;");
+    // The length of each sequence the body reads; a lanes scan reads up
+    // to the shortest lane's, since its lanes share a plan and so the
+    // lengths the box holds, but not those of a sequence no index spans.
+    std::set<int> ReadSeqs;
+    for (const Instr &In : Prog->Code)
+      if (In.Op == Opcode::SeqChar)
+        ReadSeqs.insert(In.B);
+    for (int B : ReadSeqs) {
+      if (!Lanes) {
+        line("const int64_t sl%d = a->seqs[%d].len;", B, B);
+        continue;
+      }
+      line("int64_t sl%d = lseq[0][%d].len;", B, B);
+      line("for (int l = 1; l != %u; ++l)", JitLanes);
+      line("  if (lseq[l][%d].len < sl%d)", B, B);
+      line("    sl%d = lseq[l][%d].len;", B, B);
+    }
     // The slot's counters live in locals and are stored once per call,
     // so no table store has to be assumed to alias them. JitScanner
     // passes every call its own JitSlot.
@@ -1189,6 +1206,7 @@ private:
       emitTableRead(In);
       return true;
     case Opcode::SeqChar:
+      emitSeqCheck(B, C);
       EachLane('i', [&](unsigned L) {
         return "(int64_t)lseq[" + std::to_string(L) + "][" + std::to_string(B) +
                "].data[r[" + std::to_string(C) + "].i]";
@@ -1211,6 +1229,14 @@ private:
     default:
       return false;
     }
+  }
+
+  /// Stops the kernel when index register \p C is outside sequence \p B,
+  /// where the AST walker and the VM stop on their assertions. In a
+  /// lanes scan the index is uniform, so one check covers every lane.
+  void emitSeqCheck(int B, int C) {
+    line("if ((uint64_t)r[%d].i >= (uint64_t)sl%d)", C, B);
+    line("  __builtin_trap();");
   }
 
   /// Matrix B's score of the characters X and Y, and HMM B's emission
@@ -1268,6 +1294,7 @@ private:
       emitTableRead(In);
       break;
     case Opcode::SeqChar:
+      emitSeqCheck(B, C);
       line("r[%d].i = (int64_t)a->seqs[%d].data[r[%d].i];", A, B, C);
       break;
     case Opcode::MatrixScore:

@@ -1707,3 +1707,62 @@ TEST(DifferentialTest, LanesEntryOnlyWhereNoLaneDecidesControlFlow) {
   EXPECT_FALSE(HasLanes(EditDistanceSource, PairArgs));
   EXPECT_FALSE(HasLanes(TableBranch, PairArgs));
 }
+
+//===----------------------------------------------------------------------===//
+// Sequence reads out of range
+//===----------------------------------------------------------------------===//
+
+TEST(DifferentialTest, SequenceReadPastTheEndStopsEveryEvaluator) {
+  // s[i+40] reads past the end of "kitten": the AST walker and the VM
+  // stop on their assertions, both JIT scans on their bounds check, and
+  // no value is printed. The children are forked, so they share this
+  // process's JIT cache directory, which it removes at exit.
+  const std::string &CacheDir = jitCacheDirForTest();
+  std::string Script =
+      "int f(seq[en] s, index[s] i) =\n"
+      "  if i == 0 then 0 else f(i-1) + (if s[i+40] == 'a' then 1 else 2)\n"
+      "seq[en] a = load \"data/words.fa\" [0]\n"
+      "print f(a)\n";
+  for (EvalKind Kind : {EvalKind::Ast, EvalKind::Vm, EvalKind::Jit}) {
+    auto Run = [&] {
+      DiagnosticEngine Diags;
+      Interpreter::Options Opts;
+      Opts.BasePath = PARREC_SCRIPTS_DIR;
+      Opts.Run.Evaluator = Kind;
+      Opts.Run.JitCacheDir = CacheDir;
+      Interpreter Interp(Diags, std::move(Opts));
+      std::fputs(Interp.run(Script).value_or("").c_str(), stdout);
+    };
+    EXPECT_DEATH(Run(), "") << "evaluator " << static_cast<int>(Kind);
+  }
+
+  // A lanes group shares a plan, and so the lengths of the sequences an
+  // index spans, but not those of t, which no index spans: the third
+  // member's t is shorter than the reads of f, the others' are not.
+  CompiledRecurrence Fn = compileOrDie(
+      "int f(matrix[dna] m, seq[dna] s, index[s] i, seq[dna] t) =\n"
+      "  if i == 0 then 0 else f(i-1) + m[t[i], s[i-1]]\n");
+  const bio::SubstitutionMatrix M =
+      bio::SubstitutionMatrix::matchMismatch(bio::Alphabet::dna(), 2, 1);
+  bio::Sequence S("s", randomString("acgt", 20, 3));
+  std::deque<bio::Sequence> Ts = equalLengthSequences("acgt", 4, 30, 5);
+  Ts[2] = bio::Sequence("short", randomString("acgt", 12, 7));
+  std::vector<std::vector<ArgValue>> Problems;
+  for (const bio::Sequence &T : Ts)
+    Problems.push_back({ArgValue::ofMatrix(&M), ArgValue::ofSeq(&S),
+                        ArgValue(), ArgValue::ofSeq(&T)});
+  for (EvalKind Kind : {EvalKind::Ast, EvalKind::Vm, EvalKind::Jit}) {
+    auto Run = [&] {
+      gpu::Device Dev;
+      DiagnosticEngine Diags;
+      RunOptions Opts;
+      Opts.BatchWorkers = 1;
+      Opts.Evaluator = Kind;
+      Opts.JitCacheDir = CacheDir;
+      auto Batch = Fn.runGpuBatch(Problems, Dev, Diags, Opts);
+      for (size_t I = 0; Batch && I != Batch->Problems.size(); ++I)
+        std::printf("%g\n", Batch->Problems[I].RootValue);
+    };
+    EXPECT_DEATH(Run(), "") << "batch, evaluator " << static_cast<int>(Kind);
+  }
+}
