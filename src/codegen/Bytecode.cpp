@@ -426,7 +426,8 @@ private:
     if (L.IsConst && R.IsConst) {
       InstrCost Total = L.Cost;
       if (addCost(Total, R.Cost) && addCost(Total, Cost))
-        return constOf(ResKind, evalRegOp(Op, constSlot(L), constSlot(R)), Total);
+        return constOf(ResKind, evalRegOp(Op, constSlot(L), constSlot(R)),
+                       Total);
     }
     int32_t LR = materialize(L);
     int32_t RR = materialize(R);

@@ -150,6 +150,7 @@ private:
 #define PARREC_OPCODE(Name) &&Op_##Name,
 #include "codegen/Opcodes.def"
     };
+#define VM_CASE(Name) Op_##Name
 #define VM_DISPATCH()                                                     \
   do {                                                                    \
     if (Pc >= End) {                                                      \
@@ -167,168 +168,180 @@ private:
   } while (0)
     VM_DISPATCH();
 
-  Op_ConstInt:
-    R[In->A].I = In->Imm.I;
-    VM_NEXT();
-  Op_ConstReal:
-    R[In->A].D = In->Imm.D;
-    VM_NEXT();
-  Op_Move:
-    R[In->A] = R[In->B];
-    VM_NEXT();
-  Op_LoadPoint:
-    R[In->A].I = Point[In->B];
-    VM_NEXT();
-  Op_LoadArgInt:
-    R[In->A].I = IntArgs[static_cast<size_t>(In->B)];
-    VM_NEXT();
-  Op_LoadArgReal:
-    R[In->A].D = RealArgs[static_cast<size_t>(In->B)];
-    VM_NEXT();
+    VM_CASE(ConstInt) : { R[In->A].I = In->Imm.I; }
+      VM_NEXT();
+    VM_CASE(ConstReal) : { R[In->A].D = In->Imm.D; }
+      VM_NEXT();
+    VM_CASE(Move) : { R[In->A] = R[In->B]; }
+      VM_NEXT();
+    VM_CASE(LoadPoint) : { R[In->A].I = Point[In->B]; }
+      VM_NEXT();
+    VM_CASE(LoadArgInt) : {
+      R[In->A].I = IntArgs[static_cast<size_t>(In->B)];
+    }
+      VM_NEXT();
+    VM_CASE(LoadArgReal) : {
+      R[In->A].D = RealArgs[static_cast<size_t>(In->B)];
+    }
+      VM_NEXT();
     // The register operations, IntToReal through CmpNeInt: one handler
     // per row of Opcodes.def.
 #define PARREC_UNARY(Name, Res, Opnd, Form, What)                             \
-  Op_##Name:                                                                  \
-    R[In->A].Res = PARREC_CXX1_##Form(What, R[In->B].Opnd);                   \
-    VM_NEXT();
+  VM_CASE(Name) : { R[In->A].Res = PARREC_CXX1_##Form(What, R[In->B].Opnd); }  \
+  VM_NEXT();
 #define PARREC_BINARY(Name, Res, Opnd, Form, What)                            \
-  Op_##Name:                                                                  \
+  VM_CASE(Name) : {                                                           \
     R[In->A].Res = PARREC_CXX2_##Form(What, R[In->B].Opnd, R[In->C].Opnd);    \
-    VM_NEXT();
+  }                                                                           \
+  VM_NEXT();
 #include "codegen/Opcodes.def"
-  Op_JumpIfFalse:
-    if (!R[In->A].I) {
-      Pc = static_cast<uint32_t>(In->B);
+    VM_CASE(JumpIfFalse) : {
+      if (!R[In->A].I) {
+        Pc = static_cast<uint32_t>(In->B);
+        VM_DISPATCH();
+      }
+    }
+      VM_NEXT();
+    VM_CASE(Jump) : {
+      Pc = static_cast<uint32_t>(In->A);
       VM_DISPATCH();
     }
-    VM_NEXT();
-  Op_Jump:
-    Pc = static_cast<uint32_t>(In->A);
-    VM_DISPATCH();
-  Op_TableReadReal:
-    R[In->A].D = readTable(In->B, Point, Table);
-    VM_NEXT();
-  Op_TableReadBool:
-    R[In->A].I = readTable(In->B, Point, Table) != 0.0;
-    VM_NEXT();
-  Op_TableReadInt:
-    R[In->A].I = static_cast<int64_t>(readTable(In->B, Point, Table));
-    VM_NEXT();
-  Op_TableReadRoundInt:
-    R[In->A].I = pr_round_i64(readTable(In->B, Point, Table));
-    VM_NEXT();
-  Op_SeqChar : {
-    const BoundSeq &S = Seqs[static_cast<size_t>(In->B)];
-    int64_t Index = R[In->C].I;
-    assert(S.Data && "sequence parameter not bound");
-    assert(Index >= 0 && Index < S.Len && "sequence index out of range");
-    R[In->A].I = static_cast<int64_t>(S.Data[Index]);
-  }
-    VM_NEXT();
-  Op_MatrixScore : {
-    const bio::SubstitutionMatrix *M = Matrices[static_cast<size_t>(In->B)];
-    assert(M && "matrix parameter not bound");
-    R[In->A].I = M->score(static_cast<char>(R[In->C].I),
-                          static_cast<char>(R[In->D].I));
-  }
-    VM_NEXT();
-  Op_TransStart:
-    R[In->A].I = Hmms[static_cast<size_t>(In->B)]
-                     .H->transition(static_cast<unsigned>(R[In->C].I))
-                     .From;
-    VM_NEXT();
-  Op_TransEnd:
-    R[In->A].I = Hmms[static_cast<size_t>(In->B)]
-                     .H->transition(static_cast<unsigned>(R[In->C].I))
-                     .To;
-    VM_NEXT();
-  Op_TransLogProb:
-    R[In->A].D = Hmms[static_cast<size_t>(In->B)]
-                     .LogTrans[static_cast<size_t>(R[In->C].I)];
-    VM_NEXT();
-  Op_StateIsStart:
-    R[In->A].I = Hmms[static_cast<size_t>(In->B)]
-                     .H->state(static_cast<unsigned>(R[In->C].I))
-                     .IsStart;
-    VM_NEXT();
-  Op_StateIsEnd:
-    R[In->A].I = Hmms[static_cast<size_t>(In->B)]
-                     .H->state(static_cast<unsigned>(R[In->C].I))
-                     .IsEnd;
-    VM_NEXT();
-  Op_Emission : {
-    const BoundHmm &BH = Hmms[static_cast<size_t>(In->B)];
-    size_t State = static_cast<size_t>(R[In->C].I);
-    unsigned Col = BH.CharCol[static_cast<unsigned char>(
-        static_cast<char>(R[In->D].I))];
-    R[In->A].D = BH.Emissions[State * BH.Stride + Col];
-  }
-    VM_NEXT();
-  Op_Reduce : {
-    const ReduceDesc &Rd = Prog->Reduces[static_cast<size_t>(In->A)];
-    const BoundHmm &BH = Hmms[Rd.HmmParam];
-    assert(BH.H && "reduction over unbound hmm");
-    unsigned State = static_cast<unsigned>(R[Rd.StateReg].I);
-    const std::vector<unsigned> &Set =
-        Rd.OverIncoming ? BH.H->transitionsTo(State)
-                        : BH.H->transitionsFrom(State);
-    // Identities for empty sets, exactly as the tree-walker initialises
-    // its accumulators.
-    LogSumExp ProbSum;
-    double AccumReal = 0.0;
-    int64_t AccumInt = 0;
-    switch (Rd.Kind) {
-    case lang::ReductionKind::Sum:
-      break;
-    case lang::ReductionKind::Max:
-      AccumReal = NegInfinity;
-      AccumInt = std::numeric_limits<int64_t>::min();
-      break;
-    case lang::ReductionKind::Min:
-      AccumReal = std::numeric_limits<double>::infinity();
-      AccumInt = std::numeric_limits<int64_t>::max();
-      break;
+    VM_CASE(TableReadReal) : {
+      R[In->A].D = readTable(In->B, Point, Table);
     }
-    bool First = true;
-    for (unsigned T : Set) {
-      R[Rd.VarReg].I = static_cast<int64_t>(T);
-      execRange(Pc + 1, Rd.BodyEnd, Point, Table, Acc);
-      Acc.add(Rd.ElemCost);
-      const RegValue Body = R[Rd.BodyReg];
+      VM_NEXT();
+    VM_CASE(TableReadBool) : {
+      R[In->A].I = readTable(In->B, Point, Table) != 0.0;
+    }
+      VM_NEXT();
+    VM_CASE(TableReadInt) : {
+      R[In->A].I = static_cast<int64_t>(readTable(In->B, Point, Table));
+    }
+      VM_NEXT();
+    VM_CASE(TableReadRoundInt) : {
+      R[In->A].I = pr_round_i64(readTable(In->B, Point, Table));
+    }
+      VM_NEXT();
+    VM_CASE(SeqChar) : {
+      const BoundSeq &S = Seqs[static_cast<size_t>(In->B)];
+      int64_t Index = R[In->C].I;
+      assert(S.Data && "sequence parameter not bound");
+      assert(Index >= 0 && Index < S.Len && "sequence index out of range");
+      R[In->A].I = static_cast<int64_t>(S.Data[Index]);
+    }
+      VM_NEXT();
+    VM_CASE(MatrixScore) : {
+      const bio::SubstitutionMatrix *M =
+          Matrices[static_cast<size_t>(In->B)];
+      assert(M && "matrix parameter not bound");
+      R[In->A].I = M->score(static_cast<char>(R[In->C].I),
+                            static_cast<char>(R[In->D].I));
+    }
+      VM_NEXT();
+    VM_CASE(TransStart) : {
+      R[In->A].I = Hmms[static_cast<size_t>(In->B)]
+                       .H->transition(static_cast<unsigned>(R[In->C].I))
+                       .From;
+    }
+      VM_NEXT();
+    VM_CASE(TransEnd) : {
+      R[In->A].I = Hmms[static_cast<size_t>(In->B)]
+                       .H->transition(static_cast<unsigned>(R[In->C].I))
+                       .To;
+    }
+      VM_NEXT();
+    VM_CASE(TransLogProb) : {
+      R[In->A].D = Hmms[static_cast<size_t>(In->B)]
+                       .LogTrans[static_cast<size_t>(R[In->C].I)];
+    }
+      VM_NEXT();
+    VM_CASE(StateIsStart) : {
+      R[In->A].I = Hmms[static_cast<size_t>(In->B)]
+                       .H->state(static_cast<unsigned>(R[In->C].I))
+                       .IsStart;
+    }
+      VM_NEXT();
+    VM_CASE(StateIsEnd) : {
+      R[In->A].I = Hmms[static_cast<size_t>(In->B)]
+                       .H->state(static_cast<unsigned>(R[In->C].I))
+                       .IsEnd;
+    }
+      VM_NEXT();
+    VM_CASE(Emission) : {
+      const BoundHmm &BH = Hmms[static_cast<size_t>(In->B)];
+      size_t State = static_cast<size_t>(R[In->C].I);
+      unsigned Col = BH.CharCol[static_cast<unsigned char>(
+          static_cast<char>(R[In->D].I))];
+      R[In->A].D = BH.Emissions[State * BH.Stride + Col];
+    }
+      VM_NEXT();
+    VM_CASE(Reduce) : {
+      const ReduceDesc &Rd = Prog->Reduces[static_cast<size_t>(In->A)];
+      const BoundHmm &BH = Hmms[Rd.HmmParam];
+      assert(BH.H && "reduction over unbound hmm");
+      unsigned State = static_cast<unsigned>(R[Rd.StateReg].I);
+      const std::vector<unsigned> &Set =
+          Rd.OverIncoming ? BH.H->transitionsTo(State)
+                          : BH.H->transitionsFrom(State);
+      // Identities for empty sets, exactly as the tree-walker
+      // initialises its accumulators.
+      LogSumExp ProbSum;
+      double AccumReal = 0.0;
+      int64_t AccumInt = 0;
       switch (Rd.Kind) {
       case lang::ReductionKind::Sum:
-        if (Rd.AccKind == ReduceDesc::Acc::Prob)
-          ProbSum.add(Body.D);
-        else if (Rd.AccKind == ReduceDesc::Acc::Int)
-          AccumInt += Body.I;
-        else
-          AccumReal += Body.D;
-        break;
-      case lang::ReductionKind::Min:
-        if (Rd.AccKind == ReduceDesc::Acc::Int)
-          AccumInt = First ? Body.I : std::min(AccumInt, Body.I);
-        else
-          AccumReal = First ? Body.D : std::min(AccumReal, Body.D);
         break;
       case lang::ReductionKind::Max:
-        if (Rd.AccKind == ReduceDesc::Acc::Int)
-          AccumInt = First ? Body.I : std::max(AccumInt, Body.I);
-        else
-          AccumReal = First ? Body.D : std::max(AccumReal, Body.D);
+        AccumReal = NegInfinity;
+        AccumInt = std::numeric_limits<int64_t>::min();
+        break;
+      case lang::ReductionKind::Min:
+        AccumReal = std::numeric_limits<double>::infinity();
+        AccumInt = std::numeric_limits<int64_t>::max();
         break;
       }
-      First = false;
+      bool First = true;
+      for (unsigned T : Set) {
+        R[Rd.VarReg].I = static_cast<int64_t>(T);
+        execRange(Pc + 1, Rd.BodyEnd, Point, Table, Acc);
+        Acc.add(Rd.ElemCost);
+        const RegValue Body = R[Rd.BodyReg];
+        switch (Rd.Kind) {
+        case lang::ReductionKind::Sum:
+          if (Rd.AccKind == ReduceDesc::Acc::Prob)
+            ProbSum.add(Body.D);
+          else if (Rd.AccKind == ReduceDesc::Acc::Int)
+            AccumInt += Body.I;
+          else
+            AccumReal += Body.D;
+          break;
+        case lang::ReductionKind::Min:
+          if (Rd.AccKind == ReduceDesc::Acc::Int)
+            AccumInt = First ? Body.I : std::min(AccumInt, Body.I);
+          else
+            AccumReal = First ? Body.D : std::min(AccumReal, Body.D);
+          break;
+        case lang::ReductionKind::Max:
+          if (Rd.AccKind == ReduceDesc::Acc::Int)
+            AccumInt = First ? Body.I : std::max(AccumInt, Body.I);
+          else
+            AccumReal = First ? Body.D : std::max(AccumReal, Body.D);
+          break;
+        }
+        First = false;
+      }
+      if (Rd.AccKind == ReduceDesc::Acc::Int)
+        R[Rd.DstReg].I = AccumInt;
+      else if (Rd.Kind == lang::ReductionKind::Sum &&
+               Rd.AccKind == ReduceDesc::Acc::Prob)
+        R[Rd.DstReg].D = ProbSum.result();
+      else
+        R[Rd.DstReg].D = AccumReal;
+      Pc = Rd.BodyEnd;
+      VM_DISPATCH();
     }
-    if (Rd.AccKind == ReduceDesc::Acc::Int)
-      R[Rd.DstReg].I = AccumInt;
-    else if (Rd.Kind == lang::ReductionKind::Sum &&
-             Rd.AccKind == ReduceDesc::Acc::Prob)
-      R[Rd.DstReg].D = ProbSum.result();
-    else
-      R[Rd.DstReg].D = AccumReal;
-    Pc = Rd.BodyEnd;
-    VM_DISPATCH();
-  }
+
+#undef VM_CASE
 #undef VM_DISPATCH
 #undef VM_NEXT
   }
