@@ -441,13 +441,22 @@ private:
     Value R = compileExpr(B->Rhs.get());
     const InstrCost Op1{1, 0, 0, 0, 0};
 
-    // Comparisons (the walker converts both sides with asDouble, except
-    // like-kind char/bool equality).
+    // Comparisons (the walker compares two ints as ints and like-kind
+    // char/bool equality by value, and converts any other pair with
+    // asDouble).
+    bool BothInt = L.Kind == VKind::Int && R.Kind == VKind::Int;
     switch (B->Op) {
     case BinaryOp::Lt:
     case BinaryOp::Gt:
     case BinaryOp::Le:
     case BinaryOp::Ge: {
+      if (BothInt) {
+        Opcode Op = B->Op == BinaryOp::Lt   ? Opcode::CmpLtInt
+                    : B->Op == BinaryOp::Gt ? Opcode::CmpGtInt
+                    : B->Op == BinaryOp::Le ? Opcode::CmpLeInt
+                                            : Opcode::CmpGeInt;
+        return binary(Op, Op1, VKind::Bool, L, R);
+      }
       Value A = coerceAsDouble(L), C = coerceAsDouble(R);
       Opcode Op = B->Op == BinaryOp::Lt   ? Opcode::CmpLtReal
                   : B->Op == BinaryOp::Gt ? Opcode::CmpGtReal
@@ -458,7 +467,7 @@ private:
     case BinaryOp::Eq:
     case BinaryOp::Ne: {
       bool Negate = B->Op == BinaryOp::Ne;
-      if ((L.Kind == VKind::Char && R.Kind == VKind::Char) ||
+      if (BothInt || (L.Kind == VKind::Char && R.Kind == VKind::Char) ||
           (L.Kind == VKind::Bool && R.Kind == VKind::Bool))
         return binary(Negate ? Opcode::CmpNeInt : Opcode::CmpEqInt, Op1,
                       VKind::Bool, L, R);

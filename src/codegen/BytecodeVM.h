@@ -184,7 +184,7 @@ private:
       R[In->A].D = RealArgs[static_cast<size_t>(In->B)];
     }
       VM_NEXT();
-    // The register operations, IntToReal through CmpNeInt: one handler
+    // The register operations, IntToReal through CmpGeInt: one handler
     // per row of Opcodes.def.
 #define PARREC_UNARY(Name, Res, Opnd, Form, What)                             \
   VM_CASE(Name) : { R[In->A].Res = PARREC_CXX1_##Form(What, R[In->B].Opnd); }  \

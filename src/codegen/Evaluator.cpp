@@ -254,20 +254,25 @@ Evaluator::RuntimeValue Evaluator::evalExpr(const Expr *E,
     Ctx.Cost->Ops += 1;
     const Type &ResultType = B->ExprType;
 
-    // Comparisons.
+    // Comparisons: two ints as int64 values, so ints beyond 2^53 that
+    // round to one double still differ; any other pair but like-kind
+    // char/bool equality through asDouble.
+    bool BothInt = L.K == RV::Kind::Int && R.K == RV::Kind::Int;
     switch (B->Op) {
     case BinaryOp::Lt:
-      return RV::ofBool(L.asDouble() < R.asDouble());
+      return RV::ofBool(BothInt ? L.I < R.I : L.asDouble() < R.asDouble());
     case BinaryOp::Gt:
-      return RV::ofBool(L.asDouble() > R.asDouble());
+      return RV::ofBool(BothInt ? L.I > R.I : L.asDouble() > R.asDouble());
     case BinaryOp::Le:
-      return RV::ofBool(L.asDouble() <= R.asDouble());
+      return RV::ofBool(BothInt ? L.I <= R.I : L.asDouble() <= R.asDouble());
     case BinaryOp::Ge:
-      return RV::ofBool(L.asDouble() >= R.asDouble());
+      return RV::ofBool(BothInt ? L.I >= R.I : L.asDouble() >= R.asDouble());
     case BinaryOp::Eq:
     case BinaryOp::Ne: {
       bool Equal;
-      if (L.K == RV::Kind::Char && R.K == RV::Kind::Char)
+      if (BothInt)
+        Equal = L.I == R.I;
+      else if (L.K == RV::Kind::Char && R.K == RV::Kind::Char)
         Equal = L.C == R.C;
       else if (L.K == RV::Kind::Bool && R.K == RV::Kind::Bool)
         Equal = L.B == R.B;

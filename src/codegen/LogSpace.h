@@ -15,9 +15,9 @@
 /// -ffp-contract=off so no pair is fused into an FMA, and their
 /// probabilities agree bit for bit.
 ///
-/// The `exp` of the online sum is ParRec's own (pr_lse_exp), so the sum
-/// does not depend on the host's libm; pr_tolog, pr_logaddexp and the
-/// sum's final `log` call libm.
+/// The `exp` and the final `log` of the online sum are ParRec's own
+/// (pr_lse_exp, pr_lse_log), so the sum does not depend on the host's
+/// libm; pr_tolog and pr_logaddexp call libm.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -10,7 +10,9 @@
 #include "exec/Plan.h"
 #include "obs/Metrics.h"
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cinttypes>
 #include <cmath>
@@ -262,18 +264,24 @@ public:
         Plan.Sched.Coefficients.size() != N ||
         Plan.Nest.Levels.size() != 1 + static_cast<size_t>(N))
       return std::string();
+    HasSum = std::any_of(Prog->Reduces.begin(), Prog->Reduces.end(),
+                         [](const ReduceDesc &Rd) { return isProbSum(Rd); });
     emitPrelude();
-    line("#if PARREC_KERNEL_PART != 2");
+    line("#if PR_PART(1)");
     emitKernel();
     line("#endif");
     HasLanes = markVarying();
     if (HasLanes)
       emitLanesKernel();
+    if (HasSum)
+      emitSumResults();
     return Failed ? std::string() : Out;
   }
 
-  /// Whether the rendered unit has parrec_scan_lanes.
+  /// Whether the rendered unit has parrec_scan_lanes, and whether it has
+  /// a log-space n-ary sum, whose results part 3 computes.
   bool HasLanes = false;
+  bool HasSum = false;
 
 private:
   const exec::ExecutablePlan &Plan;
@@ -318,9 +326,14 @@ private:
   }
 
   std::string realLit(double V) {
+    // No literal spells a NaN's sign and payload, so a NaN's bits are
+    // read through a union, as CellMath.h's bit casts are.
     if (std::isnan(V)) {
-      fail(); // No portable bit-exact NaN literal; fall back to the VM.
-      return "0.0";
+      char Buf[80];
+      snprintf(Buf, sizeof(Buf),
+               "((union { uint64_t u; double d; }){0x%016" PRIx64 "ULL}).d",
+               std::bit_cast<uint64_t>(V));
+      return Buf;
     }
     if (std::isinf(V))
       return V > 0 ? "INFINITY" : "-INFINITY";
@@ -430,9 +443,15 @@ private:
     line("  double table_max, root_value; uint64_t has_root; } pr_slot_t;");
     line("typedef union { int64_t i; double d; } pr_reg;");
     // PARREC_KERNEL_PART picks what one compile of this text builds: 1,
-    // parrec_scan and the exported constants; 2, parrec_scan_lanes;
-    // undefined, everything. The JIT compiles the two parts at once.
-    line("#if PARREC_KERNEL_PART != 2");
+    // parrec_scan and the exported constants; 2, parrec_scan_lanes; 3,
+    // the log-space sums' results that both scans call; undefined,
+    // everything. The JIT compiles the parts at once.
+    line("#ifdef PARREC_KERNEL_PART");
+    line("#define PR_PART(n) (PARREC_KERNEL_PART == (n))");
+    line("#else");
+    line("#define PR_PART(n) 1");
+    line("#endif");
+    line("#if PR_PART(1)");
     line("const uint64_t parrec_kernel_abi = %" PRIu64 "ULL;", JitKernelAbi);
     line("#endif");
     line("");
@@ -464,6 +483,10 @@ private:
     line("}");
     Out += CellMathText;
     line("");
+    if (HasSum) {
+      line("%s", ResultAttrs);
+      line("double pr_lse_result_out(double m, double s);");
+    }
   }
 
   void emitKernel() {
@@ -592,18 +615,63 @@ private:
   /// the same on every host; the host calls it only on a CPU with AVX2.
   void emitLanesKernel() {
     line("");
-    line("#if defined(__x86_64__) && PARREC_KERNEL_PART != 1");
+    line("#if defined(__x86_64__) && PR_PART(2)");
     line("typedef double pr_v4du");
     line("    __attribute__((vector_size(32), aligned(8), may_alias));");
     line("typedef union { pr_v4i i; pr_v4d d; } pr_lreg;");
     line("#define pr_splat_i(x) ((pr_v4i){(x), (x), (x), (x)})");
     line("#define pr_splat_d(x) ((pr_v4d){(x), (x), (x), (x)})");
+    if (HasSum) {
+      line("%s", LanesResultAttrs);
+      line("pr_v4d pr_lse_result_lanes_out(pr_v4d m, pr_v4d s);");
+    }
     line("__attribute__((target(\"avx2\")))");
     Lanes = true;
     NextRange = 0;
     emitKernel();
     Lanes = false;
     line("#endif");
+  }
+
+  /// Part 3: the sums' results, pr_lse_result and its lane form, out of
+  /// line, so that their log compiles in parallel with the scans and
+  /// the kernel's compile takes no longer. Inlined, it lengthened both
+  /// scans' compiles by 10-20%. Each scan makes one call per cell, where
+  /// the lanes scan called libm's log once per lane. The lane form takes
+  /// and returns its vectors by value, in registers, as both sides are
+  /// compiled for AVX2: through pointers, each call stored them and
+  /// cleared the registers' upper halves (vzeroupper), which cost the
+  /// lanes scan about a tenth of its time.
+  void emitSumResults() {
+    line("");
+    line("#if PR_PART(3)");
+    line("%s", ResultAttrs);
+    line("double pr_lse_result_out(double m, double s) {");
+    line("  return pr_lse_result(m, s);");
+    line("}");
+    line("#endif");
+    if (!HasLanes)
+      return;
+    line("#if defined(__x86_64__) && PR_PART(3)");
+    line("%s", LanesResultAttrs);
+    line("pr_v4d pr_lse_result_lanes_out(pr_v4d m, pr_v4d s) {");
+    line("  pr_v4d out;");
+    line("  pr_lse_result_lanes(&out, &m, &s);");
+    line("  return out;");
+    line("}");
+    line("#endif");
+  }
+
+  /// Hidden, so that the scans' calls bind within the kernel's object;
+  /// the lane form is compiled for AVX2, as parrec_scan_lanes is.
+  static constexpr const char *ResultAttrs =
+      "__attribute__((visibility(\"hidden\")))";
+  static constexpr const char *LanesResultAttrs =
+      "__attribute__((target(\"avx2\"), visibility(\"hidden\")))";
+
+  static bool isProbSum(const ReduceDesc &Rd) {
+    return Rd.Kind == lang::ReductionKind::Sum &&
+           Rd.AccKind == ReduceDesc::Acc::Prob;
   }
 
   /// Marks each register varying (in a lanes scan it may hold another
@@ -950,8 +1018,7 @@ private:
     const char *Off = Rd.OverIncoming ? "adj_in_off" : "adj_out_off";
     const char *Arr = Rd.OverIncoming ? "adj_in" : "adj_out";
     bool IntAcc = Rd.AccKind == ReduceDesc::Acc::Int;
-    bool ProbSum = Rd.Kind == lang::ReductionKind::Sum &&
-                   Rd.AccKind == ReduceDesc::Acc::Prob;
+    bool ProbSum = isProbSum(Rd);
     // A varying body in a lanes scan folds one accumulator per lane.
     bool Vec = Lanes && varies(Rd.BodyReg);
     char Slot = IntAcc ? 'i' : 'd';
@@ -1057,12 +1124,9 @@ private:
     --Indent;
     line("}");
     if (ProbSum && Vec)
-      line("q[%d].d = %s;", Rd.DstReg, perLane('d', [](unsigned L) {
-             return "pr_lse_result(lm[" + std::to_string(L) + "], ls[" +
-                    std::to_string(L) + "])";
-           }).c_str());
+      line("q[%d].d = pr_lse_result_lanes_out(lm, ls);", Rd.DstReg);
     else if (ProbSum)
-      line("r[%d].d = pr_lse_result(lm, ls);", Rd.DstReg);
+      line("r[%d].d = pr_lse_result_out(lm, ls);", Rd.DstReg);
     else
       line("%c[%d].%c = acc;", Vec ? 'q' : 'r', Rd.DstReg, Slot);
     if (Lanes && !Vec && varies(Rd.DstReg))
@@ -1358,7 +1422,9 @@ uint64_t fnv1a(std::string_view S, uint64_t H = 0xcbf29ce484222325ULL) {
 struct RenderedKernel {
   std::string Source;
   uint64_t SourceHash = 0;
-  bool HasLanes = false;
+  /// The PARREC_KERNEL_PART values its compile is split into; 1 when it
+  /// compiles whole.
+  int Parts = 1;
 };
 
 RenderedKernel renderKernel(const exec::ExecutablePlan &Plan) {
@@ -1367,11 +1433,17 @@ RenderedKernel renderKernel(const exec::ExecutablePlan &Plan) {
   K.Source = Emitter.render();
   if (K.Source.empty())
     return K;
-  K.HasLanes = Emitter.HasLanes;
+  // The kernel text builds its lanes entry on x86-64 only. Whether this
+  // CPU runs it is decided at load time, so the object is the same on
+  // every host.
+#if defined(__x86_64__)
+  if (Emitter.HasLanes)
+    K.Parts = Emitter.HasSum ? 3 : 2;
+#endif
   K.SourceHash = fnv1a(K.Source);
   char Def[128];
   snprintf(Def, sizeof(Def),
-           "#if PARREC_KERNEL_PART != 2\n"
+           "#if PR_PART(1)\n"
            "const uint64_t parrec_kernel_source_hash = 0x%016" PRIx64
            "ULL;\n#endif\n",
            K.SourceHash);
@@ -1490,32 +1562,38 @@ const char *finishCompiler(pid_t Pid) {
 }
 
 /// Compiles \p CPath into the shared object \p OutPath. A kernel with a
-/// lanes entry (\p TwoParts) compiles as its two parts at once, which
-/// take about as long each as the whole would alone, and links them.
-/// Returns null on success, else the fallback reason.
+/// lanes entry compiles as its \p Parts parts at once, which take about
+/// as long each as the whole would alone, and links them. Returns null
+/// on success, else the fallback reason.
 const char *runCompiler(const std::string &CPath, const std::string &OutPath,
-                        bool TwoParts) {
+                        int Parts) {
   const std::vector<std::string> Flags = {"-O2", "-pipe", "-fPIC",
                                           "-ffp-contract=off"};
   auto With = [&](std::vector<std::string> Args) {
     Args.insert(Args.begin(), Flags.begin(), Flags.end());
     return Args;
   };
-  if (!TwoParts)
+  if (Parts == 1)
     return finishCompiler(
         startCompiler(With({"-shared", "-o", OutPath, CPath, "-lm"})));
-  std::string Objects[2] = {OutPath + ".1.o", OutPath + ".2.o"};
-  pid_t Parts[2];
-  for (int P = 0; P != 2; ++P)
-    Parts[P] = startCompiler(With({"-c", "-DPARREC_KERNEL_PART=" +
-                                              std::to_string(P + 1),
-                                   "-o", Objects[P], CPath}));
-  const char *Failure = finishCompiler(Parts[0]);
-  if (const char *Second = finishCompiler(Parts[1]); !Failure)
-    Failure = Second;
-  if (!Failure)
-    Failure = finishCompiler(startCompiler(
-        {"-shared", "-o", OutPath, Objects[0], Objects[1], "-lm"}));
+  std::vector<std::string> Objects;
+  std::vector<pid_t> Pids;
+  for (int P = 1; P <= Parts; ++P) {
+    Objects.push_back(OutPath + "." + std::to_string(P) + ".o");
+    Pids.push_back(startCompiler(With({"-c", "-DPARREC_KERNEL_PART=" +
+                                                 std::to_string(P),
+                                       "-o", Objects.back(), CPath})));
+  }
+  const char *Failure = nullptr;
+  for (pid_t Pid : Pids)
+    if (const char *PartFailure = finishCompiler(Pid); !Failure)
+      Failure = PartFailure;
+  if (!Failure) {
+    std::vector<std::string> Link = {"-shared", "-o", OutPath};
+    Link.insert(Link.end(), Objects.begin(), Objects.end());
+    Link.push_back("-lm");
+    Failure = finishCompiler(startCompiler(Link));
+  }
   std::error_code Ec;
   for (const std::string &Object : Objects)
     std::filesystem::remove(Object, Ec);
@@ -1585,16 +1663,8 @@ codegen::compileKernel(const exec::ExecutablePlan &Plan,
     }
   }
 
-  // The kernel text builds its lanes entry on x86-64 only. Whether this
-  // CPU runs it is decided at load time, so the object is the same on
-  // every host.
-#if defined(__x86_64__)
-  bool TwoParts = Rendered.HasLanes;
-#else
-  bool TwoParts = false;
-#endif
   auto T0 = std::chrono::steady_clock::now();
-  const char *Failure = runCompiler(TmpSource, Tmp, TwoParts);
+  const char *Failure = runCompiler(TmpSource, Tmp, Rendered.Parts);
   auto Ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - T0)
                 .count();

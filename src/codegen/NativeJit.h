@@ -36,8 +36,8 @@
 /// A log-space `sum` reduce folds with CellMath.h's online log-sum-exp
 /// (pr_lse_add / pr_lse_result): one `exp` per element that does not
 /// wait on the previous element's, and one `log` per cell. That `exp`
-/// is CellMath.h's own table-driven pr_lse_exp, so the fold calls no
-/// libm function. A reduce body reads
+/// and `log` are CellMath.h's own table-driven pr_lse_exp and
+/// pr_lse_log, so the sum calls no libm function. A reduce body reads
 /// its own transition's start, end and log-prob from a packed array in
 /// the set's CSR order, and the scan keeps the slot's counters in
 /// locals. In parrec_scan every cell is evaluated on its own, in serial

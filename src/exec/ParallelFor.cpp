@@ -107,8 +107,9 @@ void SpinBarrier::arriveAndWait() {
 void exec::parallelFor(unsigned Workers, size_t Jobs,
                        const std::function<void(size_t)> &Body) {
   Workers = resolveWorkerCount(Workers ? Workers : 1, Jobs);
-  forkJoin(Workers, [&](unsigned Worker) {
-    for (size_t I = Worker; I < Jobs; I += Workers)
+  std::atomic<size_t> Next{0};
+  forkJoin(Workers, [&](unsigned) {
+    for (size_t I = Next++; I < Jobs; I = Next++)
       Body(I);
   });
 }

@@ -10,9 +10,9 @@
 /// construction: forkJoin, which runs one task per worker on threads
 /// started for that call, a SpinBarrier for the per-partition rendezvous
 /// of the wavefront scan, and the parallelFor fan-out used by batch
-/// execution. Indices are striped statically and each index writes its
-/// own output slot, so results are deterministic and identical for any
-/// worker count.
+/// execution. Workers claim indices from one counter, in index order,
+/// and each index writes its own output slot, so results are
+/// deterministic and identical for any worker count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -75,10 +75,12 @@ private:
   unsigned Sleepers = 0;        // Guarded by Mutex.
 };
 
-/// Invokes Body(I) for every I in [0, Jobs), striped across \p Workers
-/// host threads (worker W handles W, W + Workers, ...). Runs inline when
-/// Workers <= 1. The first exception thrown by any Body is rethrown on
-/// the calling thread after all workers join.
+/// Invokes Body(I) for every I in [0, Jobs) on \p Workers host threads,
+/// the calling thread among them. Each worker claims the lowest index
+/// not yet claimed until none is left, so no worker idles while indices
+/// remain, whatever each Body costs. Runs inline when Workers <= 1. The
+/// first exception thrown by any Body is rethrown on the calling thread
+/// after all workers join.
 void parallelFor(unsigned Workers, size_t Jobs,
                  const std::function<void(size_t)> &Body);
 

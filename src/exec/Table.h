@@ -19,8 +19,9 @@
 #include "codegen/Evaluator.h"
 #include "solver/Recurrence.h"
 
+#include <bit>
 #include <cassert>
-#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -84,7 +85,11 @@ protected:
   uint64_t Slots = 0; // Per lane.
 };
 
-/// Dense row-major storage over the whole domain box.
+/// Dense row-major storage over the whole domain box. A cell not yet
+/// written holds UnwrittenBits, a quiet NaN whose payload no evaluator
+/// computes (x86-64 arithmetic yields the default NaN or passes an
+/// operand's payload on), so a cell that holds a computed NaN reads as
+/// written.
 class FullTable final : public DpTable {
 public:
   explicit FullTable(const solver::DomainBox &Box, unsigned Lanes = 1)
@@ -97,24 +102,27 @@ public:
       Stride *= static_cast<uint64_t>(Box.extent(D));
     }
     Slots = Stride;
-    Data.assign(Stride * Lanes, std::numeric_limits<double>::quiet_NaN());
+    Data.assign(Stride * Lanes, std::bit_cast<double>(UnwrittenBits));
   }
 
   double get(const int64_t *Point) const override {
     double V = Data[flatten(Point)];
-    assert(!std::isnan(V) && "read of an uncomputed cell: the schedule "
-                             "violated a dependency");
+    assert(std::bit_cast<uint64_t>(V) != UnwrittenBits &&
+           "read of an uncomputed cell: the schedule violated a dependency");
     return V;
   }
   void set(const int64_t *Point, double Value) override {
     double &Slot = Data[flatten(Point)];
-    assert(std::isnan(Slot) && "cell written twice: the schedule placed "
-                               "two scan points on one table slot");
+    assert(std::bit_cast<uint64_t>(Slot) == UnwrittenBits &&
+           "cell written twice: the schedule placed two scan points on one "
+           "table slot");
     Slot = Value;
   }
   double *rawData() override { return Data.data(); }
 
 private:
+  static constexpr uint64_t UnwrittenBits = 0x7ff8000000000001ULL;
+
   solver::DomainBox Box;
   std::vector<double> Data;
 

@@ -25,6 +25,7 @@
 #include "obs/Metrics.h"
 #include "runtime/CompiledRecurrence.h"
 #include "runtime/Interpreter.h"
+#include "KernelText.h"
 #include "TempPath.h"
 
 #include <gtest/gtest.h>
@@ -37,8 +38,10 @@
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <tuple>
+#include <vector>
 
 using namespace parrec;
 using namespace parrec::runtime;
@@ -1092,9 +1095,7 @@ namespace {
 const std::vector<std::string> IntEdges = {
     "0", "1", "(0 - 1)", "9223372036854775807",
     "(0 - 9223372036854775807 - 1)"};
-/// Real operands: 0.0 / 0.0, +inf, -0.0 and 0.0. They end in 0.0, so a
-/// table's last cell, its root, which a run reads back through
-/// FullTable::get, is no NaN: get takes one for a cell not yet computed.
+/// Real operands: 0.0 / 0.0, +inf, -0.0 and 0.0.
 const std::vector<std::string> RealEdges = {"(0.0 / 0.0)", "(1.0 / 0.0)",
                                             "((0 - 1.0) * 0.0)", "0.0"};
 
@@ -1131,7 +1132,7 @@ std::vector<uint64_t> caseBits(const CompiledRecurrence &Fn, size_t Cases,
   Opts.JitCacheDir = jitCacheDirForTest();
   auto R = Fn.runGpu(Args, Dev, Diags, Opts);
   EXPECT_TRUE(R.has_value() && R->Table) << Diags.str();
-  // The raw storage, since get() takes a NaN for a cell not yet computed.
+  // The raw storage: get() reads one cell.
   auto *Table = R ? dynamic_cast<exec::DpTable *>(R->Table.get()) : nullptr;
   std::vector<uint64_t> Bits;
   for (size_t N = 0; Table && N != Cases; ++N)
@@ -1169,7 +1170,7 @@ struct EdgeCases {
 };
 
 /// Compiles `<LitHead> = <C.Literal>`, which the folder computes whole
-/// (its only register operations left are the case selector's two per
+/// (its only register operation left is the case selector's one per
 /// case), and `<ParHead> = <C.Param>`, which runs every operation. Then
 /// checks the AST walker on the first, and the AST walker, the VM and the
 /// JIT on the second, against the folded values bit for bit, cell by
@@ -1186,7 +1187,7 @@ void expectFoldedIsExecuted(const std::string &LitHead,
   ASSERT_NE(Lit.bytecode(), nullptr) << LitHead;
   ASSERT_NE(Par.bytecode(), nullptr) << ParHead;
   size_t Cases = C.Ops.size();
-  EXPECT_EQ(registerOps(Lit), 2 * (Cases - 1))
+  EXPECT_EQ(registerOps(Lit), Cases - 1)
       << LitHead << ": a case was not folded";
   for (codegen::Opcode Op : C.Ops)
     EXPECT_TRUE(readsWith(Par, Op))
@@ -1239,6 +1240,20 @@ TEST(DifferentialTest, FoldedOperationsMatchExecutedOnesAtTheEdges) {
                  Par + " - " + Par + " / 4294967296 * 4294967296");
       }
   expectFoldedIsExecuted("int f(int n)", {}, "int f(int n)", {}, Ints);
+
+  // Int comparisons over every pair of edges, as int64 values.
+  const std::pair<const char *, Opcode> IntCompares[] = {
+      {"<", Opcode::CmpLtInt},  {"<=", Opcode::CmpLeInt},
+      {">", Opcode::CmpGtInt},  {">=", Opcode::CmpGeInt},
+      {"==", Opcode::CmpEqInt}, {"!=", Opcode::CmpNeInt}};
+  EdgeCases IntBools;
+  for (const auto &[Spelling, Op] : IntCompares)
+    for (const std::string &A : IntEdges)
+      for (const std::string &B : IntEdges)
+        IntBools.add(Op, A + " " + Spelling + " " + B,
+                     "(n - n + " + A + ") " + Spelling + " (n - n + " + B +
+                         ")");
+  expectFoldedIsExecuted("bool f(int n)", {}, "bool f(int n)", {}, IntBools);
 
   // Real + - * / min max and the comparisons over every pair of edges,
   // bound to the parameters e0 .. e3 where the evaluators compute.
@@ -1675,9 +1690,10 @@ TEST(DifferentialTest, LanesEntryOnlyWhereNoLaneDecidesControlFlow) {
   EXPECT_TRUE(HasLanes(DnaForwardSource, HmmArgs));
   EXPECT_TRUE(HasLanes(DnaViterbiSource, HmmArgs));
   {
-    // The forward entry folds its sums with the lane forms, which call
-    // no libm function, nor do the steps they share with the scalar
-    // forms; the sum's one log per lane is pr_lse_result.
+    // The forward entry folds its sums with the lane forms and takes
+    // their results, log included, from pr_lse_result_lanes. From the
+    // steps they share with the scalar forms to the end of that, the
+    // text calls no libm function.
     CompiledRecurrence Fn = compileOrDie(DnaForwardSource);
     DiagnosticEngine Diags;
     auto Box = Fn.domainFor(HmmArgs, Diags);
@@ -1686,26 +1702,102 @@ TEST(DifferentialTest, LanesEntryOnlyWhereNoLaneDecidesControlFlow) {
     ASSERT_NE(Plan, nullptr) << Diags.str();
     std::string Kernel = codegen::renderKernelSource(*Plan);
     size_t Steps = Kernel.find("#define PR_LSE_EXP_REDUCE");
-    size_t Scalar = Kernel.find("static inline double pr_lse_exp(double x)");
-    size_t Begin = Kernel.find("pr_lse_exp_lanes(pr_v4d *out");
-    size_t Add = Kernel.find("pr_lse_add_lanes(pr_v4d *m");
+    size_t Result = Kernel.find("pr_lse_result_lanes(pr_v4d *out");
     ASSERT_NE(Steps, std::string::npos);
-    ASSERT_NE(Scalar, std::string::npos);
-    ASSERT_LT(Steps, Scalar);
-    ASSERT_NE(Begin, std::string::npos);
-    ASSERT_NE(Add, std::string::npos);
-    std::string Sum = Kernel.substr(Steps, Scalar - Steps) +
-                      Kernel.substr(Begin, Kernel.find("\n}\n", Add) - Begin);
-    for (const char *Libm : {" exp(", "(exp(", "log(", "log1p(", "exp2("})
-      EXPECT_EQ(Sum.find(Libm), std::string::npos) << Libm << " in\n" << Sum;
-    std::string Lanes = Kernel.substr(Kernel.find("void parrec_scan_lanes("));
+    ASSERT_NE(Result, std::string::npos);
+    ASSERT_LT(Steps, Result);
+    std::string Sum =
+        Kernel.substr(Steps, Kernel.find("\n}\n", Result) - Steps);
+    EXPECT_NE(Sum.find("pr_lse_log_lanes(&l, s);"), std::string::npos);
+    EXPECT_EQ(libmCalls(Sum), std::vector<std::string>()) << Sum;
+    size_t Entry = Kernel.find("void parrec_scan_lanes(");
+    std::string Lanes =
+        Kernel.substr(Entry, Kernel.find("\n}\n", Entry) - Entry);
     EXPECT_NE(Lanes.find("pr_lse_add_lanes(&lm, &ls, &q["), std::string::npos)
         << Lanes;
+    EXPECT_NE(Lanes.find("].d = pr_lse_result_lanes_out(lm, ls);"),
+              std::string::npos)
+        << Lanes;
     EXPECT_EQ(Lanes.find("pr_lse_add(&"), std::string::npos) << Lanes;
+    EXPECT_EQ(Lanes.find("pr_lse_result("), std::string::npos) << Lanes;
+    EXPECT_NE(Kernel.find("  pr_lse_result_lanes(&out, &m, &s);"),
+              std::string::npos);
   }
   EXPECT_TRUE(HasLanes(SmithWatermanSource, SwArgs));
   EXPECT_FALSE(HasLanes(EditDistanceSource, PairArgs));
   EXPECT_FALSE(HasLanes(TableBranch, PairArgs));
+}
+
+//===----------------------------------------------------------------------===//
+// Int comparisons beyond 2^53, NaN roots and NaN constants
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// What \p Script prints under \p Kind, on the simulated GPU or, with
+/// \p Gpu false, on the modelled CPU.
+std::string printedBy(const std::string &Script, EvalKind Kind,
+                      bool Gpu = true) {
+  DiagnosticEngine Diags;
+  Interpreter::Options Opts;
+  Opts.UseGpu = Gpu;
+  Opts.Run.Evaluator = Kind;
+  Opts.Run.JitCacheDir = jitCacheDirForTest();
+  Interpreter Interp(Diags, std::move(Opts));
+  std::optional<std::string> Out = Interp.run(Script);
+  EXPECT_TRUE(Out.has_value()) << Diags.str();
+  return Out.value_or("");
+}
+
+/// Expects \p Script to print \p Want under the AST walker, the VM and
+/// the JIT, and on the modelled CPU, with no JIT run falling back.
+void expectPrintsEverywhere(const std::string &Script,
+                            const std::string &Want) {
+  uint64_t FallbacksBefore =
+      obs::MetricsRegistry::global().snapshot().counter("jit.fallbacks");
+  for (EvalKind Kind : {EvalKind::Ast, EvalKind::Vm, EvalKind::Jit})
+    EXPECT_EQ(printedBy(Script, Kind), Want)
+        << "evaluator " << static_cast<int>(Kind) << ":\n" << Script;
+  EXPECT_EQ(printedBy(Script, EvalKind::Vm, /*Gpu=*/false), Want)
+      << "cpu:\n" << Script;
+  EXPECT_EQ(
+      obs::MetricsRegistry::global().snapshot().counter("jit.fallbacks"),
+      FallbacksBefore)
+      << "the JIT fell back to the VM on\n" << Script;
+}
+
+} // namespace
+
+TEST(DifferentialTest, IntsBeyondTwoToThe53CompareExactly) {
+  // Each pair rounds to one double, so compared as doubles the two are
+  // equal. Computed at run time (n - n + ...) and folded.
+  expectPrintsEverywhere("bool g(int n) = (n - n + 9007199254740993) == "
+                         "(n - n + 9007199254740992)\n"
+                         "print g(0)\n",
+                         "g(0) = 0\n");
+  expectPrintsEverywhere(
+      "bool g(int n) = 9223372036854775807 == 9223372036854775806\n"
+      "print g(0)\n",
+      "g(0) = 0\n");
+  expectPrintsEverywhere("bool g(int n) = (n - n + 9007199254740992) < "
+                         "(n - n + 9007199254740993)\n"
+                         "print g(0)\n",
+                         "g(0) = 1\n");
+  expectPrintsEverywhere("bool g(int n) = (n - n + 9223372036854775807) <= "
+                         "(n - n + 9223372036854775806)\n"
+                         "print g(0)\n",
+                         "g(0) = 0\n");
+}
+
+TEST(DifferentialTest, NaNRootsAndConstantsPrintAsTheWindowedFormDoes) {
+  // A full table's root that is a computed NaN is no unwritten cell,
+  // and a NaN the folder computes is a constant the JIT can spell.
+  expectPrintsEverywhere("float f(int n) = 0.0 / 0.0\nprint f(3)\n",
+                         "f(3) = -nan\n");
+  expectPrintsEverywhere(
+      "float f(int n) = if n == 0 then 0.0 / 0.0 else f(n-1) + 1.0\n"
+      "print f(3)\n",
+      "f(3) = -nan\n");
 }
 
 //===----------------------------------------------------------------------===//

@@ -18,6 +18,9 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 using namespace parrec;
 using namespace parrec::codegen;
@@ -515,6 +518,176 @@ TEST(LogSumExpTest, LaneAddEqualsScalarBitForBit) {
   }
   EXPECT_EQ(Mismatches, 0u);
   EXPECT_GE(Elements, 1000000u);
+}
+
+namespace {
+
+/// |Got - logl(X)| in ulps of logl(X) rounded to double.
+double logUlpError(double X, double Got) {
+  long double Exact = std::log(static_cast<long double>(X));
+  double Want = static_cast<double>(Exact);
+  double Ulp = std::nextafter(std::fabs(Want),
+                              std::numeric_limits<double>::infinity()) -
+               std::fabs(Want);
+  return static_cast<double>(std::fabs(Got - Exact) / Ulp);
+}
+
+/// The first double of each of pr_lse_log's 128 subintervals, and the
+/// last of the one before.
+std::vector<double> logTableBoundaries() {
+  std::vector<double> Bounds;
+  for (uint64_t I = 0; I != pr_lse_table_size; ++I) {
+    uint64_t First = 0x3fe6100000000000ULL + (I << 45);
+    Bounds.push_back(std::bit_cast<double>(First));
+    Bounds.push_back(std::bit_cast<double>(First - 1));
+  }
+  return Bounds;
+}
+
+} // namespace
+
+TEST(LogSumExpTest, LogWithinOneUlpOfLogl) {
+  // Seeded arguments in [1, 2^32], where a sum's s lies: a quarter in
+  // [1, 2], the rest spread evenly over the binades. Then 1 and its
+  // neighbours, every power of two, the subintervals' boundaries in
+  // three binades, and subnormals.
+  uint64_t State = 0x3C6EF372FE94F82BULL;
+  auto Uniform = [&] {
+    State = State * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<double>(State >> 11) * 0x1.0p-53;
+  };
+  std::vector<double> Xs = {1.0, std::nextafter(1.0, 2.0),
+                            std::nextafter(1.0, 0.0),
+                            std::numeric_limits<double>::denorm_min(),
+                            std::numeric_limits<double>::max()};
+  for (int E = -1074; E != 1024; ++E)
+    Xs.push_back(std::ldexp(1.0, E));
+  for (double B : logTableBoundaries())
+    for (int E : {-1, 0, 1, 20})
+      Xs.push_back(std::ldexp(B, E));
+  for (unsigned I = 0; I != 1000; ++I)
+    Xs.push_back(Uniform() * std::numeric_limits<double>::min());
+  for (unsigned I = 0; I != 1000000; ++I)
+    Xs.push_back(I % 4 == 0 ? 1.0 + Uniform() : std::exp2(32.0 * Uniform()));
+  double Worst = 0.0;
+  unsigned Exact = 0, Worse = 0;
+  for (double X : Xs) {
+    double Got = pr_lse_log(X);
+    double Err = logUlpError(X, Got);
+    Worst = std::max(Worst, Err);
+    Exact += Got == static_cast<double>(std::log(static_cast<long double>(X)));
+    if (!(Err < 0.51) && ++Worse <= 5)
+      ADD_FAILURE() << std::hexfloat << "log(" << X << ") = " << Got << ", "
+                    << std::defaultfloat << Err << " ulp from logl";
+  }
+  EXPECT_EQ(Worse, 0u);
+  std::printf("pr_lse_log: at most %.4f ulp from logl, and equal to logl "
+              "rounded to double on %.4f%% of %zu arguments\n",
+              Worst, 100.0 * Exact / Xs.size(), Xs.size());
+}
+
+TEST(LogSumExpTest, LogSpecialValues) {
+  const double Inf = std::numeric_limits<double>::infinity();
+  // The NaN x86-64 computes for 0 / 0, made at run time.
+  volatile double Zero = 0.0;
+  const uint64_t DefaultNaN = std::bit_cast<uint64_t>(Zero / Zero);
+  EXPECT_EQ(std::bit_cast<uint64_t>(pr_lse_log(1.0)), 0u);
+  EXPECT_EQ(pr_lse_log(0.0), -Inf);
+  EXPECT_EQ(pr_lse_log(-0.0), -Inf);
+  EXPECT_EQ(pr_lse_log(Inf), Inf);
+  for (double X : {-1.0, -Inf, -std::numeric_limits<double>::denorm_min(),
+                   -std::numeric_limits<double>::max()})
+    EXPECT_EQ(std::bit_cast<uint64_t>(pr_lse_log(X)), DefaultNaN) << X;
+  // A NaN passes through with its sign and payload.
+  for (uint64_t Bits : {0x7ff8000000000000ULL, 0xfff8000000000000ULL,
+                        0x7ff800000000beefULL})
+    EXPECT_EQ(std::bit_cast<uint64_t>(
+                  pr_lse_log(std::bit_cast<double>(Bits))),
+              Bits);
+  // Subnormals, the smallest normal and the largest double.
+  for (double X : {std::numeric_limits<double>::denorm_min(), 0x1.8p-1060,
+                   0x1.fffffffffffffp-1023,
+                   std::numeric_limits<double>::min(),
+                   std::numeric_limits<double>::max()})
+    EXPECT_LT(logUlpError(X, pr_lse_log(X)), 0.51) << std::hexfloat << X;
+}
+
+TEST(LogSumExpTest, LogTableHoldsLogarithms) {
+  // Entry i: 1/c with at most 10 significant bits, rounded from the
+  // centre of subinterval i, and log c split into a multiple of 2^-42
+  // and the rest, checked against logl.
+  for (uint64_t I = 0; I != pr_lse_table_size; ++I) {
+    double InvC = pr_lse_log_table[3 * I];
+    double Hi = pr_lse_log_table[3 * I + 1], Lo = pr_lse_log_table[3 * I + 2];
+    double Centre =
+        std::bit_cast<double>(0x3fe6100000000000ULL + (I << 45) + (1ULL << 44));
+    EXPECT_EQ(std::bit_cast<uint64_t>(InvC) & ((1ULL << 43) - 1), 0u) << I;
+    EXPECT_LE(std::fabs(InvC * Centre - 1.0), 0x1p-10) << I;
+    EXPECT_EQ(std::ldexp(Hi, 42), std::nearbyint(std::ldexp(Hi, 42))) << I;
+    // Within 4 ulps of long double, logl's own precision.
+    long double Want = -std::log(static_cast<long double>(InvC));
+    EXPECT_LE(std::fabs(static_cast<long double>(Hi) + Lo - Want),
+              std::fabs(Want) * 0x1p-61L)
+        << I;
+  }
+  // The subinterval around 1 has c = 1.
+  EXPECT_EQ(pr_lse_log_table[3 * 79], 1.0);
+  EXPECT_EQ(pr_lse_log_table[3 * 79 + 1], 0.0);
+}
+
+TEST(LogSumExpTest, LaneResultEqualsScalarBitForBit) {
+  // pr_lse_log_lanes and pr_lse_result_lanes, each lane against the
+  // scalar form: seeded sums' (m, s), then lanes that hold an empty sum
+  // (m = -inf, s = 0), a NaN, an s below 1 and every special argument,
+  // in every lane position beside seeded ones.
+  uint64_t State = 0x510E527FADE682D1ULL;
+  auto Uniform = [&] {
+    State = State * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<double>(State >> 11) * 0x1.0p-53;
+  };
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  unsigned Mismatches = 0;
+  auto Check = [&](const pr_v4d &M, const pr_v4d &S) {
+    pr_v4d Log, Result;
+    pr_lse_log_lanes(&Log, &S);
+    pr_lse_result_lanes(&Result, &M, &S);
+    double WantLog[4], WantResult[4];
+    for (unsigned L = 0; L != 4; ++L) {
+      WantLog[L] = pr_lse_log(S[L]);
+      WantResult[L] = pr_lse_result(M[L], S[L]);
+    }
+    if ((!sameBits(Log, WantLog) || !sameBits(Result, WantResult)) &&
+        ++Mismatches <= 5)
+      ADD_FAILURE() << std::hexfloat << "lanes of (" << M[0] << ", " << S[0]
+                    << ") (" << M[1] << ", " << S[1] << ") (" << M[2]
+                    << ", " << S[2] << ") (" << M[3] << ", " << S[3] << ")";
+  };
+  auto Seeded = [&] {
+    return std::pair<double, double>{-200.0 * Uniform(),
+                                      std::exp2(12.0 * Uniform())};
+  };
+  for (unsigned I = 0; I != 1000000; ++I) {
+    pr_v4d M, S;
+    for (unsigned L = 0; L != 4; ++L)
+      std::tie(M[L], S[L]) = Seeded();
+    Check(M, S);
+  }
+  std::vector<std::pair<double, double>> Specials = {
+      {-Inf, 0.0}, {NaN, NaN}, {-3.0, NaN}, {NaN, 2.0}, {-3.0, 0.75},
+      {-3.0, 0x1p-1070}, {-3.0, 0.0}, {-3.0, Inf}, {Inf, 1.0}, {-3.0, -1.0}};
+  for (double X : specialArgs())
+    Specials.push_back({-1.0, X});
+  for (const auto &[Ms, Ss] : Specials)
+    for (unsigned L = 0; L != 4; ++L) {
+      pr_v4d M, S;
+      for (unsigned K = 0; K != 4; ++K)
+        std::tie(M[K], S[K]) = Seeded();
+      M[L] = Ms;
+      S[L] = Ss;
+      Check(M, S);
+    }
+  EXPECT_EQ(Mismatches, 0u);
 }
 
 TEST(LogSumExpTest, ExpTableHoldsPowersOfTwo) {

@@ -23,7 +23,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -396,6 +399,28 @@ TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
                     [&](size_t I) { Counts[I].fetch_add(1); });
   for (size_t I = 0; I != Counts.size(); ++I)
     EXPECT_EQ(Counts[I].load(), 1) << I;
+}
+
+TEST(ParallelForTest, NoWorkerIdlesWhileIndicesRemain) {
+  // Index 0 holds its worker until every other index has run. The other
+  // worker must run all seven; with a fixed share per worker, index 0's
+  // own worker would hold some of them and the wait would time out.
+  constexpr size_t Jobs = 8;
+  std::mutex Mutex;
+  std::condition_variable Cv;
+  size_t Ran = 0; // Guarded by Mutex.
+  bool Released = false;
+  exec::parallelFor(2, Jobs, [&](size_t I) {
+    std::unique_lock<std::mutex> Lock(Mutex);
+    if (I != 0) {
+      ++Ran;
+      Cv.notify_all();
+      return;
+    }
+    Released = Cv.wait_for(Lock, std::chrono::seconds(20),
+                           [&] { return Ran == Jobs - 1; });
+  });
+  EXPECT_TRUE(Released);
 }
 
 TEST(ParallelForTest, PropagatesWorkerExceptions) {

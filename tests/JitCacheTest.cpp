@@ -22,6 +22,7 @@
 #include "codegen/NativeJit.h"
 #include "obs/Metrics.h"
 #include "runtime/CompiledRecurrence.h"
+#include "KernelText.h"
 #include "TempPath.h"
 
 #include <gtest/gtest.h>
@@ -33,6 +34,7 @@
 #include <iterator>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 using namespace parrec;
 using namespace parrec::runtime;
@@ -440,18 +442,30 @@ TEST(JitCacheTest, ForwardKernelSumCallsNoLibm) {
   EXPECT_NE(Kernel.find("const uint64_t parrec_kernel_abi = 4ULL;\n"),
             std::string::npos);
   // From the steps pr_lse_exp shares with its lane form, which precede
-  // its definition, to the end of pr_lse_add.
+  // its definition, through pr_lse_log to the end of pr_lse_result.
   size_t Begin = Kernel.find("#define PR_LSE_EXP_REDUCE");
   size_t Add = Kernel.find("static inline void pr_lse_add(");
+  size_t Result = Kernel.find("static inline double pr_lse_result(");
   ASSERT_NE(Begin, std::string::npos);
   ASSERT_NE(Add, std::string::npos);
-  size_t End = Kernel.find("\n}\n", Add);
+  ASSERT_NE(Result, std::string::npos);
+  size_t AddEnd = Kernel.find("\n}\n", Add);
+  size_t End = Kernel.find("\n}\n", Result);
   ASSERT_NE(End, std::string::npos);
   std::string Sum = Kernel.substr(Begin, End - Begin);
-  for (const char *Libm : {" exp(", "(exp(", "log(", "log1p(", "exp2(",
-                           "llround(", "ldexp("})
-    EXPECT_EQ(Sum.find(Libm), std::string::npos) << Libm << " in\n" << Sum;
-  std::string AddBody = Kernel.substr(Add, End - Add);
+  EXPECT_NE(Sum.find("double l = pr_lse_log(s);"), std::string::npos) << Sum;
+  EXPECT_EQ(libmCalls(Sum), std::vector<std::string>()) << Sum;
+  // The check finds the libm calls of binary '+', which keeps them.
+  size_t AddExp = Kernel.find("static inline double pr_logaddexp(");
+  ASSERT_NE(AddExp, std::string::npos);
+  EXPECT_EQ(libmCalls(Kernel.substr(
+                AddExp, Kernel.find("\n}\n", AddExp) - AddExp)),
+            (std::vector<std::string>{"log1p", "exp"}));
+  // The scan takes the sum's result from part 3, which defines it as
+  // pr_lse_result.
+  EXPECT_NE(Kernel.find("= pr_lse_result_out(lm, ls);"), std::string::npos);
+  EXPECT_NE(Kernel.find("  return pr_lse_result(m, s);"), std::string::npos);
+  std::string AddBody = Kernel.substr(Add, AddEnd - Add);
   EXPECT_NE(AddBody.find("double e = pr_lse_exp(x - *m);"),
             std::string::npos)
       << AddBody;
