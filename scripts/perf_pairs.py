@@ -27,6 +27,12 @@ pairs.json in --scratch, and every run's standard output and error to
 runs/<side>-<seed>.log there. It decides nothing: the exit code is 0
 whenever every run printed a result, so it is a measuring tool, not a
 gate.
+
+--home DIR runs every perfbench process with HOME=DIR, where a serving
+engine that tiers up keeps its JIT kernels (~/.cache/parrec-jit) when
+nothing else names a cache: the runs after the first find them warm.
+--home fresh gives every run a new, empty HOME under --scratch, so every
+run compiles its kernels cold.
 """
 
 import argparse
@@ -75,14 +81,15 @@ def copy_side(source, target):
     return rev
 
 
-def run_once(checkout, args, seed, log_path):
-    """One perfbench run, its output kept in log_path; returns (result
-    dict or None, stdout)."""
+def run_once(checkout, args, seed, log_path, home):
+    """One perfbench run with HOME=home (None: unchanged), its output
+    kept in log_path; returns (result dict or None, stdout)."""
     command = [sys.executable, "perfbench/run.py", "--workload",
                args.workload, "--seed", str(seed), "--seconds",
                str(args.seconds), "--trace", args.trace]
+    env = dict(os.environ, HOME=home) if home else None
     done = subprocess.run(command, cwd=checkout, capture_output=True,
-                          text=True)
+                          text=True, env=env)
     with open(log_path, "w") as log:
         log.write(done.stdout)
         if done.stderr:
@@ -144,6 +151,9 @@ def main():
     parser.add_argument("--scratch", default=None,
                         help="directory for the two copies (default: a "
                              "new temporary directory, kept)")
+    parser.add_argument("--home", default=None,
+                        help="HOME of every run: a directory, or 'fresh' "
+                             "for a new empty one per run")
     args = parser.parse_args()
 
     seeds = parse_seeds(args.seeds)
@@ -171,7 +181,15 @@ def main():
                                                              "parent")
         for side in order:
             log_path = os.path.join(runs, "%s-%d.log" % (side, seed))
-            result, stdout = run_once(sides[side], args, seed, log_path)
+            home = args.home
+            if home == "fresh":
+                home = os.path.join(scratch, "homes", "%s-%d" % (side, seed))
+                os.makedirs(home)
+            elif home:
+                home = os.path.abspath(home)
+                os.makedirs(home, exist_ok=True)
+            result, stdout = run_once(sides[side], args, seed, log_path,
+                                      home)
             if result is None:
                 sys.exit("perf_pairs: %s run for seed %d printed no result "
                          "(output in %s)" % (side, seed, log_path))

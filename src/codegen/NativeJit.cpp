@@ -24,6 +24,9 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <future>
+#include <map>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -1612,44 +1615,43 @@ bool codegen::hostRunsLanes() {
 #endif
 }
 
-std::shared_ptr<const JitKernel>
-codegen::compileKernel(const exec::ExecutablePlan &Plan,
-                       const JitCompileOptions &Opts) {
+namespace {
+
+/// What one load or compile of a kernel came to: the kernel, or the
+/// fallback reason.
+struct KernelResult {
+  std::shared_ptr<const JitKernel> Kernel;
+  const char *Failure = nullptr;
+  JitOutcome Outcome = JitOutcome::Failed;
+};
+
+KernelResult failed(const char *Reason) {
+  KernelResult R;
+  R.Failure = Reason;
+  return R;
+}
+
+/// Loads the kernel at \p SoPath from the disk cache, or compiles it
+/// there from \p Rendered.
+KernelResult loadOrCompile(const RenderedKernel &Rendered,
+                           const std::string &SoPath,
+                           const std::string &SourcePath) {
   obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
-
-  RenderedKernel Rendered = renderKernel(Plan);
-  if (Rendered.Source.empty())
-    return fallBack("unsupported plan or cell-body shape");
-
-  std::string Dir = resolveCacheDir(Opts.CacheDir);
   std::error_code Ec;
-  std::filesystem::create_directories(Dir, Ec);
-  if (Ec)
-    return fallBack("cannot create the jit cache directory");
-
-  // Cache key: schedule fingerprint mixed into a hash of the emitted
-  // source (which bakes the nest, the window depth and the program but
-  // no box), so every box of a recursion and schedule shares one entry.
-  uint64_t Key = Rendered.SourceHash ^
-                 (Plan.Sched.fingerprint() * 0x9e3779b97f4a7c15ULL);
-  char Hex[24];
-  snprintf(Hex, sizeof(Hex), "%016" PRIx64, Key);
-  std::string SoPath = Dir + "/k" + Hex + ".so";
-
   if (std::filesystem::exists(SoPath, Ec) && !Ec) {
     if (auto Kernel = tryLoad(SoPath, Rendered.SourceHash)) {
       Metrics.add("jit.cache_hits");
-      return Kernel;
+      return {std::move(Kernel), nullptr, JitOutcome::Loaded};
     }
     // Corrupt, stale or foreign entry: drop it and recompile below.
     std::filesystem::remove(SoPath, Ec);
   }
 
   // Every compile writes and compiles its own copy of the source, so a
-  // concurrent compile of the same kernel never reads a file that
-  // another is rewriting (cc compiles a truncated, empty file without
-  // complaint, into an object with no symbols). The copy keeps the `.c`
-  // suffix, from which cc picks the language.
+  // compile of the same kernel by another process never reads a file
+  // that this one is rewriting (cc compiles a truncated, empty file
+  // without complaint, into an object with no symbols). The copy keeps
+  // the `.c` suffix, from which cc picks the language.
   static std::atomic<uint64_t> TmpCounter{0};
   std::string Tmp = SoPath + "." + std::to_string(::getpid()) + "." +
                     std::to_string(TmpCounter.fetch_add(1)) + ".tmp";
@@ -1659,7 +1661,7 @@ codegen::compileKernel(const exec::ExecutablePlan &Plan,
     Os << Rendered.Source;
     if (!Os) {
       std::filesystem::remove(TmpSource, Ec);
-      return fallBack("cannot write the generated source");
+      return failed("cannot write the generated source");
     }
   }
 
@@ -1673,16 +1675,79 @@ codegen::compileKernel(const exec::ExecutablePlan &Plan,
     Failure = "cannot publish the compiled kernel";
   // The source stays beside its kernel (or its failed compile) for
   // reading.
-  if (std::rename(TmpSource.c_str(), (Dir + "/k" + Hex + ".c").c_str()) != 0)
+  if (std::rename(TmpSource.c_str(), SourcePath.c_str()) != 0)
     std::filesystem::remove(TmpSource, Ec);
   if (Failure) {
     std::filesystem::remove(Tmp, Ec);
-    return fallBack(Failure);
+    return failed(Failure);
   }
   Metrics.add("jit.cache_misses");
   Metrics.record("jit.compile_ns", static_cast<double>(Ns));
 
   if (auto Kernel = tryLoad(SoPath, Rendered.SourceHash))
-    return Kernel;
-  return fallBack("dlopen of the compiled kernel failed");
+    return {std::move(Kernel), nullptr, JitOutcome::Compiled};
+  return failed("dlopen of the compiled kernel failed");
+}
+
+/// The kernels being loaded or compiled in this process, by object
+/// path. A second request for one waits for the first and shares its
+/// result, so a process compiles each kernel once, however many
+/// planners or engines ask for it at the same time.
+std::mutex InFlightMutex;
+std::map<std::string, std::shared_future<KernelResult>> InFlight;
+
+/// Renders \p Plan's kernel, then loads or compiles it once per process.
+KernelResult findKernel(const exec::ExecutablePlan &Plan,
+                        const JitCompileOptions &Opts) {
+  RenderedKernel Rendered = renderKernel(Plan);
+  if (Rendered.Source.empty())
+    return failed("unsupported plan or cell-body shape");
+
+  std::string Dir = resolveCacheDir(Opts.CacheDir);
+  std::error_code Ec;
+  std::filesystem::create_directories(Dir, Ec);
+  if (Ec)
+    return failed("cannot create the jit cache directory");
+
+  // Cache key: schedule fingerprint mixed into a hash of the emitted
+  // source (which bakes the nest, the window depth and the program but
+  // no box), so every box of a recursion and schedule shares one entry.
+  uint64_t Key = Rendered.SourceHash ^
+                 (Plan.Sched.fingerprint() * 0x9e3779b97f4a7c15ULL);
+  char Hex[24];
+  snprintf(Hex, sizeof(Hex), "%016" PRIx64, Key);
+  std::string SoPath = Dir + "/k" + Hex + ".so";
+
+  std::promise<KernelResult> Mine;
+  {
+    std::unique_lock<std::mutex> Lock(InFlightMutex);
+    auto [It, First] = InFlight.try_emplace(SoPath);
+    if (!First) {
+      std::shared_future<KernelResult> Theirs = It->second;
+      Lock.unlock();
+      KernelResult R = Theirs.get();
+      if (R.Kernel) {
+        obs::MetricsRegistry::global().add("jit.cache_hits");
+        R.Outcome = JitOutcome::Loaded;
+      }
+      return R;
+    }
+    It->second = Mine.get_future().share();
+  }
+  KernelResult R = loadOrCompile(Rendered, SoPath, Dir + "/k" + Hex + ".c");
+  Mine.set_value(R);
+  std::lock_guard<std::mutex> Lock(InFlightMutex);
+  InFlight.erase(SoPath);
+  return R;
+}
+
+} // namespace
+
+std::shared_ptr<const JitKernel>
+codegen::compileKernel(const exec::ExecutablePlan &Plan,
+                       const JitCompileOptions &Opts, JitOutcome *Outcome) {
+  KernelResult R = findKernel(Plan, Opts);
+  if (Outcome)
+    *Outcome = R.Outcome;
+  return R.Kernel ? R.Kernel : fallBack(R.Failure);
 }

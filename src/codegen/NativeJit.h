@@ -63,7 +63,9 @@
 /// starts reuse warm kernels without invoking the compiler. Each object
 /// exports the hash of the source it was built from and the kernel ABI
 /// version; a cached object whose symbols do not match is removed and
-/// recompiled, never run. Any failure — unsupported body shape, missing
+/// recompiled, never run. A process compiles a kernel once: a request
+/// for a kernel that another thread is compiling waits for that compile
+/// and shares its result. Any failure — unsupported body shape, missing
 /// or broken host compiler, dlopen error — degrades to the bytecode VM
 /// with a single warning line and a `jit.fallbacks` metric; it is never
 /// an error.
@@ -277,14 +279,29 @@ struct JitCompileOptions {
   std::string CacheDir;
 };
 
+/// How compileKernel came by its result.
+enum class JitOutcome {
+  /// It ran the host compiler.
+  Compiled,
+  /// It loaded the kernel from the disk cache, or shared the result of
+  /// a compile of the same kernel that was already running.
+  Loaded,
+  /// It fell back: no kernel.
+  Failed,
+};
+
 /// Renders, compiles (or loads from the disk cache) and resolves the
 /// kernel for \p Plan. Returns null on any failure after emitting a
 /// once-per-process warning and bumping `jit.fallbacks`; callers then
 /// keep using the bytecode VM. Records `jit.compile_ns` and bumps
-/// `jit.cache_hits` / `jit.cache_misses`.
+/// `jit.cache_hits` / `jit.cache_misses`. A process compiles a kernel
+/// once: a call for a kernel that another thread is loading or
+/// compiling waits for it and shares its result (a hit, or the same
+/// fallback). \p Outcome, when set, receives how the result came.
 std::shared_ptr<const JitKernel>
 compileKernel(const exec::ExecutablePlan &Plan,
-              const JitCompileOptions &Opts);
+              const JitCompileOptions &Opts,
+              JitOutcome *Outcome = nullptr);
 
 /// Renders the C translation unit for \p Plan without compiling it,
 /// ending with its `parrec_kernel_source_hash` definition. Returns an

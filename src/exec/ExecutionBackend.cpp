@@ -518,9 +518,8 @@ RunResult scanPlan(const ExecutablePlan &Plan, codegen::Evaluator &Eval,
 
   // Jit silently degrades to the VM when the plan carries no kernel:
   // the jit pass already warned and counted the fallback at plan time.
-  bool UseJit = Options.Evaluator == EvalKind::Jit &&
-                Plan.Kernel != nullptr && Plan.Kernel->fn() != nullptr &&
-                Plan.Program != nullptr;
+  bool UseJit = runsKernel(Options.Evaluator) && Plan.Kernel != nullptr &&
+                Plan.Kernel->fn() != nullptr && Plan.Program != nullptr;
   bool UseVm = Options.Evaluator != EvalKind::Ast && !UseJit &&
                Plan.Program != nullptr;
   ScanStats Stats;
@@ -596,6 +595,7 @@ RunResult scanPlan(const ExecutablePlan &Plan, codegen::Evaluator &Eval,
     Result.Table = Table;
 
   const char *Evaluator = UseJit ? "jit" : (UseVm ? "vm" : "ast");
+  Result.Evaluator = Evaluator;
   if (RunSpan.active())
     describeScan(RunSpan, IsGpu, UseVm, Evaluator, Options.FlowId, Result,
                  Threads, Stats.Workers);
@@ -639,7 +639,7 @@ RunResult SimulatedGpuBackend::execute(const ExecutablePlan &Plan,
 
 bool SimulatedGpuBackend::runsLanes(const ExecutablePlan &Plan,
                                     const RunOptions &Options) const {
-  return Options.Evaluator == EvalKind::Jit && !Options.KeepTable &&
+  return runsKernel(Options.Evaluator) && !Options.KeepTable &&
          Plan.Program && Plan.Kernel && Plan.Kernel->lanesFn() &&
          resolveScanWorkers(Plan, Options, threads(Options)) == 1;
 }
@@ -702,6 +702,7 @@ void SimulatedGpuBackend::executeLanes(
   for (unsigned L = 0; L != Lanes; ++L) {
     RunResult &R = *Problems[L].Result;
     R = Shared;
+    R.Evaluator = "jit_lanes";
     R.TableMax = LaneValues[L].TableMax;
     R.RootValue = LaneValues[L].RootValue;
   }

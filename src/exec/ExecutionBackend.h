@@ -26,6 +26,7 @@
 #include <cassert>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 namespace parrec {
@@ -37,7 +38,18 @@ namespace exec {
 /// differ only in host wall-clock speed. Jit silently degrades to Vm
 /// when the plan carries no kernel (unsupported shape, missing host
 /// compiler — the planner already warned and counted the fallback).
-enum class EvalKind { Ast, Vm, Jit };
+/// Auto runs the plan's kernel when the plan carries one and the VM
+/// otherwise, and plans as Vm does (its PlanKey keeps Jit false), so
+/// its plans carry no kernel. Only serve::Engine gives an Auto request
+/// a plan with one, once the engine has compiled the kernel in the
+/// background (DESIGN.md §11).
+enum class EvalKind { Ast, Vm, Jit, Auto };
+
+/// Whether \p Kind scans with the plan's kernel when the plan carries
+/// one: Jit and Auto do.
+inline bool runsKernel(EvalKind Kind) {
+  return Kind == EvalKind::Jit || Kind == EvalKind::Auto;
+}
 
 /// Options controlling one execution.
 struct RunOptions {
@@ -75,9 +87,11 @@ struct RunOptions {
   /// The cell evaluator (`parrec run --evaluator=ast|vm|jit`). Jit makes
   /// planning run the native JIT pass and execution dispatch the
   /// compiled kernel; Ast, the tree-walking differential-testing oracle,
-  /// runs even when the plan carries a compiled bytecode program; Vm is
-  /// the default.
-  EvalKind Evaluator = EvalKind::Vm;
+  /// runs even when the plan carries a compiled bytecode program; Vm
+  /// runs the bytecode program. Auto, the default, runs as Vm does
+  /// everywhere but in serve::Engine, which moves a hot kernel's
+  /// batches onto the JIT once it has compiled the kernel.
+  EvalKind Evaluator = EvalKind::Auto;
   /// JIT disk-cache directory override (`--jit-cache-dir=`); empty
   /// resolves to $ParRec_JIT_CACHE then ~/.cache/parrec-jit.
   std::string JitCacheDir;
@@ -136,6 +150,9 @@ struct RunResult {
   std::shared_ptr<const std::vector<gpu::PartitionSample>> Timeline;
   /// The full DP table, when RunOptions::KeepTable was set.
   std::shared_ptr<codegen::TableView> Table;
+  /// The evaluator that scanned: "ast", "vm", "jit", or "jit_lanes" for
+  /// a problem scanned in the lanes of a kernel's lanes entry.
+  std::string_view Evaluator;
 
   /// Reads a cell from the kept table (requires KeepTable).
   double cellValue(const std::vector<int64_t> &Point) const {

@@ -7,6 +7,7 @@
 
 #include "serve/Engine.h"
 
+#include "codegen/NativeJit.h"
 #include "exec/BatchExecutor.h"
 #include "exec/InputDigest.h"
 #include "exec/ParallelFor.h"
@@ -98,6 +99,9 @@ struct Engine::Batch {
   /// Options::LingerTicks.
   uint64_t CloseTick = 0;
   std::shared_ptr<const exec::ExecutablePlan> Plan;
+  /// The tier-up of Plan's kernel key, when a member runs Auto: the
+  /// device runs the batch on the key's kernel if it has been loaded.
+  Tier *KernelTier = nullptr;
   std::vector<Pending> Members;
 
   /// The highest member priority; devices run waiting batches in this
@@ -309,6 +313,7 @@ void Engine::maybeMemoize(const Pending &P, const exec::RunResult &R,
   E.Result.Timeline.reset();
   E.Result.Table.reset();
   E.CompletionCycle = CompletionCycle;
+  E.Inputs = P.MemoInputs;
   Opts.Memo->insert(P.MemoKey, std::move(E));
 }
 
@@ -365,7 +370,8 @@ Future Engine::submit(Request Req, std::optional<Fingerprint> Known,
       P.MemoKey.Plan = P.Key;
       P.MemoKey.Digest = exec::inputDigest(P.Req.Args);
       P.MemoKey.Threads = P.Req.Options.Threads;
-      Hit = Opts.Memo->lookup(P.MemoKey);
+      P.MemoInputs = MemoCache::inputsOf(P.Req.Args);
+      Hit = Opts.Memo->lookup(P.MemoKey, P.MemoInputs);
     }
   }
 
@@ -628,6 +634,7 @@ void Engine::dispatchBatch(Batch &B) {
       complete(P, Status::Failed, Resp);
     return;
   }
+  B.KernelTier = tierUp(B);
 
   DeviceLane &Lane = *Lanes[pickLane(B)];
   if (Span.active()) {
@@ -647,6 +654,90 @@ void Engine::dispatchBatch(Batch &B) {
     Lane.Batches.push_back(std::move(B));
   }
   Lane.Cv.notify_all();
+}
+
+Engine::Tier *Engine::tierUp(const Batch &B) {
+  auto Auto = std::find_if(B.Members.begin(), B.Members.end(),
+                           [](const Pending &P) {
+                             return P.Req.Options.Evaluator ==
+                                    exec::EvalKind::Auto;
+                           });
+  // A plan without a bytecode program runs on the AST walker, and no
+  // kernel can be rendered from it.
+  if (Auto == B.Members.end() || !B.Plan->Program)
+    return nullptr;
+  Tier &T = Tiers[KernelKey{B.Fn->id(), B.Plan->Sched.Coefficients,
+                            B.Plan->UseWindow, B.Plan->WindowDepth}];
+  // Counting stops at TierUpBatches, so a key queues one tier-up.
+  if (T.Batches == TierUpBatches || ++T.Batches != TierUpBatches)
+    return &T;
+  TierUpJob Job;
+  Job.T = &T;
+  Job.Plan = B.Plan;
+  Job.CacheDir = Auto->Req.Options.JitCacheDir;
+  Job.Function = B.Fn->decl().Name;
+  Job.Schedule = B.Plan->Sched.str(B.Fn->info().Recurrence.DimNames);
+  {
+    std::lock_guard<std::mutex> Lock(TierMutex);
+    TierUpJobs.push_back(std::move(Job));
+  }
+  TierCv.notify_one();
+  // The worker starts here rather than with the engine: most engines
+  // never tier up (a Router builds one engine per shard).
+  if (!TierWorker.joinable())
+    TierWorker = std::thread([this] { tierUpMain(); });
+  return &T;
+}
+
+std::shared_ptr<const exec::ExecutablePlan>
+Engine::planToRun(const Batch &B) {
+  Tier *T = B.KernelTier;
+  if (!T || !T->Ready.load(std::memory_order_acquire) || !T->Kernel)
+    return B.Plan; // Not loaded yet, or the compile failed.
+  // Every box of the key shares the kernel: its plan is the VM plan
+  // with the kernel attached, copied once per plan key.
+  std::shared_ptr<const exec::ExecutablePlan> Plan =
+      T->JitPlans.lookup(B.Key);
+  if (!Plan) {
+    auto WithKernel = std::make_shared<exec::ExecutablePlan>(*B.Plan);
+    WithKernel->Kernel = T->Kernel;
+    Plan = std::move(WithKernel);
+    T->JitPlans.insert(B.Key, Plan);
+  }
+  return Plan;
+}
+
+void Engine::tierUpMain() {
+  std::unique_lock<std::mutex> Lock(TierMutex);
+  while (true) {
+    TierCv.wait(Lock, [&] { return TierStopping || !TierUpJobs.empty(); });
+    if (TierStopping)
+      return;
+    TierUpJob Job = std::move(TierUpJobs.front());
+    TierUpJobs.pop_front();
+    Lock.unlock();
+    {
+      obs::Span Span("serve.tier_up", "serve");
+      codegen::JitCompileOptions CompileOpts;
+      CompileOpts.CacheDir = Job.CacheDir;
+      codegen::JitOutcome Outcome = codegen::JitOutcome::Failed;
+      Wall::time_point Start = Wall::now();
+      Job.T->Kernel =
+          codegen::compileKernel(*Job.Plan, CompileOpts, &Outcome);
+      Job.T->Ready.store(true, std::memory_order_release);
+      if (Span.active()) {
+        Span.arg("function", Job.Function);
+        Span.arg("schedule", Job.Schedule);
+        Span.arg("window", Job.Plan->UseWindow);
+        if (Job.Plan->UseWindow)
+          Span.arg("window_depth", Job.Plan->WindowDepth);
+        Span.arg("compile_ms", secondsSince(Start, Wall::now()) * 1e3);
+        const char *Outcomes[] = {"compiled", "loaded", "failed"};
+        Span.arg("outcome", Outcomes[static_cast<int>(Outcome)]);
+      }
+    }
+    Lock.lock();
+  }
 }
 
 void Engine::deviceMain(unsigned DeviceIndex) {
@@ -707,11 +798,12 @@ void Engine::executeBatch(DeviceLane &Lane, Batch &B) {
   // oversubscribe the machine. Each response resolves as soon as the
   // executor publishes its member: after the batch under the barrier
   // policy, at its own launch's completion under the systolic one.
+  std::shared_ptr<const exec::ExecutablePlan> Plan = planToRun(B);
   std::vector<exec::BatchMember> Inputs;
   Inputs.reserve(Members.size());
   for (Pending &P : Members) {
     P.Req.Options.FlowId = P.Req.Id; // Trace flow id only; never a result.
-    Inputs.push_back({B.Plan.get(), &P.Req.Args, &P.Req.Options});
+    Inputs.push_back({Plan.get(), &P.Req.Args, &P.Req.Options});
   }
   auto Publish = [&](size_t I, exec::RunResult &&R, uint64_t Completion) {
     Pending &P = Members[I];
@@ -773,5 +865,15 @@ void Engine::shutdown(ShutdownMode Mode) {
   for (std::thread &T : DeviceThreads)
     if (T.joinable())
       T.join();
+  // No batch runs any more. A compile in flight finishes, so its
+  // compiler processes are reaped; queued tier-ups are dropped.
+  {
+    std::lock_guard<std::mutex> Lock(TierMutex);
+    TierStopping = true;
+    TierUpJobs.clear();
+  }
+  TierCv.notify_all();
+  if (TierWorker.joinable())
+    TierWorker.join();
   Joined = true;
 }

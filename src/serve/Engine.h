@@ -35,6 +35,17 @@
 ///    bit-identical payload (Response::Memoized). Requests that keep
 ///    tables or timelines are never memoized.
 ///
+/// Requests that leave the evaluator at exec::EvalKind::Auto, the
+/// default, start on the bytecode VM. The engine counts the batches each
+/// kernel key (the function, schedule and window, which decide a
+/// jitted kernel's text) has run; at TierUpBatches a worker thread of
+/// its own compiles, or loads from the disk cache, that key's kernel,
+/// and the key's later batches run on it. Neither the coalescer nor a
+/// device ever waits on the compiler, and the evaluators are
+/// bit-identical, so the switch changes host time only. A key whose
+/// compile fails stays on the VM. Explicit vm and jit requests never
+/// tier up.
+///
 /// Time is virtual: deadlines and the coalescer's linger window are
 /// measured on a caller-advanced tick clock (Engine::advanceTo), so
 /// replay and tests are independent of wall time. Expired requests are
@@ -49,6 +60,7 @@
 #define PARREC_SERVE_ENGINE_H
 
 #include "exec/Plan.h"
+#include "exec/PlanCache.h"
 #include "gpu/Device.h"
 #include "serve/FairQueue.h"
 #include "serve/FlightRecorder.h"
@@ -129,6 +141,10 @@ public:
     std::string FlightDumpPath;
   };
 
+  /// Batches a kernel key runs on the VM before the engine starts to
+  /// compile its kernel (DESIGN.md §11 gives the reason for the value).
+  static constexpr uint64_t TierUpBatches = 8;
+
   enum class ShutdownMode {
     /// Finish everything already admitted, then stop.
     Drain,
@@ -198,7 +214,9 @@ public:
 
   /// Stops the engine and joins its threads. Idempotent; Drain finishes
   /// admitted work, Abort resolves queued requests as Aborted (a batch
-  /// already executing on a device always completes).
+  /// already executing on a device always completes). Either way a
+  /// kernel compile in flight finishes, so its compiler processes are
+  /// reaped before this returns; tier-ups not yet started are dropped.
   void shutdown(ShutdownMode Mode);
 
   Stats stats() const;
@@ -246,6 +264,8 @@ private:
     /// table, no timeline): its result is inserted under MemoKey.
     bool Memoize = false;
     MemoCache::Key MemoKey;
+    /// The request's own inputs (MemoCache::inputsOf), when Memoize.
+    std::string MemoInputs;
     Wall::time_point SubmitWall;
   };
 
@@ -281,6 +301,47 @@ private:
   /// fails its members when planning fails. Coalescer thread, no locks
   /// held.
   void dispatchBatch(Batch &B);
+
+  /// What a jitted kernel's text depends on besides the function's
+  /// body: the schedule and the window. Every box of a key shares one
+  /// kernel.
+  struct KernelKey {
+    uint64_t Fn = 0; ///< runtime::CompiledRecurrence::id().
+    std::vector<int64_t> Schedule;
+    bool UseWindow = false;
+    int64_t WindowDepth = 0;
+    auto operator<=>(const KernelKey &) const = default;
+  };
+  /// One kernel key's way from the VM to the JIT.
+  struct Tier {
+    uint64_t Batches = 0; ///< Coalescer thread only.
+    /// Written once by the tier-up worker before it sets Ready: the
+    /// kernel, or null when the compile failed.
+    std::shared_ptr<const codegen::JitKernel> Kernel;
+    std::atomic<bool> Ready{false};
+    /// The key's plans with Kernel attached, by the VM plan's key.
+    exec::PlanCache JitPlans;
+  };
+  /// A kernel the tier-up worker is to compile, from one of its plans.
+  struct TierUpJob {
+    Tier *T = nullptr;
+    std::shared_ptr<const exec::ExecutablePlan> Plan;
+    std::string CacheDir;
+    std::string Function;
+    std::string Schedule;
+  };
+  /// Counts \p B toward its kernel key's tier-up and queues the tier-up
+  /// on the key's TierUpBatches-th batch. Returns the key's Tier, or
+  /// null when B has no Auto member or no bytecode program. Coalescer
+  /// thread.
+  Tier *tierUp(const Batch &B);
+  /// The plan \p B runs on: its plan with the kernel attached once its
+  /// Tier has loaded one, decided when a device takes the batch, so a
+  /// backlog queued before the kernel loaded runs on it too.
+  std::shared_ptr<const exec::ExecutablePlan> planToRun(const Batch &B);
+  /// The tier-up worker: compiles queued kernels one at a time until
+  /// shutdown. Started by the first tier-up.
+  void tierUpMain();
   void deviceMain(unsigned DeviceIndex);
   /// Continuous batching: tries to admit \p P into a compatible batch
   /// still waiting in a device lane. Coalescer thread; takes lane locks,
@@ -326,8 +387,17 @@ private:
   std::vector<std::string> TenantNames;          // Guarded by TenantMutex.
   std::map<std::string, uint32_t> TenantIdTable; // Guarded by TenantMutex.
 
+  std::map<KernelKey, Tier> Tiers; // Coalescer thread only.
+  std::mutex TierMutex;
+  std::condition_variable TierCv;     // The tier-up worker waits here.
+  std::deque<TierUpJob> TierUpJobs;   // Guarded by TierMutex.
+  bool TierStopping = false;          // Guarded by TierMutex.
+
   std::thread Coalescer;
   std::vector<std::thread> DeviceThreads;
+  /// Started by the coalescer on the first tier-up; joined by shutdown
+  /// after the coalescer.
+  std::thread TierWorker;
   bool Joined = false; // Guarded by ShutdownMutex.
   std::mutex ShutdownMutex;
 };

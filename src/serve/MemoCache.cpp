@@ -7,13 +7,40 @@
 
 #include "serve/MemoCache.h"
 
+#include "bio/Sequence.h"
+
 using namespace parrec;
 using namespace parrec::serve;
 
-std::optional<MemoCache::Entry> MemoCache::lookup(const Key &K) {
+std::string
+MemoCache::inputsOf(const std::vector<codegen::ArgValue> &Args) {
+  std::string Bytes;
+  auto Append = [&](const void *Data, size_t Size) {
+    Bytes.append(static_cast<const char *>(Data), Size);
+  };
+  for (const codegen::ArgValue &A : Args) {
+    if (A.Seq) {
+      const std::string &Data = A.Seq->data();
+      uint64_t Size = Data.size();
+      Bytes += 's';
+      Append(&Size, sizeof Size);
+      Bytes += Data;
+    } else if (A.Matrix || A.Hmm) {
+      Bytes += 'm';
+    } else {
+      Bytes += 'v';
+      Append(&A.Int, sizeof A.Int);
+      Append(&A.Real, sizeof A.Real);
+    }
+  }
+  return Bytes;
+}
+
+std::optional<MemoCache::Entry> MemoCache::lookup(const Key &K,
+                                                  std::string_view Inputs) {
   std::lock_guard<std::mutex> Lock(Mutex);
   auto It = Index.find(K);
-  if (It == Index.end()) {
+  if (It == Index.end() || It->second->second.Inputs != Inputs) {
     ++Counters.Misses;
     return std::nullopt;
   }

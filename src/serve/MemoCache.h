@@ -20,7 +20,11 @@
 /// execution it replaces.
 ///
 /// Shared by design: a Router hands one MemoCache to all its engine
-/// shards, so a spilled repeat still hits.
+/// shards, so a spilled repeat still hits. Shared across tenants too, so
+/// the digest alone must not decide a hit: two FNV-1a streams are not
+/// collision-resistant, and a crafted sequence could otherwise collect
+/// another tenant's result. Each entry keeps its requester's own inputs
+/// (inputsOf), and a hit whose inputs differ is a miss.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,7 +39,10 @@
 #include <list>
 #include <mutex>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <unordered_map>
+#include <vector>
 
 namespace parrec {
 namespace serve {
@@ -72,11 +79,17 @@ public:
 
   /// A memoized execution: the result payload plus the modelled cycle at
   /// which the original run resolved (so hit responses carry honest
-  /// modelled metadata).
+  /// modelled metadata), and the inputs it ran on (inputsOf).
   struct Entry {
     exec::RunResult Result;
     uint64_t CompletionCycle = 0;
+    std::string Inputs;
   };
+
+  /// The inputs of \p Args that a requester brings, as bytes: each
+  /// sequence's residues and the bits of each int and real. Models and
+  /// matrices are server-side objects, which the digest covers.
+  static std::string inputsOf(const std::vector<codegen::ArgValue> &Args);
 
   struct Stats {
     uint64_t Hits = 0;
@@ -89,9 +102,10 @@ public:
       : Capacity(CapacityEntries ? CapacityEntries : 1) {}
 
   /// Returns a copy of the cached entry for \p K and marks it most
-  /// recently used, or nullopt on a miss. Counts the hit or miss in
-  /// stats().
-  std::optional<Entry> lookup(const Key &K);
+  /// recently used, or nullopt on a miss. An entry whose Inputs differ
+  /// from \p Inputs is a miss: equal keys with other inputs are a digest
+  /// collision. Counts the hit or miss in stats().
+  std::optional<Entry> lookup(const Key &K, std::string_view Inputs = {});
 
   /// Inserts \p E under \p K (first write wins; a concurrent duplicate
   /// execution re-inserting the same key is ignored), evicting least

@@ -91,6 +91,8 @@ struct Response {
   uint64_t Id = 0;
   Status St = Status::Failed;
   /// Valid only when St == Status::Ok; bit-identical to a direct run.
+  /// Result.Evaluator names the evaluator that scanned the request (for
+  /// a memo hit, the one that scanned the original).
   exec::RunResult Result;
   /// Virtual-clock timestamps (Engine::now() domain).
   uint64_t SubmitTick = 0;

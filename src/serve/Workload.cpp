@@ -297,6 +297,9 @@ ReplayReport replayCore(Host &E, const Workload &W,
     const Response &Resp = Futures[I].wait();
     ++Report.ByStatus[std::string(statusName(Resp.St))];
     if (Resp.St == Status::Ok) {
+      ++Report.ByEvaluator[Resp.Memoized
+                               ? "memo"
+                               : std::string(Resp.Result.Evaluator)];
       OkLatency.record(Resp.TotalSeconds);
       OkCompletion.record(static_cast<double>(Resp.CompletionCycle));
       const std::string &Tenant = W.events()[I].Tenant;
@@ -360,6 +363,10 @@ std::string ReplayReport::json() const {
   Json.key("total").value(static_cast<uint64_t>(Total));
   Json.key("by_status").beginObject();
   for (const auto &[Name, Count] : ByStatus)
+    Json.key(Name).value(Count);
+  Json.endObject();
+  Json.key("by_evaluator").beginObject();
+  for (const auto &[Name, Count] : ByEvaluator)
     Json.key(Name).value(Count);
   Json.endObject();
   Json.key("latency_seconds").beginObject();

@@ -131,6 +131,10 @@ struct ReplayReport {
   uint64_t Total = 0;
   /// statusName() -> count, over every submitted request.
   std::map<std::string, uint64_t> ByStatus;
+  /// Ok responses by the evaluator that scanned them
+  /// (RunResult::Evaluator: "vm", "jit", "jit_lanes" or "ast"), and
+  /// memo hits, which nothing scanned, under "memo".
+  std::map<std::string, uint64_t> ByEvaluator;
   /// End-to-end wall latency percentiles over Ok responses, seconds.
   double P50Seconds = 0.0;
   double P95Seconds = 0.0;

@@ -690,6 +690,13 @@ int cmdServe(int Argc, char **Argv) {
   for (const auto &[Name, Count] : Report.ByStatus)
     std::printf("  %-12s %llu\n", Name.c_str(),
                 static_cast<unsigned long long>(Count));
+  if (!Report.ByEvaluator.empty()) {
+    std::printf("ok by evaluator:");
+    for (const auto &[Name, Count] : Report.ByEvaluator)
+      std::printf(" %s=%llu", Name.c_str(),
+                  static_cast<unsigned long long>(Count));
+    std::printf("\n");
+  }
   std::printf("batches: %llu (%.2f requests/batch)\n",
               static_cast<unsigned long long>(Report.Stats.Batches),
               Report.Stats.Batches

@@ -341,6 +341,7 @@ TEST(JitCacheTest, ConcurrentCompilesOfOneKernelAllLoadIt) {
   Jit.Evaluator = exec::EvalKind::Jit;
   Jit.JitCacheDir = Dir;
   uint64_t FallbacksBefore = counter("jit.fallbacks");
+  uint64_t MissesBefore = counter("jit.cache_misses");
 
   constexpr unsigned Planners = 4;
   std::vector<std::shared_ptr<const exec::ExecutablePlan>> Plans(Planners);
@@ -366,6 +367,9 @@ TEST(JitCacheTest, ConcurrentCompilesOfOneKernelAllLoadIt) {
   }
   EXPECT_EQ(Objects, 1u);
   EXPECT_EQ(Sources, 1u);
+  // One process compiles the kernel once: the later planners wait for
+  // the first compile and load its result.
+  EXPECT_EQ(counter("jit.cache_misses"), MissesBefore + 1);
 }
 
 TEST(JitCacheTest, OlderAbiEntryRecompiles) {

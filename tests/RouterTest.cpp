@@ -322,6 +322,38 @@ TEST(MemoCacheTest, LruEvictionAndStats) {
   EXPECT_GT(S.Hits, 0u);
 }
 
+TEST(MemoCacheTest, DigestCollisionIsAMiss) {
+  // Two requests whose keys are equal, digest included, but whose
+  // sequences differ: a collision of the digest, which a crafted input
+  // can force. The second requester must not get the first's result.
+  bio::Sequence Mine("a", "ACDEFGHIK"), Theirs("b", "KIHGFEDCA");
+  std::vector<ArgValue> First = {ArgValue::ofSeq(&Mine), ArgValue::ofInt(3)};
+  std::vector<ArgValue> Second = {ArgValue::ofSeq(&Theirs),
+                                  ArgValue::ofInt(3)};
+  serve::MemoCache::Key K;
+  K.Fn = 0x1000;
+  K.Digest = {0x1234, 0x5678};
+  serve::MemoCache Cache(/*CapacityEntries=*/4);
+  serve::MemoCache::Entry E;
+  E.Result.RootValue = 42;
+  E.Inputs = serve::MemoCache::inputsOf(First);
+  Cache.insert(K, E);
+
+  EXPECT_FALSE(Cache.lookup(K, serve::MemoCache::inputsOf(Second)))
+      << "a digest collision served another requester's result";
+  std::optional<serve::MemoCache::Entry> Hit =
+      Cache.lookup(K, serve::MemoCache::inputsOf(First));
+  ASSERT_TRUE(Hit.has_value());
+  EXPECT_EQ(Hit->Result.RootValue, 42);
+  // Ints and reals count bit for bit.
+  std::vector<ArgValue> OtherInt = {ArgValue::ofSeq(&Mine),
+                                    ArgValue::ofInt(4)};
+  EXPECT_FALSE(Cache.lookup(K, serve::MemoCache::inputsOf(OtherInt)));
+  serve::MemoCache::Stats S = Cache.stats();
+  EXPECT_EQ(S.Hits, 1u);
+  EXPECT_EQ(S.Misses, 2u);
+}
+
 //===----------------------------------------------------------------------===//
 // Router: bit-identity, stickiness, spilling, concurrency, memo
 //===----------------------------------------------------------------------===//

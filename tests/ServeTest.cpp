@@ -11,15 +11,19 @@
 /// device counts and coalescing modes; backpressure, deadline shedding,
 /// Drain-vs-Abort shutdown and batch composition are deterministic on the
 /// virtual clock (StartPaused + shutdown make every schedule reproducible);
-/// and workload specs parse, materialise and replay deterministically.
+/// a hot Auto key moves from the VM to the JIT without a serving thread
+/// waiting on the compiler; and workload specs parse, materialise and
+/// replay deterministically.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "bio/Fasta.h"
 #include "bio/HmmZoo.h"
 #include "bio/SubstitutionMatrix.h"
+#include "codegen/NativeJit.h"
 #include "obs/Export.h"
 #include "obs/Json.h"
+#include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "runtime/CompiledRecurrence.h"
 #include "serve/Engine.h"
@@ -30,10 +34,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <cstdlib>
 #include <deque>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
@@ -42,6 +49,8 @@
 #include <set>
 #include <sstream>
 #include <thread>
+
+#include <sys/wait.h>
 
 using namespace parrec;
 using namespace parrec::runtime;
@@ -1524,4 +1533,271 @@ TEST(ServeEngineTest, AbortResolvesOpenLingerWindowsAsAborted) {
   EXPECT_EQ(Stats.Batches, 0u);
   EXPECT_EQ(Stats.Completed, 0u);
   EXPECT_EQ(Stats.Aborted, 2u);
+}
+
+//===----------------------------------------------------------------------===//
+// Tier-up: Auto keys move from the VM to the JIT in the background
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Sets $CC for one test and restores it afterwards. The tier-up worker
+/// reads it, so a test sets it before its engine starts and restores it
+/// once the engine has shut down.
+class ScopedCc {
+public:
+  explicit ScopedCc(const std::string &Cc) {
+    if (const char *Old = std::getenv("CC"))
+      Saved = Old;
+    ::setenv("CC", Cc.c_str(), 1);
+  }
+  ~ScopedCc() {
+    if (Saved)
+      ::setenv("CC", Saved->c_str(), 1);
+    else
+      ::unsetenv("CC");
+  }
+  ScopedCc(const ScopedCc &) = delete;
+  ScopedCc &operator=(const ScopedCc &) = delete;
+
+private:
+  std::optional<std::string> Saved;
+};
+
+/// A slow host compiler in \p Dir: a script that creates Dir/started,
+/// sleeps \p Seconds and then runs cc. A kernel compiles in parallel
+/// parts and a link, so its compile takes at least twice \p Seconds.
+std::string slowCompiler(const std::string &Dir, int Seconds) {
+  std::string Path = Dir + "/slow-cc";
+  std::ofstream(Path) << "#!/bin/sh\ntouch '" << Dir << "/started'\nsleep "
+                      << Seconds << "\nexec cc \"$@\"\n";
+  std::filesystem::permissions(Path, std::filesystem::perms::owner_all);
+  return Path;
+}
+
+/// Polls \p Done for up to a minute: a kernel compile under a sanitizer
+/// takes seconds.
+template <typename Pred> bool waitLong(Pred Done) {
+  for (int Spin = 0; Spin != 6000 && !Done(); ++Spin)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  return Done();
+}
+
+/// The kernels compiled into \p Dir.
+unsigned kernelsIn(const std::string &Dir) {
+  unsigned Kernels = 0;
+  std::error_code Ec;
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir, Ec))
+    Kernels += Entry.path().extension() == ".so";
+  return Kernels;
+}
+
+uint64_t jitFallbacks() {
+  return obs::MetricsRegistry::global().snapshot().counter("jit.fallbacks");
+}
+
+/// One Smith-Waterman problem of MixedProblems (indices 0-5, three
+/// boxes of one kernel key), with its kernels cached in \p CacheDir.
+serve::Request swRequest(const MixedProblems &P, size_t I,
+                         const std::string &CacheDir) {
+  serve::Request Req;
+  Req.Fn = P.Fns[I % 6];
+  Req.Args = P.Args[I % 6];
+  Req.Options.JitCacheDir = CacheDir;
+  return Req;
+}
+
+} // namespace
+
+TEST(ServeTierUpTest, RunsOnTheVmWhileTheKernelCompilesThenOnTheJit) {
+  TempPath Dir("serve-tierup-slow");
+  const std::string Cache = Dir.str() + "/jit";
+  ScopedCc Cc(slowCompiler(Dir.str(), 1));
+  MixedProblems P;
+  serve::Engine::Options Opts;
+  Opts.MaxBatch = 1;
+  serve::Engine Engine(Opts);
+  auto Serve = [&](size_t I) {
+    return Engine.submit(swRequest(P, I, Cache)).wait();
+  };
+
+  // The key's first TierUpBatches batches run on the VM, and the last of
+  // them starts the compile.
+  std::vector<RunResult> OnVm(6);
+  for (uint64_t I = 0; I != serve::Engine::TierUpBatches; ++I) {
+    serve::Response R = Serve(I);
+    ASSERT_EQ(R.St, serve::Status::Ok) << R.Error;
+    EXPECT_EQ(R.Result.Evaluator, "vm") << "batch " << I;
+    OnVm[I % 6] = R.Result;
+  }
+  ASSERT_TRUE(waitLong([&] {
+    return std::filesystem::exists(Dir.str() + "/started");
+  })) << "the compile never started";
+
+  // The compiler sleeps: requests keep completing, on the VM.
+  for (size_t I = 0; I != 4; ++I) {
+    serve::Response R = Serve(I);
+    ASSERT_EQ(R.St, serve::Status::Ok) << R.Error;
+    EXPECT_EQ(R.Result.Evaluator, "vm") << "request " << I;
+  }
+
+  // Once the kernel is loaded, the key runs on the JIT, with every
+  // result and modelled cycle of the VM.
+  size_t Next = 0;
+  ASSERT_TRUE(waitLong([&] {
+    return Serve(Next++).Result.Evaluator == "jit";
+  })) << "the key never reached the JIT";
+  for (size_t I = 0; I != 6; ++I) {
+    serve::Response R = Serve(I);
+    ASSERT_EQ(R.St, serve::Status::Ok) << R.Error;
+    EXPECT_EQ(R.Result.Evaluator, "jit") << "problem " << I;
+    expectIdentical(OnVm[I], R.Result);
+  }
+  Engine.shutdown(serve::Engine::ShutdownMode::Drain);
+  // Three boxes, one kernel.
+  EXPECT_EQ(kernelsIn(Cache), 1u);
+}
+
+TEST(ServeTierUpTest, NoDeadlineIsLostToACompile) {
+  TempPath Dir("serve-tierup-deadline");
+  const std::string Cache = Dir.str() + "/jit";
+  ScopedCc Cc(slowCompiler(Dir.str(), 2));
+  MixedProblems P;
+  serve::Engine::Options Opts;
+  Opts.MaxBatch = 1;
+  serve::Engine Engine(Opts);
+  for (uint64_t I = 0; I != serve::Engine::TierUpBatches; ++I)
+    ASSERT_EQ(Engine.submit(swRequest(P, I, Cache)).wait().St,
+              serve::Status::Ok);
+  ASSERT_TRUE(waitLong([&] {
+    return std::filesystem::exists(Dir.str() + "/started");
+  })) << "the compile never started";
+
+  // An interactive request with a 50-tick deadline, while the clock
+  // moves a tick a millisecond: a coalescer that waited on the
+  // compiler (four seconds or more) would shed it.
+  serve::Request Interactive = swRequest(P, 0, Cache);
+  Interactive.Priority = 1;
+  Interactive.DeadlineTick = Engine.now() + 50;
+  serve::Future F = Engine.submit(std::move(Interactive));
+  const uint64_t Start = Engine.now();
+  for (uint64_t Tick = Start; !F.ready() && Tick != Start + 60000; ++Tick) {
+    Engine.advanceTo(Tick);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(F.ready()) << "the request never resolved";
+  const serve::Response &R = F.wait();
+  ASSERT_EQ(R.St, serve::Status::Ok) << R.Error;
+  EXPECT_EQ(R.Result.Evaluator, "vm") << "it did not run during the compile";
+  Engine.shutdown(serve::Engine::ShutdownMode::Drain);
+  EXPECT_EQ(Engine.stats().DeadlineShed, 0u);
+}
+
+TEST(ServeTierUpTest, ShutdownWaitsForTheCompileInDrainAndAbort) {
+  for (serve::Engine::ShutdownMode Mode :
+       {serve::Engine::ShutdownMode::Drain,
+        serve::Engine::ShutdownMode::Abort}) {
+    TempPath Dir("serve-tierup-shutdown");
+    const std::string Cache = Dir.str() + "/jit";
+    ScopedCc Cc(slowCompiler(Dir.str(), 1));
+    MixedProblems P;
+    serve::Engine::Options Opts;
+    Opts.MaxBatch = 1;
+    serve::Engine Engine(Opts);
+    for (uint64_t I = 0; I != serve::Engine::TierUpBatches; ++I)
+      ASSERT_EQ(Engine.submit(swRequest(P, I, Cache)).wait().St,
+                serve::Status::Ok);
+    ASSERT_TRUE(waitLong([&] {
+      return std::filesystem::exists(Dir.str() + "/started");
+    })) << "the compile never started";
+
+    Engine.shutdown(Mode);
+    // The compile finished and every compiler process was reaped.
+    EXPECT_EQ(kernelsIn(Cache), 1u);
+    int Status = 0;
+    errno = 0;
+    EXPECT_EQ(::waitpid(-1, &Status, WNOHANG), -1);
+    EXPECT_EQ(errno, ECHILD) << "a child process outlived shutdown";
+  }
+}
+
+TEST(ServeTierUpTest, OnlyAutoKeysTierUpAndOnlyAfterTierUpBatches) {
+  TempPath Dir("serve-tierup-auto");
+  MixedProblems P;
+  serve::Engine::Options Opts;
+  Opts.MaxBatch = 1;
+  auto ServeAll = [&](const std::string &Cache, exec::EvalKind Eval,
+                      uint64_t Batches) {
+    serve::Engine Engine(Opts);
+    std::vector<std::string> Evaluators;
+    for (uint64_t I = 0; I != Batches; ++I) {
+      serve::Request Req = swRequest(P, I, Cache);
+      Req.Options.Evaluator = Eval;
+      serve::Response R = Engine.submit(std::move(Req)).wait();
+      EXPECT_EQ(R.St, serve::Status::Ok) << R.Error;
+      Evaluators.emplace_back(R.Result.Evaluator);
+    }
+    Engine.shutdown(serve::Engine::ShutdownMode::Drain);
+    return Evaluators;
+  };
+  const uint64_t K = serve::Engine::TierUpBatches;
+
+  // A key that has run K - 1 batches never started a compile.
+  std::string Cold = Dir.str() + "/auto";
+  for (const std::string &E : ServeAll(Cold, exec::EvalKind::Auto, K - 1))
+    EXPECT_EQ(E, "vm");
+  EXPECT_FALSE(std::filesystem::exists(Cold));
+
+  // Explicit vm never tiers up.
+  std::string Vm = Dir.str() + "/vm";
+  for (const std::string &E : ServeAll(Vm, exec::EvalKind::Vm, 3 * K))
+    EXPECT_EQ(E, "vm");
+  EXPECT_FALSE(std::filesystem::exists(Vm));
+
+  // Explicit jit compiles its kernel when it plans, as it always has.
+  std::string Jit = Dir.str() + "/jit";
+  for (const std::string &E : ServeAll(Jit, exec::EvalKind::Jit, 2))
+    EXPECT_EQ(E, "jit");
+  EXPECT_EQ(kernelsIn(Jit), 1u);
+}
+
+TEST(ServeTierUpTest, AFailingCompilerLeavesEveryKeyOnTheVm) {
+  TempPath Dir("serve-tierup-false");
+  const std::string Cache = Dir.str() + "/jit";
+  ScopedCc Cc("false");
+  MixedProblems P;
+  gpu::Device Direct;
+  std::vector<RunResult> Expected;
+  for (size_t I = 0; I != P.size(); ++I) {
+    DiagnosticEngine Diags;
+    auto R = P.Fns[I]->runGpu(P.Args[I], Direct, Diags);
+    ASSERT_TRUE(R.has_value()) << Diags.str();
+    Expected.push_back(std::move(*R));
+  }
+  serve::Engine::Options Opts;
+  Opts.MaxBatch = 1;
+  serve::Engine Engine(Opts);
+  // Smith-Waterman (problems 0-5) and forward (6-8) are two keys.
+  auto ServeBoth = [&](uint64_t Rounds) {
+    for (uint64_t Round = 0; Round != Rounds; ++Round)
+      for (size_t I : {Round % 6, 6 + Round % 3}) {
+        serve::Request Req;
+        Req.Fn = P.Fns[I];
+        Req.Args = P.Args[I];
+        Req.Options.JitCacheDir = Cache;
+        serve::Response R = Engine.submit(std::move(Req)).wait();
+        ASSERT_EQ(R.St, serve::Status::Ok) << R.Error;
+        EXPECT_EQ(R.Result.Evaluator, "vm");
+        expectIdentical(Expected[I], R.Result);
+      }
+  };
+  uint64_t Before = jitFallbacks();
+  ServeBoth(serve::Engine::TierUpBatches);
+  ASSERT_TRUE(waitLong([&] { return jitFallbacks() == Before + 2; }))
+      << "jit.fallbacks rose by " << jitFallbacks() - Before;
+  // A failed key is never retried.
+  ServeBoth(2 * serve::Engine::TierUpBatches);
+  Engine.shutdown(serve::Engine::ShutdownMode::Drain);
+  EXPECT_EQ(jitFallbacks(), Before + 2);
+  EXPECT_EQ(codegen::jitWarningsEmitted(), 1u);
 }
