@@ -1565,8 +1565,9 @@ private:
 };
 
 /// A slow host compiler in \p Dir: a script that creates Dir/started,
-/// sleeps \p Seconds and then runs cc. A kernel compiles in parallel
-/// parts and a link, so its compile takes at least twice \p Seconds.
+/// sleeps \p Seconds and then runs cc. On x86-64 a kernel with a lanes
+/// entry compiles in parallel parts and a link, so its compile takes at
+/// least twice \p Seconds there.
 std::string slowCompiler(const std::string &Dir, int Seconds) {
   std::string Path = Dir + "/slow-cc";
   std::ofstream(Path) << "#!/bin/sh\ntouch '" << Dir << "/started'\nsleep "
@@ -1592,6 +1593,23 @@ unsigned kernelsIn(const std::string &Dir) {
   return Kernels;
 }
 
+/// The args of every serve.tier_up span the tracer recorded, which the
+/// caller enabled; disables and resets the tracer.
+std::vector<obs::JsonValue> tierUpSpans() {
+  obs::Tracer::instance().disable();
+  std::string Trace = obs::Tracer::instance().chromeTraceJson();
+  obs::Tracer::instance().reset();
+  std::vector<obs::JsonValue> Args;
+  std::optional<obs::JsonValue> Doc = obs::parseJson(Trace, nullptr);
+  const obs::JsonValue *Events = Doc ? Doc->member("traceEvents") : nullptr;
+  if (!Events || !Events->isArray())
+    return Args;
+  for (const obs::JsonValue &E : Events->array())
+    if (E.stringOr("name", "") == "serve.tier_up" && E.member("args"))
+      Args.push_back(*E.member("args"));
+  return Args;
+}
+
 uint64_t jitFallbacks() {
   return obs::MetricsRegistry::global().snapshot().counter("jit.fallbacks");
 }
@@ -1614,6 +1632,8 @@ TEST(ServeTierUpTest, RunsOnTheVmWhileTheKernelCompilesThenOnTheJit) {
   const std::string Cache = Dir.str() + "/jit";
   ScopedCc Cc(slowCompiler(Dir.str(), 1));
   MixedProblems P;
+  obs::Tracer::instance().reset();
+  obs::Tracer::instance().enable();
   serve::Engine::Options Opts;
   Opts.MaxBatch = 1;
   serve::Engine Engine(Opts);
@@ -1656,6 +1676,13 @@ TEST(ServeTierUpTest, RunsOnTheVmWhileTheKernelCompilesThenOnTheJit) {
   Engine.shutdown(serve::Engine::ShutdownMode::Drain);
   // Three boxes, one kernel.
   EXPECT_EQ(kernelsIn(Cache), 1u);
+  // One tier-up, which compiled, taking at least the compiler's sleep.
+  std::vector<obs::JsonValue> Spans = tierUpSpans();
+  ASSERT_EQ(Spans.size(), 1u);
+  EXPECT_EQ(Spans[0].stringOr("function", ""), "sw");
+  EXPECT_EQ(Spans[0].stringOr("outcome", ""), "compiled");
+  EXPECT_FALSE(Spans[0].stringOr("schedule", "").empty());
+  EXPECT_GE(Spans[0].numberOr("compile_ms", 0.0), 1000.0);
 }
 
 TEST(ServeTierUpTest, NoDeadlineIsLostToACompile) {
@@ -1675,7 +1702,7 @@ TEST(ServeTierUpTest, NoDeadlineIsLostToACompile) {
 
   // An interactive request with a 50-tick deadline, while the clock
   // moves a tick a millisecond: a coalescer that waited on the
-  // compiler (four seconds or more) would shed it.
+  // compiler (two seconds or more) would shed it.
   serve::Request Interactive = swRequest(P, 0, Cache);
   Interactive.Priority = 1;
   Interactive.DeadlineTick = Engine.now() + 50;
@@ -1774,6 +1801,8 @@ TEST(ServeTierUpTest, AFailingCompilerLeavesEveryKeyOnTheVm) {
     ASSERT_TRUE(R.has_value()) << Diags.str();
     Expected.push_back(std::move(*R));
   }
+  obs::Tracer::instance().reset();
+  obs::Tracer::instance().enable();
   serve::Engine::Options Opts;
   Opts.MaxBatch = 1;
   serve::Engine Engine(Opts);
@@ -1800,4 +1829,12 @@ TEST(ServeTierUpTest, AFailingCompilerLeavesEveryKeyOnTheVm) {
   Engine.shutdown(serve::Engine::ShutdownMode::Drain);
   EXPECT_EQ(jitFallbacks(), Before + 2);
   EXPECT_EQ(codegen::jitWarningsEmitted(), 1u);
+  std::vector<obs::JsonValue> Spans = tierUpSpans();
+  ASSERT_EQ(Spans.size(), 2u);
+  std::set<std::string> Functions;
+  for (const obs::JsonValue &Span : Spans) {
+    EXPECT_EQ(Span.stringOr("outcome", ""), "failed");
+    Functions.insert(Span.stringOr("function", ""));
+  }
+  EXPECT_EQ(Functions, (std::set<std::string>{"forward", "sw"}));
 }
