@@ -278,7 +278,7 @@ public:
       emitLanesKernel();
     if (HasSum)
       emitSumResults();
-    return Failed ? std::string() : Out;
+    return Failed ? std::string() : std::move(Out);
   }
 
   /// Whether the rendered unit has parrec_scan_lanes, and whether it has
