@@ -714,7 +714,7 @@ void Engine::tierUpMain() {
     if (TierStopping)
       return;
     TierUpJob Job = std::move(TierUpJobs.front());
-    TierUpJobs.pop_front();
+    TierUpJobs.erase(TierUpJobs.begin());
     Lock.unlock();
     {
       obs::Span Span("serve.tier_up", "serve");

@@ -390,7 +390,7 @@ private:
   std::map<KernelKey, Tier> Tiers; // Coalescer thread only.
   std::mutex TierMutex;
   std::condition_variable TierCv;     // The tier-up worker waits here.
-  std::deque<TierUpJob> TierUpJobs;   // Guarded by TierMutex.
+  std::vector<TierUpJob> TierUpJobs;  // Guarded by TierMutex; FIFO.
   bool TierStopping = false;          // Guarded by TierMutex.
 
   std::thread Coalescer;
