@@ -1468,6 +1468,9 @@ namespace {
 
 std::atomic<uint64_t> WarningsPrinted{0};
 
+/// Threads of this process running the host compiler (compilerRunning).
+std::atomic<unsigned> CompilesRunning{0};
+
 void warnOnce(const char *Reason) {
   uint64_t Expected = 0;
   if (WarningsPrinted.compare_exchange_strong(Expected, 1))
@@ -1607,6 +1610,8 @@ const char *runCompiler(const std::string &CPath, const std::string &OutPath,
 
 uint64_t codegen::jitWarningsEmitted() { return WarningsPrinted.load(); }
 
+bool codegen::compilerRunning() { return CompilesRunning.load() != 0; }
+
 bool codegen::hostRunsLanes() {
 #if defined(__x86_64__)
   return __builtin_cpu_supports("avx2");
@@ -1666,7 +1671,9 @@ KernelResult loadOrCompile(const RenderedKernel &Rendered,
   }
 
   auto T0 = std::chrono::steady_clock::now();
+  CompilesRunning.fetch_add(1);
   const char *Failure = runCompiler(TmpSource, Tmp, Rendered.Parts);
+  CompilesRunning.fetch_sub(1);
   auto Ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - T0)
                 .count();

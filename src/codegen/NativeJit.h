@@ -303,6 +303,12 @@ compileKernel(const exec::ExecutablePlan &Plan,
               const JitCompileOptions &Opts,
               JitOutcome *Outcome = nullptr);
 
+/// Whether a thread of this process is running the host compiler now.
+/// A scan spread over several workers waits at a spin barrier every
+/// partition, and a compile beside it stalls those barriers, so
+/// serve::Engine scans serially while this holds.
+bool compilerRunning();
+
 /// Renders the C translation unit for \p Plan without compiling it,
 /// ending with its `parrec_kernel_source_hash` definition. Returns an
 /// empty string when the plan has a shape the emitter does not support

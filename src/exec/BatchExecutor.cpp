@@ -81,7 +81,7 @@ workUnits(const std::vector<BatchMember> &Members,
   std::vector<std::vector<size_t>> Keys;
   for (size_t I = 0; I != Members.size(); ++I) {
     const BatchMember &M = Members[I];
-    if (!runsKernel(M.Options->Evaluator))
+    if (!M.Plan->Kernel)
       continue;
     RunOptions Ro = *M.Options;
     Ro.ScanWorkers = ScanWorkers;

@@ -518,8 +518,10 @@ RunResult scanPlan(const ExecutablePlan &Plan, codegen::Evaluator &Eval,
 
   // Jit silently degrades to the VM when the plan carries no kernel:
   // the jit pass already warned and counted the fallback at plan time.
-  bool UseJit = runsKernel(Options.Evaluator) && Plan.Kernel != nullptr &&
-                Plan.Kernel->fn() != nullptr && Plan.Program != nullptr;
+  // A Vm plan carries one only when serve::Engine tiered its key up.
+  bool UseJit = Options.Evaluator != EvalKind::Ast &&
+                Plan.Kernel != nullptr && Plan.Kernel->fn() != nullptr &&
+                Plan.Program != nullptr;
   bool UseVm = Options.Evaluator != EvalKind::Ast && !UseJit &&
                Plan.Program != nullptr;
   ScanStats Stats;
@@ -639,7 +641,7 @@ RunResult SimulatedGpuBackend::execute(const ExecutablePlan &Plan,
 
 bool SimulatedGpuBackend::runsLanes(const ExecutablePlan &Plan,
                                     const RunOptions &Options) const {
-  return runsKernel(Options.Evaluator) && !Options.KeepTable &&
+  return Options.Evaluator != EvalKind::Ast && !Options.KeepTable &&
          Plan.Program && Plan.Kernel && Plan.Kernel->lanesFn() &&
          resolveScanWorkers(Plan, Options, threads(Options)) == 1;
 }

@@ -38,18 +38,11 @@ namespace exec {
 /// differ only in host wall-clock speed. Jit silently degrades to Vm
 /// when the plan carries no kernel (unsupported shape, missing host
 /// compiler — the planner already warned and counted the fallback).
-/// Auto runs the plan's kernel when the plan carries one and the VM
-/// otherwise, and plans as Vm does (its PlanKey keeps Jit false), so
-/// its plans carry no kernel. Only serve::Engine gives an Auto request
-/// a plan with one, once the engine has compiled the kernel in the
-/// background (DESIGN.md §11).
-enum class EvalKind { Ast, Vm, Jit, Auto };
-
-/// Whether \p Kind scans with the plan's kernel when the plan carries
-/// one: Jit and Auto do.
-inline bool runsKernel(EvalKind Kind) {
-  return Kind == EvalKind::Jit || Kind == EvalKind::Auto;
-}
+/// Vm plans never carry a kernel, except in serve::Engine: once the
+/// engine has compiled a hot kernel in the background, it runs a Vm
+/// request on its plan with that kernel attached (DESIGN.md §11), and
+/// the scan then takes the kernel.
+enum class EvalKind { Ast, Vm, Jit };
 
 /// Options controlling one execution.
 struct RunOptions {
@@ -87,11 +80,9 @@ struct RunOptions {
   /// The cell evaluator (`parrec run --evaluator=ast|vm|jit`). Jit makes
   /// planning run the native JIT pass and execution dispatch the
   /// compiled kernel; Ast, the tree-walking differential-testing oracle,
-  /// runs even when the plan carries a compiled bytecode program; Vm
-  /// runs the bytecode program. Auto, the default, runs as Vm does
-  /// everywhere but in serve::Engine, which moves a hot kernel's
-  /// batches onto the JIT once it has compiled the kernel.
-  EvalKind Evaluator = EvalKind::Auto;
+  /// runs even when the plan carries a compiled bytecode program; Vm is
+  /// the default.
+  EvalKind Evaluator = EvalKind::Vm;
   /// JIT disk-cache directory override (`--jit-cache-dir=`); empty
   /// resolves to $ParRec_JIT_CACHE then ~/.cache/parrec-jit.
   std::string JitCacheDir;

@@ -21,6 +21,9 @@
 #include <fstream>
 #include <limits>
 
+#include <pthread.h>
+#include <sched.h>
+
 using namespace parrec;
 using namespace parrec::serve;
 
@@ -99,7 +102,7 @@ struct Engine::Batch {
   /// Options::LingerTicks.
   uint64_t CloseTick = 0;
   std::shared_ptr<const exec::ExecutablePlan> Plan;
-  /// The tier-up of Plan's kernel key, when a member runs Auto: the
+  /// The tier-up of Plan's kernel key, when a member runs Vm: the
   /// device runs the batch on the key's kernel if it has been loaded.
   Tier *KernelTier = nullptr;
   std::vector<Pending> Members;
@@ -657,14 +660,14 @@ void Engine::dispatchBatch(Batch &B) {
 }
 
 Engine::Tier *Engine::tierUp(const Batch &B) {
-  auto Auto = std::find_if(B.Members.begin(), B.Members.end(),
-                           [](const Pending &P) {
-                             return P.Req.Options.Evaluator ==
-                                    exec::EvalKind::Auto;
-                           });
+  auto Vm = std::find_if(B.Members.begin(), B.Members.end(),
+                         [](const Pending &P) {
+                           return P.Req.Options.Evaluator ==
+                                  exec::EvalKind::Vm;
+                         });
   // A plan without a bytecode program runs on the AST walker, and no
   // kernel can be rendered from it.
-  if (Auto == B.Members.end() || !B.Plan->Program)
+  if (Vm == B.Members.end() || !B.Plan->Program)
     return nullptr;
   Tier &T = Tiers[KernelKey{B.Fn->id(), B.Plan->Sched.Coefficients,
                             B.Plan->UseWindow, B.Plan->WindowDepth}];
@@ -674,7 +677,7 @@ Engine::Tier *Engine::tierUp(const Batch &B) {
   TierUpJob Job;
   Job.T = &T;
   Job.Plan = B.Plan;
-  Job.CacheDir = Auto->Req.Options.JitCacheDir;
+  Job.CacheDir = Vm->Req.Options.JitCacheDir;
   Job.Function = B.Fn->decl().Name;
   Job.Schedule = B.Plan->Sched.str(B.Fn->info().Recurrence.DimNames);
   {
@@ -708,6 +711,14 @@ Engine::planToRun(const Batch &B) {
 }
 
 void Engine::tierUpMain() {
+  // A compile must not take a core from a serving thread: this thread
+  // runs only on a core nothing else wants (SCHED_IDLE, a thread's own
+  // policy on Linux), and so do the compiler processes it starts, which
+  // inherit the policy. A failure leaves the normal priority.
+#ifdef __linux__
+  sched_param Param{};
+  ::pthread_setschedparam(::pthread_self(), SCHED_IDLE, &Param);
+#endif
   std::unique_lock<std::mutex> Lock(TierMutex);
   while (true) {
     TierCv.wait(Lock, [&] { return TierStopping || !TierUpJobs.empty(); });
@@ -816,11 +827,17 @@ void Engine::executeBatch(DeviceLane &Lane, Batch &B) {
     Resp.CompletionCycle = Completion;
     complete(P, Status::Ok, std::move(Resp), ExecStart);
   };
+  // Scan workers wait at a spin barrier every partition, and a kernel
+  // compile on the host stalls them whatever its priority (DESIGN.md
+  // §11): while the compiler runs, each scan is serial. The scan
+  // worker count never changes a result.
+  unsigned ScanWorkers =
+      codegen::compilerRunning() ? 1 : Opts.ScanWorkersPerDevice;
   exec::BatchExecutor Executor(Lane.Device, B.Fn->decl(), B.Fn->info(),
                                Opts.Pipeline);
   exec::BatchDispatch D = Executor.run(
       Inputs, std::max(1u, exec::hostWorkerBudget() / Opts.Devices),
-      Opts.BatchWorkersPerDevice, Opts.ScanWorkersPerDevice, Publish);
+      Opts.BatchWorkersPerDevice, ScanWorkers, Publish);
 
   std::lock_guard<std::mutex> Lock(StatsMutex);
   ++Counters.DeviceBatches[Lane.Index];

@@ -35,16 +35,17 @@
 ///    bit-identical payload (Response::Memoized). Requests that keep
 ///    tables or timelines are never memoized.
 ///
-/// Requests that leave the evaluator at exec::EvalKind::Auto, the
-/// default, start on the bytecode VM. The engine counts the batches each
-/// kernel key (the function, schedule and window, which decide a
-/// jitted kernel's text) has run; at TierUpBatches a worker thread of
-/// its own compiles, or loads from the disk cache, that key's kernel,
-/// and the key's later batches run on it. Neither the coalescer nor a
-/// device ever waits on the compiler, and the evaluators are
-/// bit-identical, so the switch changes host time only. A key whose
-/// compile fails stays on the VM. Explicit vm and jit requests never
-/// tier up.
+/// Requests on exec::EvalKind::Vm, the default, start on the bytecode
+/// VM. The engine counts the batches each kernel key (the function,
+/// schedule and window, which decide a jitted kernel's text) has run;
+/// at TierUpBatches a worker thread of its own compiles, or loads from
+/// the disk cache, that key's kernel, and the key's later batches run
+/// on it. Neither the coalescer nor a device ever waits on the
+/// compiler; the compile runs at the lowest CPU priority, and batches
+/// scan serially while it runs; the evaluators are bit-identical, so
+/// the switch changes host time only.
+/// A key whose compile fails stays on the VM. Jit requests plan their
+/// kernel as they always have, and Ast requests never run one.
 ///
 /// Time is virtual: deadlines and the coalescer's linger window are
 /// measured on a caller-advanced tick clock (Engine::advanceTo), so
@@ -332,7 +333,7 @@ private:
   };
   /// Counts \p B toward its kernel key's tier-up and queues the tier-up
   /// on the key's TierUpBatches-th batch. Returns the key's Tier, or
-  /// null when B has no Auto member or no bytecode program. Coalescer
+  /// null when B has no Vm member or no bytecode program. Coalescer
   /// thread.
   Tier *tierUp(const Batch &B);
   /// The plan \p B runs on: its plan with the kernel attached once its
@@ -340,7 +341,8 @@ private:
   /// backlog queued before the kernel loaded runs on it too.
   std::shared_ptr<const exec::ExecutablePlan> planToRun(const Batch &B);
   /// The tier-up worker: compiles queued kernels one at a time until
-  /// shutdown. Started by the first tier-up.
+  /// shutdown, at the lowest CPU priority. Started by the first
+  /// tier-up.
   void tierUpMain();
   void deviceMain(unsigned DeviceIndex);
   /// Continuous batching: tries to admit \p P into a compatible batch

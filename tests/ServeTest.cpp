@@ -11,7 +11,7 @@
 /// device counts and coalescing modes; backpressure, deadline shedding,
 /// Drain-vs-Abort shutdown and batch composition are deterministic on the
 /// virtual clock (StartPaused + shutdown make every schedule reproducible);
-/// a hot Auto key moves from the VM to the JIT without a serving thread
+/// a hot VM key moves to the JIT without a serving thread
 /// waiting on the compiler; and workload specs parse, materialise and
 /// replay deterministically.
 ///
@@ -21,6 +21,7 @@
 #include "bio/HmmZoo.h"
 #include "bio/SubstitutionMatrix.h"
 #include "codegen/NativeJit.h"
+#include "exec/ParallelFor.h"
 #include "obs/Export.h"
 #include "obs/Json.h"
 #include "obs/Metrics.h"
@@ -49,6 +50,7 @@
 #include <set>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include <sys/wait.h>
 
@@ -1536,7 +1538,7 @@ TEST(ServeEngineTest, AbortResolvesOpenLingerWindowsAsAborted) {
 }
 
 //===----------------------------------------------------------------------===//
-// Tier-up: Auto keys move from the VM to the JIT in the background
+// Tier-up: VM keys move to the JIT in the background
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -1614,6 +1616,15 @@ uint64_t jitFallbacks() {
   return obs::MetricsRegistry::global().snapshot().counter("jit.fallbacks");
 }
 
+/// The number and the sum of the exec.scan_workers samples so far.
+std::pair<uint64_t, double> scanWorkerSamples() {
+  obs::MetricsSnapshot S = obs::MetricsRegistry::global().snapshot();
+  auto It = S.Distributions.find("exec.scan_workers");
+  if (It == S.Distributions.end())
+    return {0, 0.0};
+  return {It->second.Count, It->second.Sum};
+}
+
 /// One Smith-Waterman problem of MixedProblems (indices 0-5, three
 /// boxes of one kernel key), with its kernels cached in \p CacheDir.
 serve::Request swRequest(const MixedProblems &P, size_t I,
@@ -1685,6 +1696,48 @@ TEST(ServeTierUpTest, RunsOnTheVmWhileTheKernelCompilesThenOnTheJit) {
   EXPECT_GE(Spans[0].numberOr("compile_ms", 0.0), 1000.0);
 }
 
+TEST(ServeTierUpTest, ScansAreSerialWhileTheCompilerRuns) {
+  TempPath Dir("serve-tierup-serial");
+  const std::string Cache = Dir.str() + "/jit";
+  ScopedCc Cc(slowCompiler(Dir.str(), 1));
+  MixedProblems P;
+  serve::Engine::Options Opts;
+  Opts.MaxBatch = 1;
+  serve::Engine Engine(Opts);
+  // Problem 5 (33 x 37 cells) is large enough for the default scan
+  // workers to split it. Returns the workers its scan ran on.
+  auto ScanWorkers = [&] {
+    auto [Count, Sum] = scanWorkerSamples();
+    serve::Response R = Engine.submit(swRequest(P, 5, Cache)).wait();
+    EXPECT_EQ(R.St, serve::Status::Ok) << R.Error;
+    auto [CountAfter, SumAfter] = scanWorkerSamples();
+    EXPECT_EQ(CountAfter, Count + 1);
+    return SumAfter - Sum;
+  };
+
+  // Before the compile, the scan takes every worker of the host budget.
+  const double Before = ScanWorkers();
+  if (exec::hostWorkerBudget() > 1) {
+    EXPECT_GT(Before, 1.0);
+  }
+  for (uint64_t I = 1; I != serve::Engine::TierUpBatches; ++I)
+    ScanWorkers();
+  ASSERT_TRUE(waitLong([&] {
+    return std::filesystem::exists(Dir.str() + "/started");
+  })) << "the compile never started";
+
+  // The compiler sleeps for a second, then compiles: scans are serial.
+  EXPECT_TRUE(codegen::compilerRunning());
+  for (int I = 0; I != 3; ++I)
+    EXPECT_EQ(ScanWorkers(), 1.0) << "request " << I;
+
+  // Once the compile is over, the kernel's scans split again.
+  ASSERT_TRUE(waitLong([&] { return !codegen::compilerRunning(); }));
+  EXPECT_EQ(ScanWorkers(), Before);
+  Engine.shutdown(serve::Engine::ShutdownMode::Drain);
+  EXPECT_EQ(kernelsIn(Cache), 1u);
+}
+
 TEST(ServeTierUpTest, NoDeadlineIsLostToACompile) {
   TempPath Dir("serve-tierup-deadline");
   const std::string Cache = Dir.str() + "/jit";
@@ -1748,8 +1801,8 @@ TEST(ServeTierUpTest, ShutdownWaitsForTheCompileInDrainAndAbort) {
   }
 }
 
-TEST(ServeTierUpTest, OnlyAutoKeysTierUpAndOnlyAfterTierUpBatches) {
-  TempPath Dir("serve-tierup-auto");
+TEST(ServeTierUpTest, OnlyVmKeysTierUpAndOnlyAfterTierUpBatches) {
+  TempPath Dir("serve-tierup-vm");
   MixedProblems P;
   serve::Engine::Options Opts;
   Opts.MaxBatch = 1;
@@ -1770,16 +1823,16 @@ TEST(ServeTierUpTest, OnlyAutoKeysTierUpAndOnlyAfterTierUpBatches) {
   const uint64_t K = serve::Engine::TierUpBatches;
 
   // A key that has run K - 1 batches never started a compile.
-  std::string Cold = Dir.str() + "/auto";
-  for (const std::string &E : ServeAll(Cold, exec::EvalKind::Auto, K - 1))
+  std::string Cold = Dir.str() + "/vm";
+  for (const std::string &E : ServeAll(Cold, exec::EvalKind::Vm, K - 1))
     EXPECT_EQ(E, "vm");
   EXPECT_FALSE(std::filesystem::exists(Cold));
 
-  // Explicit vm never tiers up.
-  std::string Vm = Dir.str() + "/vm";
-  for (const std::string &E : ServeAll(Vm, exec::EvalKind::Vm, 3 * K))
-    EXPECT_EQ(E, "vm");
-  EXPECT_FALSE(std::filesystem::exists(Vm));
+  // The AST oracle never runs a kernel, so its batches start no compile.
+  std::string Ast = Dir.str() + "/ast";
+  for (const std::string &E : ServeAll(Ast, exec::EvalKind::Ast, 2 * K))
+    EXPECT_EQ(E, "ast");
+  EXPECT_FALSE(std::filesystem::exists(Ast));
 
   // Explicit jit compiles its kernel when it plans, as it always has.
   std::string Jit = Dir.str() + "/jit";
