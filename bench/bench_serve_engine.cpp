@@ -31,6 +31,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchCommon.h"
+
 #include "obs/Metrics.h"
 #include "serve/Workload.h"
 
@@ -41,7 +43,6 @@
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace parrec;
@@ -122,9 +123,8 @@ ConfigResult runConfig(const serve::Workload &W, unsigned Devices,
   return R;
 }
 
-void writeJson(const std::string &Path, bool Smoke, unsigned HostThreads,
-               uint64_t Seed, uint64_t Requests,
-               const std::vector<ConfigResult> &Results) {
+void writeJson(const std::string &Path, bool Smoke, uint64_t Seed,
+               uint64_t Requests, const std::vector<ConfigResult> &Results) {
   std::FILE *F = std::fopen(Path.c_str(), "w");
   if (!F) {
     std::fprintf(stderr, "cannot write %s\n", Path.c_str());
@@ -132,7 +132,7 @@ void writeJson(const std::string &Path, bool Smoke, unsigned HostThreads,
   }
   std::fprintf(F, "{\n  \"benchmark\": \"serve_engine_ablation\",\n");
   std::fprintf(F, "  \"mode\": \"%s\",\n", Smoke ? "smoke" : "full");
-  std::fprintf(F, "  \"hardware_concurrency\": %u,\n", HostThreads);
+  std::fprintf(F, "  \"host\": %s,\n", parrecbench::hostJson().c_str());
   std::fprintf(F, "  \"seed\": %llu,\n",
                static_cast<unsigned long long>(Seed));
   std::fprintf(F, "  \"requests\": %llu,\n",
@@ -183,7 +183,6 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  const unsigned HostThreads = std::thread::hardware_concurrency();
   serve::WorkloadSpec Spec = makeSpec(Smoke, Seed);
   DiagnosticEngine Diags;
   std::optional<serve::Workload> W = serve::Workload::build(Spec, Diags);
@@ -198,8 +197,7 @@ int main(int Argc, char **Argv) {
     for (bool Coalesce : {false, true})
       Results.push_back(runConfig(*W, Devices, Coalesce));
 
-  writeJson(OutPath, Smoke, HostThreads, Seed, W->events().size(),
-            Results);
+  writeJson(OutPath, Smoke, Seed, W->events().size(), Results);
   if (!MetricsOut.empty()) {
     std::ofstream Out(MetricsOut, std::ios::binary | std::ios::trunc);
     Out << obs::MetricsRegistry::global().snapshot().json() << '\n';

@@ -39,6 +39,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchCommon.h"
+
 #include "bio/Fasta.h"
 #include "bio/SubstitutionMatrix.h"
 #include "runtime/CompiledRecurrence.h"
@@ -383,8 +385,7 @@ void writeJson(const std::string &Path, bool Smoke,
   };
   std::fprintf(F, "{\n  \"benchmark\": \"serve_soak\",\n");
   std::fprintf(F, "  \"mode\": \"%s\",\n", Smoke ? "smoke" : "full");
-  std::fprintf(F, "  \"hardware_concurrency\": %u,\n",
-               std::thread::hardware_concurrency());
+  std::fprintf(F, "  \"host\": %s,\n", parrecbench::hostJson().c_str());
   std::fprintf(F, "  \"continuous_batching\": {\n");
   Sat("off", Off, ",");
   Sat("on", On, "");

@@ -52,7 +52,6 @@ public:
     return Scores[static_cast<size_t>(A) * Alpha.size() + B];
   }
 
-  void setDefaultScore(int Score) { DefaultScore = Score; }
   int defaultScore() const { return DefaultScore; }
 
   /// The BLOSUM62 matrix over the 20 standard amino acids.

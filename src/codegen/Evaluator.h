@@ -124,11 +124,6 @@ public:
   /// bytecode VM borrows these so both evaluators read identical bits.
   const std::vector<HmmLogCache> &hmmCaches() const { return HmmCaches; }
 
-  /// True when the function's results are log-space probabilities.
-  bool isProbFunction() const {
-    return Decl.ReturnType.Kind == lang::TypeKind::Prob;
-  }
-
   /// Computes the value of the cell at \p Point (recursion-dimension
   /// coordinates), reading dependencies from \p Table and charging events
   /// to \p Cost. The returned double is what the table stores (log-space

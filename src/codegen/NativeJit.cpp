@@ -1419,9 +1419,9 @@ uint64_t fnv1a(std::string_view S, uint64_t H = 0xcbf29ce484222325ULL) {
   return H;
 }
 
-/// A rendered translation unit and the hash of its text without the
-/// trailing `parrec_kernel_source_hash` definition (which holds that
-/// same hash, so a loaded object can prove which source it came from).
+/// A rendered kernel text, which ends with its
+/// `parrec_kernel_source_hash` definition, and the hash of the text
+/// without that definition (the value it defines).
 struct RenderedKernel {
   std::string Source;
   uint64_t SourceHash = 0;
@@ -1429,6 +1429,34 @@ struct RenderedKernel {
   /// compiles whole.
   int Parts = 1;
 };
+
+/// Writes the translation unit compiled from \p Source: the text, then
+/// the part-1 definition of `parrec_kernel_source`, a copy of it, so a
+/// loaded object can prove which source it came from. Every byte of the
+/// copy is an octal escape, so it holds nothing that a reader of the
+/// translation unit searches its text for. Streamed a line at a time,
+/// since the copy is four times the size of the text.
+void writeTranslationUnit(std::ostream &Os, std::string_view Source) {
+  Os << Source << "#if PR_PART(1)\nconst char parrec_kernel_source[] =\n";
+  constexpr size_t BytesPerLine = 32;
+  char Line[BytesPerLine * 4 + 3];
+  for (size_t At = 0; At < Source.size(); At += BytesPerLine) {
+    size_t N = std::min(BytesPerLine, Source.size() - At);
+    char *Out = Line;
+    *Out++ = '"';
+    for (char Byte : Source.substr(At, N)) {
+      auto C = static_cast<unsigned char>(Byte);
+      *Out++ = '\\';
+      *Out++ = static_cast<char>('0' + (C >> 6));
+      *Out++ = static_cast<char>('0' + (C >> 3 & 7));
+      *Out++ = static_cast<char>('0' + (C & 7));
+    }
+    *Out++ = '"';
+    *Out++ = '\n';
+    Os.write(Line, Out - Line);
+  }
+  Os << ";\n#endif\n";
+}
 
 RenderedKernel renderKernel(const exec::ExecutablePlan &Plan) {
   RenderedKernel K;
@@ -1457,7 +1485,12 @@ RenderedKernel renderKernel(const exec::ExecutablePlan &Plan) {
 } // namespace
 
 std::string codegen::renderKernelSource(const exec::ExecutablePlan &Plan) {
-  return renderKernel(Plan).Source;
+  RenderedKernel K = renderKernel(Plan);
+  if (K.Source.empty())
+    return K.Source;
+  std::ostringstream Os;
+  writeTranslationUnit(Os, K.Source);
+  return Os.str();
 }
 
 //===----------------------------------------------------------------------===//
@@ -1497,12 +1530,13 @@ std::string resolveCacheDir(const std::string &Override) {
 }
 
 /// Loads the kernel at \p SoPath, or returns null when the object
-/// cannot be loaded or was not built from the source hashing to
-/// \p SourceHash under this JitKernelAbi. A stale or foreign object at
-/// a cache path would otherwise run another recursion's or schedule's
-/// nest and cell body.
+/// cannot be loaded or was not built from \p Rendered under this
+/// JitKernelAbi: it must export its hash and, since another text can
+/// share a 64-bit hash, a copy of its text equal to \p Rendered's byte
+/// for byte. A stale, foreign or colliding object at a cache path would
+/// otherwise run another recursion's or schedule's nest and cell body.
 std::shared_ptr<const JitKernel> tryLoad(const std::string &SoPath,
-                                         uint64_t SourceHash) {
+                                         const RenderedKernel &Rendered) {
   void *Handle = ::dlopen(SoPath.c_str(), RTLD_NOW | RTLD_LOCAL);
   if (!Handle)
     return nullptr;
@@ -1513,8 +1547,10 @@ std::shared_ptr<const JitKernel> tryLoad(const std::string &SoPath,
       static_cast<const uint64_t *>(::dlsym(Handle, "parrec_kernel_abi"));
   const auto *Hash = static_cast<const uint64_t *>(
       ::dlsym(Handle, "parrec_kernel_source_hash"));
-  if (!Sym || !Abi || !Hash || *Abi != JitKernelAbi ||
-      *Hash != SourceHash) {
+  const auto *Text =
+      static_cast<const char *>(::dlsym(Handle, "parrec_kernel_source"));
+  if (!Sym || !Abi || !Hash || !Text || *Abi != JitKernelAbi ||
+      *Hash != Rendered.SourceHash || Rendered.Source != Text) {
     ::dlclose(Handle);
     return nullptr;
   }
@@ -1644,7 +1680,7 @@ KernelResult loadOrCompile(const RenderedKernel &Rendered,
   obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
   std::error_code Ec;
   if (std::filesystem::exists(SoPath, Ec) && !Ec) {
-    if (auto Kernel = tryLoad(SoPath, Rendered.SourceHash)) {
+    if (auto Kernel = tryLoad(SoPath, Rendered)) {
       Metrics.add("jit.cache_hits");
       return {std::move(Kernel), nullptr, JitOutcome::Loaded};
     }
@@ -1663,7 +1699,7 @@ KernelResult loadOrCompile(const RenderedKernel &Rendered,
   std::string TmpSource = Tmp + ".c";
   {
     std::ofstream Os(TmpSource, std::ios::trunc);
-    Os << Rendered.Source;
+    writeTranslationUnit(Os, Rendered.Source);
     if (!Os) {
       std::filesystem::remove(TmpSource, Ec);
       return failed("cannot write the generated source");
@@ -1677,6 +1713,11 @@ KernelResult loadOrCompile(const RenderedKernel &Rendered,
   auto Ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - T0)
                 .count();
+  // Load the object before publishing it: once it is renamed, another
+  // process may put its own object in its place.
+  std::shared_ptr<const JitKernel> Kernel;
+  if (!Failure && !(Kernel = tryLoad(Tmp, Rendered)))
+    Failure = "dlopen of the compiled kernel failed";
   // Atomic publish so concurrent compiles of one plan race benignly.
   if (!Failure && std::rename(Tmp.c_str(), SoPath.c_str()) != 0)
     Failure = "cannot publish the compiled kernel";
@@ -1690,10 +1731,7 @@ KernelResult loadOrCompile(const RenderedKernel &Rendered,
   }
   Metrics.add("jit.cache_misses");
   Metrics.record("jit.compile_ns", static_cast<double>(Ns));
-
-  if (auto Kernel = tryLoad(SoPath, Rendered.SourceHash))
-    return {std::move(Kernel), nullptr, JitOutcome::Compiled};
-  return failed("dlopen of the compiled kernel failed");
+  return {std::move(Kernel), nullptr, JitOutcome::Compiled};
 }
 
 /// The kernels being loaded or compiled in this process, by object

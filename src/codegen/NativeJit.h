@@ -61,14 +61,17 @@
 /// Compiled objects are cached on disk keyed by the schedule fingerprint
 /// plus a hash of the emitted source, so other boxes and cold process
 /// starts reuse warm kernels without invoking the compiler. Each object
-/// exports the hash of the source it was built from and the kernel ABI
-/// version; a cached object whose symbols do not match is removed and
-/// recompiled, never run. A process compiles a kernel once: a request
-/// for a kernel that another thread is compiling waits for that compile
-/// and shares its result. Any failure — unsupported body shape, missing
-/// or broken host compiler, dlopen error — degrades to the bytecode VM
-/// with a single warning line and a `jit.fallbacks` metric; it is never
-/// an error.
+/// exports the kernel ABI version, the hash of the source it was built
+/// from and a copy of that source; a cached object whose ABI or hash
+/// differs, or whose copy differs from the rendered text in any byte, is
+/// removed and recompiled, never run. A process compiles a kernel once:
+/// a request for a kernel that another thread is compiling waits for
+/// that compile and shares its result, and the compiling thread loads
+/// the object it built before publishing it, so it never runs one that
+/// another process put at the cache path since. Any failure —
+/// unsupported body shape, missing or broken host compiler, dlopen
+/// error — degrades to the bytecode VM with a single warning line and a
+/// `jit.fallbacks` metric; it is never an error.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -310,7 +313,8 @@ compileKernel(const exec::ExecutablePlan &Plan,
 bool compilerRunning();
 
 /// Renders the C translation unit for \p Plan without compiling it,
-/// ending with its `parrec_kernel_source_hash` definition. Returns an
+/// ending with its `parrec_kernel_source_hash` definition and the
+/// `parrec_kernel_source` copy of all text before it. Returns an
 /// empty string when the plan has a shape the emitter does not support
 /// (callers fall back to the VM). Exposed for tests.
 std::string renderKernelSource(const exec::ExecutablePlan &Plan);

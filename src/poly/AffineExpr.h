@@ -76,9 +76,6 @@ public:
   /// True when every coefficient is zero.
   bool isConstant() const;
 
-  /// True when the whole expression is identically zero.
-  bool isZero() const { return isConstant() && Constant == 0; }
-
   AffineExpr operator+(const AffineExpr &Other) const;
   AffineExpr operator-(const AffineExpr &Other) const;
   AffineExpr operator*(int64_t Scale) const;

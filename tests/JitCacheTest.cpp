@@ -10,7 +10,7 @@
 /// means zero compiler invocations, every box of a recursion and
 /// schedule shares one kernel, a PlanCache hit means zero JIT work
 /// of any kind, concurrent compiles of one kernel all load it, a
-/// corrupt, foreign or older-ABI cache entry is silently
+/// corrupt, foreign, hash-colliding or older-ABI cache entry is silently
 /// recompiled, the ParRec_JIT_CACHE override is honoured, any cache path
 /// works, and a broken host compiler degrades to the bytecode VM with
 /// identical results and exactly one warning line for the whole
@@ -261,6 +261,61 @@ TEST(JitCacheTest, ForeignEntryRecompiles) {
   EXPECT_EQ(Vm, 5.0);
   EXPECT_GT(distCount("jit.compile_ns"), CompilesBefore)
       << "the foreign kernel was loaded instead of recompiled";
+}
+
+TEST(JitCacheTest, CollidingSourceHashRecompiles) {
+  // What two kernel texts with one source hash leave in the cache: the
+  // ForcedSchedule {2, 1} kernel, compiled with its hash definition
+  // rewritten to this plan's hash, at this plan's cache path, with that
+  // text beside it. Its ABI and hash match, but it was built from
+  // another text, so it must be recompiled, never run.
+  std::string DirA = freshCacheDir("colliding-a");
+  std::string DirB = freshCacheDir("colliding-b");
+  {
+    CompiledRecurrence Cold = compileOrDie();
+    RunOptions Forced;
+    Forced.Evaluator = exec::EvalKind::Jit;
+    Forced.JitCacheDir = DirA;
+    Forced.ForcedSchedule = solver::Schedule{{2, 1}};
+    run(Cold, Forced, "intention", "execution");
+    runOnce(Cold, exec::EvalKind::Jit, DirB, "intention", "execution");
+  }
+  auto ReadText = [](const std::filesystem::path &Path) {
+    std::ifstream In(Path);
+    return std::string(std::istreambuf_iterator<char>(In),
+                       std::istreambuf_iterator<char>());
+  };
+  std::filesystem::path Target = onlyKernel(DirB);
+  std::filesystem::path TargetSource =
+      std::filesystem::path(Target).replace_extension(".c");
+  std::string Text =
+      ReadText(std::filesystem::path(onlyKernel(DirA)).replace_extension(".c"));
+  std::string TargetText = ReadText(TargetSource);
+  const std::string HashDef = "const uint64_t parrec_kernel_source_hash = 0x";
+  size_t At = Text.find(HashDef);
+  size_t TargetAt = TargetText.find(HashDef);
+  ASSERT_NE(At, std::string::npos);
+  ASSERT_NE(TargetAt, std::string::npos);
+  Text.replace(At + HashDef.size(), 16, TargetText, TargetAt + HashDef.size(),
+               16);
+  ASSERT_NE(Text, TargetText);
+  std::ofstream(TargetSource, std::ios::trunc) << Text;
+  std::filesystem::remove(Target);
+  std::string Cmd = "cc -O2 -shared -fPIC -o " + Target.string() + " " +
+                    TargetSource.string();
+  ASSERT_EQ(std::system(Cmd.c_str()), 0) << Cmd;
+
+  CompiledRecurrence Fresh = compileOrDie();
+  uint64_t CompilesBefore = distCount("jit.compile_ns");
+  uint64_t MissesBefore = counter("jit.cache_misses");
+  double Vm = runOnce(Fresh, exec::EvalKind::Vm, "", "intention", "execution");
+  double Jit =
+      runOnce(Fresh, exec::EvalKind::Jit, DirB, "intention", "execution");
+  EXPECT_EQ(Vm, Jit);
+  EXPECT_EQ(Vm, 5.0);
+  EXPECT_GT(distCount("jit.compile_ns"), CompilesBefore)
+      << "the colliding kernel was loaded instead of recompiled";
+  EXPECT_EQ(counter("jit.cache_misses"), MissesBefore + 1);
 }
 
 TEST(JitCacheTest, OneKernelServesEveryBox) {
