@@ -25,7 +25,7 @@ import sys
 
 SOURCE_DIR = "src"
 CALLER_DIRS = ["src", "bench", "perfbench", "examples"]
-CALLER_EXTENSIONS = (".h", ".cpp", ".c", ".def", ".inc")
+CALLER_EXTENSIONS = (".h", ".cpp")
 
 INCLUDE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.MULTILINE)
 
